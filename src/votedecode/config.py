@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .decode import BeamParams
+from .decode import BeamParams, check_sampling
 from .voting import SimilaritySpec, VoterSpec
 
 SCHEMA_VERSION = 1
@@ -154,7 +154,7 @@ def _parse_decode(data, index: int) -> DecodeSpec:
     if kind == "sample":
         _check_keys(data, {"name", "kind", "count", "strategy", "top_k", "top_p", "max_len"}, where)
         try:
-            return DecodeSpec(
+            spec = DecodeSpec(
                 name=name,
                 kind="sample",
                 count=int(_require(data, "count", where)),
@@ -163,8 +163,10 @@ def _parse_decode(data, index: int) -> DecodeSpec:
                 top_p=None if data.get("top_p") is None else float(data["top_p"]),
                 max_len=int(data.get("max_len", 50)),
             )
+            check_sampling(spec.strategy, spec.top_k, spec.top_p)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
+        return spec
     raise ConfigError(f"{where}: unknown decode kind {kind!r} (expected beam|sample)")
 
 

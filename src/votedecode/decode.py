@@ -142,6 +142,15 @@ def beam_search(model: SequenceModel, context: Sequence | None, params: BeamPara
     ``gamma * (sibling rank - 1)`` from each expansion before pruning, rank
     counted from 1 per parent; EOS finishes rather than expands and carries
     its parent's accumulated penalty.
+
+    Only each parent's top-k children (by one stable argsort of its row:
+    step log-probability descending, token id ascending) enter the global
+    sort, which is exact.  Siblings differ only in their last token, and a
+    better-ranked sibling never has a lower step log-probability or a higher
+    penalty, so its (search score, log-probability) is never lower.  A child
+    ranked below k therefore has k siblings ahead of it, unless rounding
+    makes its (search score, log-probability) equal the k-th sibling's and
+    the token-id tie-break decides; such children are kept too.
     """
     k = params.beam_size
     live: list[_Hyp] = [_Hyp(tokens=(), logprob=0.0, penalty=0.0)]
@@ -162,20 +171,25 @@ def beam_search(model: SequenceModel, context: Sequence | None, params: BeamPara
         for hyp in live:
             logprobs = model.next_token_logprobs(hyp.tokens, context)
             finish(hyp, float(logprobs[EOS_ID]))
-            steps = [
-                (float(logprobs[t]), t)
-                for t in range(len(logprobs))
-                if t not in (BOS_ID, EOS_ID) and logprobs[t] != NEG_INF
-            ]
-            steps.sort(key=lambda st: (-st[0], st[1]))
-            for rank, (step_lp, token) in enumerate(steps, start=1):
-                expansions.append(
-                    _Hyp(
-                        tokens=hyp.tokens + (token,),
-                        logprob=hyp.logprob + step_lp,
-                        penalty=hyp.penalty + params.diverse_gamma * (rank - 1),
-                    )
+            # Sibling rank: step log-probability descending, token id ascending.
+            neg = -logprobs
+            neg[BOS_ID] = neg[EOS_ID] = math.inf
+            cutoff = None
+            for rank, token in enumerate(map(int, np.argsort(neg, kind="stable")), start=1):
+                step_lp = float(logprobs[token])
+                if step_lp == NEG_INF:
+                    break
+                child = _Hyp(
+                    tokens=hyp.tokens + (token,),
+                    logprob=hyp.logprob + step_lp,
+                    penalty=hyp.penalty + params.diverse_gamma * (rank - 1),
                 )
+                tie = (child.search_score(params.scoring), child.logprob)
+                if rank == k:
+                    cutoff = tie
+                elif rank > k and tie != cutoff:
+                    break
+                expansions.append(child)
         expansions.sort(key=lambda h: _hyp_sort_key(h, params.scoring))
         live = expansions[:k]
         depth += 1
@@ -194,6 +208,16 @@ def beam_search(model: SequenceModel, context: Sequence | None, params: BeamPara
     finished.sort(key=lambda h: _hyp_sort_key(h, params.scoring))
     items = tuple(ScoredSequence(tokens=h.tokens, logprob=h.logprob) for h in finished[:k])
     return CandidateSet(items=items, provenance=f"beam({params})")
+
+
+def check_sampling(strategy: str, top_k: int | None, top_p: float | None) -> None:
+    """Raise ValueError unless the sampling strategy and its truncation setting can run."""
+    if strategy not in SAMPLING_STRATEGIES:
+        raise ValueError(f"strategy must be one of {SAMPLING_STRATEGIES}, got {strategy!r}")
+    if strategy == "top_k" and (top_k is None or top_k < 1):
+        raise ValueError(f"top_k sampling needs top_k >= 1, got {top_k}")
+    if strategy == "nucleus" and (top_p is None or not 0.0 < top_p <= 1.0):
+        raise ValueError(f"nucleus sampling needs top_p in (0,1], got {top_p}")
 
 
 def sample_sequences(
@@ -217,15 +241,18 @@ def sample_sequences(
     seed.  Duplicates are retained and the logprob field stores the
     untruncated model log-probability (EOS step included; sequences cut at
     ``max_len`` take the EOS log-probability at that point).
+
+    Each step sorts the support by a stable argsort of the descending
+    probabilities (ties keep the smaller id first) and walks one
+    ``np.cumsum`` of them, which adds left to right like a running sum.  The
+    nucleus cut and the draw are searches on that array, the total and
+    truncated masses are ``math.fsum`` (exactly rounded), and each step uses
+    one ``rng.random()``: the draws are those of a running-sum walk over the
+    sorted support.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if strategy not in SAMPLING_STRATEGIES:
-        raise ValueError(f"strategy must be one of {SAMPLING_STRATEGIES}, got {strategy!r}")
-    if strategy == "top_k" and (top_k is None or top_k < 1):
-        raise ValueError(f"top_k sampling needs top_k >= 1, got {top_k}")
-    if strategy == "nucleus" and (top_p is None or not 0.0 < top_p <= 1.0):
-        raise ValueError(f"nucleus sampling needs top_p in (0,1], got {top_p}")
+    check_sampling(strategy, top_k, top_p)
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
 
@@ -237,30 +264,23 @@ def sample_sequences(
         for _ in range(max_len):
             lps = model.next_token_logprobs(tokens, context)
             probs = np.exp(lps)
-            support = [t for t in range(len(probs)) if probs[t] > 0.0 and t != BOS_ID]
-            support.sort(key=lambda t: (-probs[t], t))
+            probs[BOS_ID] = 0.0
+            support = np.flatnonzero(probs > 0.0)
+            # Stable sort of the ascending ids: ties keep the smaller id first.
+            support = support[np.argsort(-probs[support], kind="stable")]
+            sorted_probs = probs[support]
             if strategy == "top_k":
-                support = support[: top_k]
-            elif strategy == "nucleus":
-                total = math.fsum(probs[t] for t in support)
-                target = min(top_p, total)
-                cum = 0.0
-                cut = len(support)
-                for i, t in enumerate(support):
-                    cum += probs[t]
-                    if cum >= target - 1e-12:
-                        cut = i + 1
-                        break
-                support = support[:cut]
-            mass = math.fsum(probs[t] for t in support)
+                sorted_probs = sorted_probs[:top_k]
+            cum = np.cumsum(sorted_probs)
+            if strategy == "nucleus":
+                target = min(top_p, math.fsum(sorted_probs.tolist()))
+                cut = min(int(np.searchsorted(cum, target - 1e-12, side="left")) + 1, len(cum))
+                sorted_probs = sorted_probs[:cut]
+                cum = cum[:cut]
+            mass = math.fsum(sorted_probs.tolist())
             u = rng.random() * mass
-            cum = 0.0
-            chosen = support[-1]
-            for t in support:
-                cum += probs[t]
-                if u < cum:
-                    chosen = t
-                    break
+            pick = min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+            chosen = int(support[pick])
             logprob += float(lps[chosen])
             if chosen == EOS_ID:
                 break

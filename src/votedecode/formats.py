@@ -8,6 +8,7 @@ serialized with full round-trip precision.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
@@ -56,9 +57,11 @@ class DatasetRow:
 def read_dataset(path: str | Path) -> list[DatasetRow]:
     """Line-delimited JSON: {"id", "source"?, "references": [string, ...]}."""
     rows = []
+    seen_ids: dict = {}
     for lineno, obj in _read_jsonl(path):
         if not isinstance(obj, dict) or "id" not in obj or "references" not in obj:
             raise FileFormatError(f"{path}:{lineno}: dataset rows need 'id' and 'references'")
+        _check_unique_id(seen_ids, obj["id"], path, lineno)
         refs = obj["references"]
         if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
             raise FileFormatError(f"{path}:{lineno}: 'references' must be a list of strings")
@@ -95,15 +98,18 @@ def write_candidates(records: Iterable[CandidateRecord], fp: IO[str]) -> None:
 
 def read_candidates(path: str | Path) -> list[CandidateRecord]:
     records = []
+    seen_ids: dict = {}
     for lineno, obj in _read_jsonl(path):
         if not isinstance(obj, dict) or "id" not in obj or "candidates" not in obj:
             raise FileFormatError(f"{path}:{lineno}: candidate rows need 'id' and 'candidates'")
+        _check_unique_id(seen_ids, obj["id"], path, lineno)
         cands = []
         for c in obj["candidates"]:
             try:
-                cands.append((tuple(c["tokens"]), float(c["logprob"])))
+                tokens, logprob = tuple(c["tokens"]), float(c["logprob"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise FileFormatError(f"{path}:{lineno}: bad candidate entry: {exc}") from exc
+            cands.append((tokens, _check_logprob(logprob, path, lineno)))
         records.append(CandidateRecord(id=obj["id"], source=obj.get("source"), candidates=tuple(cands)))
     if not records:
         raise FileFormatError(f"{path}: no candidate records")
@@ -135,15 +141,18 @@ def write_votes(records: Iterable[VoteRecord], fp: IO[str]) -> None:
 
 def read_votes(path: str | Path) -> list[VoteRecord]:
     records = []
+    seen_ids: dict = {}
     for lineno, obj in _read_jsonl(path):
         if not isinstance(obj, dict) or "id" not in obj or "ranked" not in obj:
             raise FileFormatError(f"{path}:{lineno}: vote rows need 'id' and 'ranked'")
+        _check_unique_id(seen_ids, obj["id"], path, lineno)
         ranked = []
         for c in obj["ranked"]:
             try:
-                ranked.append((tuple(c["tokens"]), float(c["logprob"]), float(c["score"])))
+                tokens, logprob, score = tuple(c["tokens"]), float(c["logprob"]), float(c["score"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise FileFormatError(f"{path}:{lineno}: bad ranked entry: {exc}") from exc
+            ranked.append((tokens, _check_logprob(logprob, path, lineno), score))
         contributions = None
         if "contributions" in obj:
             contributions = tuple(tuple(float(x) for x in row) for row in obj["contributions"])
@@ -304,6 +313,21 @@ def report_filter_columns(tsv_text: str, metric: str, max_n: int) -> str:
         cells = line.split("\t")
         out.append("\t".join(cells[i] for i in indices))
     return "\n".join(out) + "\n"
+
+
+def _check_logprob(logprob: float, path: str | Path, lineno: int) -> float:
+    """Reject NaN and +inf; -inf (probability zero) stays legal."""
+    if math.isnan(logprob) or logprob == math.inf:
+        raise FileFormatError(f"{path}:{lineno}: log-probability must be finite or -Infinity, got {logprob}")
+    return logprob
+
+
+def _check_unique_id(seen: dict, record_id, path: str | Path, lineno: int) -> None:
+    """Record ``record_id``'s line; ids that are lists or objects compare by their JSON text."""
+    key = ("json", json.dumps(record_id, sort_keys=True)) if isinstance(record_id, (list, dict)) else record_id
+    first = seen.setdefault(key, lineno)
+    if first != lineno:
+        raise FileFormatError(f"{path}:{lineno}: duplicate id {record_id!r} (first on line {first})")
 
 
 def _read_jsonl(path: str | Path):

@@ -6,7 +6,10 @@ add-k n-gram model.  Both are unconditional: the optional ``context``
 argument is accepted for interface compatibility and ignored.
 
 All probability arithmetic is in log space; a next-token query returns a
-dense float64 vector over the full id space (BOS stays at -inf).
+dense float64 vector over the full id space (BOS stays at -inf).  An
+``NGramLM`` query fills that vector with the one value every unobserved
+outcome shares and takes a log only for the history's observed successors,
+so its Python work is O(seen successors), not O(vocabulary).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import IO, Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
-from .sequences import BOS_ID, EOS_ID, UNK_ID, Sequence, Vocabulary
+from .sequences import BOS_ID, EOS_ID, NUM_RESERVED, UNK_ID, Sequence, Vocabulary
 
 NEG_INF = float("-inf")
 
@@ -160,14 +163,18 @@ class NGramLM:
             # conditional well defined (uniform over smoothed outcomes).
             uniform = -math.log(smoothed_outcomes)
             out[EOS_ID] = uniform
-            for token in self.vocab.surface_ids:
-                out[token] = uniform
+            out[NUM_RESERVED:] = uniform
             return out
         log_denom = math.log(denom)
-        for token in (EOS_ID, *self.vocab.surface_ids):
-            num = hist_counts.get(token, 0) + self.add_k
-            if num > 0:
-                out[token] = math.log(num) - log_denom
+        # Every smoothed outcome without a count shares one value; only the
+        # observed successors need their own log.
+        if self.add_k > 0:
+            out[EOS_ID] = out[NUM_RESERVED:] = math.log(self.add_k) - log_denom
+        num_ids = self.vocab.num_ids
+        for token, count in hist_counts.items():
+            if token == EOS_ID or NUM_RESERVED <= token < num_ids:
+                num = count + self.add_k
+                out[token] = math.log(num) - log_denom if num > 0 else NEG_INF
         unk = hist_counts.get(UNK_ID, 0)
         if unk > 0:
             out[UNK_ID] = math.log(unk) - log_denom
@@ -180,19 +187,19 @@ def train_ngram_lm(corpus: Iterable[Sequence], order: int, add_k: float, vocab: 
         raise ValueError(f"order must be >= 1, got {order}")
     if add_k < 0:
         raise ValueError(f"add_k must be >= 0, got {add_k}")
-    counts: dict[tuple[int, ...], Counter[int]] = {}
+    pairs: Counter[tuple[tuple[int, ...], int]] = Counter()
     n_lines = 0
     need = order - 1
     for seq in corpus:
         n_lines += 1
         padded = (BOS_ID,) * need + tuple(seq)
         events = tuple(seq) + (EOS_ID,)
-        for i, event in enumerate(events):
-            history = padded[i : i + need]
-            counts.setdefault(history, Counter())[event] += 1
+        pairs.update(zip((padded[i : i + need] for i in range(len(events))), events))
     if n_lines == 0:
         raise ValueError("training corpus is empty")
-    frozen = {hist: dict(ctr) for hist, ctr in counts.items()}
+    frozen: dict[tuple[int, ...], dict[int, int]] = {}
+    for (history, event), count in pairs.items():
+        frozen.setdefault(history, {})[event] = count
     return NGramLM(vocab=vocab, order=order, add_k=add_k, counts=frozen)
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .decode import BeamParams, CandidateSet, ScoredSequence, beam_search, sample_sequences
+from .decode import BeamParams, CandidateSet, ScoredSequence, beam_search, check_sampling, sample_sequences
 from .models import NEG_INF, SequenceModel
 from .sequences import Sequence, ngram_bag, ngram_set
 
@@ -300,6 +300,7 @@ class VoterSpec:
                 raise ValueError(f"sampled voters need count >= 1, got {self.count}")
             if self.seed is None:
                 raise ValueError("sampled voters need a seed")
+            check_sampling(self.strategy, self.top_k, self.top_p)
 
 
 def generate_voters(

@@ -1,0 +1,326 @@
+"""The model -> search -> sample fast paths against the full-vocabulary algorithms.
+
+Each ``reference_*`` function below is the straightforward algorithm that
+visits every vocabulary id: a per-token log loop for the n-gram row, a
+sort of all k*V expansions for beam search and a Python sort and walk of
+the whole support for sampling.  The fast paths must agree with them bit
+for bit, ties and rounding included.
+"""
+
+import math
+from collections import Counter
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from votedecode.decode import (
+    BeamParams,
+    CandidateSet,
+    CopyFilter,
+    ScoredSequence,
+    _Hyp,
+    _hyp_sort_key,
+    beam_search,
+    sample_sequences,
+)
+from votedecode.models import NEG_INF, NGramLM, tabular_model, train_ngram_lm
+from votedecode.sequences import BOS_ID, EOS_ID, NUM_RESERVED, UNK_ID, Vocabulary
+
+# --- reference algorithms ----------------------------------------------------
+
+
+def reference_train(corpus, order, add_k, vocab):
+    counts = {}
+    need = order - 1
+    for seq in corpus:
+        padded = (BOS_ID,) * need + tuple(seq)
+        events = tuple(seq) + (EOS_ID,)
+        for i, event in enumerate(events):
+            counts.setdefault(padded[i : i + need], Counter())[event] += 1
+    return NGramLM(vocab=vocab, order=order, add_k=add_k, counts={h: dict(c) for h, c in counts.items()})
+
+
+def reference_row(model, prefix):
+    hist_counts = model.counts.get(model._history(prefix), {})
+    total = sum(hist_counts.values())
+    smoothed_outcomes = model.vocab.size + 1
+    denom = total + model.add_k * smoothed_outcomes
+    out = np.full(model.vocab.num_ids, NEG_INF)
+    if denom == 0.0:
+        uniform = -math.log(smoothed_outcomes)
+        out[EOS_ID] = uniform
+        for token in model.vocab.surface_ids:
+            out[token] = uniform
+        return out
+    log_denom = math.log(denom)
+    for token in (EOS_ID, *model.vocab.surface_ids):
+        num = hist_counts.get(token, 0) + model.add_k
+        if num > 0:
+            out[token] = math.log(num) - log_denom
+    unk = hist_counts.get(UNK_ID, 0)
+    if unk > 0:
+        out[UNK_ID] = math.log(unk) - log_denom
+    return out
+
+
+def reference_beam_search(model, context, params):
+    k = params.beam_size
+    live = [_Hyp(tokens=(), logprob=0.0, penalty=0.0)]
+    finished = []
+
+    def finish(hyp, eos_logprob):
+        total = hyp.logprob + eos_logprob
+        if total == NEG_INF:
+            return
+        if params.copy_filter is not None and params.copy_filter.discards(hyp.tokens):
+            return
+        finished.append(_Hyp(tokens=hyp.tokens, logprob=total, penalty=hyp.penalty))
+
+    early_stop = params.scoring == "logprob"
+    depth = 0
+    while live and depth < params.max_len:
+        expansions = []
+        for hyp in live:
+            logprobs = model.next_token_logprobs(hyp.tokens, context)
+            finish(hyp, float(logprobs[EOS_ID]))
+            steps = [
+                (float(logprobs[t]), t)
+                for t in range(len(logprobs))
+                if t not in (BOS_ID, EOS_ID) and logprobs[t] != NEG_INF
+            ]
+            steps.sort(key=lambda st: (-st[0], st[1]))
+            for rank, (step_lp, token) in enumerate(steps, start=1):
+                expansions.append(
+                    _Hyp(
+                        tokens=hyp.tokens + (token,),
+                        logprob=hyp.logprob + step_lp,
+                        penalty=hyp.penalty + params.diverse_gamma * (rank - 1),
+                    )
+                )
+        expansions.sort(key=lambda h: _hyp_sort_key(h, params.scoring))
+        live = expansions[:k]
+        depth += 1
+        if early_stop and len(finished) >= k and live:
+            bar = sorted(h.search_score(params.scoring) for h in finished)[-k]
+            if max(h.search_score(params.scoring) for h in live) < bar:
+                live = []
+                break
+
+    for hyp in live:
+        logprobs = model.next_token_logprobs(hyp.tokens, context)
+        finish(hyp, float(logprobs[EOS_ID]))
+
+    finished.sort(key=lambda h: _hyp_sort_key(h, params.scoring))
+    items = tuple(ScoredSequence(tokens=h.tokens, logprob=h.logprob) for h in finished[:k])
+    return CandidateSet(items=items, provenance=f"beam({params})")
+
+
+def reference_sample_items(model, *, count, strategy, top_k=None, top_p=None, seed, max_len):
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        tokens = ()
+        logprob = 0.0
+        for _ in range(max_len):
+            lps = model.next_token_logprobs(tokens, None)
+            probs = np.exp(lps)
+            support = [t for t in range(len(probs)) if probs[t] > 0.0 and t != BOS_ID]
+            support.sort(key=lambda t: (-probs[t], t))
+            if strategy == "top_k":
+                support = support[:top_k]
+            elif strategy == "nucleus":
+                total = math.fsum(probs[t] for t in support)
+                target = min(top_p, total)
+                cum = 0.0
+                cut = len(support)
+                for i, t in enumerate(support):
+                    cum += probs[t]
+                    if cum >= target - 1e-12:
+                        cut = i + 1
+                        break
+                support = support[:cut]
+            mass = math.fsum(probs[t] for t in support)
+            u = rng.random() * mass
+            cum = 0.0
+            chosen = support[-1]
+            for t in support:
+                cum += probs[t]
+                if u < cum:
+                    chosen = t
+                    break
+            logprob += float(lps[chosen])
+            if chosen == EOS_ID:
+                break
+            tokens = tokens + (chosen,)
+        else:
+            logprob += float(model.next_token_logprobs(tokens, None)[EOS_ID])
+        draws.append(ScoredSequence(tokens=tokens, logprob=logprob))
+    draws.sort(key=lambda s: (-s.logprob, s.tokens))
+    return tuple(draws)
+
+
+# --- models under test -------------------------------------------------------
+
+
+class RowModel:
+    """Unnormalized rows drawn per prefix from a small value pool.
+
+    The pool mixes exact ties with steps far below one ulp of a long
+    prefix's log-probability, so siblings can tie after the addition.
+    EOS always has a finite value, so every reachable prefix can be sampled.
+    """
+
+    def __init__(self, vocab, pool, seed):
+        self.vocab = vocab
+        self._pool = np.array(pool)
+        self._seed = seed
+
+    def next_token_logprobs(self, prefix, context=None):
+        rng = np.random.default_rng([self._seed, len(prefix), *prefix])
+        row = rng.choice(self._pool, size=self.vocab.num_ids)
+        row[BOS_ID] = NEG_INF
+        if row[EOS_ID] == NEG_INF:
+            row[EOS_ID] = -3.0
+        return row
+
+
+def vocab_of(size):
+    return Vocabulary(tokens=tuple(f"w{i}" for i in range(size)))
+
+
+@st.composite
+def corpora(draw):
+    size = draw(st.integers(1, 6))
+    ids = st.integers(NUM_RESERVED, NUM_RESERVED + size - 1) | st.just(UNK_ID)
+    corpus = draw(st.lists(st.lists(ids, max_size=5).map(tuple), min_size=1, max_size=8))
+    return vocab_of(size), corpus
+
+
+@st.composite
+def ngram_models(draw):
+    vocab, corpus = draw(corpora())
+    order = draw(st.integers(1, 3))
+    add_k = draw(st.sampled_from([0.0, 0.01, 0.5, 1.0]))
+    return train_ngram_lm(corpus, order=order, add_k=add_k, vocab=vocab)
+
+
+@st.composite
+def tabular_models(draw):
+    vocab = vocab_of(draw(st.integers(1, 4)))
+    ids = st.integers(NUM_RESERVED, vocab.num_ids - 1)
+    # Small integer weights give many exactly tied conditionals.
+    pairs = draw(
+        st.lists(st.tuples(st.lists(ids, max_size=4).map(tuple), st.integers(1, 3)), min_size=1, max_size=8)
+    )
+    return tabular_model([(seq, float(w)) for seq, w in pairs], vocab)
+
+
+@st.composite
+def row_models(draw):
+    vocab = vocab_of(draw(st.integers(1, 6)))
+    pool = draw(
+        st.lists(st.sampled_from([NEG_INF, -40.0, -3.0, -0.5, -1e-16, -3e-16, -0.0]), min_size=1, max_size=5)
+    )
+    return RowModel(vocab, pool, draw(st.integers(0, 2**32 - 1)))
+
+
+any_model = st.one_of(ngram_models(), tabular_models(), row_models())
+
+
+def prefixes(vocab):
+    ids = st.integers(NUM_RESERVED, vocab.num_ids - 1) | st.just(UNK_ID)
+    return st.lists(ids, max_size=4).map(tuple)
+
+
+# --- equivalence -------------------------------------------------------------
+
+
+class TestNGramRows:
+    @settings(max_examples=200, deadline=None)
+    @given(corpora(), st.integers(1, 3), st.sampled_from([0.0, 0.01, 0.5, 1.0]))
+    def test_training_matches_per_event_counting(self, vocab_corpus, order, add_k):
+        vocab, corpus = vocab_corpus
+        fast = train_ngram_lm(corpus, order=order, add_k=add_k, vocab=vocab)
+        ref = reference_train(corpus, order, add_k, vocab)
+        assert list(fast.counts.items()) == list(ref.counts.items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(ngram_models(), st.data())
+    def test_rows_bit_identical(self, model, data):
+        for prefix in data.draw(st.lists(prefixes(model.vocab), min_size=1, max_size=5)):
+            fast = model.next_token_logprobs(prefix)
+            assert fast.tobytes() == reference_row(model, prefix).tobytes()
+
+    def test_loaded_counts_outside_the_smoothed_outcomes(self):
+        # Event ids a loaded file may hold: BOS, out-of-range, zero counts.
+        vocab = vocab_of(3)
+        counts = {(): {BOS_ID: 2, EOS_ID: 0, UNK_ID: 1, 4: 3, 9: 5}}
+        for add_k in (0.0, 0.25):
+            model = NGramLM(vocab=vocab, order=1, add_k=add_k, counts=counts)
+            assert model.next_token_logprobs(()).tobytes() == reference_row(model, ()).tobytes()
+
+
+class TestBeamSearchEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        any_model,
+        st.integers(1, 5),
+        st.integers(1, 6),
+        st.sampled_from(["logprob", "length_normalized"]),
+        st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+        st.data(),
+    )
+    def test_identical_candidate_sets(self, model, k, max_len, scoring, gamma, data):
+        copy_filter = None
+        if data.draw(st.booleans()):
+            source = data.draw(prefixes(model.vocab))
+            copy_filter = CopyFilter(source=source, threshold=data.draw(st.sampled_from([0.0, 0.5, 1.0])))
+        params = BeamParams(beam_size=k, max_len=max_len, scoring=scoring, diverse_gamma=gamma, copy_filter=copy_filter)
+        assert beam_search(model, None, params) == reference_beam_search(model, None, params)
+
+    def test_children_tied_after_rounding_are_kept(self):
+        # Steps 0 and -1e-16 both round to the parent's -40.0, so the lower
+        # ranked child with the smaller token id wins the tie-break.
+        vocab = vocab_of(3)
+
+        class Stub:
+            def __init__(self):
+                self.vocab = vocab
+
+            def next_token_logprobs(self, prefix, context=None):
+                row = np.full(vocab.num_ids, NEG_INF)
+                if not prefix:
+                    row[5] = -40.0
+                elif len(prefix) == 1:
+                    row[3], row[4], row[5] = -1e-16, -0.5, 0.0
+                else:
+                    row[EOS_ID] = 0.0
+                return row
+
+        params = BeamParams(beam_size=1, max_len=3)
+        fast = beam_search(Stub(), None, params)
+        assert fast == reference_beam_search(Stub(), None, params)
+        assert fast.items[0].tokens == (5, 3)
+
+
+class TestSamplingEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        any_model,
+        st.sampled_from(["ancestral", "top_k", "nucleus"]),
+        st.integers(1, 10),
+        st.sampled_from([0.05, 0.3, 0.5, 0.9, 0.999, 1.0]),
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_identical_draws(self, model, strategy, top_k, top_p, count, max_len, seed):
+        top_k = top_k if strategy == "top_k" else None
+        top_p = top_p if strategy == "nucleus" else None
+        fast = sample_sequences(
+            model, count=count, strategy=strategy, top_k=top_k, top_p=top_p, seed=seed, max_len=max_len
+        )
+        ref = reference_sample_items(
+            model, count=count, strategy=strategy, top_k=top_k, top_p=top_p, seed=seed, max_len=max_len
+        )
+        assert fast.items == ref
