@@ -44,7 +44,6 @@ from .oracle import (
     euclidean_vote,
     exact_map,
     exact_vote,
-    exact_vote_winner,
     make_vote_split_model,
 )
 from .sequences import (
@@ -102,7 +101,6 @@ __all__ = [
     "evaluate_system",
     "exact_map",
     "exact_vote",
-    "exact_vote_winner",
     "filter_copies",
     "load_model",
     "make_vote_split_model",

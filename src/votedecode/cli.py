@@ -29,6 +29,7 @@ from .formats import (
     read_hypotheses,
     read_tabular_entries,
     read_vector_file,
+    record_key,
     report_filter_columns,
     vectors_for_vocab,
     write_candidates,
@@ -247,7 +248,7 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
     voter_spec = None
     model = None
     if voters_flag.startswith("file:"):
-        voter_records = {rec.id: rec for rec in read_candidates(voters_flag[len("file:"):])}
+        voter_records = {record_key(rec.id): rec for rec in read_candidates(voters_flag[len("file:"):])}
     elif voters_flag != "same":
         voter_spec = parse_voter_spec(voters_flag)
         model = _load_cli_model(model_path, tabular_path, lowercase)
@@ -272,9 +273,10 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
     for ri, rec in enumerate(cand_records):
         cands = to_set(rec)
         if voter_records is not None:
-            if rec.id not in voter_records:
+            voter_rec = voter_records.get(record_key(rec.id))
+            if voter_rec is None:
                 raise FileFormatError(f"voter file has no record for input {rec.id!r}")
-            voters = to_set(voter_records[rec.id])
+            voters = to_set(voter_rec)
         elif voter_spec is not None:
             context = tokenize(rec.source, vocab, lowercase) if rec.source is not None else None
             vspec = voter_spec
@@ -329,14 +331,14 @@ def eval_cmd(hyps_path, dataset, system, metric, max_n, copy_threshold, lowercas
     lowercase = bool(_opt(lowercase, cfg, "lowercase", False))
     system = _opt(system, cfg, "system") or Path(hyps_path).stem
 
-    rows = {row.id: row for row in read_dataset(dataset)}
+    rows = {record_key(row.id): row for row in read_dataset(dataset)}
     hyps = read_hypotheses(hyps_path)
     aligned_refs = []
     sources = []
     for rec_id, _ in hyps:
-        if rec_id not in rows:
+        row = rows.get(record_key(rec_id))
+        if row is None:
             raise FileFormatError(f"dataset has no row for input {rec_id!r}")
-        row = rows[rec_id]
         aligned_refs.append(tuple(tokenize_plain(r, lowercase) for r in row.references))
         sources.append(None if row.source is None else tokenize_plain(row.source, lowercase))
     hyp_tokens = [tokens for _, tokens in hyps]
@@ -344,11 +346,13 @@ def eval_cmd(hyps_path, dataset, system, metric, max_n, copy_threshold, lowercas
 
     compare_path = _opt(compare_path, cfg, "compare")
     if compare_path is not None:
-        hyps_b = dict(read_hypotheses(compare_path))
-        try:
-            aligned_b = [hyps_b[rec_id] for rec_id, _ in hyps]
-        except KeyError as exc:
-            raise FileFormatError(f"--compare file has no record for input {exc.args[0]!r}") from exc
+        hyps_b = {record_key(rec_id): tokens for rec_id, tokens in read_hypotheses(compare_path)}
+        aligned_b = []
+        for rec_id, _ in hyps:
+            tokens_b = hyps_b.get(record_key(rec_id))
+            if tokens_b is None:
+                raise FileFormatError(f"--compare file has no record for input {rec_id!r}")
+            aligned_b.append(tokens_b)
         p = paired_bootstrap(
             hyp_tokens,
             aligned_b,

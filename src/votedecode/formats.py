@@ -1,4 +1,4 @@
-"""On-disk formats: vocabularies, corpora, datasets, candidates, votes, reports.
+"""On-disk formats: corpora, datasets, candidates, votes, reports.
 
 The line-delimited JSON formats exchange token *strings*, so downstream
 steps (voting, evaluation) do not need the model's vocabulary.  Floats are
@@ -7,6 +7,7 @@ serialized with full round-trip precision.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -23,21 +24,7 @@ class FileFormatError(ValueError):
     """Raised when an input file's contents do not match the expected format."""
 
 
-# --- vocabulary / corpus -------------------------------------------------
-
-def write_vocab_file(vocab: Vocabulary, fp: IO[str]) -> None:
-    """One surface token per line; line number = id minus the reserved offset."""
-    for token in vocab.tokens:
-        fp.write(token + "\n")
-
-
-def read_vocab_file(fp: IO[str]) -> Vocabulary:
-    tokens = [line.rstrip("\n") for line in fp if line.strip()]
-    try:
-        return Vocabulary(tokens=tuple(tokens))
-    except ValueError as exc:
-        raise FileFormatError(f"bad vocabulary file: {exc}") from exc
-
+# --- corpus --------------------------------------------------------------
 
 def read_corpus_lines(path: str | Path) -> list[str]:
     """UTF-8 corpus, one sentence per line; blank lines are kept as empty sentences."""
@@ -163,22 +150,24 @@ def read_votes(path: str | Path) -> list[VoteRecord]:
 
 
 def read_hypotheses(path: str | Path) -> list[tuple[object, tuple[str, ...]]]:
-    """Top-ranked output per record from either a candidates or a votes file."""
-    first_error: FileFormatError | None = None
-    for reader, key in ((read_votes, "ranked"), (read_candidates, "candidates")):
-        try:
-            records = reader(path)
-        except FileFormatError as exc:
-            first_error = first_error or exc
-            continue
-        out = []
-        for rec in records:
-            entries = getattr(rec, key)
-            if not entries:
-                raise FileFormatError(f"{path}: record {rec.id!r} has no entries to select from")
-            out.append((rec.id, entries[0][0]))
-        return out
-    raise first_error
+    """Top-ranked output per record from either a candidates or a votes file.
+
+    A first record with a ``ranked`` key makes it a votes file; anything
+    else is read, and its faults reported, as a candidates file.
+    """
+    with contextlib.closing(_read_jsonl(path)) as lines:
+        _, first = next(lines, (None, None))
+    if isinstance(first, dict) and "ranked" in first:
+        records, key = read_votes(path), "ranked"
+    else:
+        records, key = read_candidates(path), "candidates"
+    out = []
+    for rec in records:
+        entries = getattr(rec, key)
+        if not entries:
+            raise FileFormatError(f"{path}: record {rec.id!r} has no entries to select from")
+        out.append((rec.id, entries[0][0]))
+    return out
 
 
 # --- similarity vectors / tabular distributions ----------------------------
@@ -322,10 +311,16 @@ def _check_logprob(logprob: float, path: str | Path, lineno: int) -> float:
     return logprob
 
 
+def record_key(record_id) -> object:
+    """Hashable dict key for a record id; ids that are lists or objects key by their JSON text."""
+    if isinstance(record_id, (list, dict)):
+        return ("json", json.dumps(record_id, sort_keys=True))
+    return record_id
+
+
 def _check_unique_id(seen: dict, record_id, path: str | Path, lineno: int) -> None:
-    """Record ``record_id``'s line; ids that are lists or objects compare by their JSON text."""
-    key = ("json", json.dumps(record_id, sort_keys=True)) if isinstance(record_id, (list, dict)) else record_id
-    first = seen.setdefault(key, lineno)
+    """Record ``record_id``'s line, keyed by :func:`record_key`."""
+    first = seen.setdefault(record_key(record_id), lineno)
     if first != lineno:
         raise FileFormatError(f"{path}:{lineno}: duplicate id {record_id!r} (first on line {first})")
 

@@ -13,6 +13,60 @@ from .decode import copy_overlap_rate
 from .sequences import Sequence, ngram_bag, ngram_set
 
 
+def bleu_stats(hyp: Sequence, refs: TySequence[Sequence], max_n: int = 4) -> tuple[int, ...]:
+    """Integer sufficient statistics of one BLEU segment.
+
+    ``(hyp_len, ref_len, matched_1..matched_max_n, total_1..total_max_n)``:
+    ``ref_len`` is the closest reference length, ties broken toward the
+    shorter reference; ``matched_n`` clips each hypothesis n-gram count at
+    its maximum count in any one reference; ``total_n`` counts the
+    hypothesis n-grams.  Statistics of several segments add up.
+    """
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    if not refs:
+        raise ValueError("every segment needs at least one reference")
+    ref_len = min((len(r) for r in refs), key=lambda L: (abs(L - len(hyp)), L))
+    matched = []
+    total = []
+    for n in range(1, max_n + 1):
+        bag_h = ngram_bag(hyp, n)
+        clip: Counter = Counter()
+        for ref in refs:
+            bag_r = ngram_bag(ref, n)
+            for g in bag_h:
+                clip[g] = max(clip[g], bag_r.get(g, 0))
+        matched.append(sum(min(count, clip[g]) for g, count in bag_h.items()))
+        total.append(sum(bag_h.values()))
+    return (len(hyp), ref_len, *matched, *total)
+
+
+def bleu_from_stats(stats: TySequence[int], smoothed: bool = False) -> float:
+    """BLEU in [0, 1] from (summed) :func:`bleu_stats`.
+
+    Geometric mean of the n-gram precisions times the brevity penalty
+    exp(1 - ref_len/hyp_len) when the hypothesis is shorter.  Any zero
+    precision gives 0; ``smoothed`` first adds 1 to matched and total
+    counts for every n > 1.
+    """
+    max_n = (len(stats) - 2) // 2
+    hyp_len, ref_len = stats[0], stats[1]
+    log_sum = 0.0
+    for n in range(1, max_n + 1):
+        matched = stats[1 + n]
+        total = stats[1 + max_n + n]
+        if smoothed and n > 1:
+            matched += 1
+            total += 1
+        if matched == 0 or total == 0:
+            return 0.0
+        log_sum += math.log(matched / total)
+    score = math.exp(log_sum / max_n)
+    if hyp_len < ref_len:
+        score *= math.exp(1.0 - ref_len / hyp_len)
+    return score
+
+
 def corpus_bleu(hyps: TySequence[Sequence], refs: TySequence[TySequence[Sequence]], max_n: int = 4) -> float:
     """Corpus-level BLEU in [0, 1].
 
@@ -22,39 +76,18 @@ def corpus_bleu(hyps: TySequence[Sequence], refs: TySequence[TySequence[Sequence
     per-segment closest reference length, ties broken toward the shorter
     reference.  Any zero pooled precision gives a zero score.
     """
+    return bleu_from_stats([sum(column) for column in zip(*_segment_stats(hyps, refs, max_n))])
+
+
+def _segment_stats(hyps: TySequence[Sequence], refs: TySequence[TySequence[Sequence]], max_n: int) -> list[tuple[int, ...]]:
+    """One :func:`bleu_stats` row per segment."""
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     if len(hyps) != len(refs):
         raise ValueError(f"got {len(hyps)} hypotheses but {len(refs)} reference lists")
     if not hyps:
         raise ValueError("empty corpus")
-    matched = [0] * (max_n + 1)
-    total = [0] * (max_n + 1)
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref_list in zip(hyps, refs):
-        if not ref_list:
-            raise ValueError("every segment needs at least one reference")
-        hyp_len += len(hyp)
-        ref_len += min((len(r) for r in ref_list), key=lambda L: (abs(L - len(hyp)), L))
-        for n in range(1, max_n + 1):
-            bag_h = ngram_bag(hyp, n)
-            clip: Counter = Counter()
-            for ref in ref_list:
-                bag_r = ngram_bag(ref, n)
-                for g in bag_h:
-                    clip[g] = max(clip[g], bag_r.get(g, 0))
-            matched[n] += sum(min(count, clip[g]) for g, count in bag_h.items())
-            total[n] += sum(bag_h.values())
-    log_sum = 0.0
-    for n in range(1, max_n + 1):
-        if matched[n] == 0 or total[n] == 0:
-            return 0.0
-        log_sum += math.log(matched[n] / total[n])
-    score = math.exp(log_sum / max_n)
-    if hyp_len < ref_len:
-        score *= math.exp(1.0 - ref_len / hyp_len)
-    return score
+    return [bleu_stats(hyp, ref_list, max_n) for hyp, ref_list in zip(hyps, refs)]
 
 
 def sentence_bleu(hyp: Sequence, refs: TySequence[Sequence], max_n: int = 4) -> float:
@@ -142,11 +175,21 @@ def paired_bootstrap(
         raise ValueError("hypothesis and reference lists must be aligned")
     if n_bootstrap < 1:
         raise ValueError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
-    if metric is None:
-        metric = lambda h, r: corpus_bleu(h, r, max_n=max_n)
     rng = np.random.default_rng(seed)
     n = len(refs)
     losses = 0
+    if metric is None:
+        # Corpus BLEU of a resample is the epilogue of its summed segment
+        # statistics, so each segment is counted once, not once per draw.
+        stats_a = np.array(_segment_stats(hyps_a, refs, max_n), dtype=np.int64)
+        stats_b = np.array(_segment_stats(hyps_b, refs, max_n), dtype=np.int64)
+        for _ in range(n_bootstrap):
+            idx = rng.integers(0, n, size=n)
+            score_a = bleu_from_stats(stats_a[idx].sum(axis=0).tolist())
+            score_b = bleu_from_stats(stats_b[idx].sum(axis=0).tolist())
+            if score_a <= score_b:
+                losses += 1
+        return losses / n_bootstrap
     for _ in range(n_bootstrap):
         idx = rng.integers(0, n, size=n)
         sample_a = [hyps_a[i] for i in idx]

@@ -34,9 +34,6 @@ class EnumeratedDistribution:
     def as_candidate_set(self) -> CandidateSet:
         return CandidateSet(items=self.entries, provenance="enumeration")
 
-    def pairs(self) -> list[tuple[Sequence, float]]:
-        return [(e.tokens, math.exp(e.logprob)) for e in self.entries]
-
 
 def enumerate_distribution(
     model: SequenceModel,
@@ -87,16 +84,6 @@ def exact_map(model: SequenceModel, max_len: int, node_budget: int = DEFAULT_NOD
     if not dist.entries:
         raise ValueError("model has no sequence with positive probability within max_len")
     return dist.entries[0]
-
-
-def exact_vote_winner(
-    model: SequenceModel,
-    sim: SimilaritySpec,
-    max_len: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> ScoredSequence:
-    """Range-voting winner with candidates = voters = the full enumeration."""
-    return exact_vote(model, sim, max_len, node_budget=node_budget).winner
 
 
 def exact_vote(

@@ -17,6 +17,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .decode import BeamParams, CandidateSet, ScoredSequence, beam_search, check_sampling, sample_sequences
+from .metrics import bleu_from_stats, bleu_stats
 from .models import NEG_INF, SequenceModel
 from .sequences import Sequence, ngram_bag, ngram_set
 
@@ -108,26 +109,7 @@ def bleu_sim(v: Sequence, c: Sequence, max_n: int = 4, smoothed: bool = False) -
     smoothed variant adds 1 to matched and total counts for every n > 1;
     without smoothing any zero precision zeroes the whole score.
     """
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
-    if len(c) == 0:
-        return 0.0
-    log_sum = 0.0
-    for n in range(1, max_n + 1):
-        bag_c = ngram_bag(c, n)
-        bag_v = ngram_bag(v, n)
-        total = sum(bag_c.values())
-        matched = sum(min(count, bag_v[g]) for g, count in bag_c.items() if g in bag_v)
-        if smoothed and n > 1:
-            matched += 1
-            total += 1
-        if matched == 0 or total == 0:
-            return 0.0
-        log_sum += math.log(matched / total)
-    score = math.exp(log_sum / max_n)
-    if len(c) < len(v):
-        score *= math.exp(1.0 - len(v) / len(c))
-    return score
+    return bleu_from_stats(bleu_stats(c, (v,), max_n), smoothed=smoothed)
 
 
 def embed_cosine_sim(v: Sequence, c: Sequence, vectors: Mapping[int, np.ndarray]) -> float:
@@ -163,49 +145,104 @@ def _mean_vector(seq: Sequence, vectors: Mapping[int, np.ndarray]) -> np.ndarray
 
 
 def make_similarity(spec: SimilaritySpec) -> Callable[[Sequence, Sequence], float]:
-    """Resolve a spec to a callable, memoizing per-sequence n-gram structures."""
+    """Resolve a spec to its scalar pairwise similarity function."""
     if spec.kind == "prec":
-        n = spec.n
-        bags: dict[Sequence, dict] = {}
-
-        def fn(v: Sequence, c: Sequence) -> float:
-            bag_v = bags.get(v)
-            if bag_v is None:
-                bag_v = bags[v] = ngram_bag(v, n)
-            bag_c = bags.get(c)
-            if bag_c is None:
-                bag_c = bags[c] = ngram_bag(c, n)
-            denom = sum(bag_v.values())
-            if denom == 0:
-                return 0.0
-            matched = sum(min(count, bag_c[g]) for g, count in bag_v.items() if g in bag_c)
-            return matched / denom
-
-        return fn
+        return lambda v, c: prec_sim(v, c, spec.n)
     if spec.kind == "overl":
-        n = spec.n
-        sets: dict[Sequence, frozenset] = {}
-
-        def fn(v: Sequence, c: Sequence) -> float:
-            set_v = sets.get(v)
-            if set_v is None:
-                set_v = sets[v] = ngram_set(v, n)
-            set_c = sets.get(c)
-            if set_c is None:
-                set_c = sets[c] = ngram_set(c, n)
-            if not set_v:
-                return 0.0
-            return len(set_v & set_c) / len(set_v)
-
-        return fn
+        return lambda v, c: overl_sim(v, c, spec.n)
     if spec.kind in ("bleu", "smoothed_bleu"):
-        max_n = spec.max_n
         smoothed = spec.kind == "smoothed_bleu"
-        return lambda v, c: bleu_sim(v, c, max_n=max_n, smoothed=smoothed)
+        return lambda v, c: bleu_sim(v, c, max_n=spec.max_n, smoothed=smoothed)
     if spec.vectors is None:
         raise ValueError("embed_cosine similarity needs a token vector table")
     vectors = spec.vectors
     return lambda v, c: embed_cosine_sim(v, c, vectors)
+
+
+# Gram columns per dense block of the clipped-count kernel: a 0/1 block
+# holds at most |voters| x _GRAM_BLOCK float32s, however many grams there are.
+_GRAM_BLOCK = 256
+
+
+def _clipped_counts(voters: list[Sequence], cands: list[Sequence], n: int, binary: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Exact integer n-gram matches of every voter against every candidate.
+
+    Returns ``(M, sizes)``: M[v, c] = sum over n-grams g of
+    min(count_v(g), count_c(g)) and sizes[v] = sum over g of count_v(g),
+    where ``binary`` turns every count into 1 (the set form).  Only grams of
+    some candidate get a column.  Since min(a, b) = sum_{k>=1} [a>=k][b>=k],
+    M is the sum over count levels k of (V>=k)(C>=k)^T, taken over dense
+    0/1 blocks of at most _GRAM_BLOCK gram columns.  Each block product is
+    a sum of at most _GRAM_BLOCK ones, exact in float32.
+    """
+    index: dict = {}
+    c_row, c_col, c_count = [], [], []
+    for row, seq in enumerate(cands):
+        bag = ngram_bag(seq, n)
+        c_row += [row] * len(bag)
+        c_col += [index.setdefault(gram, len(index)) for gram in bag]
+        c_count += [1] * len(bag) if binary else bag.values()
+    v_row, v_col, v_count, sizes = [], [], [], []
+    for row, seq in enumerate(voters):
+        bag = ngram_bag(seq, n)
+        v_row += [row] * len(bag)
+        v_col += [index.get(gram, -1) for gram in bag]  # -1: no candidate has it
+        v_count += [1] * len(bag) if binary else bag.values()
+        sizes.append(len(bag) if binary else sum(bag.values()))
+    c_row, c_col, c_count = (np.array(x, dtype=np.int64) for x in (c_row, c_col, c_count))
+    v_row, v_col, v_count = (np.array(x, dtype=np.int64) for x in (v_row, v_col, v_count))
+    matched = np.zeros((len(voters), len(cands)), dtype=np.int64)
+    for start in range(0, len(index), _GRAM_BLOCK):
+        width = min(_GRAM_BLOCK, len(index) - start)
+        c_in = (c_col >= start) & (c_col < start + width)
+        v_in = (v_col >= start) & (v_col < start + width)
+        for k in range(1, int(c_count[c_in].max()) + 1):
+            c_level = _level_block(c_row, c_col - start, c_in & (c_count >= k), (len(cands), width))
+            v_level = _level_block(v_row, v_col - start, v_in & (v_count >= k), (len(voters), width))
+            matched += (v_level @ c_level.T).astype(np.int64)
+    return matched, np.array(sizes, dtype=np.int64)
+
+
+def _level_block(rows: np.ndarray, cols: np.ndarray, keep: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    block = np.zeros(shape, dtype=np.float32)
+    block[rows[keep], cols[keep]] = 1.0
+    return block
+
+
+def _bleu_matrix(voters: list[Sequence], cands: list[Sequence], max_n: int, smoothed: bool) -> np.ndarray:
+    """bleu_sim(v, c) for every pair, one epilogue per distinct statistics key."""
+    # Lengths and match counts fit int32; the narrower keys keep the sort's copies small.
+    keys = np.empty((len(voters), len(cands), 2 + max_n), dtype=np.int32)
+    keys[:, :, 0] = [len(c) for c in cands]
+    keys[:, :, 1] = np.array([len(v) for v in voters])[:, None]
+    for n in range(1, max_n + 1):
+        keys[:, :, 1 + n] = _clipped_counts(voters, cands, n, binary=False)[0]
+    keys = keys.reshape(-1, 2 + max_n)
+    # Group equal key rows: a lexsort is much cheaper than np.unique(axis=0),
+    # which sorts the rows as opaque byte strings.
+    order = np.lexsort(keys.T)
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    values = []
+    for hyp_len, ref_len, *matched in keys[first].tolist():
+        totals = [max(hyp_len - n + 1, 0) for n in range(1, max_n + 1)]
+        values.append(bleu_from_stats((hyp_len, ref_len, *matched, *totals), smoothed=smoothed))
+    out = np.empty(len(keys))
+    out[order] = np.array(values)[np.cumsum(first) - 1]
+    return out.reshape(len(voters), len(cands))
+
+
+def _similarity_matrix(voters: list[Sequence], cands: list[Sequence], spec: SimilaritySpec) -> np.ndarray:
+    """sim[v, c] for every voter and candidate, equal bit for bit to ``make_similarity(spec)(v, c)``."""
+    if spec.kind in ("prec", "overl"):
+        matched, sizes = _clipped_counts(voters, cands, spec.n, binary=spec.kind == "overl")
+        # A voter without n-grams matches nothing: its row is 0 / 1 = 0.
+        return matched / np.maximum(sizes, 1)[:, None]
+    if spec.kind in ("bleu", "smoothed_bleu"):
+        return _bleu_matrix(voters, cands, spec.max_n, smoothed=spec.kind == "smoothed_bleu")
+    fn = make_similarity(spec)
+    return np.array([[fn(v, c) for c in cands] for v in voters], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -242,12 +279,24 @@ def range_vote(
 
     A sequence appearing in both sets votes for itself.  Accumulation runs
     in fixed voter order (with exact fsum rounding) for reproducibility.
+
+    The n-gram kinds share one exact integer kernel: every sequence's
+    n-grams are counted once per election, and the clipped matches
+    M[v, c] = sum over grams g of min(count_v(g), count_c(g)) of all pairs
+    come from products of 0/1 count-level matrices.  ``prec`` and ``overl``
+    divide M by the voter's n-gram count; the BLEU kinds run the scalar
+    BLEU epilogue once per distinct (|c|, |v|, M_1..M_max_n).  Every score
+    is bit-identical to summing ``w_v * sim(v, c)`` pair by pair: the counts
+    are exact integers, an int/int quotient is correctly rounded in numpy
+    as in Python, the epilogue makes the same ``math.log``/``math.exp``
+    calls, and the products and fsums are unchanged.  ``embed_cosine``
+    calls its scalar similarity pair by pair.
     """
     if not candidates.items:
         raise ValueError("candidate set is empty")
     if not voters.items:
         raise ValueError("voter set is empty")
-    fn = make_similarity(sim)
+    sims = _similarity_matrix([v.tokens for v in voters.items], [c.tokens for c in candidates.items], sim)
     max_lp = max(v.logprob for v in voters.items)
     if max_lp == NEG_INF:
         weights = [0.0] * len(voters.items)
@@ -255,14 +304,8 @@ def range_vote(
     else:
         weights = [math.exp(v.logprob - max_lp) for v in voters.items]
         scale = math.exp(max_lp)
-
-    sims: list[list[float]] | None = [] if with_contributions else None
-    shifted: list[float] = []
-    for cand in candidates.items:
-        per_voter = [w * fn(v.tokens, cand.tokens) for w, v in zip(weights, voters.items)]
-        shifted.append(math.fsum(per_voter))
-        if sims is not None:
-            sims.append([scale * x for x in per_voter])
+    per_voter = np.array(weights)[:, None] * sims
+    shifted = [math.fsum(column) for column in per_voter.T.tolist()]
 
     # Rank on the shifted sums: they stay meaningful even when the raw
     # voter probabilities (and hence the reported scores) underflow to 0.
@@ -273,8 +316,8 @@ def range_vote(
     ranking = tuple(candidates.items[i] for i in order)
     scores = tuple(scale * shifted[i] for i in order)
     contributions = None
-    if sims is not None:
-        contributions = tuple(tuple(sims[i][v] for i in order) for v in range(len(voters.items)))
+    if with_contributions:
+        contributions = tuple(map(tuple, (scale * per_voter[:, order]).tolist()))
     return VoteResult(ranking=ranking, scores=scores, contributions=contributions)
 
 

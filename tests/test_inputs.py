@@ -75,6 +75,30 @@ class TestDuplicateIds:
         hyps = write_lines(tmp_path / "h.jsonl", [candidates_line(1, -1)])
         assert main(["eval", "--hyps", str(hyps), "--dataset", str(dataset)]) == 3
 
+    def test_eval_names_the_duplicate_in_a_candidates_file(self, tmp_path, capsys):
+        dataset = write_lines(tmp_path / "d.jsonl", [dataset_line(1)])
+        hyps = write_lines(tmp_path / "h.jsonl", [candidates_line(1, -1), candidates_line(1, -2)])
+        assert main(["eval", "--hyps", str(hyps), "--dataset", str(dataset)]) == 3
+        assert f"{hyps}:2: duplicate id 1 (first on line 1)" in capsys.readouterr().err
+
+
+class TestStructuredIds:
+    """List and object ids key records by their JSON text, as the duplicate check does."""
+
+    @pytest.mark.parametrize("record_id", [[1], {"a": [1, 2]}])
+    def test_vote_with_voter_file_and_eval_exit_0(self, tmp_path, record_id):
+        dataset = write_lines(tmp_path / "d.jsonl", [dataset_line(record_id), dataset_line([2])])
+        cands = write_lines(tmp_path / "c.jsonl", [candidates_line([2], -1), candidates_line(record_id, -1)])
+        voters = write_lines(tmp_path / "v.jsonl", [candidates_line(record_id, -1), candidates_line([2], -1)])
+        votes = tmp_path / "votes.jsonl"
+        argv = ["vote", "--candidates", str(cands), "--voters", f"file:{voters}", "--sim", "overl", "--n", "1"]
+        assert main(argv + ["--out", str(votes)]) == 0
+        assert [rec.id for rec in read_votes(votes)] == [[2], record_id]
+        for hyps in (cands, votes):
+            assert main(["eval", "--hyps", str(hyps), "--dataset", str(dataset)]) == 0
+        assert main(["eval", "--hyps", str(votes), "--dataset", str(dataset), "--compare", str(cands),
+                     "--n-bootstrap", "5"]) == 0
+
 
 class TestSamplingVoterSpecs:
     @pytest.mark.parametrize(
