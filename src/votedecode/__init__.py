@@ -11,7 +11,6 @@ from .decode import (
     CopyFilter,
     ScoredSequence,
     beam_search,
-    filter_copies,
     sample_sequences,
 )
 from .metrics import (
@@ -64,7 +63,6 @@ from .voting import (
     overl_sim,
     prec_sim,
     range_vote,
-    select_representative,
 )
 
 __version__ = "0.1.0"
@@ -101,7 +99,6 @@ __all__ = [
     "evaluate_system",
     "exact_map",
     "exact_vote",
-    "filter_copies",
     "load_model",
     "make_vote_split_model",
     "ngram_bag",
@@ -112,7 +109,6 @@ __all__ = [
     "range_vote",
     "sample_sequences",
     "save_model",
-    "select_representative",
     "sentence_bleu",
     "sequence_logprob",
     "sign_test",

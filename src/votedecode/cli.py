@@ -18,8 +18,8 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .config import ConfigError, load_config, parse_voter_spec
-from .decode import BeamParams, CandidateSet, ScoredSequence, beam_search, sample_sequences, with_copy_filter
+from .config import ConfigError, DecodeSpec, load_config, parse_decode_spec, parse_voter_spec
+from .decode import CandidateSet, ScoredSequence, beam_search, sample_sequences
 from .formats import (
     CandidateRecord,
     FileFormatError,
@@ -41,13 +41,18 @@ from .formats import (
 from .harness import (
     adhoc_vocab,
     candidate_record,
+    decode_row,
     derive_seed,
+    plain_tokens,
+    row_voters,
     run_experiment,
+    source_context,
     tabular_model_from_text,
+    train_on_lines,
     vote_record,
 )
 from .metrics import evaluate_system, paired_bootstrap, sign_test
-from .models import ModelFormatError, load_model, save_model, train_ngram_lm
+from .models import ModelFormatError, load_model, save_model
 from .oracle import (
     BudgetExceededError,
     enumerate_distribution,
@@ -57,8 +62,12 @@ from .oracle import (
     weighted_mean,
     weighted_median_interval,
 )
-from .sequences import Vocabulary, build_vocabulary, detokenize, tokenize
-from .voting import SimilaritySpec, generate_voters, range_vote
+from .sequences import Vocabulary, detokenize
+from .voting import SimilaritySpec, range_vote
+
+# bench/tracing.py patches load_config, run_experiment, beam_search,
+# sample_sequences, range_vote, evaluate_system and paired_bootstrap by
+# their names in this module, so each stays bound here even when unused.
 
 
 def _file_config(path: str | None) -> dict:
@@ -128,16 +137,10 @@ def train(corpus, out, order, add_k, max_vocab, lowercase, config_path):
     max_vocab = _opt(max_vocab, cfg, "max_vocab")
     lowercase = bool(_opt(lowercase, cfg, "lowercase", False))
     lines = read_corpus_lines(corpus)
-    vocab = build_vocabulary(lines, lowercase=lowercase, max_size=max_vocab)
-    model = train_ngram_lm(
-        [tokenize(line, vocab, lowercase) for line in lines],
-        order=order,
-        add_k=add_k,
-        vocab=vocab,
-    )
+    model = train_on_lines(lines, order, add_k, max_vocab, lowercase)
     with open(out, "w", encoding="utf-8") as fp:
         save_model(model, fp)
-    click.echo(f"trained order-{order} model on {len(lines)} lines ({vocab.size} word vocabulary) -> {out}")
+    click.echo(f"trained order-{order} model on {len(lines)} lines ({model.vocab.size} word vocabulary) -> {out}")
 
 
 # --- decode -------------------------------------------------------------------
@@ -169,36 +172,25 @@ def decode(model_path, tabular_path, dataset, out, strategy, beam_size, max_len,
     out = _opt(out, cfg, "out")
     if dataset is None or out is None:
         raise click.UsageError("--dataset and --out are required")
+    # The flags become one decode entry of a run config, checked by the same parser.
     strategy = _opt(strategy, cfg, "strategy", "beam")
+    entry = {"name": "decode", "kind": "beam"}
+    if strategy != "beam":
+        entry.update(kind="sample", strategy=strategy, count=1)
+    flags = dict(beam_size=beam_size, max_len=max_len, scoring=scoring, diverse_gamma=diverse_gamma,
+                 filter_copies=filter_copies, count=count, top_k=top_k, top_p=top_p)
+    for key, value in flags.items():
+        value = _opt(value, cfg, key)
+        if value is not None:
+            entry[key] = value
+    spec = parse_decode_spec(entry, "decode")
     lowercase = bool(_opt(lowercase, cfg, "lowercase", False))
     seed = int(_opt(seed, cfg, "seed", 0))
     model = _load_cli_model(model_path, tabular_path, lowercase)
-    rows = read_dataset(dataset)
     records = []
-    for ri, row in enumerate(rows):
-        context = tokenize(row.source, model.vocab, lowercase) if row.source is not None else None
-        if strategy == "beam":
-            params = BeamParams(
-                beam_size=int(_opt(beam_size, cfg, "beam_size", 1)),
-                max_len=int(_opt(max_len, cfg, "max_len", 50)),
-                scoring=_opt(scoring, cfg, "scoring", "logprob"),
-                diverse_gamma=float(_opt(diverse_gamma, cfg, "diverse_gamma", 0.0)),
-            )
-            threshold = _opt(filter_copies, cfg, "filter_copies")
-            if threshold is not None and context:
-                params = with_copy_filter(params, context, float(threshold))
-            cands = beam_search(model, context, params)
-        else:
-            cands = sample_sequences(
-                model,
-                context,
-                count=int(_opt(count, cfg, "count", 1)),
-                strategy=strategy,
-                top_k=_opt(top_k, cfg, "top_k"),
-                top_p=_opt(top_p, cfg, "top_p"),
-                seed=derive_seed(seed, 1, 0, ri),
-                max_len=int(_opt(max_len, cfg, "max_len", 50)),
-            )
+    for ri, row in enumerate(read_dataset(dataset)):
+        context = source_context(row.source, model.vocab, lowercase)
+        cands = decode_row(model, spec, context, derive_seed(seed, 1, 0, ri))
         records.append(candidate_record(row.id, row.source, cands, model.vocab))
     with open(out, "w", encoding="utf-8") as fp:
         write_candidates(records, fp)
@@ -210,7 +202,8 @@ def decode(model_path, tabular_path, dataset, out, strategy, beam_size, max_len,
 @cli.command()
 @click.option("--candidates", "candidates_path", type=click.Path(), default=None, help="Candidates file (decode output).")
 @click.option("--voters", "voters_flag", type=str, default=None,
-              help="same | file:PATH | beam:K | sample:N[:strategy] (default same).")
+              help="same | file:PATH | beam:K | sample:N[:strategy] (default same). "
+                   "Beam voters use logprob scoring, no diversity penalty and no copy filter.")
 @click.option("--sim", "sim_kind", type=click.Choice(["prec", "overl", "bleu", "smoothed_bleu", "embed_cosine"]), default=None)
 @click.option("--n", type=int, default=None, help="N-gram order for prec/overl.")
 @click.option("--max-n", type=int, default=None, help="Highest n-gram order for BLEU kinds.")
@@ -247,6 +240,7 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
     voter_records = None
     voter_spec = None
     model = None
+    voter_decode = DecodeSpec(max_len=max_len)  # regenerated voters' search settings
     if voters_flag.startswith("file:"):
         voter_records = {record_key(rec.id): rec for rec in read_candidates(voters_flag[len("file:"):])}
     elif voters_flag != "same":
@@ -278,11 +272,8 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
                 raise FileFormatError(f"voter file has no record for input {rec.id!r}")
             voters = to_set(voter_rec)
         elif voter_spec is not None:
-            context = tokenize(rec.source, vocab, lowercase) if rec.source is not None else None
-            vspec = voter_spec
-            if vspec.kind == "sample":
-                vspec = replace(vspec, seed=derive_seed(seed, 2, 0, ri))
-            voters = generate_voters(model, context, BeamParams(beam_size=1, max_len=max_len), vspec, cands)
+            context = source_context(rec.source, vocab, lowercase)
+            voters = row_voters(model, voter_decode, voter_spec, context, cands, derive_seed(seed, 2, 0, ri))
         else:
             voters = cands
         result = range_vote(cands, voters, sim, with_contributions=contributions)
@@ -333,16 +324,14 @@ def eval_cmd(hyps_path, dataset, system, metric, max_n, copy_threshold, lowercas
 
     rows = {record_key(row.id): row for row in read_dataset(dataset)}
     hyps = read_hypotheses(hyps_path)
-    aligned_refs = []
-    sources = []
+    aligned_rows = []
     for rec_id, _ in hyps:
         row = rows.get(record_key(rec_id))
         if row is None:
             raise FileFormatError(f"dataset has no row for input {rec_id!r}")
-        aligned_refs.append(tuple(tokenize_plain(r, lowercase) for r in row.references))
-        sources.append(None if row.source is None else tokenize_plain(row.source, lowercase))
+        aligned_rows.append(row)
+    aligned_refs, sources = plain_tokens(aligned_rows, lowercase)
     hyp_tokens = [tokens for _, tokens in hyps]
-    have_sources = all(s is not None for s in sources)
 
     compare_path = _opt(compare_path, cfg, "compare")
     if compare_path is not None:
@@ -368,7 +357,7 @@ def eval_cmd(hyps_path, dataset, system, metric, max_n, copy_threshold, lowercas
         system,
         hyp_tokens,
         aligned_refs,
-        sources if have_sources else None,
+        sources,
         max_n=max_n,
         copy_threshold=copy_threshold,
     )
@@ -383,10 +372,6 @@ def eval_cmd(hyps_path, dataset, system, metric, max_n, copy_threshold, lowercas
     if out_json:
         with open(out_json, "w", encoding="utf-8") as fp:
             write_report_json([row], max_n, fp)
-
-
-def tokenize_plain(text: str, lowercase: bool) -> tuple[str, ...]:
-    return tuple((text.lower() if lowercase else text).split())
 
 
 # --- oracle ---------------------------------------------------------------------
@@ -500,13 +485,13 @@ def euclidean(points, kind, kappa, grid_min, grid_max, grid_step):
 @click.option("--config", "config_path", type=click.Path(), required=True, help="Experiment config (JSON).")
 @click.option("--output-dir", type=click.Path(), default=None, help="Override the config's output directory.")
 @click.option("--seed", type=int, default=None, help="Override the config's seed.")
-@click.option("--workers", type=int, default=None, help="Worker count (default: VOTEDECODE_WORKERS env var, else 1).")
+@click.option("--workers", type=int, default=None, help="Accepted, ignored; rows run in order.")
 def run(config_path, output_dir, seed, workers):
     """Run a full experiment grid and write the evaluation report."""
     config = load_config(config_path)
     if seed is not None:
         config = replace(config, seed=seed)
-    report, out = run_experiment(config, output_dir=output_dir, workers=workers)
+    report, out = run_experiment(config, output_dir=output_dir)
     click.echo(f"wrote {len(report)} system rows -> {out / 'report.tsv'}")
 
 

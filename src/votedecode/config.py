@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .decode import BeamParams, check_sampling
+from .decode import BeamParams, check_sampling, with_copy_filter
+from .sequences import Sequence
 from .voting import SimilaritySpec, VoterSpec
 
 SCHEMA_VERSION = 1
@@ -34,8 +35,8 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class DecodeSpec:
-    name: str
-    kind: str  # beam | sample
+    name: str = "decode"
+    kind: str = "beam"  # beam | sample
     beam_size: int = 1
     max_len: int = 50
     scoring: str = "logprob"
@@ -46,13 +47,20 @@ class DecodeSpec:
     top_k: int | None = None
     top_p: float | None = None
 
-    def beam_params(self) -> BeamParams:
-        return BeamParams(
+    def beam_params(self, context: Sequence | None = None) -> BeamParams:
+        """Search settings for one input; the copy filter binds to a non-empty ``context``.
+
+        A sample spec keeps the defaults: greedy search to its ``max_len``.
+        """
+        params = BeamParams(
             beam_size=self.beam_size,
             max_len=self.max_len,
             scoring=self.scoring,
             diverse_gamma=self.diverse_gamma,
         )
+        if self.filter_copies is not None and context:
+            params = with_copy_filter(params, context, self.filter_copies)
+        return params
 
 
 @dataclass(frozen=True)
@@ -75,7 +83,6 @@ class ExperimentConfig:
     bleu_max_n: int = 4
     copy_threshold: float = 0.5
     output_dir: str = "out"
-    workers: int | None = None
     base_dir: Path = field(default_factory=Path, compare=False)
 
     def resolve(self, path: str) -> Path:
@@ -127,8 +134,8 @@ def _parse_model(data, where: str = "model") -> ModelSpec:
     raise ConfigError(f"{where}: unknown model kind {kind!r} (expected train|load|tabular)")
 
 
-def _parse_decode(data, index: int) -> DecodeSpec:
-    where = f"decode[{index}]"
+def parse_decode_spec(data, where: str) -> DecodeSpec:
+    """One decode entry of a run config; the ``decode`` command's flags form one too."""
     if not isinstance(data, Mapping):
         raise ConfigError(f"{where}: must be an object")
     name = str(_require(data, "name", where))
@@ -242,7 +249,7 @@ def parse_config(data: Mapping, base_dir: Path) -> ExperimentConfig:
         raise ConfigError("config: 'decode' must be a non-empty list")
     if not isinstance(select_list, list) or not select_list:
         raise ConfigError("config: 'select' must be a non-empty list")
-    decode = tuple(_parse_decode(d, i) for i, d in enumerate(decode_list))
+    decode = tuple(parse_decode_spec(d, f"decode[{i}]") for i, d in enumerate(decode_list))
     select = tuple(_parse_select(s, i) for i, s in enumerate(select_list))
     for label, specs in (("decode", decode), ("select", select)):
         names = [s.name for s in specs]
@@ -271,16 +278,17 @@ def parse_config(data: Mapping, base_dir: Path) -> ExperimentConfig:
             bleu_max_n=int(metrics.get("bleu_max_n", 4)),
             copy_threshold=float(metrics.get("copy_threshold", 0.5)),
             output_dir=str(data.get("output_dir", "out")),
-            workers=None if data.get("workers") is None else int(data["workers"]),
         )
+        # Rows run in order; 'workers' is still read and checked, then ignored.
+        workers = None if data.get("workers") is None else int(data["workers"])
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
     if cfg.bleu_max_n < 1:
         raise ConfigError(f"metrics.bleu_max_n must be >= 1, got {cfg.bleu_max_n}")
     if not 0.0 <= cfg.copy_threshold <= 1.0:
         raise ConfigError(f"metrics.copy_threshold must be in [0,1], got {cfg.copy_threshold}")
-    if cfg.workers is not None and cfg.workers < 1:
-        raise ConfigError(f"config: workers must be >= 1, got {cfg.workers}")
+    if workers is not None and workers < 1:
+        raise ConfigError(f"config: workers must be >= 1, got {workers}")
     object.__setattr__(cfg, "base_dir", base_dir)
     return cfg
 

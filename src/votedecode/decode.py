@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
-from .models import NEG_INF, SequenceModel, sequence_logprob
+from .models import NEG_INF, SequenceModel
 from .sequences import BOS_ID, EOS_ID, Sequence, ngram_set
 
 SCORING_MODES = ("logprob", "length_normalized")
@@ -93,16 +92,6 @@ def copy_overlap_rate(candidate: Sequence, source: Sequence) -> float:
     if not source_set:
         return 0.0
     return len(ngram_set(candidate, 1) & source_set) / len(source_set)
-
-
-def filter_copies(candidates: CandidateSet, source: Sequence, threshold: float) -> CandidateSet:
-    """Remove candidates whose source-unigram overlap reaches ``threshold``.
-
-    A source with no unigrams filters nothing; order is preserved.
-    """
-    rule = CopyFilter(source=tuple(source), threshold=threshold)
-    kept = tuple(c for c in candidates.items if not rule.discards(c.tokens))
-    return CandidateSet(items=kept, provenance=f"{candidates.provenance}|copy_filter({threshold})")
 
 
 def _mode_score(logprob: float, length: int, scoring: str) -> float:
@@ -300,17 +289,6 @@ def sample_sequences(
 def candidate_mass(candidates: CandidateSet) -> float:
     """Total model probability of a candidate set (duplicates counted once each)."""
     return math.fsum(math.exp(c.logprob) for c in candidates.items)
-
-
-def verify_logprobs(model: SequenceModel, candidates: CandidateSet, context: Sequence | None = None, tol: float = 1e-9) -> bool:
-    """Check that reported logprobs match sequence_logprob within ``tol``."""
-    for cand in candidates.items:
-        want = sequence_logprob(model, cand.tokens, context)
-        if cand.logprob == NEG_INF and want == NEG_INF:
-            continue
-        if abs(cand.logprob - want) > tol:
-            return False
-    return True
 
 
 def with_copy_filter(params: BeamParams, source: Sequence, threshold: float) -> BeamParams:

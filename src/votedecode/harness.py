@@ -3,20 +3,18 @@
 Every intermediate artifact (candidates, voters, vote results, selections)
 is materialized under the output directory, so fixed candidate files can be
 re-voted against swapped voter files.  Given a seed, all output bytes are
-deterministic; rows may be processed by a worker pool but outputs are
-written in input order.
+deterministic.  ``decode_row`` and ``row_voters`` are the per-row stages;
+the ``decode`` and ``vote`` commands call them too.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence as TySequence
+from typing import Callable, Iterable
 
-from .config import ConfigError, DecodeSpec, ExperimentConfig, ModelSpec, SelectSpec
-from .decode import BeamParams, CandidateSet, ScoredSequence, beam_search, sample_sequences, with_copy_filter
+from .config import ConfigError, DecodeSpec, ExperimentConfig, ModelSpec
+from .decode import CandidateSet, beam_search, sample_sequences
 from .formats import (
     CandidateRecord,
     DatasetRow,
@@ -32,11 +30,9 @@ from .formats import (
     write_votes,
 )
 from .metrics import EvalRow, evaluate_system
-from .models import SequenceModel, TabularModel, load_model, tabular_model, train_ngram_lm
+from .models import NGramLM, SequenceModel, TabularModel, load_model, tabular_model, train_ngram_lm
 from .sequences import RESERVED_MARKS, Sequence, Vocabulary, build_vocabulary, tokenize
 from .voting import SimilaritySpec, VoteResult, VoterSpec, generate_voters, range_vote
-
-WORKERS_ENV = "VOTEDECODE_WORKERS"
 
 _MASK = (1 << 64) - 1
 
@@ -49,22 +45,6 @@ def derive_seed(*parts: int) -> int:
     return h
 
 
-def resolve_workers(explicit: int | None = None, configured: int | None = None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    if configured is not None:
-        return max(1, configured)
-    return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-
-
-def _pmap(fn: Callable, items: TySequence, workers: int) -> list:
-    """Apply ``fn`` over ``items``, preserving input order."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def tabular_model_from_text(entries: Iterable[tuple[str, float]], lowercase: bool = False) -> TabularModel:
     """Build a tabular model (and its vocabulary) from (text, probability) pairs."""
     entries = list(entries)
@@ -72,12 +52,17 @@ def tabular_model_from_text(entries: Iterable[tuple[str, float]], lowercase: boo
     return tabular_model([(tokenize(t, vocab, lowercase), p) for t, p in entries], vocab)
 
 
+def train_on_lines(lines: list[str], order: int, add_k: float, max_vocab: int | None, lowercase: bool) -> NGramLM:
+    """The n-gram model of ``run``'s train models and of the ``train`` command."""
+    vocab = build_vocabulary(lines, lowercase=lowercase, max_size=max_vocab)
+    corpus = [tokenize(line, vocab, lowercase) for line in lines]
+    return train_ngram_lm(corpus, order=order, add_k=add_k, vocab=vocab)
+
+
 def build_model(spec: ModelSpec, base: ExperimentConfig) -> SequenceModel:
     if spec.kind == "train":
         lines = read_corpus_lines(base.resolve(spec.corpus))
-        vocab = build_vocabulary(lines, lowercase=base.lowercase, max_size=spec.max_vocab)
-        corpus = [tokenize(line, vocab, base.lowercase) for line in lines]
-        return train_ngram_lm(corpus, order=spec.order, add_k=spec.add_k, vocab=vocab)
+        return train_on_lines(lines, spec.order, spec.add_k, spec.max_vocab, base.lowercase)
     if spec.kind == "load":
         with open(base.resolve(spec.path), encoding="utf-8") as fp:
             return load_model(fp)
@@ -116,6 +101,22 @@ def vote_record(row_id, result: VoteResult, vocab: Vocabulary, keep_contribution
     )
 
 
+def source_context(source: str | None, vocab: Vocabulary, lowercase: bool) -> Sequence | None:
+    return tokenize(source, vocab, lowercase) if source is not None else None
+
+
+def plain_tokens(rows: list[DatasetRow], lowercase: bool) -> tuple[list, list | None]:
+    """Whitespace tokens of each row's references, and of its source when every row has one."""
+
+    def words(text: str) -> tuple[str, ...]:
+        return tuple((text.lower() if lowercase else text).split())
+
+    refs = [tuple(words(r) for r in row.references) for row in rows]
+    if any(row.source is None for row in rows):
+        return refs, None
+    return refs, [words(row.source) for row in rows]
+
+
 def decode_row(
     model: SequenceModel,
     spec: DecodeSpec,
@@ -124,10 +125,7 @@ def decode_row(
 ) -> CandidateSet:
     """Run one decode setting on one input (beam or sampling)."""
     if spec.kind == "beam":
-        params = spec.beam_params()
-        if spec.filter_copies is not None and context:
-            params = with_copy_filter(params, context, spec.filter_copies)
-        return beam_search(model, context, params)
+        return beam_search(model, context, spec.beam_params(context))
     return sample_sequences(
         model,
         context,
@@ -138,6 +136,24 @@ def decode_row(
         seed=seed,
         max_len=spec.max_len,
     )
+
+
+def row_voters(
+    model: SequenceModel,
+    decode: DecodeSpec,
+    voters: VoterSpec,
+    context: Sequence | None,
+    candidates: CandidateSet,
+    seed: int,
+) -> CandidateSet:
+    """The voter set of one input: the candidates, a wider beam, or ``seed``-drawn samples.
+
+    Beam voters search with ``decode``'s settings, copy filter included, at
+    their own beam size; sampled voters inherit its ``max_len``.
+    """
+    if voters.kind == "sample":
+        voters = replace(voters, seed=seed)
+    return generate_voters(model, context, decode.beam_params(context), voters, candidates)
 
 
 def _resolve_sim(sim: SimilaritySpec, config: ExperimentConfig, vocab: Vocabulary) -> SimilaritySpec:
@@ -153,44 +169,31 @@ def run_experiment(
     config: ExperimentConfig,
     *,
     output_dir: str | Path | None = None,
-    workers: int | None = None,
 ) -> tuple[list[EvalRow], Path]:
     """Run the full grid: decode x select per input, then one report row per system."""
     model = build_model(config.model, config)
     vocab = model.vocab
     rows = read_dataset(config.resolve(config.dataset))
-    n_workers = resolve_workers(workers, config.workers)
     out = Path(output_dir) if output_dir is not None else config.resolve(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    contexts = [
-        tokenize(row.source, vocab, config.lowercase) if row.source is not None else None
-        for row in rows
-    ]
-    refs = [
-        tuple(tuple((r.lower() if config.lowercase else r).split()) for r in row.references)
-        for row in rows
-    ]
-    sources = None
-    if all(row.source is not None for row in rows):
-        sources = [tuple((row.source.lower() if config.lowercase else row.source).split()) for row in rows]
+    contexts = [source_context(row.source, vocab, config.lowercase) for row in rows]
+    refs, sources = plain_tokens(rows, config.lowercase)
 
     report: list[EvalRow] = []
     for di, dspec in enumerate(config.decode):
-        cand_sets: list[CandidateSet] = _pmap(
-            lambda ri: decode_row(model, dspec, contexts[ri], derive_seed(config.seed, 1, di, ri)),
-            range(len(rows)),
-            n_workers,
-        )
+        cand_sets = [
+            decode_row(model, dspec, context, derive_seed(config.seed, 1, di, ri)) for ri, context in enumerate(contexts)
+        ]
         _write_jsonl(
             out / "candidates" / f"{dspec.name}.jsonl",
             write_candidates,
-            [candidate_record(rows[ri].id, rows[ri].source, cand_sets[ri], vocab) for ri in range(len(rows))],
+            [candidate_record(row.id, row.source, cands, vocab) for row, cands in zip(rows, cand_sets)],
         )
-        for ri, cands in enumerate(cand_sets):
+        for row, cands in zip(rows, cand_sets):
             if not cands.items:
                 raise ValueError(
-                    f"decode {dspec.name!r} left no candidates for input {rows[ri].id!r} "
+                    f"decode {dspec.name!r} left no candidates for input {row.id!r} "
                     "(support empty or everything copy-filtered)"
                 )
         for si, sspec in enumerate(config.select):
@@ -199,50 +202,33 @@ def run_experiment(
                 winners = [cands.items[0] for cands in cand_sets]
             else:
                 sim = _resolve_sim(sspec.sim, config, vocab)
-                base_params = dspec.beam_params() if dspec.kind == "beam" else BeamParams(
-                    beam_size=1, max_len=dspec.max_len
-                )
-
-                def vote_one(ri: int) -> tuple[VoteResult, CandidateSet]:
-                    vspec = sspec.voters
-                    if vspec.kind == "sample":
-                        vspec = replace(vspec, seed=derive_seed(config.seed, 2, di, si, ri))
-                    params = base_params
-                    if dspec.kind == "beam" and dspec.filter_copies is not None and contexts[ri]:
-                        params = with_copy_filter(params, contexts[ri], dspec.filter_copies)
-                    voters = generate_voters(model, contexts[ri], params, vspec, cand_sets[ri])
-                    result = range_vote(cand_sets[ri], voters, sim, with_contributions=sspec.contributions)
-                    return result, voters
-
-                outcomes = _pmap(vote_one, range(len(rows)), n_workers)
+                results, voter_sets = [], []
+                for ri, cands in enumerate(cand_sets):
+                    seed = derive_seed(config.seed, 2, di, si, ri)
+                    voter_sets.append(row_voters(model, dspec, sspec.voters, contexts[ri], cands, seed))
+                    results.append(range_vote(cands, voter_sets[-1], sim, with_contributions=sspec.contributions))
                 if sspec.voters.kind != "same":
                     _write_jsonl(
                         out / "voters" / f"{system}.jsonl",
                         write_candidates,
-                        [
-                            candidate_record(rows[ri].id, rows[ri].source, outcomes[ri][1], vocab)
-                            for ri in range(len(rows))
-                        ],
+                        [candidate_record(row.id, row.source, voters, vocab) for row, voters in zip(rows, voter_sets)],
                     )
                 _write_jsonl(
                     out / "votes" / f"{system}.jsonl",
                     write_votes,
-                    [
-                        vote_record(rows[ri].id, outcomes[ri][0], vocab, sspec.contributions)
-                        for ri in range(len(rows))
-                    ],
+                    [vote_record(row.id, res, vocab, sspec.contributions) for row, res in zip(rows, results)],
                 )
-                winners = [res.winner for res, _ in outcomes]
+                winners = [res.winner for res in results]
             _write_jsonl(
                 out / "selections" / f"{system}.jsonl",
                 write_candidates,
                 [
                     CandidateRecord(
-                        id=rows[ri].id,
-                        source=rows[ri].source,
-                        candidates=((surface_tokens(winners[ri].tokens, vocab), winners[ri].logprob),),
+                        id=row.id,
+                        source=row.source,
+                        candidates=((surface_tokens(w.tokens, vocab), w.logprob),),
                     )
-                    for ri in range(len(rows))
+                    for row, w in zip(rows, winners)
                 ],
             )
             hyps = [surface_tokens(w.tokens, vocab) for w in winners]

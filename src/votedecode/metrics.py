@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence as TySequence
+from typing import Callable, Sequence as TySequence
 
 import numpy as np
 

@@ -373,20 +373,3 @@ def generate_voters(
         max_len=decode_params.max_len,
     )
 
-
-def select_representative(
-    model: SequenceModel,
-    context: Sequence | None,
-    decode_params: BeamParams,
-    voter_params: VoterSpec,
-    sim: SimilaritySpec,
-    *,
-    with_contributions: bool = False,
-) -> tuple[ScoredSequence, VoteResult]:
-    """Decode candidates, gather voters, and return the election winner with audit data."""
-    candidates = beam_search(model, context, decode_params)
-    if not candidates.items:
-        raise ValueError("no candidates to vote on (empty beam after filtering)")
-    voters = generate_voters(model, context, decode_params, voter_params, candidates)
-    result = range_vote(candidates, voters, sim, with_contributions=with_contributions)
-    return result.winner, result

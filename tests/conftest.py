@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from votedecode import SimilaritySpec, Vocabulary, tabular_model, tokenize
+from votedecode import SimilaritySpec, Vocabulary, sequence_logprob, tabular_model, tokenize
+from votedecode.models import NEG_INF
 
 # Tabular toy distribution used across modules: support {"a b", "a c", "d"}.
 ABD_ENTRIES = [("a b", 0.5), ("a c", 0.3), ("d", 0.2)]
@@ -39,6 +40,17 @@ def vocab_over(texts):
 def model_from_texts(entries):
     vocab = vocab_over([text for text, _ in entries])
     return tabular_model([(tokenize(t, vocab), p) for t, p in entries], vocab), vocab
+
+
+def verify_logprobs(model, candidates, context=None, tol=1e-9):
+    """Check that reported logprobs match sequence_logprob within ``tol``."""
+    for cand in candidates.items:
+        want = sequence_logprob(model, cand.tokens, context)
+        if cand.logprob == NEG_INF and want == NEG_INF:
+            continue
+        if abs(cand.logprob - want) > tol:
+            return False
+    return True
 
 
 def toy_vectors(vocab, dim=4, seed=0):

@@ -5,17 +5,16 @@ import pytest
 
 from votedecode.decode import (
     BeamParams,
+    CopyFilter,
     beam_search,
     candidate_mass,
-    filter_copies,
     sample_sequences,
-    verify_logprobs,
     with_copy_filter,
 )
 from votedecode.oracle import make_vote_split_model
 from votedecode.sequences import tokenize
 
-from conftest import model_from_texts
+from conftest import model_from_texts, verify_logprobs
 
 
 def texts(cands, vocab):
@@ -110,40 +109,37 @@ class TestBeamSearch:
 
 
 class TestFilterCopies:
-    def _cands(self, entries):
+    """The copy rule on its own, and the beam search that applies it."""
+
+    def _kept(self, entries, source_text, threshold=0.5):
         model, vocab = model_from_texts(entries)
-        return beam_search(model, None, BeamParams(beam_size=len(entries), max_len=10)), vocab
+        source = tokenize(source_text, vocab)
+        params = with_copy_filter(BeamParams(beam_size=len(entries), max_len=10), source, threshold)
+        return texts(beam_search(model, None, params), vocab), CopyFilter(source, threshold), vocab
 
     def test_exact_copy_removed(self):
-        cands, vocab = self._cands([("the cat sat", 0.6), ("a dog runs", 0.4)])
-        source = tokenize("the cat sat", vocab)
-        kept = filter_copies(cands, source, 0.5)
-        assert texts(kept, vocab) == ["a dog runs"]
+        kept, rule, vocab = self._kept([("the cat sat", 0.6), ("a dog runs", 0.4)], "the cat sat")
+        assert rule.discards(tokenize("the cat sat", vocab))
+        assert kept == ["a dog runs"]
 
     def test_partial_copy_removed(self):
-        cands, vocab = self._cands([("the cat ran home", 0.6), ("a dog runs", 0.4)])
-        source = tokenize("the cat sat", vocab)
-        kept = filter_copies(cands, source, 0.5)  # overlap 2/3 >= 0.5
-        assert texts(kept, vocab) == ["a dog runs"]
+        kept, rule, vocab = self._kept([("the cat ran home", 0.6), ("a dog runs", 0.4)], "the cat sat")
+        assert rule.discards(tokenize("the cat ran home", vocab))  # overlap 2/3 >= 0.5
+        assert kept == ["a dog runs"]
 
     def test_clean_candidate_kept(self):
-        cands, vocab = self._cands([("a dog runs", 1.0)])
-        kept = filter_copies(cands, tokenize("the cat sat", vocab), 0.5)
-        assert texts(kept, vocab) == ["a dog runs"]
+        kept, rule, vocab = self._kept([("a dog runs", 1.0)], "the cat sat")
+        assert not rule.discards(tokenize("a dog runs", vocab))
+        assert kept == ["a dog runs"]
 
     def test_empty_source_filters_nothing(self):
-        cands, vocab = self._cands([("a dog runs", 1.0)])
-        assert filter_copies(cands, (), 0.0).items == cands.items
-
-    def test_order_preserved(self):
-        cands, vocab = self._cands([("x y", 0.5), ("the cat sat", 0.3), ("z w", 0.2)])
-        kept = filter_copies(cands, tokenize("the cat sat", vocab), 0.5)
-        assert texts(kept, vocab) == ["x y", "z w"]
+        kept, rule, vocab = self._kept([("a dog runs", 0.7), ("", 0.3)], "", threshold=0.0)
+        assert not rule.discards(tokenize("a dog runs", vocab)) and not rule.discards(())
+        assert kept == ["a dog runs", ""]
 
     def test_bad_threshold(self):
-        cands, _ = self._cands([("a", 1.0)])
         with pytest.raises(ValueError):
-            filter_copies(cands, (), 1.5)
+            CopyFilter((), 1.5)
 
 
 class TestSampling:

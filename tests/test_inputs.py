@@ -147,3 +147,31 @@ class TestSamplingVoterSpecs:
         (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
         assert main(["run", "--config", str(tmp_path / "config.json")]) == 3
         assert not (tmp_path / "out").exists()
+
+
+class TestDecodeFlags:
+    """`decode` checks its flags with the parser `run` uses for a decode entry."""
+
+    @pytest.fixture
+    def decode_argv(self, tmp_path):
+        tabular = write_lines(tmp_path / "t.json", [json.dumps({"entries": [["a b", 0.6], ["a", 0.4]]})])
+        dataset = write_lines(tmp_path / "d.jsonl", [json.dumps({"id": 1, "references": ["a b"]})])
+        return ["decode", "--tabular", str(tabular), "--dataset", str(dataset), "--out", str(tmp_path / "c.jsonl")]
+
+    def _fails_before_output(self, argv, tmp_path, capsys):
+        assert main(argv) == 3
+        assert not (tmp_path / "c.jsonl").exists()
+        return capsys.readouterr().err
+
+    def test_beam_flags_with_a_sampling_strategy(self, decode_argv, tmp_path, capsys):
+        argv = decode_argv + ["--strategy", "ancestral", "--count", "2", "--filter-copies", "0.5",
+                              "--beam-size", "7", "--scoring", "length_normalized"]
+        assert "['beam_size', 'filter_copies', 'scoring']" in self._fails_before_output(argv, tmp_path, capsys)
+
+    def test_sampling_flags_with_beam_search(self, decode_argv, tmp_path, capsys):
+        argv = decode_argv + ["--top-p", "0.5", "--top-k", "2", "--count", "3"]
+        assert "['count', 'top_k', 'top_p']" in self._fails_before_output(argv, tmp_path, capsys)
+
+    def test_copy_threshold_out_of_range_without_sources(self, decode_argv, tmp_path, capsys):
+        argv = decode_argv + ["--filter-copies", "1.5"]
+        assert "filter_copies must be in [0,1]" in self._fails_before_output(argv, tmp_path, capsys)

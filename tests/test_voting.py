@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from votedecode.config import DecodeSpec
 from votedecode.decode import BeamParams, CandidateSet, ScoredSequence, beam_search
+from votedecode.harness import decode_row, row_voters
 from votedecode.sequences import detokenize, tokenize
 from votedecode.voting import (
     SimilaritySpec,
@@ -16,7 +18,6 @@ from votedecode.voting import (
     overl_sim,
     prec_sim,
     range_vote,
-    select_representative,
 )
 
 from conftest import FIXTURE5, all_similarity_specs, model_from_texts, toy_vectors
@@ -271,25 +272,28 @@ class TestRangeVote:
             assert col == pytest.approx(score, rel=1e-12, abs=1e-15)
 
 
+def select(model, decode, voters, sim, seed=0):
+    """Decode, gather voters and elect, as one row of an experiment run."""
+    cands = decode_row(model, decode, None, seed)
+    return range_vote(cands, row_voters(model, decode, voters, None, cands, seed), sim)
+
+
 class TestSelectRepresentative:
     def test_same_voters_reproduce_simple_setting(self, fixture5):
         model, vocab = fixture5
-        params = BeamParams(beam_size=5, max_len=8)
-        winner, result = select_representative(
-            model, None, params, VoterSpec(kind="same"), SimilaritySpec(kind="overl", n=1)
-        )
-        cands = beam_search(model, None, params)
+        decode = DecodeSpec(beam_size=5, max_len=8)
+        result = select(model, decode, VoterSpec(kind="same"), SimilaritySpec(kind="overl", n=1))
+        cands = beam_search(model, None, BeamParams(beam_size=5, max_len=8))
         assert result.ranking == range_vote(cands, cands, SimilaritySpec(kind="overl", n=1)).ranking
-        assert detokenize(winner.tokens, vocab) == "the tall man runs fast"
+        assert detokenize(result.winner.tokens, vocab) == "the tall man runs fast"
 
     def test_bleu_similarity_is_mbr(self, fixture5):
         # Definitional equality: the winner maximizes expected sentence
         # BLEU(candidate, voter) over the candidate set.
         model, _ = fixture5
-        params = BeamParams(beam_size=5, max_len=8)
         spec = SimilaritySpec(kind="bleu", max_n=4)
-        winner, _ = select_representative(model, None, params, VoterSpec(kind="same"), spec)
-        cands = beam_search(model, None, params)
+        winner = select(model, DecodeSpec(beam_size=5, max_len=8), VoterSpec(kind="same"), spec).winner
+        cands = beam_search(model, None, BeamParams(beam_size=5, max_len=8))
         expected = {
             c.tokens: math.fsum(math.exp(v.logprob) * bleu_sim(v.tokens, c.tokens, max_n=4) for v in cands.items)
             for c in cands.items
@@ -299,26 +303,25 @@ class TestSelectRepresentative:
 
     def test_beam_voters(self, fixture5):
         model, vocab = fixture5
-        winner, _ = select_representative(
+        result = select(
             model,
-            None,
-            BeamParams(beam_size=2, max_len=8),
+            DecodeSpec(beam_size=2, max_len=8),
             VoterSpec(kind="beam", beam_size=5),
             SimilaritySpec(kind="overl", n=1),
         )
         # Candidates restricted to top-2 but all five sequences vote.
-        assert detokenize(winner.tokens, vocab) == "the tall man runs fast"
+        assert len(result.ranking) == 2
+        assert detokenize(result.winner.tokens, vocab) == "the tall man runs fast"
 
     def test_sampled_voters_deterministic(self, fixture5):
         model, _ = fixture5
         args = (
             model,
-            None,
-            BeamParams(beam_size=5, max_len=8),
-            VoterSpec(kind="sample", count=100, seed=11),
+            DecodeSpec(beam_size=5, max_len=8),
+            VoterSpec(kind="sample", count=100, seed=0),
             SimilaritySpec(kind="overl", n=1),
         )
-        assert select_representative(*args)[0] == select_representative(*args)[0]
+        assert select(*args, seed=11) == select(*args, seed=11)
 
     def test_voter_spec_validation(self):
         with pytest.raises(ValueError):
