@@ -62,7 +62,7 @@ from .oracle import (
     weighted_mean,
     weighted_median_interval,
 )
-from .sequences import Vocabulary, detokenize
+from .sequences import UNK_MARK, Vocabulary, detokenize
 from .voting import SimilaritySpec, range_vote
 
 # bench/tracing.py patches load_config, run_experiment, beam_search,
@@ -262,6 +262,12 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
             for tokens, lp in record.candidates
         )
         return CandidateSet(items=items, provenance=f"file:{candidates_path}")
+
+    if model is not None:  # the model's vocabulary would turn an unknown token into UNK
+        for rec in cand_records:
+            unknown = [t for tokens, _ in rec.candidates for t in tokens if t != UNK_MARK and t not in vocab]
+            if unknown:
+                raise FileFormatError(f"{candidates_path}: input {rec.id!r}: unknown token {unknown[0]!r}")
 
     results = []
     for ri, rec in enumerate(cand_records):

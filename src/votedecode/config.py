@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .decode import BeamParams, check_sampling, with_copy_filter
+from .models import check_training
 from .sequences import Sequence
 from .voting import SimilaritySpec, VoterSpec
 
@@ -108,13 +109,20 @@ def _parse_model(data, where: str = "model") -> ModelSpec:
     kind = _require(data, "kind", where)
     if kind == "train":
         _check_keys(data, {"kind", "corpus", "order", "add_k", "max_vocab"}, where)
-        return ModelSpec(
+        spec = ModelSpec(
             kind="train",
             corpus=str(_require(data, "corpus", where)),
             order=int(data.get("order", 2)),
             add_k=float(data.get("add_k", 0.0)),
             max_vocab=None if data.get("max_vocab") is None else int(data["max_vocab"]),
         )
+        try:
+            check_training(spec.order, spec.add_k)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        if spec.max_vocab is not None and spec.max_vocab < 0:
+            raise ConfigError(f"{where}: max_vocab must be >= 0, got {spec.max_vocab}")
+        return spec
     if kind == "load":
         _check_keys(data, {"kind", "path"}, where)
         return ModelSpec(kind="load", path=str(_require(data, "path", where)))

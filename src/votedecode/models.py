@@ -9,15 +9,17 @@ All probability arithmetic is in log space; a next-token query returns a
 dense float64 vector over the full id space (BOS stays at -inf).  An
 ``NGramLM`` query fills that vector with the one value every unobserved
 outcome shares and takes a log only for the history's observed successors,
-so its Python work is O(seen successors), not O(vocabulary).
+so its Python work is O(seen successors), not O(vocabulary).  Training
+lays the corpus out as one flat id stream (each line as BOS * (order - 1),
+its ids and EOS) and counts every (history, event) code with one sort.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from typing import IO, Iterable, Protocol, runtime_checkable
 
 import numpy as np
@@ -181,26 +183,46 @@ class NGramLM:
         return out
 
 
-def train_ngram_lm(corpus: Iterable[Sequence], order: int, add_k: float, vocab: Vocabulary) -> NGramLM:
-    """Collect (history, event) counts with BOS padding and a terminal EOS per line."""
+def check_training(order: int, add_k: float) -> None:
+    """Reject n-gram settings no model can be trained or loaded with."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if add_k < 0:
-        raise ValueError(f"add_k must be >= 0, got {add_k}")
-    pairs: Counter[tuple[tuple[int, ...], int]] = Counter()
-    n_lines = 0
-    need = order - 1
-    for seq in corpus:
-        n_lines += 1
-        padded = (BOS_ID,) * need + tuple(seq)
-        events = tuple(seq) + (EOS_ID,)
-        pairs.update(zip((padded[i : i + need] for i in range(len(events))), events))
-    if n_lines == 0:
+    if not (math.isfinite(add_k) and add_k >= 0):
+        raise ValueError(f"add_k must be finite and >= 0, got {add_k}")
+
+
+def train_ngram_lm(corpus: Iterable[Sequence], order: int, add_k: float, vocab: Vocabulary) -> NGramLM:
+    """Collect (history, event) counts with BOS padding and a terminal EOS per line (ids >= 0)."""
+    check_training(order, add_k)
+    corpus = list(corpus)
+    if not corpus:
         raise ValueError("training corpus is empty")
-    frozen: dict[tuple[int, ...], dict[int, int]] = {}
-    for (history, event), count in pairs.items():
-        frozen.setdefault(history, {})[event] = count
-    return NGramLM(vocab=vocab, order=order, add_k=add_k, counts=frozen)
+    need = order - 1
+    spans = np.fromiter(map(len, corpus), np.int64, len(corpus)) + order
+    lines = zip(repeat((BOS_ID,) * need), corpus, repeat((EOS_ID,)))
+    ids = np.fromiter(chain.from_iterable(chain.from_iterable(lines)), np.uint32, int(spans.sum()))
+    is_event = np.ones(len(ids), bool)
+    is_event[(np.cumsum(spans) - spans)[:, None] + np.arange(need)] = False
+    width = int(ids.max()) + 1
+    key = np.zeros(len(ids) - need * len(corpus), np.int64)
+    for offset in range(-need, 0):  # ranked once it spans two slots, a key stays below (#histories) * width
+        key *= width
+        key += ids[:offset][is_event[-offset:]]
+        if offset > -need:
+            key = np.unique(key, return_inverse=True)[1]
+    first = np.full(int(key.max()) + 1, len(ids))  # each key's first position; unused keys sort last
+    np.minimum.at(first, key, np.flatnonzero(is_event))
+    seen = np.sort(first)
+    np.take(np.searchsorted(seen, first), key, out=key)  # renumbered, histories keep first-seen order
+    key *= width
+    key += ids[is_event]
+    codes, totals = np.unique(key, return_counts=True)
+    sizes = np.bincount(codes // width)
+    histories = ids[seen[: len(sizes), None] + np.arange(-need, 0)].tolist()
+    del ids, is_event, key  # freed before the dicts are built, to keep the peak low
+    pairs = zip((codes % width).tolist(), totals.tolist())
+    counts = {tuple(history): dict(islice(pairs, size)) for history, size in zip(histories, sizes.tolist())}
+    return NGramLM(vocab=vocab, order=order, add_k=add_k, counts=counts)
 
 
 def save_model(model: NGramLM, fp: IO[str]) -> None:
@@ -234,6 +256,7 @@ def load_model(fp: IO[str]) -> NGramLM:
         vocab = Vocabulary(tokens=tuple(payload["vocab"]))
         order = int(payload["order"])
         add_k = float(payload["add_k"])
+        check_training(order, add_k)
         counts = {
             tuple(int(t) for t in hist): {int(e): int(c) for e, c in events}
             for hist, events in payload["counts"]

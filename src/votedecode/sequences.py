@@ -2,13 +2,15 @@
 
 A sequence is a plain tuple of vocabulary ids.  Begin/end markers are
 model-side bookkeeping and never stored in a sequence, so n-gram statistics
-are always over surface tokens only.
+are always over surface tokens only.  Vocabulary counts and token lookups
+loop in C: one ``Counter`` over all lines' splits, one ``map`` per line.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable
 
 Sequence = tuple[int, ...]
@@ -88,10 +90,9 @@ def tokenize(text: str, vocab: Vocabulary, lowercase: bool = False) -> Sequence:
     Out-of-vocabulary tokens map to UNK; this is a total function.  When
     ``lowercase`` is set, lowercasing happens before lookup.
     """
-    words = text.split()
     if lowercase:
-        words = [w.lower() for w in words]
-    return tuple(vocab.id_of(w) for w in words)
+        text = text.lower()
+    return tuple(map(vocab._index.get, text.split(), repeat(UNK_ID)))
 
 
 def detokenize(seq: Iterable[int], vocab: Vocabulary) -> str:
@@ -119,13 +120,10 @@ def build_vocabulary(lines: Iterable[str], lowercase: bool = False, max_size: in
     Tokens are ordered most-frequent first (ties broken alphabetically) so an
     optional ``max_size`` keeps the most common words.
     """
-    counts: Counter[str] = Counter()
-    for line in lines:
-        words = line.split()
-        if lowercase:
-            words = [w.lower() for w in words]
-        counts.update(w for w in words if w not in RESERVED_MARKS)
+    if max_size is not None and max_size < 0:
+        raise ValueError(f"max_vocab must be >= 0, got {max_size}")
+    counts = Counter(chain.from_iterable(map(str.split, map(str.lower, lines) if lowercase else lines)))
+    for mark in RESERVED_MARKS:
+        counts.pop(mark, None)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    if max_size is not None:
-        ranked = ranked[:max_size]
-    return Vocabulary(tokens=tuple(tok for tok, _ in ranked))
+    return Vocabulary(tokens=tuple(tok for tok, _ in ranked[:max_size]))

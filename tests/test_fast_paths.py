@@ -1,10 +1,10 @@
-"""The model -> search -> sample fast paths against the full-vocabulary algorithms.
+"""The corpus -> model -> search -> sample fast paths against the straightforward algorithms.
 
-Each ``reference_*`` function below is the straightforward algorithm that
-visits every vocabulary id: a per-token log loop for the n-gram row, a
-sort of all k*V expansions for beam search and a Python sort and walk of
-the whole support for sampling.  The fast paths must agree with them bit
-for bit, ties and rounding included.
+Each ``reference_*`` function below is the straightforward algorithm: the
+per-line vocabulary count and tokenizer, per-event training counts, a
+per-token log loop for the n-gram row, a sort of all k*V expansions for
+beam search and a Python sort and walk of the whole support for sampling.
+The fast paths must agree with them bit for bit, ties and rounding included.
 """
 
 import math
@@ -24,9 +24,38 @@ from votedecode.decode import (
     sample_sequences,
 )
 from votedecode.models import NEG_INF, NGramLM, tabular_model, train_ngram_lm
-from votedecode.sequences import BOS_ID, EOS_ID, NUM_RESERVED, UNK_ID, Vocabulary
+from votedecode.sequences import (
+    BOS_ID,
+    EOS_ID,
+    NUM_RESERVED,
+    RESERVED_MARKS,
+    UNK_ID,
+    Vocabulary,
+    build_vocabulary,
+    tokenize,
+)
 
 # --- reference algorithms ----------------------------------------------------
+
+
+def reference_build_vocabulary(lines, lowercase=False, max_size=None):
+    counts = Counter()
+    for line in lines:
+        words = line.split()
+        if lowercase:
+            words = [w.lower() for w in words]
+        counts.update(w for w in words if w not in RESERVED_MARKS)
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    if max_size is not None:
+        ranked = ranked[:max_size]
+    return Vocabulary(tokens=tuple(tok for tok, _ in ranked))
+
+
+def reference_tokenize(text, vocab, lowercase=False):
+    words = text.split()
+    if lowercase:
+        words = [w.lower() for w in words]
+    return tuple(vocab.id_of(w) for w in words)
 
 
 def reference_train(corpus, order, add_k, vocab):
@@ -197,6 +226,14 @@ def corpora(draw):
 
 
 @st.composite
+def raw_corpora(draw):
+    """Id sequences that may hold the BOS and EOS ids, as a caller's may."""
+    size = draw(st.integers(1, 4))
+    ids = st.integers(0, NUM_RESERVED + size - 1)
+    return vocab_of(size), draw(st.lists(st.lists(ids, max_size=6).map(tuple), min_size=1, max_size=8))
+
+
+@st.composite
 def ngram_models(draw):
     vocab, corpus = draw(corpora())
     order = draw(st.integers(1, 3))
@@ -232,15 +269,39 @@ def prefixes(vocab):
     return st.lists(ids, max_size=4).map(tuple)
 
 
+# Word characters whose lowercase depends on context (final sigma), grows
+# (dotted capital I) or is case-ignorable (apostrophe, combining marks), and
+# separators str.split breaks on, Unicode ones included.
+WORD_CHARS = "aAzZσΣςİiIß'\u0301\u0345"
+SEPARATORS = [" ", "  ", "\t", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+surface_words = st.text(alphabet=WORD_CHARS, min_size=1, max_size=4) | st.sampled_from(sorted(RESERVED_MARKS))
+
+
+@st.composite
+def text_lines(draw):
+    parts = draw(st.lists(st.tuples(surface_words, st.sampled_from(SEPARATORS)), max_size=6))
+    return draw(st.sampled_from(["", " ", "\u3000"])) + "".join(w + sep for w, sep in parts)
+
+
 # --- equivalence -------------------------------------------------------------
 
 
-class TestNGramRows:
+class TestCorpusToIds:
     @settings(max_examples=200, deadline=None)
-    @given(corpora(), st.integers(1, 3), st.sampled_from([0.0, 0.01, 0.5, 1.0]))
+    @given(st.lists(text_lines(), max_size=8), st.booleans(), st.none() | st.integers(0, 6), st.data())
+    def test_vocabulary_and_tokens(self, lines, lowercase, max_size, data):
+        vocab = build_vocabulary(lines, lowercase=lowercase, max_size=max_size)
+        assert vocab == reference_build_vocabulary(lines, lowercase, max_size)
+        for text in lines + data.draw(st.lists(text_lines(), max_size=3)):
+            assert tokenize(text, vocab, lowercase) == reference_tokenize(text, vocab, lowercase)
+
+
+class TestNGramRows:
+    @settings(max_examples=300, deadline=None)
+    @given(corpora() | raw_corpora(), st.integers(1, 5), st.sampled_from([0.0, 0.01, 0.5, 1.0]))
     def test_training_matches_per_event_counting(self, vocab_corpus, order, add_k):
         vocab, corpus = vocab_corpus
-        fast = train_ngram_lm(corpus, order=order, add_k=add_k, vocab=vocab)
+        fast = train_ngram_lm(iter(corpus), order=order, add_k=add_k, vocab=vocab)
         ref = reference_train(corpus, order, add_k, vocab)
         assert list(fast.counts.items()) == list(ref.counts.items())
 

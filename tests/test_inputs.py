@@ -1,13 +1,16 @@
 """Bad input fails fast with exit code 3 and leaves no output behind."""
 
+import io
 import json
 import math
 
 import pytest
 
 from votedecode.cli import main
-from votedecode.config import ConfigError, parse_voter_spec
+from votedecode.config import ConfigError, load_config, parse_voter_spec
 from votedecode.formats import FileFormatError, read_candidates, read_dataset, read_votes
+from votedecode.models import ModelFormatError, load_model, train_ngram_lm
+from votedecode.sequences import Vocabulary, build_vocabulary
 from votedecode.voting import VoterSpec
 
 
@@ -175,3 +178,90 @@ class TestDecodeFlags:
     def test_copy_threshold_out_of_range_without_sources(self, decode_argv, tmp_path, capsys):
         argv = decode_argv + ["--filter-copies", "1.5"]
         assert "filter_copies must be in [0,1]" in self._fails_before_output(argv, tmp_path, capsys)
+
+
+class TestTrainingSettings:
+    """add_k must be finite and >= 0, max_vocab >= 0: at training, loading and config parsing."""
+
+    @pytest.mark.parametrize("add_k", [math.nan, math.inf, -0.5])
+    def test_train_ngram_lm_rejects_add_k(self, add_k):
+        with pytest.raises(ValueError, match="add_k must be finite and >= 0"):
+            train_ngram_lm([(3,)], order=2, add_k=add_k, vocab=Vocabulary(tokens=("a",)))
+
+    def test_build_vocabulary_rejects_a_negative_max_size(self):
+        with pytest.raises(ValueError, match="max_vocab must be >= 0, got -1"):
+            build_vocabulary(["a b c d"], max_size=-1)
+        assert build_vocabulary(["a b c d"], max_size=0).tokens == ()
+
+    @pytest.mark.parametrize("flags", [["--add-k", "nan"], ["--add-k", "inf"], ["--max-vocab", "-1"]])
+    def test_train_exits_3_and_writes_nothing(self, tmp_path, flags):
+        corpus = write_lines(tmp_path / "corpus.txt", ["a b", "c d"])
+        out = tmp_path / "model.json"
+        assert main(["train", "--corpus", str(corpus), "--out", str(out), *flags]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("add_k", ["NaN", "Infinity", "-1"])
+    def test_load_model_refuses_the_add_k(self, tmp_path, add_k):
+        text = '{"add_k":%s,"counts":[],"format":"votedecode-ngram-lm","order":2,"version":1,"vocab":["a"]}' % add_k
+        with pytest.raises(ModelFormatError, match="add_k must be finite and >= 0"):
+            load_model(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"add_k": math.nan}, "add_k must be finite and >= 0"),
+            ({"add_k": -1}, "add_k must be finite and >= 0"),
+            ({"order": 0}, "order must be >= 1"),
+            ({"max_vocab": -1}, "max_vocab must be >= 0"),
+        ],
+    )
+    def test_run_fails_before_any_output(self, tmp_path, capsys, fields, message):
+        write_lines(tmp_path / "corpus.txt", ["a b", "b a"])
+        write_lines(tmp_path / "d.jsonl", [json.dumps({"id": 1, "references": ["a b"]})])
+        config = {
+            "schema_version": 1,
+            "model": {"kind": "train", "corpus": "corpus.txt", **fields},
+            "dataset": "d.jsonl",
+            "decode": [{"name": "b", "kind": "beam", "beam_size": 2, "max_len": 4}],
+            "select": [{"name": "map", "kind": "map"}],
+            "output_dir": "out",
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
+            load_config(tmp_path / "config.json")
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == 3
+        assert f"model: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestVoteWithModelVoters:
+    """Candidate tokens outside the model's vocabulary are an error, not UNK."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        corpus = write_lines(tmp_path / "corpus.txt", ["the cat sat", "the dog ran"])
+        model = tmp_path / "model.json"
+        assert main(["train", "--corpus", str(corpus), "--out", str(model), "--add-k", "0.1"]) == 0
+        return model, tmp_path
+
+    def vote(self, files, tokens, voters):
+        model, tmp_path = files
+        record = {"id": "r1", "candidates": [{"tokens": ["the", "cat"], "logprob": -1.0},
+                                             {"tokens": tokens, "logprob": -2.0}]}
+        cands = write_lines(tmp_path / "c.jsonl", [json.dumps(record)])
+        out = tmp_path / "votes.jsonl"
+        argv = ["vote", "--candidates", str(cands), "--voters", voters, "--model", str(model),
+                "--sim", "overl", "--n", "1", "--max-len", "4", "--out", str(out)]
+        return main(argv), out
+
+    @pytest.mark.parametrize("voters", ["beam:2", "sample:3"])
+    def test_unknown_token_exits_3_before_output(self, files, capsys, voters):
+        code, out = self.vote(files, ["the", "zebra", "sat"], voters)
+        assert code == 3
+        assert "input 'r1': unknown token 'zebra'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unk_mark_stays_legal(self, files):
+        code, out = self.vote(files, ["the", "<unk>", "sat"], "beam:2")
+        assert code == 0
+        assert ["the", "<unk>", "sat"] in [list(tokens) for tokens, _, _ in read_votes(out)[0].ranked]
