@@ -43,6 +43,7 @@ from .harness import (
     candidate_record,
     decode_row,
     derive_seed,
+    file_ids,
     plain_tokens,
     row_voters,
     run_experiment,
@@ -258,7 +259,7 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
 
     def to_set(record: CandidateRecord) -> CandidateSet:
         items = tuple(
-            ScoredSequence(tokens=tuple(vocab.id_of(t) for t in tokens), logprob=lp)
+            ScoredSequence(tokens=file_ids(tokens, vocab), logprob=lp)
             for tokens, lp in record.candidates
         )
         return CandidateSet(items=items, provenance=f"file:{candidates_path}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .decode import BeamParams, check_sampling, with_copy_filter
+from .decode import BeamParams, CopyFilter, check_sampling
 from .models import check_training
 from .sequences import Sequence
 from .voting import SimilaritySpec, VoterSpec
@@ -53,15 +53,16 @@ class DecodeSpec:
 
         A sample spec keeps the defaults: greedy search to its ``max_len``.
         """
-        params = BeamParams(
+        copy_filter = None
+        if self.filter_copies is not None and context:
+            copy_filter = CopyFilter(source=tuple(context), threshold=self.filter_copies)
+        return BeamParams(
             beam_size=self.beam_size,
             max_len=self.max_len,
             scoring=self.scoring,
             diverse_gamma=self.diverse_gamma,
+            copy_filter=copy_filter,
         )
-        if self.filter_copies is not None and context:
-            params = with_copy_filter(params, context, self.filter_copies)
-        return params
 
 
 @dataclass(frozen=True)

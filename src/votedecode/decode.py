@@ -4,17 +4,39 @@ Beam search keeps a finished pool separate from the live beam: hypotheses
 that emit EOS stop consuming beam slots.  Reported log-probabilities are
 always true model log-probabilities, whatever scoring mode or penalty was
 used to rank the search.
+
+Both searches read only the model's sparse rows (``next_token_row``): a
+head of observed ids and one ``rest`` value that every other smoothed id
+shares.  In the order both searches use (probability or log-probability
+descending, ties by ascending id), the row is the sorted head with the
+rest ids inserted as one run of equal values in id order, merged by id
+with the head values that tie with it.  The work per step is O(head),
+not O(vocabulary); the rest run is only walked as far as it is used, and
+an id inside it is found by a search over the observed ids.  Sampling
+draws the same numbers as a running sum over the whole sorted support:
+the running sums of the head (added left to right, as ``np.cumsum``
+does) continue into the run only when a draw or a nucleus target passes
+them, seeded with the head's last partial sum.  The masses are
+``math.fsum`` of the head plus the run's value times its length, written
+as an exact sum of power-of-two multiples (``r * m`` = the sum of
+``ldexp(r, j)`` over the set bits j of m), so every total is exactly
+rounded, as a sum over the whole support would be.  A sampling call
+keeps each row's sorted head for as long as it runs.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import itertools
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .models import NEG_INF, SequenceModel
-from .sequences import BOS_ID, EOS_ID, Sequence, ngram_set
+from .models import NEG_INF, Row, SequenceModel
+from .sequences import EOS_ID, NUM_RESERVED, UNK_ID, Sequence, ngram_set
 
 SCORING_MODES = ("logprob", "length_normalized")
 SAMPLING_STRATEGIES = ("ancestral", "top_k", "nucleus")
@@ -118,6 +140,25 @@ def _hyp_sort_key(hyp: _Hyp, scoring: str):
     return (-hyp.search_score(scoring), -hyp.logprob, hyp.tokens)
 
 
+def _logprob_of(row: Row, token: int) -> float:
+    """The row's log-probability of an id it lists or of a smoothed id it leaves to ``rest``."""
+    ids, logprobs, rest = row
+    i = int(np.searchsorted(ids, token))
+    return float(logprobs[i]) if i < len(ids) and ids[i] == token else rest
+
+
+def _ranked_children(row: Row, num_ids: int):
+    """(step log-probability, id) of every id but EOS: log-probability descending, id ascending."""
+    ids, logprobs, rest = row
+    order = np.argsort(-logprobs, kind="stable")
+    head = [(lp, token) for lp, token in zip(logprobs[order].tolist(), ids[order].tolist()) if token != EOS_ID]
+    if rest == NEG_INF:
+        return iter(head)
+    observed = set(ids.tolist())
+    rest_run = ((rest, token) for token in range(NUM_RESERVED, num_ids) if token not in observed)
+    return heapq.merge(head, rest_run, key=lambda child: (-child[0], child[1]))
+
+
 def beam_search(model: SequenceModel, context: Sequence | None, params: BeamParams) -> CandidateSet:
     """Return up to ``beam_size`` finished hypotheses.
 
@@ -132,16 +173,17 @@ def beam_search(model: SequenceModel, context: Sequence | None, params: BeamPara
     counted from 1 per parent; EOS finishes rather than expands and carries
     its parent's accumulated penalty.
 
-    Only each parent's top-k children (by one stable argsort of its row:
-    step log-probability descending, token id ascending) enter the global
-    sort, which is exact.  Siblings differ only in their last token, and a
-    better-ranked sibling never has a lower step log-probability or a higher
-    penalty, so its (search score, log-probability) is never lower.  A child
+    Only each parent's top-k children (in sibling-rank order: step
+    log-probability descending, token id ascending; the sorted head merged
+    lazily with the rest ids) enter the global sort, which is exact.
+    Siblings differ only in their last token, and a better-ranked sibling
+    never has a lower step log-probability or a higher penalty, so its (search score, log-probability) is never lower.  A child
     ranked below k therefore has k siblings ahead of it, unless rounding
     makes its (search score, log-probability) equal the k-th sibling's and
     the token-id tie-break decides; such children are kept too.
     """
     k = params.beam_size
+    num_ids = model.vocab.num_ids
     live: list[_Hyp] = [_Hyp(tokens=(), logprob=0.0, penalty=0.0)]
     finished: list[_Hyp] = []
 
@@ -158,14 +200,10 @@ def beam_search(model: SequenceModel, context: Sequence | None, params: BeamPara
     while live and depth < params.max_len:
         expansions: list[_Hyp] = []
         for hyp in live:
-            logprobs = model.next_token_logprobs(hyp.tokens, context)
-            finish(hyp, float(logprobs[EOS_ID]))
-            # Sibling rank: step log-probability descending, token id ascending.
-            neg = -logprobs
-            neg[BOS_ID] = neg[EOS_ID] = math.inf
+            row = model.next_token_row(hyp.tokens, context)
+            finish(hyp, _logprob_of(row, EOS_ID))
             cutoff = None
-            for rank, token in enumerate(map(int, np.argsort(neg, kind="stable")), start=1):
-                step_lp = float(logprobs[token])
+            for rank, (step_lp, token) in enumerate(_ranked_children(row, num_ids), start=1):
                 if step_lp == NEG_INF:
                     break
                 child = _Hyp(
@@ -191,8 +229,7 @@ def beam_search(model: SequenceModel, context: Sequence | None, params: BeamPara
                 break
 
     for hyp in live:  # force-termination at max_len
-        logprobs = model.next_token_logprobs(hyp.tokens, context)
-        finish(hyp, float(logprobs[EOS_ID]))
+        finish(hyp, _logprob_of(model.next_token_row(hyp.tokens, context), EOS_ID))
 
     finished.sort(key=lambda h: _hyp_sort_key(h, params.scoring))
     items = tuple(ScoredSequence(tokens=h.tokens, logprob=h.logprob) for h in finished[:k])
@@ -207,6 +244,89 @@ def check_sampling(strategy: str, top_k: int | None, top_p: float | None) -> Non
         raise ValueError(f"top_k sampling needs top_k >= 1, got {top_k}")
     if strategy == "nucleus" and (top_p is None or not 0.0 < top_p <= 1.0):
         raise ValueError(f"nucleus sampling needs top_p in (0,1], got {top_p}")
+
+
+class _SampleRow:
+    """One row's support in sampling order, with its truncation cut and truncated mass.
+
+    The support is the ids of positive probability, by probability
+    descending and id ascending: the sorted head, with a run of
+    ``run_len`` copies of the rest probability at positions
+    [lead, lead + run_len).  The run holds, in id order, every rest id and
+    the ``tied`` head ids whose probability equals the rest probability.
+    The head is kept as Python lists, whose ``accumulate`` and ``bisect``
+    add and search exactly as ``np.cumsum`` and ``np.searchsorted`` do.
+    """
+
+    def __init__(self, row: Row, num_ids: int, strategy: str, top_k: int | None, top_p: float | None):
+        ids, logprobs, rest = row
+        self.row = row
+        *probs, self.rest_p = np.exp(np.append(logprobs, rest)).tolist()
+        id_list = ids.tolist()
+        # Sorted by (-probability, id): ties keep the smaller id first.
+        head = sorted((-p, t, lp) for p, t, lp in zip(probs, id_list, logprobs.tolist()) if p > 0.0)
+        self.probs = [-q for q, _, _ in head]
+        self.ids = [t for _, t, _ in head]
+        self.logprobs = [lp for _, _, lp in head]
+        # Smoothed ids (EOS and the surface ids) the row leaves to ``rest``.
+        rest_count = num_ids - NUM_RESERVED + 1 - len(id_list) + (UNK_ID in id_list[:2]) if self.rest_p > 0.0 else 0
+        self.lead, self.tied = len(head), 0
+        if rest_count:
+            self.lead = bisect.bisect_left(self.probs, -self.rest_p, key=operator.neg)
+            self.tied = bisect.bisect_right(self.probs, -self.rest_p, key=operator.neg) - self.lead
+        self.run_len = self.tied + rest_count
+        self.cum = list(itertools.accumulate(self.probs[: self.lead]))
+        self._gaps = None
+        size = len(head) + rest_count
+        if strategy == "top_k":
+            size = min(size, top_k)
+        self.cut = size
+        if strategy == "nucleus":
+            target = min(top_p, self.mass(size))
+            self.cut = min(self.position(target - 1e-12, "left") + 1, size)
+        self.total = self.mass(self.cut)
+
+    def mass(self, size: int) -> float:
+        """``math.fsum`` of the first ``size`` probabilities of the support."""
+        lead, run_len = self.lead, self.run_len
+        in_run = min(max(size - lead, 0), run_len)
+        after = lead + self.tied
+        parts = self.probs[: min(size, lead)] + self.probs[after : after + max(size - lead - run_len, 0)]
+        # rest_p * in_run exactly, as power-of-two multiples of rest_p.
+        parts += [math.ldexp(self.rest_p, j) for j in range(in_run.bit_length()) if in_run >> j & 1]
+        return math.fsum(parts)
+
+    def position(self, x: float, side: str = "right") -> int:
+        """``np.searchsorted(np.cumsum(support), x, side)``; the run is summed only when x passes the lead."""
+        i = (bisect.bisect_right if side == "right" else bisect.bisect_left)(self.cum, x)
+        if i < self.lead:
+            return i
+        tail = self.probs[self.lead + self.tied :]
+        sums = np.full(1 + self.run_len + len(tail), self.rest_p)
+        sums[0] = self.cum[-1] if self.lead else 0.0
+        sums[1 + self.run_len :] = tail
+        return self.lead + int(np.searchsorted(np.cumsum(sums, out=sums)[1:], x, side))
+
+    def token(self, pos: int) -> tuple[int, float]:
+        """(id, log-probability) at a position of the support."""
+        j = pos - self.lead
+        if j < 0:
+            return self.ids[pos], self.logprobs[pos]
+        if j >= self.run_len:
+            pos += self.tied - self.run_len
+            return self.ids[pos], self.logprobs[pos]
+        if self._gaps is None:
+            # The run's ids are those of [EOS_ID, num_ids) outside ``excluded``.
+            excluded = set(self.row[0].tolist())
+            excluded.add(UNK_ID)
+            excluded.difference_update(self.ids[self.lead : self.lead + self.tied])
+            self._gaps = [t - i - EOS_ID for i, t in enumerate(sorted(excluded))]
+        token = EOS_ID + j + bisect.bisect_right(self._gaps, j)
+        return token, _logprob_of(self.row, token)
+
+    def draw(self, u: float) -> tuple[int, float]:
+        """The id a running-sum walk picks for a uniform draw ``u`` in [0, 1)."""
+        return self.token(min(self.position(u * self.total), self.cut - 1))
 
 
 def sample_sequences(
@@ -231,13 +351,13 @@ def sample_sequences(
     untruncated model log-probability (EOS step included; sequences cut at
     ``max_len`` take the EOS log-probability at that point).
 
-    Each step sorts the support by a stable argsort of the descending
-    probabilities (ties keep the smaller id first) and walks one
-    ``np.cumsum`` of them, which adds left to right like a running sum.  The
-    nucleus cut and the draw are searches on that array, the total and
-    truncated masses are ``math.fsum`` (exactly rounded), and each step uses
-    one ``rng.random()``: the draws are those of a running-sum walk over the
-    sorted support.
+    Each step orders the support by probability descending, ties by
+    ascending id, and walks a running sum of it (``np.cumsum``, which adds
+    left to right).  The nucleus cut and the draw are searches on those
+    sums, the total and truncated masses are ``math.fsum`` (exactly
+    rounded), and each step uses one ``rng.random()``: the draws are those
+    of a running-sum walk over the sorted support.  Rows are sorted once per
+    call, and only their heads (see the module docstring).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -246,36 +366,24 @@ def sample_sequences(
         raise ValueError(f"max_len must be >= 1, got {max_len}")
 
     rng = np.random.default_rng(seed)
+    num_ids = model.vocab.num_ids
+    views: dict[int, _SampleRow] = {}  # by id(row); each view holds its row, so no id is reused
     draws: list[ScoredSequence] = []
     for _ in range(count):
         tokens: Sequence = ()
         logprob = 0.0
         for _ in range(max_len):
-            lps = model.next_token_logprobs(tokens, context)
-            probs = np.exp(lps)
-            probs[BOS_ID] = 0.0
-            support = np.flatnonzero(probs > 0.0)
-            # Stable sort of the ascending ids: ties keep the smaller id first.
-            support = support[np.argsort(-probs[support], kind="stable")]
-            sorted_probs = probs[support]
-            if strategy == "top_k":
-                sorted_probs = sorted_probs[:top_k]
-            cum = np.cumsum(sorted_probs)
-            if strategy == "nucleus":
-                target = min(top_p, math.fsum(sorted_probs.tolist()))
-                cut = min(int(np.searchsorted(cum, target - 1e-12, side="left")) + 1, len(cum))
-                sorted_probs = sorted_probs[:cut]
-                cum = cum[:cut]
-            mass = math.fsum(sorted_probs.tolist())
-            u = rng.random() * mass
-            pick = min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
-            chosen = int(support[pick])
-            logprob += float(lps[chosen])
+            row = model.next_token_row(tokens, context)
+            view = views.get(id(row))
+            if view is None:
+                view = views[id(row)] = _SampleRow(row, num_ids, strategy, top_k, top_p)
+            chosen, step_lp = view.draw(rng.random())
+            logprob += step_lp
             if chosen == EOS_ID:
                 break
             tokens = tokens + (chosen,)
         else:
-            logprob += float(model.next_token_logprobs(tokens, context)[EOS_ID])
+            logprob += _logprob_of(model.next_token_row(tokens, context), EOS_ID)
         draws.append(ScoredSequence(tokens=tokens, logprob=logprob))
 
     draws.sort(key=lambda s: (-s.logprob, s.tokens))
@@ -284,13 +392,3 @@ def sample_sequences(
         items=tuple(draws),
         provenance=f"sample({label}, count={count}, seed={seed}, max_len={max_len})",
     )
-
-
-def candidate_mass(candidates: CandidateSet) -> float:
-    """Total model probability of a candidate set (duplicates counted once each)."""
-    return math.fsum(math.exp(c.logprob) for c in candidates.items)
-
-
-def with_copy_filter(params: BeamParams, source: Sequence, threshold: float) -> BeamParams:
-    """Per-input variant of ``params`` with the copy filter bound to ``source``."""
-    return replace(params, copy_filter=CopyFilter(source=tuple(source), threshold=threshold))

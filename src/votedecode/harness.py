@@ -31,7 +31,7 @@ from .formats import (
 )
 from .metrics import EvalRow, evaluate_system
 from .models import NGramLM, SequenceModel, TabularModel, load_model, tabular_model, train_ngram_lm
-from .sequences import RESERVED_MARKS, Sequence, Vocabulary, build_vocabulary, tokenize
+from .sequences import MARK_IDS, RESERVED_MARKS, Sequence, Vocabulary, build_vocabulary, tokenize
 from .voting import SimilaritySpec, VoteResult, VoterSpec, generate_voters, range_vote
 
 _MASK = (1 << 64) - 1
@@ -77,9 +77,14 @@ def surface_tokens(seq: Sequence, vocab: Vocabulary) -> tuple[str, ...]:
 
 
 def adhoc_vocab(token_seqs: Iterable[Iterable[str]]) -> Vocabulary:
-    """Vocabulary over observed file tokens (reserved markers map back to their ids)."""
+    """Vocabulary over observed file tokens (reserved markers map back to their ids: see ``file_ids``)."""
     tokens = sorted({tok for seq in token_seqs for tok in seq} - RESERVED_MARKS)
     return Vocabulary(tokens=tuple(tokens))
+
+
+def file_ids(tokens: Iterable[str], vocab: Vocabulary) -> Sequence:
+    """Ids of tokens read from a file: a reserved marker maps to its own id, an unknown word to UNK."""
+    return tuple(MARK_IDS[t] if t in MARK_IDS else vocab.id_of(t) for t in tokens)
 
 
 def candidate_record(row_id, source: str | None, cands: CandidateSet, vocab: Vocabulary) -> CandidateRecord:
@@ -185,17 +190,17 @@ def run_experiment(
         cand_sets = [
             decode_row(model, dspec, context, derive_seed(config.seed, 1, di, ri)) for ri, context in enumerate(contexts)
         ]
-        _write_jsonl(
-            out / "candidates" / f"{dspec.name}.jsonl",
-            write_candidates,
-            [candidate_record(row.id, row.source, cands, vocab) for row, cands in zip(rows, cand_sets)],
-        )
         for row, cands in zip(rows, cand_sets):
             if not cands.items:
                 raise ValueError(
                     f"decode {dspec.name!r} left no candidates for input {row.id!r} "
                     "(support empty or everything copy-filtered)"
                 )
+        _write_jsonl(
+            out / "candidates" / f"{dspec.name}.jsonl",
+            write_candidates,
+            [candidate_record(row.id, row.source, cands, vocab) for row, cands in zip(rows, cand_sets)],
+        )
         for si, sspec in enumerate(config.select):
             system = f"{dspec.name}+{sspec.name}"
             if sspec.kind == "map":

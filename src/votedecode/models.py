@@ -1,17 +1,24 @@
-"""Sequence models: the next-token contract plus two exact realizations.
+"""Sequence models: the next-token row contract plus two exact realizations.
 
 ``TabularModel`` wraps a finite distribution over whole sequences, giving the
 oracles something they can enumerate exactly.  ``NGramLM`` is a trainable
 add-k n-gram model.  Both are unconditional: the optional ``context``
 argument is accepted for interface compatibility and ignored.
 
-All probability arithmetic is in log space; a next-token query returns a
-dense float64 vector over the full id space (BOS stays at -inf).  An
-``NGramLM`` query fills that vector with the one value every unobserved
-outcome shares and takes a log only for the history's observed successors,
-so its Python work is O(seen successors), not O(vocabulary).  Training
-lays the corpus out as one flat id stream (each line as BOS * (order - 1),
-its ids and EOS) and counts every (history, event) code with one sort.
+All probability arithmetic is in log space.  A next-token query returns a
+sparse row ``(ids, logprobs, rest)``: the outcomes the history observed, in
+ascending id order with their own log-probabilities, and the one value that
+every other smoothed id (EOS and the surface ids) shares.  BOS, and UNK
+when it is not among ``ids``, have probability 0.  ``rest`` is -inf under
+MLE and for ``TabularModel``.  ``next_token_logprobs`` spreads a row over
+the full id space for callers that want a dense vector.
+
+An ``NGramLM`` builds a history's row on its first query, with one
+``math.log`` per observed successor, and keeps it: the cache holds at most
+one row per trained history, plus the one row all unseen histories share,
+and never a dense vector.  Training lays the corpus out as one flat id
+stream (each line as BOS * (order - 1), its ids and EOS) and counts every
+(history, event) code with one sort.
 """
 
 from __future__ import annotations
@@ -27,6 +34,9 @@ import numpy as np
 from .sequences import BOS_ID, EOS_ID, NUM_RESERVED, UNK_ID, Sequence, Vocabulary
 
 NEG_INF = float("-inf")
+
+# (ids, logprobs, rest): see the module docstring.
+Row = tuple[np.ndarray, np.ndarray, float]
 
 MODEL_FORMAT = "votedecode-ngram-lm"
 MODEL_VERSION = 1
@@ -44,14 +54,34 @@ class ZeroMassPrefixError(ValueError):
 class SequenceModel(Protocol):
     """Anything exposing next-token conditional log-probabilities.
 
-    Contract: for every reachable prefix the returned vector exponentiates
-    and sums to 1 within 1e-9, and equal queries give identical output.
+    Contract: ``next_token_row`` returns ``(ids, logprobs, rest)`` with
+    ``ids`` distinct, ascending and inside [EOS_ID, vocab.num_ids); see the
+    module docstring.  For every reachable prefix the row's probabilities
+    sum to 1 within 1e-9, and equal queries give identical rows.
+    ``next_token_logprobs`` is the same row as a dense vector.
     """
 
     @property
     def vocab(self) -> Vocabulary: ...
 
+    def next_token_row(self, prefix: Sequence, context: Sequence | None = None) -> Row: ...
+
     def next_token_logprobs(self, prefix: Sequence, context: Sequence | None = None) -> np.ndarray: ...
+
+
+def dense_logprobs(row: Row, num_ids: int) -> np.ndarray:
+    """A row spread over the full id space."""
+    ids, logprobs, rest = row
+    out = np.full(num_ids, NEG_INF)
+    out[EOS_ID] = out[NUM_RESERVED:] = rest
+    out[ids] = logprobs
+    return out
+
+
+def _frozen_row(ids: list[int], logprobs: list[float], rest: float) -> Row:
+    ids_arr, lp_arr = np.array(ids, np.int64), np.array(logprobs, np.float64)
+    ids_arr.flags.writeable = lp_arr.flags.writeable = False
+    return ids_arr, lp_arr, rest
 
 
 def sequence_logprob(model: SequenceModel, seq: Sequence, context: Sequence | None = None) -> float:
@@ -79,19 +109,22 @@ class TabularModel:
     _mass: dict[Sequence, float] = field(repr=False)
     _children: dict[Sequence, tuple[int, ...]] = field(repr=False)
 
-    def next_token_logprobs(self, prefix: Sequence, context: Sequence | None = None) -> np.ndarray:
+    def next_token_row(self, prefix: Sequence, context: Sequence | None = None) -> Row:
         prefix = tuple(prefix)
         mass = self._mass.get(prefix)
         if mass is None:
             raise ZeroMassPrefixError(f"prefix has zero probability mass: {prefix}")
-        out = np.full(self.vocab.num_ids, NEG_INF)
         log_mass = math.log(mass)
         exact = self.entries.get(prefix)
-        if exact is not None:
-            out[EOS_ID] = math.log(exact) - log_mass
-        for token in self._children.get(prefix, ()):
-            out[token] = math.log(self._mass[prefix + (token,)]) - log_mass
-        return out
+        ids = [EOS_ID] if exact is not None else []
+        logprobs = [math.log(exact) - log_mass] if exact is not None else []
+        for token in self._children.get(prefix, ()):  # ascending, all above EOS_ID
+            ids.append(token)
+            logprobs.append(math.log(self._mass[prefix + (token,)]) - log_mass)
+        return _frozen_row(ids, logprobs, NEG_INF)
+
+    def next_token_logprobs(self, prefix: Sequence, context: Sequence | None = None) -> np.ndarray:
+        return dense_logprobs(self.next_token_row(prefix, context), self.vocab.num_ids)
 
     @property
     def max_len(self) -> int:
@@ -148,39 +181,51 @@ class NGramLM:
     order: int
     add_k: float
     counts: dict[tuple[int, ...], dict[int, int]]
+    # History (None for every unseen one) -> row, filled by queries; not part of the model's value.
+    _rows: dict[tuple[int, ...] | None, Row] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _history(self, prefix: Sequence) -> tuple[int, ...]:
         need = self.order - 1
         tail = tuple(prefix[-need:]) if need else ()
         return (BOS_ID,) * (need - len(tail)) + tail
 
+    def next_token_row(self, prefix: Sequence, context: Sequence | None = None) -> Row:
+        history = self._history(prefix)
+        if history not in self.counts:
+            history = None
+        row = self._rows.get(history)
+        if row is None:
+            row = self._rows[history] = self._build_row(history)
+        return row
+
     def next_token_logprobs(self, prefix: Sequence, context: Sequence | None = None) -> np.ndarray:
-        hist_counts = self.counts.get(self._history(prefix), {})
+        return dense_logprobs(self.next_token_row(prefix, context), self.vocab.num_ids)
+
+    def _build_row(self, history: tuple[int, ...] | None) -> Row:
+        hist_counts = self.counts.get(history, {})
         total = sum(hist_counts.values())
         smoothed_outcomes = self.vocab.size + 1  # surface tokens + EOS
         denom = total + self.add_k * smoothed_outcomes
-        out = np.full(self.vocab.num_ids, NEG_INF)
         if denom == 0.0:
             # Unseen history under MLE: unreachable by search, but keep the
             # conditional well defined (uniform over smoothed outcomes).
-            uniform = -math.log(smoothed_outcomes)
-            out[EOS_ID] = uniform
-            out[NUM_RESERVED:] = uniform
-            return out
+            return _frozen_row([], [], -math.log(smoothed_outcomes))
         log_denom = math.log(denom)
         # Every smoothed outcome without a count shares one value; only the
-        # observed successors need their own log.
-        if self.add_k > 0:
-            out[EOS_ID] = out[NUM_RESERVED:] = math.log(self.add_k) - log_denom
+        # observed outcomes need their own log.
+        ids, logprobs = [], []
         num_ids = self.vocab.num_ids
-        for token, count in hist_counts.items():
+        for token, count in sorted(hist_counts.items()):
             if token == EOS_ID or NUM_RESERVED <= token < num_ids:
                 num = count + self.add_k
-                out[token] = math.log(num) - log_denom if num > 0 else NEG_INF
-        unk = hist_counts.get(UNK_ID, 0)
-        if unk > 0:
-            out[UNK_ID] = math.log(unk) - log_denom
-        return out
+            elif token == UNK_ID and count > 0:
+                num = count  # UNK has no pseudo-count
+            else:
+                continue
+            ids.append(token)
+            logprobs.append(math.log(num) - log_denom if num > 0 else NEG_INF)
+        rest = math.log(self.add_k) - log_denom if self.add_k > 0 else NEG_INF
+        return _frozen_row(ids, logprobs, rest)
 
 
 def check_training(order: int, add_k: float) -> None:

@@ -26,7 +26,8 @@ NUM_RESERVED = 3
 BOS_MARK = "<bos>"
 EOS_MARK = "<eos>"
 UNK_MARK = "<unk>"
-RESERVED_MARKS = frozenset({BOS_MARK, EOS_MARK, UNK_MARK})
+MARK_IDS = {BOS_MARK: BOS_ID, EOS_MARK: EOS_ID, UNK_MARK: UNK_ID}
+RESERVED_MARKS = frozenset(MARK_IDS)
 
 
 @dataclass(frozen=True)

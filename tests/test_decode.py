@@ -7,9 +7,7 @@ from votedecode.decode import (
     BeamParams,
     CopyFilter,
     beam_search,
-    candidate_mass,
     sample_sequences,
-    with_copy_filter,
 )
 from votedecode.oracle import make_vote_split_model
 from votedecode.sequences import tokenize
@@ -73,7 +71,9 @@ class TestBeamSearch:
         for seed in range(8):
             model = make_vote_split_model(seed)
             masses = [
-                candidate_mass(beam_search(model, None, BeamParams(beam_size=k, max_len=model.max_len)))
+                math.fsum(
+                    math.exp(c.logprob) for c in beam_search(model, None, BeamParams(beam_size=k, max_len=model.max_len))
+                )
                 for k in (1, 2, 4, 8, 16)
             ]
             for lo, hi in zip(masses, masses[1:]):
@@ -102,7 +102,7 @@ class TestBeamSearch:
     def test_in_search_copy_filter(self, abd):
         model, vocab = abd
         source = tokenize("a b", vocab)
-        params = with_copy_filter(BeamParams(beam_size=3, max_len=3), source, 0.5)
+        params = BeamParams(beam_size=3, max_len=3, copy_filter=CopyFilter(source, 0.5))
         cands = beam_search(model, None, params)
         # "a b" copies 2/2, "a c" copies 1/2 >= 0.5; only "d" survives.
         assert texts(cands, vocab) == ["d"]
@@ -114,7 +114,7 @@ class TestFilterCopies:
     def _kept(self, entries, source_text, threshold=0.5):
         model, vocab = model_from_texts(entries)
         source = tokenize(source_text, vocab)
-        params = with_copy_filter(BeamParams(beam_size=len(entries), max_len=10), source, threshold)
+        params = BeamParams(beam_size=len(entries), max_len=10, copy_filter=CopyFilter(source, threshold))
         return texts(beam_search(model, None, params), vocab), CopyFilter(source, threshold), vocab
 
     def test_exact_copy_removed(self):

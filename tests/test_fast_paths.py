@@ -7,10 +7,12 @@ beam search and a Python sort and walk of the whole support for sampling.
 The fast paths must agree with them bit for bit, ties and rounding included.
 """
 
+import io
 import math
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from votedecode.decode import (
@@ -20,10 +22,11 @@ from votedecode.decode import (
     ScoredSequence,
     _Hyp,
     _hyp_sort_key,
+    _SampleRow,
     beam_search,
     sample_sequences,
 )
-from votedecode.models import NEG_INF, NGramLM, tabular_model, train_ngram_lm
+from votedecode.models import NEG_INF, NGramLM, save_model, tabular_model, train_ngram_lm
 from votedecode.sequences import (
     BOS_ID,
     EOS_ID,
@@ -191,6 +194,13 @@ def reference_sample_items(model, *, count, strategy, top_k=None, top_p=None, se
 # --- models under test -------------------------------------------------------
 
 
+def sparse_row(dense):
+    """The row contract over a dense vector: every finite id but BOS, nothing left to ``rest``."""
+    ids = np.flatnonzero(dense != NEG_INF)
+    ids = ids[ids != BOS_ID]
+    return ids, dense[ids], NEG_INF
+
+
 class RowModel:
     """Unnormalized rows drawn per prefix from a small value pool.
 
@@ -211,6 +221,9 @@ class RowModel:
         if row[EOS_ID] == NEG_INF:
             row[EOS_ID] = -3.0
         return row
+
+    def next_token_row(self, prefix, context=None):
+        return sparse_row(self.next_token_logprobs(prefix, context))
 
 
 def vocab_of(size):
@@ -358,6 +371,9 @@ class TestBeamSearchEquivalence:
                     row[EOS_ID] = 0.0
                 return row
 
+            def next_token_row(self, prefix, context=None):
+                return sparse_row(self.next_token_logprobs(prefix, context))
+
         params = BeamParams(beam_size=1, max_len=3)
         fast = beam_search(Stub(), None, params)
         assert fast == reference_beam_search(Stub(), None, params)
@@ -385,3 +401,127 @@ class TestSamplingEquivalence:
             model, count=count, strategy=strategy, top_k=top_k, top_p=top_p, seed=seed, max_len=max_len
         )
         assert fast.items == ref
+
+
+# --- row contract edge cases -------------------------------------------------
+
+# Order-1 models (one history, so every step reads the same row) and one
+# order-2 model, each set up so the head and the shared rest value meet in a
+# particular way.  Vocabulary ids run 3..num_ids-1.
+EDGE_MODELS = {
+    # UNK's count equals add_k: its value ties with rest and joins the rest run by id.
+    "unk_tied_with_rest": NGramLM(vocab_of(4), 1, 1.0, {(): {EOS_ID: 2, UNK_ID: 1, 4: 3}}),
+    # UNK's count is below add_k: its value sorts after the rest run.
+    "unk_below_rest": NGramLM(vocab_of(4), 1, 2.0, {(): {UNK_ID: 1, 5: 4, EOS_ID: 1}}),
+    # A loaded zero count ties id 5 with rest inside the run (ids 1, 4, 5, 6), and UNK follows the run.
+    "tied_inside_run": NGramLM(vocab_of(4), 1, 2.0, {(): {3: 3, 5: 0, UNK_ID: 1}}),
+    # rest * 3 rounds: fsum with the rounded product gives 0.9999999999999998, not 0.9999999999999999.
+    "inexact_rest_product": NGramLM(vocab_of(4), 1, 1.0, {(): {3: 3, 4: 1}}),
+    # MLE: rest is -inf, the support is the head alone.
+    "mle": NGramLM(vocab_of(4), 1, 0.0, {(): {3: 2, 5: 1, UNK_ID: 1, EOS_ID: 1}}),
+    # MLE, and every prefix but (3,) reaches a history never seen: a uniform row.
+    "mle_unseen_history": NGramLM(vocab_of(3), 2, 0.0, {(BOS_ID,): {3: 1, 4: 1}, (3,): {EOS_ID: 1}}),
+    # Every smoothed id observed: no rest id left.
+    "all_observed": NGramLM(vocab_of(2), 1, 0.5, {(): {EOS_ID: 1, 3: 2, 4: 1}}),
+    # Half the mass is in the rest run, so top-k and nucleus cuts fall inside it.
+    "heavy_rest": NGramLM(vocab_of(6), 1, 1.0, {(): {3: 5}}),
+}
+EDGE_TABULAR = tabular_model([((3, 4), 2.0), ((3,), 1.0), ((4, 3, 3), 1.0), ((UNK_ID,), 2.0)], vocab_of(2))
+SAMPLINGS = [("ancestral", None, None)]
+SAMPLINGS += [("top_k", k, None) for k in (1, 2, 3, 5, 50)]
+SAMPLINGS += [("nucleus", None, p) for p in (0.05, 0.5, 0.7, 0.95, 1.0)]
+
+
+def edge_prefixes(model):
+    ids = [UNK_ID, *model.vocab.surface_ids]
+    return [(), *((t,) for t in ids), *((t, u) for t in ids for u in ids[:2])]
+
+
+class TestRowContract:
+    @pytest.mark.parametrize("name", sorted(EDGE_MODELS))
+    def test_rows_match_the_reference(self, name):
+        model = EDGE_MODELS[name]
+        for prefix in edge_prefixes(model):
+            ids, logprobs, rest = model.next_token_row(prefix)
+            assert ids.dtype.kind == "i" and list(ids) == sorted(set(ids.tolist()))
+            assert all(EOS_ID <= t < model.vocab.num_ids for t in ids.tolist())
+            assert model.next_token_logprobs(prefix).tobytes() == reference_row(model, prefix).tobytes()
+
+    def test_rest_values(self):
+        assert EDGE_MODELS["mle"].next_token_row(())[2] == NEG_INF
+        unseen = EDGE_MODELS["mle_unseen_history"]
+        ids, logprobs, rest = unseen.next_token_row((4,))
+        assert (len(ids), len(logprobs), rest) == (0, 0, -math.log(4))
+        assert unseen.next_token_row((UNK_ID,)) is unseen.next_token_row((4,))  # one row for every unseen history
+        ids, logprobs, rest = EDGE_MODELS["unk_tied_with_rest"].next_token_row(())
+        assert logprobs[list(ids).index(UNK_ID)] == rest
+
+    @pytest.mark.parametrize("name", sorted(EDGE_MODELS))
+    def test_sample_view_walks_the_whole_sorted_support(self, name):
+        model = EDGE_MODELS[name]
+        for prefix in edge_prefixes(model)[:4]:
+            dense = reference_row(model, prefix)
+            probs = np.exp(dense)
+            support = [t for t in range(len(probs)) if probs[t] > 0.0 and t != BOS_ID]
+            support.sort(key=lambda t: (-probs[t], t))
+            cum = np.cumsum(probs[support])
+            view = _SampleRow(model.next_token_row(prefix), model.vocab.num_ids, "ancestral", None, None)
+            assert [view.token(i) for i in range(len(support))] == [(t, float(dense[t])) for t in support]
+            for size in range(len(support) + 1):
+                assert view.mass(size) == math.fsum(probs[support[:size]].tolist())
+            for x in [0.0, *cum.tolist(), *np.nextafter(cum, 0.0).tolist(), *np.nextafter(cum, 2.0).tolist()]:
+                for side in ("left", "right"):
+                    assert view.position(x, side) == int(np.searchsorted(cum, x, side))
+
+    def test_rest_mass_is_exact(self):
+        view = _SampleRow(EDGE_MODELS["inexact_rest_product"].next_token_row(()), 7, "ancestral", None, None)
+        assert view.total == 0.9999999999999999
+        assert math.fsum([*view.probs, view.rest_p * view.run_len]) == 0.9999999999999998
+
+    def test_tabular_rows(self):
+        model = EDGE_TABULAR
+        for prefix in [(), (3,), (4,), (4, 3), (3, 4), (UNK_ID,)]:
+            ids, logprobs, rest = model.next_token_row(prefix)
+            assert rest == NEG_INF
+            mass = model._mass[prefix]
+            want = {t: math.log(model._mass[prefix + (t,)]) - math.log(mass) for t in model._children.get(prefix, ())}
+            if prefix in model.entries:
+                want[EOS_ID] = math.log(model.entries[prefix]) - math.log(mass)
+            assert dict(zip(ids.tolist(), logprobs.tolist())) == want
+            assert list(ids) == sorted(want)
+
+    @pytest.mark.parametrize("name", [*sorted(EDGE_MODELS), "tabular"])
+    @pytest.mark.parametrize("strategy, top_k, top_p", SAMPLINGS)
+    def test_sampling(self, name, strategy, top_k, top_p):
+        model = EDGE_MODELS.get(name, EDGE_TABULAR)
+        for seed in range(12):
+            fast = sample_sequences(model, count=6, strategy=strategy, top_k=top_k, top_p=top_p, seed=seed, max_len=4)
+            ref = reference_sample_items(
+                model, count=6, strategy=strategy, top_k=top_k, top_p=top_p, seed=seed, max_len=4
+            )
+            assert fast.items == ref
+
+    @pytest.mark.parametrize("name", [*sorted(EDGE_MODELS), "tabular"])
+    def test_beam_search(self, name):
+        model = EDGE_MODELS.get(name, EDGE_TABULAR)
+        for k in (1, 2, 3, 6):
+            for scoring in ("logprob", "length_normalized"):
+                for gamma in (0.0, 0.5):
+                    params = BeamParams(beam_size=k, max_len=4, scoring=scoring, diverse_gamma=gamma)
+                    assert beam_search(model, None, params) == reference_beam_search(model, None, params)
+
+    def test_warm_row_cache_keeps_the_model_value(self):
+        corpus = [(3, 4, 4), (4, UNK_ID), (), (5, 3)]
+
+        def trained():
+            return train_ngram_lm(corpus, order=2, add_k=0.5, vocab=vocab_of(3))
+
+        warm, cold = trained(), trained()
+        beam_search(warm, None, BeamParams(beam_size=3, max_len=4))
+        sample_sequences(warm, count=5, seed=0, max_len=4)
+        assert warm.next_token_row((4,)) is warm.next_token_row((4,))
+        assert warm == cold
+        warm_file, cold_file = io.StringIO(), io.StringIO()
+        save_model(warm, warm_file)
+        save_model(cold, cold_file)
+        assert warm_file.getvalue() == cold_file.getvalue()
