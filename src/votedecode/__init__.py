@@ -40,7 +40,6 @@ from .oracle import (
     BudgetExceededError,
     EnumeratedDistribution,
     enumerate_distribution,
-    euclidean_vote,
     exact_map,
     exact_vote,
     make_vote_split_model,
@@ -95,7 +94,6 @@ __all__ = [
     "distinct_stats",
     "embed_cosine_sim",
     "enumerate_distribution",
-    "euclidean_vote",
     "evaluate_system",
     "exact_map",
     "exact_vote",

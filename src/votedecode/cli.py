@@ -1,9 +1,17 @@
 """Command-line surface: train / decode / vote / eval / oracle / run.
 
-Every flag has a config-file equivalent: pass ``--config FILE`` with a JSON
-object whose keys match the flag names (underscores for dashes); explicit
-flags override the file.  Exit codes: 0 success, 1 usage, 2 I/O,
-3 validation, 4 oracle budget exceeded.
+``train``, ``decode``, ``vote`` and ``eval`` also read their flags from a
+flags file: ``--config FILE`` names a JSON object whose keys are flag names
+with underscores for dashes (``"add_k"``, ``"lowercase"``, ``"sign_test"``).
+The file's values become the flags' defaults, so they are converted and
+checked exactly like the same flags typed on the command line, and an
+explicit flag overrides the file.  A ``null`` value leaves the flag at its
+default.  Keys that name no flag of the command are ignored, so one file can
+serve several commands.  (``run --config`` is the experiment config instead.)
+
+Exit codes: 0 success; 1 usage, including a bad flag value from a flags
+file; 2 I/O, including a missing flags file; 3 validation, including a flags
+file that is not JSON or not a JSON object; 4 oracle budget exceeded.
 """
 
 from __future__ import annotations
@@ -54,26 +62,16 @@ from .harness import (
 )
 from .metrics import evaluate_system, paired_bootstrap, sign_test
 from .models import ModelFormatError, load_model, save_model
-from .oracle import (
-    BudgetExceededError,
-    enumerate_distribution,
-    euclidean_vote,
-    exact_map,
-    exact_vote,
-    weighted_mean,
-    weighted_median_interval,
-)
+from .oracle import BudgetExceededError, enumerate_distribution, exact_map, exact_vote
 from .sequences import UNK_MARK, Vocabulary, detokenize
-from .voting import SimilaritySpec, range_vote
+from .voting import SIMILARITY_KINDS, SimilaritySpec, range_vote
 
 # bench/tracing.py patches load_config, run_experiment, beam_search,
 # sample_sequences, range_vote, evaluate_system and paired_bootstrap by
 # their names in this module, so each stays bound here even when unused.
 
 
-def _file_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _file_config(path: str) -> dict:
     with open(path, encoding="utf-8") as fp:
         try:
             data = json.load(fp)
@@ -84,10 +82,23 @@ def _file_config(path: str | None) -> dict:
     return data
 
 
-def _opt(cli_value, cfg: dict, key: str, default=None):
-    if cli_value is not None:
-        return cli_value
-    return cfg.get(key, default)
+def _read_flag_file(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Eager ``--config`` callback: the file's values become the command's flag defaults."""
+    if path is None:
+        return
+    cfg = _file_config(path)
+    names = {opt.lstrip("-").replace("-", "_"): p.name for p in ctx.command.params if p is not param for opt in p.opts}
+    ctx.default_map = {names[key]: value for key, value in cfg.items() if key in names and value is not None}
+
+
+_flag_file = click.option(
+    "--config",
+    type=click.Path(),
+    is_eager=True,
+    expose_value=False,
+    callback=_read_flag_file,
+    help="JSON object of flag defaults, keyed by flag name (underscores for dashes).",
+)
 
 
 def _load_cli_model(model_path: str | None, tabular_path: str | None, lowercase: bool):
@@ -99,9 +110,7 @@ def _load_cli_model(model_path: str | None, tabular_path: str | None, lowercase:
     return tabular_model_from_text(read_tabular_entries(tabular_path), lowercase=lowercase)
 
 
-def _sim_spec(kind: str | None, n: int | None, max_n: int | None, vectors: str | None, vocab: Vocabulary) -> SimilaritySpec:
-    if kind is None:
-        raise click.UsageError("--sim is required")
+def _sim_spec(kind: str, n: int | None, max_n: int | None, vectors: str | None, vocab: Vocabulary) -> SimilaritySpec:
     spec = SimilaritySpec(kind=kind, n=n, max_n=max_n, vector_path=vectors)
     if spec.kind == "embed_cosine":
         if vectors is None:
@@ -119,24 +128,15 @@ def cli():
 # --- train ------------------------------------------------------------------
 
 @cli.command()
-@click.option("--corpus", type=click.Path(), default=None, help="Training corpus, one sentence per line.")
-@click.option("--out", type=click.Path(), default=None, help="Where to write the model file.")
-@click.option("--order", type=int, default=None, help="N-gram order (default 2).")
-@click.option("--add-k", type=float, default=None, help="Add-k smoothing constant (default 0 = MLE).")
+@click.option("--corpus", type=click.Path(), required=True, help="Training corpus, one sentence per line.")
+@click.option("--out", type=click.Path(), required=True, help="Where to write the model file.")
+@click.option("--order", type=int, default=2, show_default=True, help="N-gram order.")
+@click.option("--add-k", type=float, default=0.0, show_default=True, help="Add-k smoothing constant (0 = MLE).")
 @click.option("--max-vocab", type=int, default=None, help="Keep only the most common words.")
-@click.option("--lowercase/--no-lowercase", default=None, help="Lowercase before vocabulary lookup.")
-@click.option("--config", "config_path", type=click.Path(), default=None, help="JSON file with flag defaults.")
-def train(corpus, out, order, add_k, max_vocab, lowercase, config_path):
+@click.option("--lowercase/--no-lowercase", default=False, help="Lowercase before vocabulary lookup.")
+@_flag_file
+def train(corpus, out, order, add_k, max_vocab, lowercase):
     """Train an add-k n-gram model and save it."""
-    cfg = _file_config(config_path)
-    corpus = _opt(corpus, cfg, "corpus")
-    out = _opt(out, cfg, "out")
-    if corpus is None or out is None:
-        raise click.UsageError("--corpus and --out are required")
-    order = int(_opt(order, cfg, "order", 2))
-    add_k = float(_opt(add_k, cfg, "add_k", 0.0))
-    max_vocab = _opt(max_vocab, cfg, "max_vocab")
-    lowercase = bool(_opt(lowercase, cfg, "lowercase", False))
     lines = read_corpus_lines(corpus)
     model = train_on_lines(lines, order, add_k, max_vocab, lowercase)
     with open(out, "w", encoding="utf-8") as fp:
@@ -149,9 +149,10 @@ def train(corpus, out, order, add_k, max_vocab, lowercase, config_path):
 @cli.command()
 @click.option("--model", "model_path", type=click.Path(), default=None, help="N-gram model file.")
 @click.option("--tabular", "tabular_path", type=click.Path(), default=None, help="Tabular distribution file.")
-@click.option("--dataset", type=click.Path(), default=None, help="Inputs (line-delimited JSON).")
-@click.option("--out", type=click.Path(), default=None, help="Candidates file to write.")
-@click.option("--strategy", type=click.Choice(["beam", "ancestral", "top_k", "nucleus"]), default=None)
+@click.option("--dataset", type=click.Path(), required=True, help="Inputs (line-delimited JSON).")
+@click.option("--out", type=click.Path(), required=True, help="Candidates file to write.")
+@click.option("--strategy", type=click.Choice(["beam", "ancestral", "top_k", "nucleus"]), default="beam",
+              show_default=True)
 @click.option("--beam-size", type=int, default=None)
 @click.option("--max-len", type=int, default=None)
 @click.option("--scoring", type=click.Choice(["logprob", "length_normalized"]), default=None)
@@ -160,33 +161,20 @@ def train(corpus, out, order, add_k, max_vocab, lowercase, config_path):
 @click.option("--count", type=int, default=None, help="Number of samples (sampling strategies).")
 @click.option("--top-k", type=int, default=None)
 @click.option("--top-p", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--lowercase/--no-lowercase", default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None, help="JSON file with flag defaults.")
+@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--lowercase/--no-lowercase", default=False)
+@_flag_file
 def decode(model_path, tabular_path, dataset, out, strategy, beam_size, max_len, scoring,
-           diverse_gamma, filter_copies, count, top_k, top_p, seed, lowercase, config_path):
+           diverse_gamma, filter_copies, count, top_k, top_p, seed, lowercase):
     """Generate candidates per input by beam search or sampling."""
-    cfg = _file_config(config_path)
-    model_path = _opt(model_path, cfg, "model")
-    tabular_path = _opt(tabular_path, cfg, "tabular")
-    dataset = _opt(dataset, cfg, "dataset")
-    out = _opt(out, cfg, "out")
-    if dataset is None or out is None:
-        raise click.UsageError("--dataset and --out are required")
-    # The flags become one decode entry of a run config, checked by the same parser.
-    strategy = _opt(strategy, cfg, "strategy", "beam")
+    # The flags become one decode entry of a run config; that parser fills the unset ones and checks them.
     entry = {"name": "decode", "kind": "beam"}
     if strategy != "beam":
         entry.update(kind="sample", strategy=strategy, count=1)
     flags = dict(beam_size=beam_size, max_len=max_len, scoring=scoring, diverse_gamma=diverse_gamma,
                  filter_copies=filter_copies, count=count, top_k=top_k, top_p=top_p)
-    for key, value in flags.items():
-        value = _opt(value, cfg, key)
-        if value is not None:
-            entry[key] = value
+    entry.update((key, value) for key, value in flags.items() if value is not None)
     spec = parse_decode_spec(entry, "decode")
-    lowercase = bool(_opt(lowercase, cfg, "lowercase", False))
-    seed = int(_opt(seed, cfg, "seed", 0))
     model = _load_cli_model(model_path, tabular_path, lowercase)
     records = []
     for ri, row in enumerate(read_dataset(dataset)):
@@ -201,42 +189,26 @@ def decode(model_path, tabular_path, dataset, out, strategy, beam_size, max_len,
 # --- vote ---------------------------------------------------------------------
 
 @cli.command()
-@click.option("--candidates", "candidates_path", type=click.Path(), default=None, help="Candidates file (decode output).")
-@click.option("--voters", "voters_flag", type=str, default=None,
-              help="same | file:PATH | beam:K | sample:N[:strategy] (default same). "
+@click.option("--candidates", "candidates_path", type=click.Path(), required=True,
+              help="Candidates file (decode output).")
+@click.option("--voters", "voters_flag", type=str, default="same", show_default=True,
+              help="same | file:PATH | beam:K | sample:N[:strategy]. "
                    "Beam voters use logprob scoring, no diversity penalty and no copy filter.")
-@click.option("--sim", "sim_kind", type=click.Choice(["prec", "overl", "bleu", "smoothed_bleu", "embed_cosine"]), default=None)
+@click.option("--sim", "sim_kind", type=click.Choice(SIMILARITY_KINDS), required=True)
 @click.option("--n", type=int, default=None, help="N-gram order for prec/overl.")
 @click.option("--max-n", type=int, default=None, help="Highest n-gram order for BLEU kinds.")
 @click.option("--vectors", type=click.Path(), default=None, help="Token vector table for embed_cosine.")
-@click.option("--out", type=click.Path(), default=None, help="Vote results file to write.")
-@click.option("--contributions/--no-contributions", default=None, help="Keep the per-voter contribution matrix.")
+@click.option("--out", type=click.Path(), required=True, help="Vote results file to write.")
+@click.option("--contributions/--no-contributions", default=False, help="Keep the per-voter contribution matrix.")
 @click.option("--model", "model_path", type=click.Path(), default=None, help="Model for beam:/sample: voters.")
 @click.option("--tabular", "tabular_path", type=click.Path(), default=None)
-@click.option("--max-len", type=int, default=None, help="Decode length for regenerated voters (default 50).")
-@click.option("--seed", type=int, default=None)
-@click.option("--lowercase/--no-lowercase", default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None, help="JSON file with flag defaults.")
+@click.option("--max-len", type=int, default=50, show_default=True, help="Decode length for regenerated voters.")
+@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--lowercase/--no-lowercase", default=False)
+@_flag_file
 def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contributions,
-         model_path, tabular_path, max_len, seed, lowercase, config_path):
+         model_path, tabular_path, max_len, seed, lowercase):
     """Run the range-voting election over decoded candidates."""
-    cfg = _file_config(config_path)
-    candidates_path = _opt(candidates_path, cfg, "candidates")
-    out = _opt(out, cfg, "out")
-    if candidates_path is None or out is None:
-        raise click.UsageError("--candidates and --out are required")
-    voters_flag = _opt(voters_flag, cfg, "voters", "same")
-    sim_kind = _opt(sim_kind, cfg, "sim")
-    n = _opt(n, cfg, "n")
-    max_n = _opt(max_n, cfg, "max_n")
-    vectors = _opt(vectors, cfg, "vectors")
-    contributions = bool(_opt(contributions, cfg, "contributions", False))
-    lowercase = bool(_opt(lowercase, cfg, "lowercase", False))
-    seed = int(_opt(seed, cfg, "seed", 0))
-    max_len = int(_opt(max_len, cfg, "max_len", 50))
-    model_path = _opt(model_path, cfg, "model")
-    tabular_path = _opt(tabular_path, cfg, "tabular")
-
     cand_records = read_candidates(candidates_path)
     voter_records = None
     voter_spec = None
@@ -283,8 +255,7 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
             voters = row_voters(model, voter_decode, voter_spec, context, cands, derive_seed(seed, 2, 0, ri))
         else:
             voters = cands
-        result = range_vote(cands, voters, sim, with_contributions=contributions)
-        results.append(vote_record(rec.id, result, vocab, contributions))
+        results.append(vote_record(rec.id, range_vote(cands, voters, sim, with_contributions=contributions), vocab))
     with open(out, "w", encoding="utf-8") as fp:
         write_votes(results, fp)
     click.echo(f"voted on {len(results)} inputs with {sim.name} -> {out}")
@@ -296,38 +267,30 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
 @click.option("--hyps", "hyps_path", type=click.Path(), default=None,
               help="Candidates or votes file; the top entry per input is scored.")
 @click.option("--dataset", type=click.Path(), default=None, help="References (and sources) by input id.")
-@click.option("--system", type=str, default=None, help="Label for the report row.")
-@click.option("--metric", type=click.Choice(["all", "bleu", "length", "distinct", "copies"]), default=None)
-@click.option("--max-n", type=int, default=None, help="Highest BLEU order (default 4).")
-@click.option("--copy-threshold", type=float, default=None)
-@click.option("--lowercase/--no-lowercase", default=None, help="Lowercase references/sources.")
+@click.option("--system", type=str, default=None, help="Label for the report row (default: the --hyps file stem).")
+@click.option("--metric", type=click.Choice(["all", "bleu", "length", "distinct", "copies"]), default="all",
+              show_default=True)
+@click.option("--max-n", type=int, default=4, show_default=True, help="Highest BLEU order.")
+@click.option("--copy-threshold", type=float, default=0.5, show_default=True)
+@click.option("--lowercase/--no-lowercase", default=False, help="Lowercase references/sources.")
 @click.option("--out-tsv", type=click.Path(), default=None, help="Report TSV (default stdout).")
 @click.option("--out-json", type=click.Path(), default=None, help="Also write the report as JSON.")
 @click.option("--compare", "compare_path", type=click.Path(), default=None,
               help="Second system for a paired bootstrap test.")
-@click.option("--n-bootstrap", type=int, default=None, help="Bootstrap resamples (default 1000).")
-@click.option("--seed", type=int, default=None)
+@click.option("--n-bootstrap", type=int, default=1000, show_default=True, help="Bootstrap resamples.")
+@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--sign-test", "sign_counts", type=int, nargs=2, default=None,
               help="Two win counts (ties discarded): print the two-tailed sign-test p-value.")
-@click.option("--config", "config_path", type=click.Path(), default=None, help="JSON file with flag defaults.")
+@_flag_file
 def eval_cmd(hyps_path, dataset, system, metric, max_n, copy_threshold, lowercase,
-             out_tsv, out_json, compare_path, n_bootstrap, seed, sign_counts, config_path):
+             out_tsv, out_json, compare_path, n_bootstrap, seed, sign_counts):
     """Score selected outputs against references."""
-    cfg = _file_config(config_path)
-    sign_counts = _opt(sign_counts, cfg, "sign_test")
     if sign_counts is not None:
-        wins_a, wins_b = sign_counts
-        click.echo(repr(sign_test(int(wins_a), int(wins_b))))
+        click.echo(repr(sign_test(*sign_counts)))
         return
-    hyps_path = _opt(hyps_path, cfg, "hyps")
-    dataset = _opt(dataset, cfg, "dataset")
     if hyps_path is None or dataset is None:
         raise click.UsageError("--hyps and --dataset are required")
-    metric = _opt(metric, cfg, "metric", "all")
-    max_n = int(_opt(max_n, cfg, "max_n", 4))
-    copy_threshold = float(_opt(copy_threshold, cfg, "copy_threshold", 0.5))
-    lowercase = bool(_opt(lowercase, cfg, "lowercase", False))
-    system = _opt(system, cfg, "system") or Path(hyps_path).stem
+    system = system or Path(hyps_path).stem
 
     rows = {record_key(row.id): row for row in read_dataset(dataset)}
     hyps = read_hypotheses(hyps_path)
@@ -340,7 +303,6 @@ def eval_cmd(hyps_path, dataset, system, metric, max_n, copy_threshold, lowercas
     aligned_refs, sources = plain_tokens(aligned_rows, lowercase)
     hyp_tokens = [tokens for _, tokens in hyps]
 
-    compare_path = _opt(compare_path, cfg, "compare")
     if compare_path is not None:
         hyps_b = {record_key(rec_id): tokens for rec_id, tokens in read_hypotheses(compare_path)}
         aligned_b = []
@@ -354,8 +316,8 @@ def eval_cmd(hyps_path, dataset, system, metric, max_n, copy_threshold, lowercas
             aligned_b,
             aligned_refs,
             max_n=max_n,
-            n_bootstrap=int(_opt(n_bootstrap, cfg, "n_bootstrap", 1000)),
-            seed=int(_opt(seed, cfg, "seed", 0)),
+            n_bootstrap=n_bootstrap,
+            seed=seed,
         )
         click.echo(repr(p))
         return
@@ -388,25 +350,21 @@ def oracle():
     """Exact brute-force references for small models."""
 
 
-_oracle_model_opts = [
-    click.option("--model", "model_path", type=click.Path(), default=None, help="N-gram model file."),
-    click.option("--tabular", "tabular_path", type=click.Path(), default=None, help="Tabular distribution file."),
-    click.option("--lowercase/--no-lowercase", default=False),
-    click.option("--max-len", type=int, required=True, help="Longest sequence to enumerate."),
-    click.option("--budget", type=int, default=10**6, show_default=True, help="Node expansion budget."),
-]
-
-
-def _with_opts(opts):
-    def wrap(fn):
-        for opt in reversed(opts):
-            fn = opt(fn)
-        return fn
-    return wrap
+def _oracle_model(fn):
+    """The model, length and budget flags every oracle command takes."""
+    for option in reversed([
+        click.option("--model", "model_path", type=click.Path(), default=None, help="N-gram model file."),
+        click.option("--tabular", "tabular_path", type=click.Path(), default=None, help="Tabular distribution file."),
+        click.option("--lowercase/--no-lowercase", default=False),
+        click.option("--max-len", type=int, required=True, help="Longest sequence to enumerate."),
+        click.option("--budget", type=int, default=10**6, show_default=True, help="Node expansion budget."),
+    ]):
+        fn = option(fn)
+    return fn
 
 
 @oracle.command(name="enumerate")
-@_with_opts(_oracle_model_opts)
+@_oracle_model
 @click.option("--floor", type=float, default=0.0, show_default=True, help="Prune prefixes below this mass.")
 @click.option("--out", type=click.Path(), default=None, help="Enumeration file (default stdout).")
 def enumerate_cmd(model_path, tabular_path, lowercase, max_len, budget, floor, out):
@@ -425,7 +383,7 @@ def enumerate_cmd(model_path, tabular_path, lowercase, max_len, budget, floor, o
 
 
 @oracle.command(name="map")
-@_with_opts(_oracle_model_opts)
+@_oracle_model
 def map_cmd(model_path, tabular_path, lowercase, max_len, budget):
     """Print the most likely sequence by exhaustive enumeration."""
     model = _load_cli_model(model_path, tabular_path, lowercase)
@@ -434,8 +392,8 @@ def map_cmd(model_path, tabular_path, lowercase, max_len, budget):
 
 
 @oracle.command(name="vote-winner")
-@_with_opts(_oracle_model_opts)
-@click.option("--sim", "sim_kind", type=click.Choice(["prec", "overl", "bleu", "smoothed_bleu", "embed_cosine"]), required=True)
+@_oracle_model
+@click.option("--sim", "sim_kind", type=click.Choice(SIMILARITY_KINDS), required=True)
 @click.option("--n", type=int, default=None)
 @click.option("--max-n", type=int, default=None)
 @click.option("--vectors", type=click.Path(), default=None)
@@ -449,38 +407,6 @@ def vote_winner(model_path, tabular_path, lowercase, max_len, budget, sim_kind, 
             "sequence": detokenize(result.winner.tokens, model.vocab),
             "logprob": result.winner.logprob,
             "score": result.winner_score,
-        },
-        sort_keys=True,
-    ))
-
-
-@oracle.command()
-@click.option("--points", required=True, help="Comma-separated value:weight pairs, e.g. 0:0.6,1:0.2,2:0.2")
-@click.option("--kind", type=click.Choice(["quadratic", "linear"]), required=True)
-@click.option("--kappa", type=float, default=1.0, show_default=True)
-@click.option("--grid-min", type=float, required=True)
-@click.option("--grid-max", type=float, required=True)
-@click.option("--grid-step", type=float, default=0.01, show_default=True)
-def euclidean(points, kind, kappa, grid_min, grid_max, grid_step):
-    """Grid-argmax demonstration that mean/median are votes with quadratic/linear similarity."""
-    try:
-        parsed = [(float(v), float(w)) for v, w in (p.split(":") for p in points.split(","))]
-    except ValueError as exc:
-        raise click.UsageError(f"cannot parse --points: {exc}") from exc
-    if grid_step <= 0 or grid_max < grid_min:
-        raise click.UsageError("need grid_step > 0 and grid_max >= grid_min")
-    grid = []
-    value = grid_min
-    while value <= grid_max + 1e-12:
-        grid.append(round(value, 12))
-        value += grid_step
-    winner = euclidean_vote(parsed, kind, kappa, grid)
-    lo, hi = weighted_median_interval(parsed)
-    click.echo(json.dumps(
-        {
-            "winner": winner,
-            "weighted_mean": weighted_mean(parsed),
-            "weighted_median_interval": [lo, hi],
         },
         sort_keys=True,
     ))

@@ -95,14 +95,14 @@ def candidate_record(row_id, source: str | None, cands: CandidateSet, vocab: Voc
     )
 
 
-def vote_record(row_id, result: VoteResult, vocab: Vocabulary, keep_contributions: bool) -> VoteRecord:
+def vote_record(row_id, result: VoteResult, vocab: Vocabulary) -> VoteRecord:
     return VoteRecord(
         id=row_id,
         ranked=tuple(
             (surface_tokens(c.tokens, vocab), c.logprob, score)
             for c, score in zip(result.ranking, result.scores)
         ),
-        contributions=result.contributions if keep_contributions else None,
+        contributions=result.contributions,
     )
 
 
@@ -175,17 +175,21 @@ def run_experiment(
     *,
     output_dir: str | Path | None = None,
 ) -> tuple[list[EvalRow], Path]:
-    """Run the full grid: decode x select per input, then one report row per system."""
+    """Run the full grid: decode x select per input, then one report row per system.
+
+    Every file is computed before the output directory is made, so a run
+    that fails leaves no output tree behind; the report is written last.
+    """
     model = build_model(config.model, config)
     vocab = model.vocab
     rows = read_dataset(config.resolve(config.dataset))
     out = Path(output_dir) if output_dir is not None else config.resolve(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     contexts = [source_context(row.source, vocab, config.lowercase) for row in rows]
     refs, sources = plain_tokens(rows, config.lowercase)
 
     report: list[EvalRow] = []
+    files: list[tuple[str, Callable, list]] = []  # (path under out, writer, records)
     for di, dspec in enumerate(config.decode):
         cand_sets = [
             decode_row(model, dspec, context, derive_seed(config.seed, 1, di, ri)) for ri, context in enumerate(contexts)
@@ -196,11 +200,11 @@ def run_experiment(
                     f"decode {dspec.name!r} left no candidates for input {row.id!r} "
                     "(support empty or everything copy-filtered)"
                 )
-        _write_jsonl(
-            out / "candidates" / f"{dspec.name}.jsonl",
+        files.append((
+            f"candidates/{dspec.name}.jsonl",
             write_candidates,
             [candidate_record(row.id, row.source, cands, vocab) for row, cands in zip(rows, cand_sets)],
-        )
+        ))
         for si, sspec in enumerate(config.select):
             system = f"{dspec.name}+{sspec.name}"
             if sspec.kind == "map":
@@ -213,19 +217,19 @@ def run_experiment(
                     voter_sets.append(row_voters(model, dspec, sspec.voters, contexts[ri], cands, seed))
                     results.append(range_vote(cands, voter_sets[-1], sim, with_contributions=sspec.contributions))
                 if sspec.voters.kind != "same":
-                    _write_jsonl(
-                        out / "voters" / f"{system}.jsonl",
+                    files.append((
+                        f"voters/{system}.jsonl",
                         write_candidates,
                         [candidate_record(row.id, row.source, voters, vocab) for row, voters in zip(rows, voter_sets)],
-                    )
-                _write_jsonl(
-                    out / "votes" / f"{system}.jsonl",
+                    ))
+                files.append((
+                    f"votes/{system}.jsonl",
                     write_votes,
-                    [vote_record(row.id, res, vocab, sspec.contributions) for row, res in zip(rows, results)],
-                )
+                    [vote_record(row.id, res, vocab) for row, res in zip(rows, results)],
+                ))
                 winners = [res.winner for res in results]
-            _write_jsonl(
-                out / "selections" / f"{system}.jsonl",
+            files.append((
+                f"selections/{system}.jsonl",
                 write_candidates,
                 [
                     CandidateRecord(
@@ -235,7 +239,7 @@ def run_experiment(
                     )
                     for row, w in zip(rows, winners)
                 ],
-            )
+            ))
             hyps = [surface_tokens(w.tokens, vocab) for w in winners]
             report.append(
                 evaluate_system(
@@ -248,14 +252,15 @@ def run_experiment(
                 )
             )
 
+    out.mkdir(parents=True, exist_ok=True)
+    for name, writer, records in files:
+        path = out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fp:
+            writer(records, fp)
     with open(out / "report.tsv", "w", encoding="utf-8") as fp:
         write_report_tsv(report, config.bleu_max_n, fp)
     with open(out / "report.json", "w", encoding="utf-8") as fp:
         write_report_json(report, config.bleu_max_n, fp)
     return report, out
 
-
-def _write_jsonl(path: Path, writer: Callable, records) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fp:
-        writer(records, fp)

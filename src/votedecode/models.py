@@ -306,6 +306,8 @@ def load_model(fp: IO[str]) -> NGramLM:
             tuple(int(t) for t in hist): {int(e): int(c) for e, c in events}
             for hist, events in payload["counts"]
         }
+        if any(c < 0 for events in counts.values() for c in events.values()):
+            raise ValueError("event counts must be >= 0")
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
     return NGramLM(vocab=vocab, order=order, add_k=add_k, counts=counts)

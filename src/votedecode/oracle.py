@@ -100,61 +100,6 @@ def exact_vote(
     return range_vote(support, support, sim, with_contributions=with_contributions)
 
 
-def weighted_mean(points: list[tuple[float, float]]) -> float:
-    total = math.fsum(w for _, w in points)
-    return math.fsum(x * w for x, w in points) / total
-
-
-def weighted_median_interval(points: list[tuple[float, float]]) -> tuple[float, float]:
-    """The closed interval of weighted medians (degenerate unless the mass splits evenly)."""
-    total = math.fsum(w for _, w in points)
-    ordered = sorted(points)
-    half = total / 2.0
-    cum = 0.0
-    lo = hi = ordered[-1][0]
-    for i, (x, w) in enumerate(ordered):
-        cum += w
-        if cum >= half - 1e-12 * total:
-            lo = x
-            hi = ordered[i + 1][0] if cum <= half + 1e-12 * total and i + 1 < len(ordered) else x
-            break
-    return lo, hi
-
-
-def euclidean_vote(
-    points: list[tuple[float, float]],
-    kind: str,
-    kappa: float,
-    grid: list[float],
-) -> float:
-    """Grid argmax of total weighted similarity for real-valued voters.
-
-    With quadratic similarity 1 - kappa*(x - c)^2 the winner tracks the
-    weighted mean; with linear similarity 1 - kappa*|x - c| it tracks a
-    weighted median.  Similarity values may leave [0, 1]; this is a
-    mathematical demonstration, not an election.
-    """
-    if kind not in ("quadratic", "linear"):
-        raise ValueError(f"kind must be quadratic|linear, got {kind!r}")
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if not grid:
-        raise ValueError("grid must be non-empty")
-    if not points or any(w <= 0 for _, w in points):
-        raise ValueError("points must be non-empty with positive weights")
-    best_value = None
-    best_score = -math.inf
-    for cand in grid:
-        if kind == "quadratic":
-            score = math.fsum(w * (1.0 - kappa * (x - cand) ** 2) for x, w in points)
-        else:
-            score = math.fsum(w * (1.0 - kappa * abs(x - cand)) for x, w in points)
-        if score > best_score:
-            best_score = score
-            best_value = cand
-    return best_value
-
-
 # Generator tokens: one pool for the short generic sequence, one for the
 # long families, so short/long similarities are exactly zero.
 _SHORT_POOL = tuple(f"s{i}" for i in range(3))

@@ -29,8 +29,8 @@ class SimilaritySpec:
     """Closed description of a similarity measure (kind plus parameters).
 
     ``vectors`` maps token ids to real vectors and is only consulted by the
-    embed_cosine kind; it is excluded from equality and serialization
-    (``vector_path`` records where it came from).
+    embed_cosine kind; it is excluded from equality (``vector_path``
+    records where it came from).
     """
 
     kind: str
@@ -56,16 +56,6 @@ class SimilaritySpec:
         if self.kind in ("prec", "overl"):
             return f"{self.kind}_{self.n}"
         return self.kind
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind in ("prec", "overl"):
-            out["n"] = self.n
-        if self.kind in ("bleu", "smoothed_bleu"):
-            out["max_n"] = self.max_n
-        if self.kind == "embed_cosine" and self.vector_path is not None:
-            out["vectors"] = self.vector_path
-        return out
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SimilaritySpec":

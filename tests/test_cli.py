@@ -1,4 +1,4 @@
-"""Commands driven through `cli.main`: the oracle group, reserved markers in votes, empty decodes."""
+"""Commands driven through `cli.main`: flags files, the oracle group, reserved markers in votes, empty decodes."""
 
 import json
 import math
@@ -25,6 +25,109 @@ def tabular(tmp_path):
 def run_cli(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
+
+
+def flag_argv(flags):
+    """The command-line form of a flags-file object."""
+    argv = []
+    for key, value in flags.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            argv.append(flag if value else "--no-" + key.replace("_", "-"))
+        elif isinstance(value, list):
+            argv += [flag, *map(str, value)]
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
+# (command, flags, flag naming each file the command writes, flag overridden by the command line, file's value)
+FLAG_CASES = {
+    "train": ("train", {"corpus": "corpus.txt", "order": 3, "add_k": 0.25, "max_vocab": 4, "lowercase": True},
+              ["out"], "lowercase", False),
+    "decode-beam": ("decode", {"tabular": "toy.json", "dataset": "data.jsonl", "strategy": "beam", "beam_size": 3,
+                               "max_len": 6, "scoring": "length_normalized", "diverse_gamma": 0.5,
+                               "filter_copies": 0.9},
+                    ["out"], "beam_size", 1),
+    "decode-nucleus": ("decode", {"tabular": "toy.json", "dataset": "data.jsonl", "strategy": "nucleus", "count": 5,
+                                  "top_p": 0.8, "max_len": 6, "seed": 7},
+                       ["out"], "seed", 0),
+    "vote": ("vote", {"candidates": "cands.jsonl", "voters": "beam:4", "tabular": "toy.json", "sim": "prec", "n": 1,
+                      "contributions": True, "max_len": 6},
+             ["out"], "n", 2),
+    "eval": ("eval", {"hyps": "cands.jsonl", "dataset": "data.jsonl", "system": "sys", "metric": "bleu", "max_n": 2,
+                      "copy_threshold": 0.3, "lowercase": True},
+             ["out_tsv", "out_json"], "max_n", 4),
+    "eval-compare": ("eval", {"hyps": "other.jsonl", "dataset": "data.jsonl", "compare": "cands.jsonl",
+                              "lowercase": True, "max_n": 2, "n_bootstrap": 50, "seed": 3},
+                     [], "n_bootstrap", 7),
+    "eval-sign-test": ("eval", {"sign_test": [9, 2]}, [], "sign_test", [5, 1]),
+}
+
+
+class TestFlagFiles:
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "corpus.txt").write_text("The Cat sat\nthe dog ran home\na cat ran\n", encoding="utf-8")
+        (tmp_path / "toy.json").write_text(json.dumps({"entries": FIXTURE5}), encoding="utf-8")
+        rows = [{"id": 1, "source": "the tall man", "references": ["The tall man runs fast"]},
+                {"id": 2, "source": "ok", "references": ["ok then"]},
+                {"id": 3, "source": "ok", "references": ["ok"]}]
+        (tmp_path / "data.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        for name, scoring in (("cands.jsonl", "logprob"), ("other.jsonl", "length_normalized")):
+            assert main(["decode", "--tabular", "toy.json", "--dataset", "data.jsonl", "--beam-size", "4",
+                         "--scoring", scoring, "--max-len", "6", "--out", name]) == 0
+        return tmp_path
+
+    def run(self, capsys, tag, outputs, argv):
+        """Run one command writing to ``tag``-named files; return its stdout (if nothing is written) and files."""
+        out_flags = {key: f"{tag}.{key}" for key in outputs}
+        assert main([*argv, *flag_argv(out_flags)]) == 0
+        stdout = capsys.readouterr().out
+        return ("" if outputs else stdout), [open(path, "rb").read() for path in out_flags.values()]
+
+    def write_flags(self, name, flags):
+        with open(name, "w", encoding="utf-8") as fp:
+            json.dump(flags, fp)
+        return ["--config", name]
+
+    @pytest.mark.parametrize("case", sorted(FLAG_CASES))
+    def test_a_flags_file_equals_the_same_flags(self, workdir, capsys, case):
+        command, flags, outputs, _, _ = FLAG_CASES[case]
+        typed = self.run(capsys, "typed", outputs, [command, *flag_argv(flags)])
+        assert typed == self.run(capsys, "file", outputs, [command, *self.write_flags("f.json", flags)])
+
+    @pytest.mark.parametrize("case", sorted(FLAG_CASES))
+    def test_an_explicit_flag_overrides_the_file(self, workdir, capsys, case):
+        command, flags, outputs, key, file_value = FLAG_CASES[case]
+        typed = self.run(capsys, "typed", outputs, [command, *flag_argv(flags)])
+        config = self.write_flags("f.json", {**flags, key: file_value})
+        assert self.run(capsys, "file", outputs, [command, *config]) != typed  # the file's own value matters
+        assert self.run(capsys, "both", outputs, [command, *config, *flag_argv({key: flags[key]})]) == typed
+
+    def test_the_string_false_does_not_lowercase(self, workdir):
+        config = self.write_flags("f.json", {"corpus": "corpus.txt", "out": "m.json", "lowercase": "false"})
+        assert main(["train", *config]) == 0
+        assert "The" in json.loads((workdir / "m.json").read_text(encoding="utf-8"))["vocab"]
+
+    def test_a_bad_value_is_checked_like_the_flag(self, workdir, capsys):
+        config = self.write_flags("f.json", {"corpus": "corpus.txt", "out": "m.json", "order": "abc"})
+        assert main(["train", *config]) == 1
+        assert "'--order'" in capsys.readouterr().err
+        assert not (workdir / "m.json").exists()
+
+    def test_null_keeps_the_default_and_unknown_keys_are_ignored(self, workdir, capsys):
+        typed = self.run(capsys, "typed", ["out"], ["train", "--corpus", "corpus.txt"])
+        config = self.write_flags("f.json", {"corpus": "corpus.txt", "order": None, "sim": "bleu"})
+        assert self.run(capsys, "file", ["out"], ["train", *config]) == typed
+
+    @pytest.mark.parametrize("text, code", [("{", 3), ("[1, 2]", 3), (None, 2)])
+    def test_unreadable_files(self, workdir, text, code):
+        if text is not None:
+            (workdir / "f.json").write_text(text, encoding="utf-8")
+        assert main(["train", "--config", "f.json", "--corpus", "corpus.txt", "--out", "m.json"]) == code
+        assert not (workdir / "m.json").exists()
 
 
 class TestOracle:
@@ -101,4 +204,4 @@ def test_empty_decode_exits_3_before_writing_its_candidates(tmp_path, capsys):
     (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
     assert main(["run", "--config", str(tmp_path / "config.json")]) == 3
     assert "decode 'filtered' left no candidates for input 1" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "candidates" / "filtered.jsonl").exists()
+    assert not (tmp_path / "out").exists()

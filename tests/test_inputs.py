@@ -206,6 +206,19 @@ class TestTrainingSettings:
         with pytest.raises(ModelFormatError, match="add_k must be finite and >= 0"):
             load_model(io.StringIO(text))
 
+    # A negative total made the first query raise "math domain error"; a negative count under a
+    # positive total gave a row summing past 1.
+    @pytest.mark.parametrize("events", [[[3, -5], [4, 2]], [[3, -1], [4, 3]]])
+    def test_load_model_refuses_negative_counts(self, tmp_path, capsys, events):
+        payload = {"format": "votedecode-ngram-lm", "version": 1, "vocab": ["a", "b"], "order": 1, "add_k": 0.0,
+                   "counts": [[[], events]]}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="event counts must be >= 0"):
+            load_model(io.StringIO(path.read_text(encoding="utf-8")))
+        assert main(["oracle", "map", "--model", str(path), "--max-len", "3"]) == 3
+        assert "event counts must be >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "fields, message",
         [

@@ -135,9 +135,10 @@ class TestSimilaritySpec:
     def test_bleu_default_max_n(self):
         assert SimilaritySpec(kind="bleu").max_n == 4
 
-    def test_dict_roundtrip(self):
-        spec = SimilaritySpec(kind="overl", n=2)
-        assert SimilaritySpec.from_dict(spec.to_dict()) == spec
+    def test_from_dict(self):
+        assert SimilaritySpec.from_dict({"kind": "overl", "n": 2}) == SimilaritySpec(kind="overl", n=2)
+        spec = SimilaritySpec.from_dict({"kind": "embed_cosine", "vectors": "v.tsv"})
+        assert spec == SimilaritySpec(kind="embed_cosine", vector_path="v.tsv")
 
     def test_embed_needs_vectors_at_resolution(self):
         with pytest.raises(ValueError):
