@@ -67,6 +67,47 @@ def bleu_from_stats(stats: TySequence[int], smoothed: bool = False) -> float:
     return score
 
 
+def bleu_from_stats_array(stats: TySequence[np.ndarray], smoothed: bool = False) -> np.ndarray:
+    """:func:`bleu_from_stats` of many segments at once, equal bit for bit.
+
+    ``stats`` holds the 2 + 2 * max_n statistics in :func:`bleu_stats`
+    order, as integer arrays that broadcast together.  Each libm call of the
+    scalar loop runs once per distinct argument: log(m/t) per distinct
+    (matched, total) of an order, exp per distinct log_sum / max_n, the
+    brevity penalty per distinct (ref_len, hyp_len) where no precision is
+    zero.  Logs add in order n = 1..max_n from 0.0 with the loop's IEEE +, /, *.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, stats))
+    hyp_len, ref_len, *counts = (np.broadcast_to(np.asarray(s, dtype=np.int64), shape) for s in stats)
+    max_n = len(counts) // 2
+    log_sum = np.zeros(shape)
+    live = np.ones(shape, dtype=bool)  # no zero precision yet
+    for n in range(1, max_n + 1):
+        bump = int(smoothed and n > 1)
+        matched, total = counts[n - 1], counts[max_n + n - 1]
+        live &= (matched != -bump) & (total != -bump)
+        if not live.any():  # a zero precision everywhere: the scalar loop returns 0.0 for each
+            return np.zeros(shape)
+        log_sum[live] += _per_distinct(lambda m, t: math.log((m + bump) / (t + bump)), matched[live], total[live])
+    score = np.zeros(shape)
+    score[live] = _per_distinct(lambda s: math.exp(s / max_n), log_sum[live])
+    short = live & (hyp_len < ref_len)
+    score[short] *= _per_distinct(lambda r, h: math.exp(1.0 - r / h), ref_len[short], hyp_len[short])
+    return score
+
+
+def _per_distinct(fn: Callable[..., float], first: np.ndarray, second: np.ndarray | None = None) -> np.ndarray:
+    """``fn(x)`` of every float, or ``fn(x, y)`` of every pair of non-negative ints, once per distinct argument."""
+    if second is None:  # floats, ranked by their bits so that the integer sort kernel serves every table
+        keys, inverse = np.unique(first.view(np.int64), return_inverse=True)
+        args = zip(keys.view(np.float64).tolist())
+    else:
+        width = int(second.max(initial=0)) + 1
+        keys, inverse = np.unique(first * width + second, return_inverse=True)
+        args = zip(*(part.tolist() for part in np.divmod(keys, width)))
+    return np.array([fn(*arg) for arg in args], dtype=np.float64)[inverse]
+
+
 def corpus_bleu(hyps: TySequence[Sequence], refs: TySequence[TySequence[Sequence]], max_n: int = 4) -> float:
     """Corpus-level BLEU in [0, 1].
 
@@ -155,6 +196,10 @@ def sign_test(wins_a: int, wins_b: int) -> float:
     return min(1.0, 2 * tail / 2**n)
 
 
+# Segment indices drawn per stacked block of bootstrap resamples (about 8 MB of int64).
+_BOOTSTRAP_DRAWS = 2**20
+
+
 def paired_bootstrap(
     hyps_a: TySequence[Sequence],
     hyps_b: TySequence[Sequence],
@@ -180,15 +225,17 @@ def paired_bootstrap(
     losses = 0
     if metric is None:
         # Corpus BLEU of a resample is the epilogue of its summed segment
-        # statistics, so each segment is counted once, not once per draw.
+        # statistics: counts[b, i] is how often resample b drew segment i.
+        # Resamples are stacked _BOOTSTRAP_DRAWS segment draws at a time.
         stats_a = np.array(_segment_stats(hyps_a, refs, max_n), dtype=np.int64)
         stats_b = np.array(_segment_stats(hyps_b, refs, max_n), dtype=np.int64)
-        for _ in range(n_bootstrap):
-            idx = rng.integers(0, n, size=n)
-            score_a = bleu_from_stats(stats_a[idx].sum(axis=0).tolist())
-            score_b = bleu_from_stats(stats_b[idx].sum(axis=0).tolist())
-            if score_a <= score_b:
-                losses += 1
+        step = max(1, _BOOTSTRAP_DRAWS // n)
+        for start in range(0, n_bootstrap, step):
+            draws = np.stack([rng.integers(0, n, size=n) for _ in range(min(step, n_bootstrap - start))])
+            counts = np.bincount((draws + n * np.arange(len(draws))[:, None]).ravel(), minlength=draws.size)
+            counts = counts.reshape(draws.shape)
+            lost = bleu_from_stats_array((counts @ stats_a).T) <= bleu_from_stats_array((counts @ stats_b).T)
+            losses += int(np.count_nonzero(lost))
         return losses / n_bootstrap
     for _ in range(n_bootstrap):
         idx = rng.integers(0, n, size=n)

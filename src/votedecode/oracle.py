@@ -51,6 +51,8 @@ def enumerate_distribution(
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     if prob_floor < 0:
         raise ValueError(f"prob_floor must be >= 0, got {prob_floor}")
+    if node_budget < 1:
+        raise ValueError(f"node budget must be >= 1, got {node_budget}")
     found: list[ScoredSequence] = []
     nodes = 0
     stack: list[tuple[Sequence, float]] = [((), 0.0)]

@@ -3,7 +3,8 @@
 A sequence is a plain tuple of vocabulary ids.  Begin/end markers are
 model-side bookkeeping and never stored in a sequence, so n-gram statistics
 are always over surface tokens only.  Vocabulary counts and token lookups
-loop in C: one ``Counter`` over all lines' splits, one ``map`` per line.
+loop in C: one ``Counter`` over all lines' splits, one ``map`` per line;
+:func:`gram_codes` numbers the n-grams of many sequences in one array pass.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable
+
+import numpy as np
 
 Sequence = tuple[int, ...]
 NGram = tuple[int, ...]
@@ -113,6 +116,33 @@ def ngram_set(seq: Sequence, n: int) -> frozenset[NGram]:
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
     return frozenset(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
+
+
+def gram_codes(seqs: list[Sequence], max_n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Integer codes of every n-gram of ``seqs``: one ``(rows, codes)`` pair per order n = 1..max_n.
+
+    ``rows[i]`` is the index in ``seqs`` of the i-th gram of the flat id
+    stream.  The order-1 code is the dense rank of the id; the order-n code
+    the dense rank of (order-(n-1) code) * width + the next order-1 code,
+    width being the number of distinct ids.  So a code is the dense rank of
+    its gram tuple, shared across all of ``seqs`` and below the gram count.
+    """
+    if max_n < 1:
+        raise ValueError(f"n-gram order must be >= 1, got {max_n}")
+    lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+    ids = np.fromiter(chain.from_iterable(seqs), np.int64, int(lengths.sum()))
+    rows = np.repeat(np.arange(len(seqs)), lengths)
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))  # tokens from each position to its row's end
+    distinct, first = np.unique(ids, return_inverse=True)
+    width = len(distinct)
+    starts, codes = np.arange(len(ids)), first
+    out = [(rows, first)]
+    for n in range(2, max_n + 1):
+        keep = left[starts] >= n
+        starts = starts[keep]
+        codes = np.unique(codes[keep] * width + first[starts + n - 1], return_inverse=True)[1]
+        out.append((rows[starts], codes))
+    return out
 
 
 def build_vocabulary(lines: Iterable[str], lowercase: bool = False, max_size: int | None = None) -> Vocabulary:

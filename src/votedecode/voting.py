@@ -6,6 +6,13 @@ highest total wins.  Weights are exp-shifted by the maximum voter
 log-probability so the ranking survives underflow (the winner is invariant
 under positive scaling of all weights); reported scores are rescaled back
 to raw probability units.
+
+The n-gram elections are exact, not approximate: voters and candidates are
+coded together as integer n-grams (``sequences.gram_codes``), their
+clipped matches are integer counts, and every float step after the counts
+is the IEEE +, /, * and libm ``math.log``/``math.exp`` call the scalar
+similarity makes for that pair (the BLEU epilogue makes each call once per
+distinct argument), so every score equals the pairwise route bit for bit.
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .decode import BeamParams, CandidateSet, ScoredSequence, beam_search, check_sampling, sample_sequences
-from .metrics import bleu_from_stats, bleu_stats
+from .metrics import bleu_from_stats, bleu_from_stats_array, bleu_stats
 from .models import NEG_INF, SequenceModel
-from .sequences import Sequence, ngram_bag, ngram_set
+from .sequences import Sequence, gram_codes, ngram_bag, ngram_set
 
 SIMILARITY_KINDS = ("prec", "overl", "bleu", "smoothed_bleu", "embed_cosine")
 
@@ -150,83 +157,70 @@ def make_similarity(spec: SimilaritySpec) -> Callable[[Sequence, Sequence], floa
 
 
 # Gram columns per dense block of the clipped-count kernel: a 0/1 block
-# holds at most |voters| x _GRAM_BLOCK float32s, however many grams there are.
+# holds at most (|voters| + |candidates|) x _GRAM_BLOCK float32s, however many grams there are.
 _GRAM_BLOCK = 256
 
 
-def _clipped_counts(voters: list[Sequence], cands: list[Sequence], n: int, binary: bool) -> tuple[np.ndarray, np.ndarray]:
+def _clipped_counts(
+    rows: np.ndarray, codes: np.ndarray, num_voters: int, num_cands: int, binary: bool
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact integer n-gram matches of every voter against every candidate.
 
-    Returns ``(M, sizes)``: M[v, c] = sum over n-grams g of
-    min(count_v(g), count_c(g)) and sizes[v] = sum over g of count_v(g),
-    where ``binary`` turns every count into 1 (the set form).  Only grams of
-    some candidate get a column.  Since min(a, b) = sum_{k>=1} [a>=k][b>=k],
-    M is the sum over count levels k of (V>=k)(C>=k)^T, taken over dense
-    0/1 blocks of at most _GRAM_BLOCK gram columns.  Each block product is
-    a sum of at most _GRAM_BLOCK ones, exact in float32.
+    ``rows``/``codes`` are one order of :func:`gram_codes` over the voters,
+    then the candidates (row num_voters + j is candidate j).  Returns ``(M,
+    sizes)``: M[v, c] = sum over grams g of min(count_v(g), count_c(g)) and
+    sizes[v] = sum over g of count_v(g); ``binary`` turns every count into 1
+    (the set form).  Only grams of some candidate get a column.  Since
+    min(a, b) = sum_{k>=1} [a>=k][b>=k], M sums (V>=k)(C>=k)^T over count
+    levels k and dense 0/1 blocks of at most _GRAM_BLOCK columns, each
+    product a sum of at most _GRAM_BLOCK ones, exact in float32.
     """
-    index: dict = {}
-    c_row, c_col, c_count = [], [], []
-    for row, seq in enumerate(cands):
-        bag = ngram_bag(seq, n)
-        c_row += [row] * len(bag)
-        c_col += [index.setdefault(gram, len(index)) for gram in bag]
-        c_count += [1] * len(bag) if binary else bag.values()
-    v_row, v_col, v_count, sizes = [], [], [], []
-    for row, seq in enumerate(voters):
-        bag = ngram_bag(seq, n)
-        v_row += [row] * len(bag)
-        v_col += [index.get(gram, -1) for gram in bag]  # -1: no candidate has it
-        v_count += [1] * len(bag) if binary else bag.values()
-        sizes.append(len(bag) if binary else sum(bag.values()))
-    c_row, c_col, c_count = (np.array(x, dtype=np.int64) for x in (c_row, c_col, c_count))
-    v_row, v_col, v_count = (np.array(x, dtype=np.int64) for x in (v_row, v_col, v_count))
-    matched = np.zeros((len(voters), len(cands)), dtype=np.int64)
-    for start in range(0, len(index), _GRAM_BLOCK):
-        width = min(_GRAM_BLOCK, len(index) - start)
-        c_in = (c_col >= start) & (c_col < start + width)
-        v_in = (v_col >= start) & (v_col < start + width)
-        for k in range(1, int(c_count[c_in].max()) + 1):
-            c_level = _level_block(c_row, c_col - start, c_in & (c_count >= k), (len(cands), width))
-            v_level = _level_block(v_row, v_col - start, v_in & (v_count >= k), (len(voters), width))
-            matched += (v_level @ c_level.T).astype(np.int64)
-    return matched, np.array(sizes, dtype=np.int64)
-
-
-def _level_block(rows: np.ndarray, cols: np.ndarray, keep: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    block = np.zeros(shape, dtype=np.float32)
-    block[rows[keep], cols[keep]] = 1.0
-    return block
+    width = int(codes.max(initial=0)) + 1
+    # Counts from the inverse, not return_counts, which would page in a second numpy sort kernel.
+    keys, inverse = np.unique(rows * width + codes, return_inverse=True)
+    counts = np.bincount(inverse)
+    key_rows, key_codes = np.divmod(keys, width)
+    is_voter = key_rows < num_voters
+    sizes = np.bincount(key_rows[is_voter] if binary else rows[rows < num_voters], minlength=num_voters)
+    if binary:
+        counts[:] = 1
+    # Candidate grams get columns in code order; voter grams no candidate has get none.  A flag
+    # array, not np.unique: without return_inverse, numpy 2 imports numpy.ma on its first call.
+    has_column = np.zeros(width, dtype=bool)
+    has_column[key_codes[~is_voter]] = True
+    keep = has_column[key_codes]
+    key_rows, counts = key_rows[keep], counts[keep]
+    cols = (np.cumsum(has_column) - 1)[key_codes[keep]]
+    num_columns = int(np.count_nonzero(has_column))
+    matched = np.zeros((num_voters, num_cands), dtype=np.int64)
+    for start in range(0, num_columns, _GRAM_BLOCK):
+        span = min(_GRAM_BLOCK, num_columns - start)
+        in_block = (cols >= start) & (cols < start + span)
+        for k in range(1, int(counts[in_block & (key_rows >= num_voters)].max()) + 1):
+            level = in_block & (counts >= k)
+            block = np.zeros((num_voters + num_cands, span), dtype=np.float32)
+            block[key_rows[level], cols[level] - start] = 1.0
+            matched += (block[:num_voters] @ block[num_voters:].T).astype(np.int64)
+    return matched, sizes
 
 
 def _bleu_matrix(voters: list[Sequence], cands: list[Sequence], max_n: int, smoothed: bool) -> np.ndarray:
-    """bleu_sim(v, c) for every pair, one epilogue per distinct statistics key."""
-    # Lengths and match counts fit int32; the narrower keys keep the sort's copies small.
-    keys = np.empty((len(voters), len(cands), 2 + max_n), dtype=np.int32)
-    keys[:, :, 0] = [len(c) for c in cands]
-    keys[:, :, 1] = np.array([len(v) for v in voters])[:, None]
-    for n in range(1, max_n + 1):
-        keys[:, :, 1 + n] = _clipped_counts(voters, cands, n, binary=False)[0]
-    keys = keys.reshape(-1, 2 + max_n)
-    # Group equal key rows: a lexsort is much cheaper than np.unique(axis=0),
-    # which sorts the rows as opaque byte strings.
-    order = np.lexsort(keys.T)
-    keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-    values = []
-    for hyp_len, ref_len, *matched in keys[first].tolist():
-        totals = [max(hyp_len - n + 1, 0) for n in range(1, max_n + 1)]
-        values.append(bleu_from_stats((hyp_len, ref_len, *matched, *totals), smoothed=smoothed))
-    out = np.empty(len(keys))
-    out[order] = np.array(values)[np.cumsum(first) - 1]
-    return out.reshape(len(voters), len(cands))
+    """bleu_sim(v, c) for every pair: all orders coded in one pass, then the table-driven epilogue."""
+    hyp_len = np.array([len(c) for c in cands], dtype=np.int64)
+    ref_len = np.array([len(v) for v in voters], dtype=np.int64)[:, None]
+    matched = [
+        _clipped_counts(rows, codes, len(voters), len(cands), binary=False)[0]
+        for rows, codes in gram_codes([*voters, *cands], max_n)  # freed before the epilogue
+    ]
+    totals = [np.maximum(hyp_len - n + 1, 0) for n in range(1, max_n + 1)]
+    return bleu_from_stats_array([hyp_len, ref_len, *matched, *totals], smoothed=smoothed)
 
 
 def _similarity_matrix(voters: list[Sequence], cands: list[Sequence], spec: SimilaritySpec) -> np.ndarray:
     """sim[v, c] for every voter and candidate, equal bit for bit to ``make_similarity(spec)(v, c)``."""
     if spec.kind in ("prec", "overl"):
-        matched, sizes = _clipped_counts(voters, cands, spec.n, binary=spec.kind == "overl")
+        rows, codes = gram_codes([*voters, *cands], spec.n)[-1]
+        matched, sizes = _clipped_counts(rows, codes, len(voters), len(cands), binary=spec.kind == "overl")
         # A voter without n-grams matches nothing: its row is 0 / 1 = 0.
         return matched / np.maximum(sizes, 1)[:, None]
     if spec.kind in ("bleu", "smoothed_bleu"):
@@ -270,17 +264,16 @@ def range_vote(
     A sequence appearing in both sets votes for itself.  Accumulation runs
     in fixed voter order (with exact fsum rounding) for reproducibility.
 
-    The n-gram kinds share one exact integer kernel: every sequence's
-    n-grams are counted once per election, and the clipped matches
-    M[v, c] = sum over grams g of min(count_v(g), count_c(g)) of all pairs
-    come from products of 0/1 count-level matrices.  ``prec`` and ``overl``
-    divide M by the voter's n-gram count; the BLEU kinds run the scalar
-    BLEU epilogue once per distinct (|c|, |v|, M_1..M_max_n).  Every score
-    is bit-identical to summing ``w_v * sim(v, c)`` pair by pair: the counts
-    are exact integers, an int/int quotient is correctly rounded in numpy
-    as in Python, the epilogue makes the same ``math.log``/``math.exp``
-    calls, and the products and fsums are unchanged.  ``embed_cosine``
-    calls its scalar similarity pair by pair.
+    The n-gram kinds code voters and candidates once per election and take
+    every pair's clipped matches M_n[v, c] from integer count-level block
+    products.  ``prec``/``overl`` divide M by the voter's gram count; the
+    BLEU kinds run a table epilogue over the integer (|c|, |v|, M_n, total_n)
+    statistics.  Every score is bit-identical to ``w_v * sim(v, c)`` pair by
+    pair: the counts are exact integers, an int/int quotient is correctly
+    rounded in numpy as in Python, the epilogue calls libm ``math.log`` and
+    ``math.exp`` on the very arguments the scalar loop does, adding its logs
+    in the same order, and the products and fsums are unchanged.
+    ``embed_cosine`` calls its scalar similarity pair by pair.
     """
     if not candidates.items:
         raise ValueError("candidate set is empty")

@@ -175,6 +175,18 @@ class TestOracle:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    @pytest.mark.parametrize("command", [["enumerate"], ["map"], ["vote-winner", "--sim", "overl", "--n", "1"]])
+    def test_a_budget_below_one_is_rejected_before_enumerating(self, tabular, tmp_path, capsys, command, budget):
+        out = tmp_path / "enum.jsonl"
+        extra = ["--out", str(out)] if command == ["enumerate"] else []
+        argv = ["oracle", command[0], "--tabular", str(tabular), "--max-len", str(MAX_LEN), "--budget", budget,
+                *command[1:], *extra]
+        assert main(argv) == 3
+        assert f"node budget must be >= 1, got {budget}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestReservedMarkersInVotes:
     @pytest.mark.parametrize("voters", ["same", "file"])
     def test_markers_keep_their_ids(self, tmp_path, voters):

@@ -11,12 +11,13 @@ import math
 from collections import Counter
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votedecode import voting
+from votedecode import metrics, voting
 from votedecode.decode import CandidateSet, ScoredSequence
-from votedecode.metrics import bleu_from_stats, bleu_stats, corpus_bleu, paired_bootstrap
+from votedecode.metrics import bleu_from_stats, bleu_from_stats_array, bleu_stats, corpus_bleu, paired_bootstrap
 from votedecode.models import NEG_INF
 from votedecode.sequences import ngram_bag
 from votedecode.voting import SimilaritySpec, bleu_sim, overl_sim, prec_sim, range_vote
@@ -114,8 +115,14 @@ logprobs = st.one_of(st.floats(min_value=-60.0, max_value=0.0), st.just(NEG_INF)
 scored = st.builds(ScoredSequence, tokens=tokens, logprob=logprobs)
 
 
+# Wide ids from a small pool: grams still repeat, and sequences up to 40
+# tokens give enough distinct grams that columns span several gram blocks.
+wide_tokens = st.lists(st.sampled_from([3, 7, 10**6, 10**6 + 1, 2**40, 2**62]), max_size=40).map(tuple)
+wide_scored = st.builds(ScoredSequence, tokens=wide_tokens, logprob=logprobs)
+
+
 @st.composite
-def elections(draw):
+def elections(draw, scored=scored):
     cands = draw(st.lists(scored, min_size=1, max_size=6))
     voters = draw(st.lists(scored, min_size=1, max_size=8))
     # Duplicate voters, and candidates that also vote.
@@ -146,6 +153,14 @@ class TestBulkElection:
         assert result.scores == scores
         assert result.contributions == contributions
 
+    @settings(max_examples=80, deadline=None)
+    @given(elections(wide_scored), st.sampled_from(NGRAM_SPECS), st.sampled_from([1, 4, voting._GRAM_BLOCK]))
+    def test_wide_ids_and_long_sequences(self, election, spec, block):
+        cands, voters = election
+        with patch.object(voting, "_GRAM_BLOCK", block):
+            result = range_vote(cands, voters, spec, with_contributions=True)
+        assert (result.ranking, result.scores, result.contributions) == reference_vote(cands, voters, spec)
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(tokens, min_size=1, max_size=5), st.lists(tokens, min_size=1, max_size=5), st.sampled_from(NGRAM_SPECS))
     def test_similarity_matrix_is_the_scalar_similarity(self, voters, cands, spec):
@@ -168,6 +183,29 @@ class TestBulkElection:
 refs_lists = st.lists(tokens, min_size=1, max_size=3).map(tuple)
 
 
+@st.composite
+def bleu_stat_rows(draw):
+    """Rows of one max_n (1..4): real segment statistics, summed ones, and hand-made edge rows.
+
+    Edge rows hold zero matches, zero totals, hyp_len 0 (with zero totals,
+    as every real row has) and hypotheses shorter than the reference.
+    """
+    max_n = draw(st.integers(min_value=1, max_value=4))
+    counts = st.integers(min_value=0, max_value=12)
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=16))):
+        kind = draw(st.sampled_from(["segment", "edge", "summed"]))
+        if kind == "edge":
+            hyp_len = draw(counts)
+            matched = draw(st.lists(counts, min_size=max_n, max_size=max_n))
+            totals = [0] * max_n if hyp_len == 0 else draw(st.lists(counts, min_size=max_n, max_size=max_n))
+            rows.append((hyp_len, draw(counts), *matched, *totals))
+        else:
+            segments = draw(st.lists(st.tuples(tokens, refs_lists), min_size=1, max_size=1 if kind == "segment" else 5))
+            rows.append(tuple(map(sum, zip(*(bleu_stats(h, r, max_n) for h, r in segments)))))
+    return rows
+
+
 class TestBleuStatistics:
     @settings(max_examples=200, deadline=None)
     @given(tokens, tokens, st.integers(min_value=1, max_value=4), st.booleans())
@@ -182,6 +220,25 @@ class TestBleuStatistics:
         hyps = [h for h, _ in segments]
         refs = [r for _, r in segments]
         assert corpus_bleu(hyps, refs, max_n=max_n) == reference_corpus_bleu(hyps, refs, max_n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(bleu_stat_rows(), st.booleans())
+    def test_array_epilogue_bit_for_bit(self, rows, smoothed):
+        want = [bleu_from_stats(row, smoothed=smoothed) for row in rows]
+        got = bleu_from_stats_array(np.array(rows, dtype=np.int64).T, smoothed=smoothed)
+        assert got.dtype == np.float64
+        assert got.tolist() == want
+
+    def test_array_epilogue_broadcasts_its_statistics(self):
+        # Rows: a brevity penalty, none.  Columns: all matched, a zero match, hyp_len 0 with zero totals.
+        hyp_len, ref_len = np.array([3, 3, 0]), np.array([[4], [2]])
+        matched, totals = [np.array([2, 2, 0]), np.array([1, 0, 0])], [np.array([3, 3, 0]), np.array([2, 2, 0])]
+        got = bleu_from_stats_array([hyp_len, ref_len, *matched, *totals])
+        assert got.shape == (2, 3)
+        want = [[bleu_from_stats((h, r, m1, m2, t1, t2)) for h, m1, m2, t1, t2 in zip(hyp_len, *matched, *totals)]
+                for r in (4, 2)]
+        assert got.tolist() == want
+        assert want[0][0] < want[1][0] and want[0][1] == want[0][2] == 0.0
 
     def test_stats_layout(self):
         # hyp_len, closest ref_len (tie -> shorter), matched_1..2, total_1..2
@@ -208,6 +265,19 @@ class TestBootstrapFastPath:
         fast = paired_bootstrap(hyps_a, hyps_b, refs, max_n=max_n, n_bootstrap=40, seed=seed)
         for metric in (lambda h, r: corpus_bleu(h, r, max_n), lambda h, r: reference_corpus_bleu(h, r, max_n)):
             assert paired_bootstrap(hyps_a, hyps_b, refs, metric=metric, n_bootstrap=40, seed=seed) == fast
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.tuples(tokens, tokens, refs_lists), min_size=1, max_size=6),
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_resample_blocks_do_not_change_the_p_value(self, segments, draws):
+        hyps_a, hyps_b, refs = ([segment[i] for segment in segments] for i in range(3))
+        whole = paired_bootstrap(hyps_a, hyps_b, refs, n_bootstrap=25, seed=5)
+        assert type(whole) is float  # printed by `eval --compare`, so no numpy scalar
+        # Blocks of one resample and more; the RNG stream is drawn in the same order either way.
+        with patch.object(metrics, "_BOOTSTRAP_DRAWS", draws):
+            assert paired_bootstrap(hyps_a, hyps_b, refs, n_bootstrap=25, seed=5) == whole
 
     def test_errors_match_corpus_bleu(self):
         with pytest.raises(ValueError, match="empty corpus"):

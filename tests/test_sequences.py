@@ -10,6 +10,7 @@ from votedecode.sequences import (
     Vocabulary,
     build_vocabulary,
     detokenize,
+    gram_codes,
     ngram_bag,
     ngram_set,
     tokenize,
@@ -103,6 +104,53 @@ class TestNGrams:
         total = sum(ngram_bag(seq, n).values())
         assert total == max(0, len(seq) - n + 1)
         assert len(ngram_set(seq, n)) <= total
+
+
+def expected_codes(seqs, max_n):
+    """(rows, codes) per order from the gram tuples themselves: a code is the tuple's dense rank."""
+    out = []
+    for n in range(1, max_n + 1):
+        grams = [(row, seq[i : i + n]) for row, seq in enumerate(seqs) for i in range(len(seq) - n + 1)]
+        rank = {gram: code for code, gram in enumerate(sorted({gram for _, gram in grams}))}
+        out.append(([row for row, _ in grams], [rank[gram] for _, gram in grams]))
+    return out
+
+
+# Narrow ids repeat often; wide ids (up to 2**40) would overflow a naive id-positional key by the third order.
+gram_ids = st.one_of(st.integers(min_value=3, max_value=6), st.integers(min_value=10**6, max_value=2**40))
+
+
+class TestGramCodes:
+    @given(st.lists(st.lists(gram_ids, max_size=12).map(tuple), max_size=8), st.integers(min_value=1, max_value=5))
+    def test_codes_are_the_dense_ranks_of_the_gram_tuples(self, seqs, max_n):
+        got = [(rows.tolist(), codes.tolist()) for rows, codes in gram_codes(seqs, max_n)]
+        assert got == expected_codes(seqs, max_n)
+
+    def test_equal_grams_share_a_code_across_lists(self):
+        voters, cands = [(A, B, C), (C, A, B)], [(B, C), (A, B, A, B)]
+        rows, codes = gram_codes(voters + cands, 2)[1]
+        by_gram = {}
+        for row, i, code in zip(rows.tolist(), [0, 1, 0, 1, 0, 0, 1, 2], codes.tolist()):
+            by_gram.setdefault((voters + cands)[row][i : i + 2], set()).add(code)
+        assert by_gram == {(A, B): {0}, (B, C): {2}, (C, A): {3}, (B, A): {1}}
+
+    def test_empty_and_short_sequences_give_no_grams(self):
+        orders = gram_codes([(), (A,), (A, B)], 3)
+        assert [rows.tolist() for rows, _ in orders] == [[1, 2, 2], [2], []]
+        assert all(len(rows) == len(codes) for rows, codes in orders)
+        assert [len(rows) for rows, _ in gram_codes([], 2)] == [0, 0]
+
+    def test_wide_ids_do_not_overflow(self):
+        wide = 2**62
+        seqs = [(wide, 10**6, wide, 10**6, wide), (10**6, wide, 10**6)]
+        rows, codes = gram_codes(seqs, 5)[2]
+        assert rows.tolist() == [0, 0, 0, 1]
+        assert codes.tolist() == [1, 0, 1, 0]  # (1e6, w, 1e6) ranks below (w, 1e6, w)
+        assert all(int(codes.max(initial=0)) < len(rows) for _, codes in gram_codes(seqs, 5))
+
+    def test_rejects_zero_order(self):
+        with pytest.raises(ValueError):
+            gram_codes([(A,)], 0)
 
 
 class TestBuildVocabulary:
