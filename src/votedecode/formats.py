@@ -17,7 +17,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .metrics import EvalRow
-from .sequences import NUM_RESERVED, Vocabulary
+from .sequences import Vocabulary
 
 
 class FileFormatError(ValueError):
@@ -199,12 +199,7 @@ def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
 
 def vectors_for_vocab(table: dict[str, np.ndarray], vocab: Vocabulary) -> dict[int, np.ndarray]:
     """Re-key a string-keyed vector table by vocabulary id (missing tokens dropped)."""
-    out = {}
-    for offset, token in enumerate(vocab.tokens):
-        vec = table.get(token)
-        if vec is not None:
-            out[NUM_RESERVED + offset] = vec
-    return out
+    return {i: table[token] for i, token in zip(vocab.surface_ids, vocab.tokens) if token in table}
 
 
 def read_tabular_entries(path: str | Path) -> list[tuple[str, float]]:
@@ -235,34 +230,17 @@ def write_enumeration(pairs: Iterable[tuple[str, float]], fp: IO[str]) -> None:
 
 # --- evaluation report ------------------------------------------------------
 
+# Report columns after the BLEU ones, each named after its EvalRow field.
+_ROW_FIELDS = ("avg_length", "distinct_sequences", "distinct_unigrams", "distinct_bigrams", "exact_copy_rate",
+               "partial_copy_rate")
+
+
 def report_columns(max_n: int) -> list[str]:
-    return (
-        ["system"]
-        + [f"bleu_{n}" for n in range(1, max_n + 1)]
-        + [
-            "avg_length",
-            "distinct_sequences",
-            "distinct_unigrams",
-            "distinct_bigrams",
-            "exact_copy_rate",
-            "partial_copy_rate",
-        ]
-    )
+    return ["system", *(f"bleu_{n}" for n in range(1, max_n + 1)), *_ROW_FIELDS]
 
 
 def _row_values(row: EvalRow) -> list:
-    return (
-        [row.system]
-        + list(row.bleu)
-        + [
-            row.avg_length,
-            row.distinct_sequences,
-            row.distinct_unigrams,
-            row.distinct_bigrams,
-            row.exact_copy_rate,
-            row.partial_copy_rate,
-        ]
-    )
+    return [row.system, *row.bleu, *(getattr(row, name) for name in _ROW_FIELDS)]
 
 
 def write_report_tsv(rows: list[EvalRow], max_n: int, fp: IO[str]) -> None:

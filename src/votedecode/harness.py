@@ -10,6 +10,7 @@ the ``decode`` and ``vote`` commands call them too.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -30,8 +31,8 @@ from .formats import (
     write_votes,
 )
 from .metrics import EvalRow, evaluate_system
-from .models import NGramLM, SequenceModel, TabularModel, load_model, tabular_model, train_ngram_lm
-from .sequences import MARK_IDS, RESERVED_MARKS, Sequence, Vocabulary, build_vocabulary, tokenize
+from .models import NGramLM, SequenceModel, TabularModel, load_model, tabular_model, train_on_stream
+from .sequences import RESERVED_MARKS, UNK_ID, Sequence, Vocabulary, build_vocabulary, index_corpus, tokenize
 from .voting import SimilaritySpec, VoteResult, VoterSpec, generate_voters, range_vote
 
 _MASK = (1 << 64) - 1
@@ -54,9 +55,8 @@ def tabular_model_from_text(entries: Iterable[tuple[str, float]], lowercase: boo
 
 def train_on_lines(lines: list[str], order: int, add_k: float, max_vocab: int | None, lowercase: bool) -> NGramLM:
     """The n-gram model of ``run``'s train models and of the ``train`` command."""
-    vocab = build_vocabulary(lines, lowercase=lowercase, max_size=max_vocab)
-    corpus = [tokenize(line, vocab, lowercase) for line in lines]
-    return train_ngram_lm(corpus, order=order, add_k=add_k, vocab=vocab)
+    vocab, ids, lengths = index_corpus(lines, lowercase, max_vocab)
+    return train_on_stream(ids, lengths, order, add_k, vocab)
 
 
 def build_model(spec: ModelSpec, base: ExperimentConfig) -> SequenceModel:
@@ -84,7 +84,7 @@ def adhoc_vocab(token_seqs: Iterable[Iterable[str]]) -> Vocabulary:
 
 def file_ids(tokens: Iterable[str], vocab: Vocabulary) -> Sequence:
     """Ids of tokens read from a file: a reserved marker maps to its own id, an unknown word to UNK."""
-    return tuple(MARK_IDS[t] if t in MARK_IDS else vocab.id_of(t) for t in tokens)
+    return tuple(map(vocab.marked_index.get, tokens, repeat(UNK_ID)))
 
 
 def candidate_record(row_id, source: str | None, cands: CandidateSet, vocab: Vocabulary) -> CandidateRecord:

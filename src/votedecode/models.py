@@ -16,9 +16,10 @@ the full id space for callers that want a dense vector.
 An ``NGramLM`` builds a history's row on its first query, with one
 ``math.log`` per observed successor, and keeps it: the cache holds at most
 one row per trained history, plus the one row all unseen histories share,
-and never a dense vector.  Training lays the corpus out as one flat id
-stream (each line as BOS * (order - 1), its ids and EOS) and counts every
-(history, event) code with one sort.
+and never a dense vector.  Training counts off one flat id stream, each
+line's ids then EOS, as ``index_corpus`` yields it or ``train_ngram_lm``
+flattens its sequences: one scatter pads each line with BOS * (order - 1),
+and one sort counts every (history, event) code.
 """
 
 from __future__ import annotations
@@ -238,18 +239,24 @@ def check_training(order: int, add_k: float) -> None:
 
 def train_ngram_lm(corpus: Iterable[Sequence], order: int, add_k: float, vocab: Vocabulary) -> NGramLM:
     """Collect (history, event) counts with BOS padding and a terminal EOS per line (ids >= 0)."""
-    check_training(order, add_k)
     corpus = list(corpus)
-    if not corpus:
+    ids = np.fromiter(chain.from_iterable(chain.from_iterable(zip(corpus, repeat((EOS_ID,))))), np.uint32)
+    return train_on_stream(ids, np.fromiter(map(len, corpus), np.int64, len(corpus)), order, add_k, vocab)
+
+
+def train_on_stream(events: np.ndarray, lengths: np.ndarray, order: int, add_k: float, vocab: Vocabulary) -> NGramLM:
+    """:func:`train_ngram_lm` on a flat stream: each line's ``lengths[i]`` ids, then its EOS."""
+    check_training(order, add_k)
+    if not len(lengths):
         raise ValueError("training corpus is empty")
     need = order - 1
-    spans = np.fromiter(map(len, corpus), np.int64, len(corpus)) + order
-    lines = zip(repeat((BOS_ID,) * need), corpus, repeat((EOS_ID,)))
-    ids = np.fromiter(chain.from_iterable(chain.from_iterable(lines)), np.uint32, int(spans.sum()))
-    is_event = np.ones(len(ids), bool)
+    spans = lengths + order
+    is_event = np.ones(int(spans.sum()), bool)
     is_event[(np.cumsum(spans) - spans)[:, None] + np.arange(need)] = False
+    ids = np.full(len(is_event), BOS_ID, np.uint32)
+    ids[is_event] = events
     width = int(ids.max()) + 1
-    key = np.zeros(len(ids) - need * len(corpus), np.int64)
+    key = np.zeros(len(events), np.int64)
     for offset in range(-need, 0):  # ranked once it spans two slots, a key stays below (#histories) * width
         key *= width
         key += ids[:offset][is_event[-offset:]]
@@ -260,7 +267,7 @@ def train_ngram_lm(corpus: Iterable[Sequence], order: int, add_k: float, vocab: 
     seen = np.sort(first)
     np.take(np.searchsorted(seen, first), key, out=key)  # renumbered, histories keep first-seen order
     key *= width
-    key += ids[is_event]
+    key += events
     codes, totals = np.unique(key, return_counts=True)
     sizes = np.bincount(codes // width)
     histories = ids[seen[: len(sizes), None] + np.arange(-need, 0)].tolist()

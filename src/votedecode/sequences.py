@@ -2,16 +2,16 @@
 
 A sequence is a plain tuple of vocabulary ids.  Begin/end markers are
 model-side bookkeeping and never stored in a sequence, so n-gram statistics
-are always over surface tokens only.  Vocabulary counts and token lookups
-loop in C: one ``Counter`` over all lines' splits, one ``map`` per line;
+are always over surface tokens only.  :func:`index_corpus` splits a corpus
+once, as a stream, and codes, counts and ranks its words in C and numpy;
 :func:`gram_codes` numbers the n-grams of many sequences in one array pass.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from typing import Iterable
 
 import numpy as np
@@ -54,6 +54,7 @@ class Vocabulary:
                 raise ValueError(f"duplicate vocabulary token: {token!r}")
             index[token] = NUM_RESERVED + offset
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "marked_index", {**index, **MARK_IDS})  # tokens and reserved markers to ids
 
     @property
     def size(self) -> int:
@@ -145,16 +146,30 @@ def gram_codes(seqs: list[Sequence], max_n: int) -> list[tuple[np.ndarray, np.nd
     return out
 
 
-def build_vocabulary(lines: Iterable[str], lowercase: bool = False, max_size: int | None = None) -> Vocabulary:
-    """Build a vocabulary from raw text lines.
+def index_corpus(
+    lines: Iterable[str], lowercase: bool = False, max_size: int | None = None
+) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
+    """Vocabulary, id stream (each line's ids, then EOS_ID) and line lengths of text lines, from one split.
 
-    Tokens are ordered most-frequent first (ties broken alphabetically) so an
-    optional ``max_size`` keeps the most common words.
+    Tokens rank most-frequent first, ties alphabetical, so ``max_size`` keeps
+    the most common words; reserved markers and cut words map to UNK.
     """
     if max_size is not None and max_size < 0:
         raise ValueError(f"max_vocab must be >= 0, got {max_size}")
-    counts = Counter(chain.from_iterable(map(str.split, map(str.lower, lines) if lowercase else lines)))
-    for mark in RESERVED_MARKS:
-        counts.pop(mark, None)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return Vocabulary(tokens=tuple(tok for tok, _ in ranked[:max_size]))
+    code = defaultdict(count().__next__)  # first-seen codes; "", never a split token, is 0 and ends each line
+    code[""]
+    words = map(str.split, map(str.lower, lines) if lowercase else lines)
+    codes = np.fromiter(map(code.__getitem__, chain.from_iterable(map(list.__add__, words, repeat([""])))), np.int64)
+    tokens = sorted(code.keys() - RESERVED_MARKS - {""})
+    ranked = np.fromiter(map(code.__getitem__, tokens), np.int64, len(tokens))
+    keep = np.argsort(-np.bincount(codes, minlength=len(code))[ranked], kind="stable")[:max_size]
+    to_id = np.full(len(code), UNK_ID, np.uint32)
+    to_id[0] = EOS_ID
+    to_id[ranked[keep]] = np.arange(NUM_RESERVED, NUM_RESERVED + len(keep))
+    vocab = Vocabulary(tokens=tuple(map(tokens.__getitem__, keep.tolist())))
+    return vocab, to_id[codes], np.diff(np.flatnonzero(codes == 0), prepend=-1) - 1
+
+
+def build_vocabulary(lines: Iterable[str], lowercase: bool = False, max_size: int | None = None) -> Vocabulary:
+    """The vocabulary of :func:`index_corpus`."""
+    return index_corpus(lines, lowercase, max_size)[0]

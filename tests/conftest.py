@@ -1,8 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from votedecode import SimilaritySpec, Vocabulary, sequence_logprob, tabular_model, tokenize
 from votedecode.models import NEG_INF
+from votedecode.sequences import RESERVED_MARKS
 
 # Tabular toy distribution used across modules: support {"a b", "a c", "d"}.
 ABD_ENTRIES = [("a b", 0.5), ("a c", 0.3), ("d", 0.2)]
@@ -30,6 +34,26 @@ CAPTIONS10 = [
     ("a black and white photo of a man and a dog", 0.00033),
     ("a black and white photo of a man on a horse", 0.00025),
 ]
+
+
+# Corpus pieces: mixed and dotted capitals, a final sigma, reserved markers and Unicode whitespace.
+CORPUS_WORDS = ["a", "A", "b", "cat", "Cat", "ΟΔΟΣ", "Σ", "İ", "İzmir", "<unk>", "<bos>", "<eos>"]
+CORPUS_SPACES = [" ", "  ", "\t", "\x1c", "\xa0", "\u3000", "\u2028"]
+corpus_lines = st.lists(
+    st.one_of(
+        st.lists(st.sampled_from(CORPUS_WORDS + CORPUS_SPACES), max_size=12).map("".join),
+        st.text(alphabet="aAbİΣ<>\x1c\xa0\u3000\u2028 \t", max_size=10),
+    ),
+    max_size=12,
+)
+
+
+def reference_index(lines, lowercase, max_size):
+    """Vocabulary and per-line ids the slow way: a ``Counter`` ranking, then ``tokenize`` per line."""
+    counts = Counter(word for line in lines for word in (line.lower() if lowercase else line).split())
+    ranked = sorted(counts.keys() - RESERVED_MARKS, key=lambda word: (-counts[word], word))
+    vocab = Vocabulary(tokens=tuple(ranked[:max_size]))
+    return vocab, [tokenize(line, vocab, lowercase) for line in lines]
 
 
 def vocab_over(texts):

@@ -1,16 +1,21 @@
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import corpus_lines, reference_index
+from votedecode.harness import file_ids
 from votedecode.sequences import (
     BOS_ID,
     EOS_ID,
+    MARK_IDS,
     UNK_ID,
     Vocabulary,
     build_vocabulary,
     detokenize,
     gram_codes,
+    index_corpus,
     ngram_bag,
     ngram_set,
     tokenize,
@@ -165,3 +170,67 @@ class TestBuildVocabulary:
     def test_lowercase(self):
         vocab = build_vocabulary(["A a"], lowercase=True)
         assert vocab.tokens == ("a",)
+
+
+class TestIndexCorpus:
+    @given(corpus_lines, st.booleans(), st.sampled_from([None, 0, 1, 3]))
+    def test_matches_counter_ranking_and_per_line_tokenize(self, lines, lowercase, max_size):
+        vocab, ids, lengths = index_corpus(lines, lowercase, max_size)
+        want_vocab, seqs = reference_index(lines, lowercase, max_size)
+        assert vocab.tokens == want_vocab.tokens
+        assert ids.tolist() == [i for seq in seqs for i in seq + (EOS_ID,)]
+        assert lengths.tolist() == [len(seq) for seq in seqs]
+        assert build_vocabulary(lines, lowercase, max_size) == vocab
+
+    def test_blank_and_whitespace_only_lines_are_empty(self):
+        vocab, ids, lengths = index_corpus(["", " \t", "a", "\u3000\xa0\x1c\u2028"])
+        assert vocab.tokens == ("a",)
+        assert ids.tolist() == [EOS_ID, EOS_ID, 3, EOS_ID, EOS_ID]
+        assert lengths.tolist() == [0, 0, 1, 0]
+
+    def test_reserved_markers_map_to_unk(self):
+        vocab, ids, _ = index_corpus(["<unk> <bos> b <eos> <eos>"])
+        assert vocab.tokens == ("b",)
+        assert ids.tolist() == [UNK_ID, UNK_ID, 3, UNK_ID, UNK_ID, EOS_ID]
+
+    def test_unicode_whitespace_splits(self):
+        vocab, _, lengths = index_corpus(["a\x1cb\xa0c\u3000d\u2028e"])
+        assert vocab.tokens == ("a", "b", "c", "d", "e") and lengths.tolist() == [5]
+
+    def test_lowercase_folds_before_counting(self):
+        assert index_corpus(["İ b B"], lowercase=True)[0].tokens == ("b", "İ".lower())
+        assert index_corpus(["İ b B"])[0].tokens == ("B", "b", "İ")
+
+    @pytest.mark.parametrize("max_size, tokens", [(None, ("b", "a", "c")), (0, ()), (1, ("b",)), (2, ("b", "a"))])
+    def test_max_size_cut_words_map_to_unk(self, max_size, tokens):
+        vocab, ids, _ = index_corpus(["b a b c", "c b a"], max_size=max_size)
+        assert vocab.tokens == tokens
+        assert ids.tolist() == [vocab.id_of(w) if w else EOS_ID for w in "b a b c  c b a ".split(" ")]
+
+    def test_empty_corpus(self):
+        vocab, ids, lengths = index_corpus([])
+        assert vocab.tokens == () and ids.tolist() == [] and lengths.tolist() == []
+
+    def test_rejects_negative_max_size(self):
+        with pytest.raises(ValueError, match="max_vocab must be >= 0, got -1"):
+            index_corpus(["a"], max_size=-1)
+        with pytest.raises(ValueError, match="max_vocab must be >= 0, got -1"):
+            build_vocabulary(["a"], max_size=-1)
+
+
+def generator_file_ids(tokens, vocab):
+    """``file_ids`` as a per-token generator: a marker's own id, else the vocabulary id."""
+    return tuple(MARK_IDS[t] if t in MARK_IDS else vocab.id_of(t) for t in tokens)
+
+
+class TestFileIds:
+    def test_markers_keep_their_ids_and_unknown_words_are_unk(self):
+        assert file_ids(["<bos>", "<eos>", "<unk>", "b", "zz"], VOCAB) == (BOS_ID, EOS_ID, UNK_ID, B, UNK_ID)
+        assert file_ids([], VOCAB) == ()
+
+    def test_matches_the_generator(self):
+        rng = random.Random(0)
+        pool = [*VOCAB.tokens, *MARK_IDS, "A", "zz", "a b"]
+        for _ in range(200):
+            tokens = rng.choices(pool, k=rng.randint(0, 12))
+            assert file_ids(tokens, VOCAB) == generator_file_ids(tokens, VOCAB)

@@ -5,10 +5,13 @@ import io
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import corpus_lines, reference_index
 from votedecode.cli import main
 from votedecode.harness import train_on_lines
-from votedecode.models import save_model
+from votedecode.models import NGramLM, save_model, train_ngram_lm
+from votedecode.sequences import BOS_ID, EOS_ID
 
 WORDS = ["the", "The", "THE", "cat", "Cat", "dog", "sat", "ran", "on", "mat", "ΟΔΟΣ", "Σ", "İzmir", "<unk>", "<bos>",
          "yak", "Yak", "zebra", "Éclair", "ärger"]
@@ -25,10 +28,14 @@ def golden_lines():
     return lines
 
 
-def model_bytes(lines, order, lowercase, max_vocab, add_k=0.5):
+def saved(model):
     fp = io.StringIO()
-    save_model(train_on_lines(lines, order, add_k, max_vocab, lowercase), fp)
-    return fp.getvalue().encode("utf-8")
+    save_model(model, fp)
+    return fp.getvalue()
+
+
+def model_bytes(lines, order, lowercase, max_vocab, add_k=0.5):
+    return saved(train_on_lines(lines, order, add_k, max_vocab, lowercase)).encode("utf-8")
 
 
 # sha256 of `save_model` output, recorded with the per-line vocabulary,
@@ -53,6 +60,38 @@ GOLDEN = {
 def test_saved_model_bytes(order, lowercase, max_vocab):
     digest = hashlib.sha256(model_bytes(golden_lines(), order, lowercase, max_vocab)).hexdigest()
     assert digest == GOLDEN[order, lowercase, max_vocab]
+
+
+def reference_counts(seqs, order):
+    """(history, event) counts from a dict of dicts, each line padded with BOS * (order - 1) and ended by EOS."""
+    counts = {}
+    for seq in seqs:
+        padded = (BOS_ID,) * (order - 1) + seq + (EOS_ID,)
+        for i in range(order - 1, len(padded)):
+            events = counts.setdefault(padded[i - order + 1 : i], {})
+            events[padded[i]] = events.get(padded[i], 0) + 1
+    return counts
+
+
+@given(corpus_lines.filter(bool), st.integers(1, 4), st.booleans(), st.sampled_from([None, 0, 1, 3]))
+def test_training_matches_the_per_line_reference(lines, order, lowercase, max_vocab):
+    model = train_on_lines(lines, order, 0.5, max_vocab, lowercase)
+    vocab, seqs = reference_index(lines, lowercase, max_vocab)
+    want = NGramLM(vocab=vocab, order=order, add_k=0.5, counts=reference_counts(seqs, order))
+    assert model.vocab.tokens == vocab.tokens
+    assert model.counts == want.counts
+    assert saved(model) == saved(want)
+    assert train_ngram_lm(seqs, order, 0.5, vocab) == model
+
+
+@pytest.mark.parametrize(
+    "lines, max_vocab, message",
+    [([], None, "training corpus is empty"), (["a"], -1, "max_vocab must be >= 0, got -1"),
+     ([], -1, "max_vocab must be >= 0, got -1")],
+)
+def test_training_rejects_with_the_same_message(lines, max_vocab, message):
+    with pytest.raises(ValueError, match=message):
+        train_on_lines(lines, 2, 0.5, max_vocab, False)
 
 
 class TestTrainCommand:
@@ -84,7 +123,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize(
         "flags, message",
         [([], "training corpus is empty"), (["--order", "0"], "order must be >= 1"),
-         (["--add-k", "nan"], "add_k must be finite and >= 0")],
+         (["--add-k", "nan"], "add_k must be finite and >= 0"), (["--max-vocab", "-1"], "max_vocab must be >= 0")],
     )
     def test_validation_exits_3(self, tmp_path, corpus, capsys, flags, message):
         _, path = corpus
