@@ -6,9 +6,8 @@ similarity measure, and returns the candidate with the highest total.
 """
 
 from .decode import (
-    BeamParams,
     CandidateSet,
-    CopyFilter,
+    DecodeSpec,
     ScoredSequence,
     beam_search,
     sample_sequences,
@@ -56,7 +55,6 @@ from .sequences import (
 from .voting import (
     SimilaritySpec,
     VoteResult,
-    VoterSpec,
     bleu_sim,
     embed_cosine_sim,
     overl_sim,
@@ -67,10 +65,9 @@ from .voting import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeamParams",
     "BudgetExceededError",
     "CandidateSet",
-    "CopyFilter",
+    "DecodeSpec",
     "DistinctStats",
     "EnumeratedDistribution",
     "EvalRow",
@@ -83,7 +80,6 @@ __all__ = [
     "TabularModel",
     "Vocabulary",
     "VoteResult",
-    "VoterSpec",
     "ZeroMassPrefixError",
     "beam_search",
     "bleu_sim",

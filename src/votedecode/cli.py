@@ -26,8 +26,8 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .config import ConfigError, DecodeSpec, load_config, parse_decode_spec, parse_voter_spec
-from .decode import CandidateSet, ScoredSequence, beam_search, sample_sequences
+from .config import ConfigError, load_config, parse_decode_spec, parse_voter_spec
+from .decode import CandidateSet, DecodeSpec, ScoredSequence, beam_search, sample_sequences
 from .formats import (
     CandidateRecord,
     FileFormatError,
@@ -192,8 +192,8 @@ def decode(model_path, tabular_path, dataset, out, strategy, beam_size, max_len,
 @click.option("--candidates", "candidates_path", type=click.Path(), required=True,
               help="Candidates file (decode output).")
 @click.option("--voters", "voters_flag", type=str, default="same", show_default=True,
-              help="same | file:PATH | beam:K | sample:N[:strategy]. "
-                   "Beam voters use logprob scoring, no diversity penalty and no copy filter.")
+              help="same | file:PATH | beam:K | sample:N[:strategy]. Voters inherit every search setting "
+                   "they do not set: here --max-len, logprob scoring, no diversity penalty and no copy filter.")
 @click.option("--sim", "sim_kind", type=click.Choice(SIMILARITY_KINDS), required=True)
 @click.option("--n", type=int, default=None, help="N-gram order for prec/overl.")
 @click.option("--max-n", type=int, default=None, help="Highest n-gram order for BLEU kinds.")
@@ -213,11 +213,11 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
     voter_records = None
     voter_spec = None
     model = None
-    voter_decode = DecodeSpec(max_len=max_len)  # regenerated voters' search settings
     if voters_flag.startswith("file:"):
         voter_records = {record_key(rec.id): rec for rec in read_candidates(voters_flag[len("file:"):])}
     elif voters_flag != "same":
         voter_spec = parse_voter_spec(voters_flag)
+        voter_decode = DecodeSpec(max_len=max_len)  # the decode regenerated voters inherit from
         model = _load_cli_model(model_path, tabular_path, lowercase)
 
     if model is not None:

@@ -11,10 +11,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .decode import BeamParams, CopyFilter, check_sampling
+from .decode import DecodeSpec
 from .models import check_training
-from .sequences import Sequence
-from .voting import SimilaritySpec, VoterSpec
+from .voting import SimilaritySpec
 
 SCHEMA_VERSION = 1
 
@@ -35,42 +34,11 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class DecodeSpec:
-    name: str = "decode"
-    kind: str = "beam"  # beam | sample
-    beam_size: int = 1
-    max_len: int = 50
-    scoring: str = "logprob"
-    diverse_gamma: float = 0.0
-    filter_copies: float | None = None
-    count: int = 1
-    strategy: str = "ancestral"
-    top_k: int | None = None
-    top_p: float | None = None
-
-    def beam_params(self, context: Sequence | None = None) -> BeamParams:
-        """Search settings for one input; the copy filter binds to a non-empty ``context``.
-
-        A sample spec keeps the defaults: greedy search to its ``max_len``.
-        """
-        copy_filter = None
-        if self.filter_copies is not None and context:
-            copy_filter = CopyFilter(source=tuple(context), threshold=self.filter_copies)
-        return BeamParams(
-            beam_size=self.beam_size,
-            max_len=self.max_len,
-            scoring=self.scoring,
-            diverse_gamma=self.diverse_gamma,
-            copy_filter=copy_filter,
-        )
-
-
-@dataclass(frozen=True)
 class SelectSpec:
     name: str
     kind: str  # map | vote
     sim: SimilaritySpec | None = None
-    voters: VoterSpec | None = None
+    voters: dict | None = None  # see parse_voter_spec
     contributions: bool = False
 
 
@@ -104,20 +72,31 @@ def _check_keys(mapping: Mapping, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
+def _int(data: Mapping, key: str, default: int | None = None) -> int | None:
+    """``data[key]`` as an integer, ``default`` if absent; null only where the default is None, and no fraction."""
+    value = data.get(key, default)
+    if value is None and default is None:
+        return None
+    if not isinstance(value, (int, float, str)) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_model(data, where: str = "model") -> ModelSpec:
     if not isinstance(data, Mapping):
         raise ConfigError(f"{where}: must be an object")
     kind = _require(data, "kind", where)
     if kind == "train":
         _check_keys(data, {"kind", "corpus", "order", "add_k", "max_vocab"}, where)
-        spec = ModelSpec(
-            kind="train",
-            corpus=str(_require(data, "corpus", where)),
-            order=int(data.get("order", 2)),
-            add_k=float(data.get("add_k", 0.0)),
-            max_vocab=None if data.get("max_vocab") is None else int(data["max_vocab"]),
-        )
+        corpus = str(_require(data, "corpus", where))
         try:
+            spec = ModelSpec(
+                kind="train",
+                corpus=corpus,
+                order=_int(data, "order", 2),
+                add_k=float(data.get("add_k", 0.0)),
+                max_vocab=_int(data, "max_vocab"),
+            )
             check_training(spec.order, spec.add_k)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
@@ -151,71 +130,76 @@ def parse_decode_spec(data, where: str) -> DecodeSpec:
     kind = data.get("kind", "beam")
     if kind == "beam":
         _check_keys(data, {"name", "kind", "beam_size", "max_len", "scoring", "diverse_gamma", "filter_copies"}, where)
-        try:
-            spec = DecodeSpec(
-                name=name,
-                kind="beam",
-                beam_size=int(data.get("beam_size", 1)),
-                max_len=int(data.get("max_len", 50)),
-                scoring=str(data.get("scoring", "logprob")),
-                diverse_gamma=float(data.get("diverse_gamma", 0.0)),
-                filter_copies=None if data.get("filter_copies") is None else float(data["filter_copies"]),
-            )
-            spec.beam_params()  # validate ranges now
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-        if spec.filter_copies is not None and not 0.0 <= spec.filter_copies <= 1.0:
-            raise ConfigError(f"{where}: filter_copies must be in [0,1], got {spec.filter_copies}")
-        return spec
-    if kind == "sample":
+    elif kind == "sample":
         _check_keys(data, {"name", "kind", "count", "strategy", "top_k", "top_p", "max_len"}, where)
-        try:
-            spec = DecodeSpec(
-                name=name,
-                kind="sample",
-                count=int(_require(data, "count", where)),
-                strategy=str(data.get("strategy", "ancestral")),
-                top_k=None if data.get("top_k") is None else int(data["top_k"]),
-                top_p=None if data.get("top_p") is None else float(data["top_p"]),
-                max_len=int(data.get("max_len", 50)),
-            )
-            check_sampling(spec.strategy, spec.top_k, spec.top_p)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-        return spec
-    raise ConfigError(f"{where}: unknown decode kind {kind!r} (expected beam|sample)")
-
-
-def parse_voter_spec(value, where: str = "voters") -> VoterSpec:
-    """Voter source: 'same', 'beam:K', 'sample:N[:strategy]', or an object."""
+        _require(data, "count", where)
+    else:
+        raise ConfigError(f"{where}: unknown decode kind {kind!r} (expected beam|sample)")
     try:
-        if isinstance(value, str):
-            if value == "same":
-                return VoterSpec(kind="same")
-            head, _, rest = value.partition(":")
-            if head == "beam" and rest:
-                return VoterSpec(kind="beam", beam_size=int(rest))
-            if head == "sample" and rest:
-                count, _, strategy = rest.partition(":")
-                return VoterSpec(kind="sample", count=int(count), strategy=strategy or "ancestral", seed=0)
-            raise ConfigError(f"{where}: cannot parse voter spec {value!r}")
-        if isinstance(value, Mapping):
-            _check_keys(value, {"kind", "beam_size", "count", "strategy", "top_k", "top_p"}, where)
-            kind = _require(value, "kind", where)
-            return VoterSpec(
-                kind=str(kind),
-                beam_size=None if value.get("beam_size") is None else int(value["beam_size"]),
-                count=None if value.get("count") is None else int(value["count"]),
-                strategy=str(value.get("strategy", "ancestral")),
-                top_k=None if value.get("top_k") is None else int(value["top_k"]),
-                top_p=None if value.get("top_p") is None else float(value["top_p"]),
-                seed=0 if value.get("kind") == "sample" else None,
-            )
-    except ConfigError:
-        raise
+        return DecodeSpec(
+            name=name,
+            kind=kind,
+            beam_size=_int(data, "beam_size", 1),
+            max_len=_int(data, "max_len", 50),
+            scoring=str(data.get("scoring", "logprob")),
+            diverse_gamma=float(data.get("diverse_gamma", 0.0)),
+            filter_copies=None if data.get("filter_copies") is None else float(data["filter_copies"]),
+            count=_int(data, "count", 1),
+            strategy=str(data.get("strategy", "ancestral")),
+            top_k=_int(data, "top_k"),
+            top_p=None if data.get("top_p") is None else float(data["top_p"]),
+        )
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: voter spec must be a string or object, got {type(value).__name__}")
+
+
+# The DecodeSpec fields each voter kind may set; voters inherit every other one from their decode.
+_VOTER_FIELDS = {"same": (), "beam": ("beam_size",), "sample": ("count", "strategy", "top_k", "top_p")}
+
+
+def parse_voter_spec(value, where: str = "voters") -> dict | None:
+    """Voter source: 'same', 'beam:K', 'sample:N[:strategy]', or an object of the same fields.
+
+    Returns None for 'same' (the candidates vote), else the DecodeSpec fields
+    the voters set.  Voters run their decode's search with those fields
+    replaced; sampled voters always set ``top_k``/``top_p`` (None unless
+    given), so a nucleus decode's ``top_p`` never reaches ancestral voters.
+    """
+    if isinstance(value, str):
+        head, _, rest = value.partition(":")
+        count, _, strategy = rest.partition(":")
+        if value == "same":
+            value = {"kind": "same"}
+        elif head == "beam" and rest:
+            value = {"kind": "beam", "beam_size": rest}
+        elif head == "sample" and rest:
+            value = {"kind": "sample", "count": count, "strategy": strategy or "ancestral"}
+        else:
+            raise ConfigError(f"{where}: cannot parse voter spec {value!r}")
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{where}: voter spec must be a string or object, got {type(value).__name__}")
+    kind = str(_require(value, "kind", where))
+    if kind not in _VOTER_FIELDS:
+        raise ConfigError(f"{where}: unknown voter kind {kind!r} (expected same|beam|sample)")
+    _check_keys(value, {"kind", *_VOTER_FIELDS[kind]}, where)
+    if kind == "same":
+        return None
+    _require(value, "beam_size" if kind == "beam" else "count", where)
+    try:
+        if kind == "beam":
+            voters = {"kind": kind, "beam_size": _int(value, "beam_size", 1)}
+        else:
+            voters = {
+                "kind": kind,
+                "count": _int(value, "count", 1),
+                "strategy": str(value.get("strategy", "ancestral")),
+                "top_k": _int(value, "top_k"),
+                "top_p": None if value.get("top_p") is None else float(value["top_p"]),
+            }
+        DecodeSpec(**voters)  # the fields the voters set are checked now, the inherited ones with the decode entry
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return voters
 
 
 def _parse_select(data, index: int) -> SelectSpec:
@@ -230,8 +214,11 @@ def _parse_select(data, index: int) -> SelectSpec:
     if kind == "vote":
         _check_keys(data, {"name", "kind", "sim", "voters", "contributions"}, where)
         sim_data = _require(data, "sim", where)
+        if not isinstance(sim_data, Mapping):
+            raise ConfigError(f"{where}.sim: must be an object")
+        _check_keys(sim_data, {"kind", "n", "max_n", "vectors"}, f"{where}.sim")
         try:
-            sim = SimilaritySpec.from_dict(sim_data)
+            sim = SimilaritySpec.from_dict({**sim_data, "n": _int(sim_data, "n"), "max_n": _int(sim_data, "max_n")})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}.sim: {exc}") from exc
         voters = parse_voter_spec(data.get("voters", "same"), where=f"{where}.voters")
@@ -271,7 +258,7 @@ def parse_config(data: Mapping, base_dir: Path) -> ExperimentConfig:
     _check_keys(metrics, {"bleu_max_n", "copy_threshold"}, "metrics")
 
     stochastic = any(d.kind == "sample" for d in decode) or any(
-        s.voters is not None and s.voters.kind == "sample" for s in select
+        s.voters is not None and s.voters["kind"] == "sample" for s in select
     )
     if stochastic and "seed" not in data:
         raise ConfigError("config: 'seed' is required when sampling is configured")
@@ -282,14 +269,14 @@ def parse_config(data: Mapping, base_dir: Path) -> ExperimentConfig:
             dataset=str(_require(data, "dataset", "config")),
             decode=decode,
             select=select,
-            seed=int(data.get("seed", 0)),
+            seed=_int(data, "seed", 0),
             lowercase=bool(data.get("lowercase", False)),
-            bleu_max_n=int(metrics.get("bleu_max_n", 4)),
+            bleu_max_n=_int(metrics, "bleu_max_n", 4),
             copy_threshold=float(metrics.get("copy_threshold", 0.5)),
             output_dir=str(data.get("output_dir", "out")),
         )
         # Rows run in order; 'workers' is still read and checked, then ignored.
-        workers = None if data.get("workers") is None else int(data["workers"])
+        workers = _int(data, "workers")
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
     if cfg.bleu_max_n < 1:

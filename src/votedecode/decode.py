@@ -51,40 +51,44 @@ class ScoredSequence:
 
 
 @dataclass(frozen=True)
-class CopyFilter:
-    """Discard hypotheses reproducing at least ``threshold`` of the source's unigrams."""
+class DecodeSpec:
+    """One search, beam or sampling: a decode entry of a run, or the search its voters run.
 
-    source: Sequence
-    threshold: float
+    Every field is checked at construction, so ``dataclasses.replace``
+    re-checks a spec too.  A beam spec ignores the sampling fields and a
+    sample spec the beam ones.  ``filter_copies`` discards hypotheses that
+    reproduce at least that share of the source's distinct unigrams.
+    """
 
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"copy-filter threshold must be in [0,1], got {self.threshold}")
-
-    def discards(self, candidate: Sequence) -> bool:
-        # A source with no unigrams cannot be copied: never filter.
-        if not self.source:
-            return False
-        return copy_overlap_rate(candidate, self.source) >= self.threshold
-
-
-@dataclass(frozen=True)
-class BeamParams:
+    name: str = "decode"
+    kind: str = "beam"  # beam | sample
     beam_size: int = 1
     max_len: int = 50
     scoring: str = "logprob"
     diverse_gamma: float = 0.0
-    copy_filter: CopyFilter | None = None
+    filter_copies: float | None = None
+    count: int = 1
+    strategy: str = "ancestral"
+    top_k: int | None = None
+    top_p: float | None = None
 
     def __post_init__(self):
+        if self.kind not in ("beam", "sample"):
+            raise ValueError(f"decode kind must be beam|sample, got {self.kind!r}")
         if self.beam_size < 1:
             raise ValueError(f"beam_size must be >= 1, got {self.beam_size}")
         if self.max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {self.max_len}")
         if self.scoring not in SCORING_MODES:
             raise ValueError(f"scoring must be one of {SCORING_MODES}, got {self.scoring!r}")
-        if self.diverse_gamma < 0:
-            raise ValueError(f"diverse_gamma must be >= 0, got {self.diverse_gamma}")
+        if not 0 <= self.diverse_gamma < math.inf:  # inf * 0 would give the best sibling a NaN penalty
+            raise ValueError(f"diverse_gamma must be finite and >= 0, got {self.diverse_gamma}")
+        if self.filter_copies is not None and not 0.0 <= self.filter_copies <= 1.0:
+            raise ValueError(f"filter_copies must be in [0,1], got {self.filter_copies}")
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count}")
+        if self.kind == "sample":
+            check_sampling(self.strategy, self.top_k, self.top_p)
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,7 @@ def _ranked_children(row: Row, num_ids: int):
     return heapq.merge(head, rest_run, key=lambda child: (-child[0], child[1]))
 
 
-def beam_search(model: SequenceModel, context: Sequence | None, params: BeamParams) -> CandidateSet:
+def beam_search(model: SequenceModel, context: Sequence | None, spec: DecodeSpec) -> CandidateSet:
     """Return up to ``beam_size`` finished hypotheses.
 
     Hypotheses finish by emitting EOS or by force-termination at ``max_len``
@@ -171,7 +175,8 @@ def beam_search(model: SequenceModel, context: Sequence | None, params: BeamPara
     bound and runs to ``max_len``.  The diverse-decoding penalty subtracts
     ``gamma * (sibling rank - 1)`` from each expansion before pruning, rank
     counted from 1 per parent; EOS finishes rather than expands and carries
-    its parent's accumulated penalty.
+    its parent's accumulated penalty.  ``filter_copies`` applies to a
+    non-empty ``context`` only: an empty source has nothing to copy.
 
     Only each parent's top-k children (in sibling-rank order: step
     log-probability descending, token id ascending; the sorted head merged
@@ -182,7 +187,7 @@ def beam_search(model: SequenceModel, context: Sequence | None, params: BeamPara
     makes its (search score, log-probability) equal the k-th sibling's and
     the token-id tie-break decides; such children are kept too.
     """
-    k = params.beam_size
+    k = spec.beam_size
     num_ids = model.vocab.num_ids
     live: list[_Hyp] = [_Hyp(tokens=(), logprob=0.0, penalty=0.0)]
     finished: list[_Hyp] = []
@@ -191,13 +196,13 @@ def beam_search(model: SequenceModel, context: Sequence | None, params: BeamPara
         total = hyp.logprob + eos_logprob
         if total == NEG_INF:
             return
-        if params.copy_filter is not None and params.copy_filter.discards(hyp.tokens):
+        if spec.filter_copies is not None and context and copy_overlap_rate(hyp.tokens, context) >= spec.filter_copies:
             return
         finished.append(_Hyp(tokens=hyp.tokens, logprob=total, penalty=hyp.penalty))
 
-    early_stop = params.scoring == "logprob"
+    early_stop = spec.scoring == "logprob"
     depth = 0
-    while live and depth < params.max_len:
+    while live and depth < spec.max_len:
         expansions: list[_Hyp] = []
         for hyp in live:
             row = model.next_token_row(hyp.tokens, context)
@@ -209,31 +214,31 @@ def beam_search(model: SequenceModel, context: Sequence | None, params: BeamPara
                 child = _Hyp(
                     tokens=hyp.tokens + (token,),
                     logprob=hyp.logprob + step_lp,
-                    penalty=hyp.penalty + params.diverse_gamma * (rank - 1),
+                    penalty=hyp.penalty + spec.diverse_gamma * (rank - 1),
                 )
-                tie = (child.search_score(params.scoring), child.logprob)
+                tie = (child.search_score(spec.scoring), child.logprob)
                 if rank == k:
                     cutoff = tie
                 elif rank > k and tie != cutoff:
                     break
                 expansions.append(child)
-        expansions.sort(key=lambda h: _hyp_sort_key(h, params.scoring))
+        expansions.sort(key=lambda h: _hyp_sort_key(h, spec.scoring))
         live = expansions[:k]
         depth += 1
         if early_stop and len(finished) >= k and live:
-            bar = sorted(h.search_score(params.scoring) for h in finished)[-k]
+            bar = sorted(h.search_score(spec.scoring) for h in finished)[-k]
             # Strict comparison: a live hypothesis tying the bar could still
             # win the slot on tie-break after finishing.
-            if max(h.search_score(params.scoring) for h in live) < bar:
+            if max(h.search_score(spec.scoring) for h in live) < bar:
                 live = []
                 break
 
     for hyp in live:  # force-termination at max_len
         finish(hyp, _logprob_of(model.next_token_row(hyp.tokens, context), EOS_ID))
 
-    finished.sort(key=lambda h: _hyp_sort_key(h, params.scoring))
+    finished.sort(key=lambda h: _hyp_sort_key(h, spec.scoring))
     items = tuple(ScoredSequence(tokens=h.tokens, logprob=h.logprob) for h in finished[:k])
-    return CandidateSet(items=items, provenance=f"beam({params})")
+    return CandidateSet(items=items, provenance=f"beam({spec})")
 
 
 def check_sampling(strategy: str, top_k: int | None, top_p: float | None) -> None:

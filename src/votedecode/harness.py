@@ -5,6 +5,12 @@ is materialized under the output directory, so fixed candidate files can be
 re-voted against swapped voter files.  Given a seed, all output bytes are
 deterministic.  ``decode_row`` and ``row_voters`` are the per-row stages;
 the ``decode`` and ``vote`` commands call them too.
+
+Candidates and voters come from one search: a ``DecodeSpec`` run by
+``decode_row``.  Voters other than ``same`` set a few of its fields (a
+beam size, or a sample count, strategy and truncation) and inherit every
+other setting of the decode they vote for: max_len, scoring, diversity
+penalty, copy filter.
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .config import ConfigError, DecodeSpec, ExperimentConfig, ModelSpec
-from .decode import CandidateSet, beam_search, sample_sequences
+from .config import ConfigError, ExperimentConfig, ModelSpec
+from .decode import CandidateSet, DecodeSpec, beam_search, sample_sequences
 from .formats import (
     CandidateRecord,
     DatasetRow,
@@ -33,7 +39,7 @@ from .formats import (
 from .metrics import EvalRow, evaluate_system
 from .models import NGramLM, SequenceModel, TabularModel, load_model, tabular_model, train_on_stream
 from .sequences import RESERVED_MARKS, UNK_ID, Sequence, Vocabulary, build_vocabulary, index_corpus, tokenize
-from .voting import SimilaritySpec, VoteResult, VoterSpec, generate_voters, range_vote
+from .voting import SimilaritySpec, VoteResult, range_vote
 
 _MASK = (1 << 64) - 1
 
@@ -130,7 +136,7 @@ def decode_row(
 ) -> CandidateSet:
     """Run one decode setting on one input (beam or sampling)."""
     if spec.kind == "beam":
-        return beam_search(model, context, spec.beam_params(context))
+        return beam_search(model, context, spec)
     return sample_sequences(
         model,
         context,
@@ -146,19 +152,16 @@ def decode_row(
 def row_voters(
     model: SequenceModel,
     decode: DecodeSpec,
-    voters: VoterSpec,
+    voters: dict | None,
     context: Sequence | None,
     candidates: CandidateSet,
     seed: int,
 ) -> CandidateSet:
-    """The voter set of one input: the candidates, a wider beam, or ``seed``-drawn samples.
+    """The voter set of one input: the candidates, or ``decode``'s search with the voters' fields set.
 
-    Beam voters search with ``decode``'s settings, copy filter included, at
-    their own beam size; sampled voters inherit its ``max_len``.
+    ``voters`` is what ``config.parse_voter_spec`` returns: None for ``same``.
     """
-    if voters.kind == "sample":
-        voters = replace(voters, seed=seed)
-    return generate_voters(model, context, decode.beam_params(context), voters, candidates)
+    return candidates if voters is None else decode_row(model, replace(decode, **voters), context, seed)
 
 
 def _resolve_sim(sim: SimilaritySpec, config: ExperimentConfig, vocab: Vocabulary) -> SimilaritySpec:
@@ -216,7 +219,7 @@ def run_experiment(
                     seed = derive_seed(config.seed, 2, di, si, ri)
                     voter_sets.append(row_voters(model, dspec, sspec.voters, contexts[ri], cands, seed))
                     results.append(range_vote(cands, voter_sets[-1], sim, with_contributions=sspec.contributions))
-                if sspec.voters.kind != "same":
+                if sspec.voters is not None:
                     files.append((
                         f"voters/{system}.jsonl",
                         write_candidates,

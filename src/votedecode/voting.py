@@ -18,15 +18,18 @@ distinct argument), so every score equals the pairwise route bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .decode import BeamParams, CandidateSet, ScoredSequence, beam_search, check_sampling, sample_sequences
+from .decode import CandidateSet, ScoredSequence, beam_search, sample_sequences
 from .metrics import bleu_from_stats, bleu_from_stats_array, bleu_stats
-from .models import NEG_INF, SequenceModel
+from .models import NEG_INF
 from .sequences import Sequence, gram_codes, ngram_bag, ngram_set
+
+# bench/tracing.py patches beam_search and sample_sequences by their names in
+# this module, so both stay bound here although voters are searched by the harness.
 
 SIMILARITY_KINDS = ("prec", "overl", "bleu", "smoothed_bleu", "embed_cosine")
 
@@ -302,57 +305,3 @@ def range_vote(
     if with_contributions:
         contributions = tuple(map(tuple, (scale * per_voter[:, order]).tolist()))
     return VoteResult(ranking=ranking, scores=scores, contributions=contributions)
-
-
-@dataclass(frozen=True)
-class VoterSpec:
-    """How to obtain the voter set: reuse the candidates, a wider beam, or samples."""
-
-    kind: str = "same"
-    beam_size: int | None = None
-    count: int | None = None
-    strategy: str = "ancestral"
-    top_k: int | None = None
-    top_p: float | None = None
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("same", "beam", "sample"):
-            raise ValueError(f"voter kind must be same|beam|sample, got {self.kind!r}")
-        if self.kind == "beam" and (self.beam_size is None or self.beam_size < 1):
-            raise ValueError(f"beam voters need beam_size >= 1, got {self.beam_size}")
-        if self.kind == "sample":
-            if self.count is None or self.count < 1:
-                raise ValueError(f"sampled voters need count >= 1, got {self.count}")
-            if self.seed is None:
-                raise ValueError("sampled voters need a seed")
-            check_sampling(self.strategy, self.top_k, self.top_p)
-
-
-def generate_voters(
-    model: SequenceModel,
-    context: Sequence | None,
-    decode_params: BeamParams,
-    voter_params: VoterSpec,
-    candidates: CandidateSet,
-) -> CandidateSet:
-    """Materialize the voter set for ``voter_params``.
-
-    Beam voters inherit the candidate decode settings (including any copy
-    filter) with the beam size overridden; sampled voters inherit max_len.
-    """
-    if voter_params.kind == "same":
-        return candidates
-    if voter_params.kind == "beam":
-        return beam_search(model, context, replace(decode_params, beam_size=voter_params.beam_size))
-    return sample_sequences(
-        model,
-        context,
-        count=voter_params.count,
-        strategy=voter_params.strategy,
-        top_k=voter_params.top_k,
-        top_p=voter_params.top_p,
-        seed=voter_params.seed,
-        max_len=decode_params.max_len,
-    )
-

@@ -1,12 +1,13 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from votedecode.decode import (
-    BeamParams,
-    CopyFilter,
+    DecodeSpec,
     beam_search,
+    copy_overlap_rate,
     sample_sequences,
 )
 from votedecode.oracle import make_vote_split_model
@@ -24,39 +25,39 @@ def texts(cands, vocab):
 class TestBeamSearch:
     def test_greedy_returns_most_likely(self, abd):
         model, vocab = abd
-        cands = beam_search(model, None, BeamParams(beam_size=1, max_len=3))
+        cands = beam_search(model, None, DecodeSpec(beam_size=1, max_len=3))
         assert texts(cands, vocab) == ["a b"]
 
     def test_k2(self, abd):
         model, vocab = abd
-        cands = beam_search(model, None, BeamParams(beam_size=2, max_len=3))
+        cands = beam_search(model, None, DecodeSpec(beam_size=2, max_len=3))
         assert texts(cands, vocab) == ["a b", "a c"]
 
     def test_k3_covers_support_in_probability_order(self, abd):
         model, vocab = abd
-        cands = beam_search(model, None, BeamParams(beam_size=3, max_len=3))
+        cands = beam_search(model, None, DecodeSpec(beam_size=3, max_len=3))
         assert texts(cands, vocab) == ["a b", "a c", "d"]
         for cand, prob in zip(cands.items, (0.5, 0.3, 0.2)):
             assert math.exp(cand.logprob) == pytest.approx(prob, abs=1e-12)
 
     def test_fewer_than_k_when_support_small(self, abd):
         model, _ = abd
-        cands = beam_search(model, None, BeamParams(beam_size=10, max_len=3))
+        cands = beam_search(model, None, DecodeSpec(beam_size=10, max_len=3))
         assert len(cands) == 3
 
     def test_reported_logprobs_are_true_model_logprobs(self, fixture5):
         model, _ = fixture5
-        for params in (
-            BeamParams(beam_size=4, max_len=8),
-            BeamParams(beam_size=4, max_len=8, scoring="length_normalized"),
-            BeamParams(beam_size=4, max_len=8, diverse_gamma=0.7),
+        for spec in (
+            DecodeSpec(beam_size=4, max_len=8),
+            DecodeSpec(beam_size=4, max_len=8, scoring="length_normalized"),
+            DecodeSpec(beam_size=4, max_len=8, diverse_gamma=0.7),
         ):
-            assert verify_logprobs(model, beam_search(model, None, params))
+            assert verify_logprobs(model, beam_search(model, None, spec))
 
     def test_determinism(self, fixture5):
         model, _ = fixture5
-        params = BeamParams(beam_size=3, max_len=8)
-        assert beam_search(model, None, params) == beam_search(model, None, params)
+        spec = DecodeSpec(beam_size=3, max_len=8)
+        assert beam_search(model, None, spec) == beam_search(model, None, spec)
 
     def test_exact_on_enumerable_models(self):
         from votedecode.oracle import enumerate_distribution
@@ -64,7 +65,7 @@ class TestBeamSearch:
         for seed in range(5):
             model = make_vote_split_model(seed)
             support = enumerate_distribution(model, model.max_len)
-            cands = beam_search(model, None, BeamParams(beam_size=len(support.entries), max_len=model.max_len))
+            cands = beam_search(model, None, DecodeSpec(beam_size=len(support.entries), max_len=model.max_len))
             assert cands.items == support.entries
 
     def test_coverage_mass_monotone_in_beam_size(self):
@@ -72,7 +73,8 @@ class TestBeamSearch:
             model = make_vote_split_model(seed)
             masses = [
                 math.fsum(
-                    math.exp(c.logprob) for c in beam_search(model, None, BeamParams(beam_size=k, max_len=model.max_len))
+                    math.exp(c.logprob)
+                    for c in beam_search(model, None, DecodeSpec(beam_size=k, max_len=model.max_len))
                 )
                 for k in (1, 2, 4, 8, 16)
             ]
@@ -83,63 +85,66 @@ class TestBeamSearch:
         model, vocab = abd
         # max_len=1 cuts "a b"/"a c" to prefix "a", which has no EOS mass,
         # so only "d" survives force-termination.
-        cands = beam_search(model, None, BeamParams(beam_size=3, max_len=1))
+        cands = beam_search(model, None, DecodeSpec(beam_size=3, max_len=1))
         assert texts(cands, vocab) == ["d"]
 
     def test_length_normalized_prefers_longer(self):
         # Same log-mass, different lengths: normalization ranks the longer first.
         model, vocab = model_from_texts([("a", 0.25), ("b c d e", 0.25), ("f", 0.5)])[0:2]
-        cands = beam_search(model, None, BeamParams(beam_size=3, max_len=6, scoring="length_normalized"))
+        cands = beam_search(model, None, DecodeSpec(beam_size=3, max_len=6, scoring="length_normalized"))
         ranked = texts(cands, vocab)
         assert ranked.index("b c d e") < ranked.index("a")
 
     def test_diverse_gamma_penalizes_second_expansion(self, abd):
         model, vocab = abd
         # Huge gamma: the second-best sibling of "a" is pushed below "d".
-        cands = beam_search(model, None, BeamParams(beam_size=2, max_len=3, diverse_gamma=50.0))
+        cands = beam_search(model, None, DecodeSpec(beam_size=2, max_len=3, diverse_gamma=50.0))
         assert texts(cands, vocab)[0] == "a b"
 
     def test_in_search_copy_filter(self, abd):
         model, vocab = abd
         source = tokenize("a b", vocab)
-        params = BeamParams(beam_size=3, max_len=3, copy_filter=CopyFilter(source, 0.5))
-        cands = beam_search(model, None, params)
+        cands = beam_search(model, source, DecodeSpec(beam_size=3, max_len=3, filter_copies=0.5))
         # "a b" copies 2/2, "a c" copies 1/2 >= 0.5; only "d" survives.
         assert texts(cands, vocab) == ["d"]
 
 
 class TestFilterCopies:
-    """The copy rule on its own, and the beam search that applies it."""
+    """The copy rule on its own, and the beam search that applies it to its context."""
 
     def _kept(self, entries, source_text, threshold=0.5):
         model, vocab = model_from_texts(entries)
         source = tokenize(source_text, vocab)
-        params = BeamParams(beam_size=len(entries), max_len=10, copy_filter=CopyFilter(source, threshold))
-        return texts(beam_search(model, None, params), vocab), CopyFilter(source, threshold), vocab
+        spec = DecodeSpec(beam_size=len(entries), max_len=10, filter_copies=threshold)
+        return texts(beam_search(model, source, spec), vocab), source, vocab
 
     def test_exact_copy_removed(self):
-        kept, rule, vocab = self._kept([("the cat sat", 0.6), ("a dog runs", 0.4)], "the cat sat")
-        assert rule.discards(tokenize("the cat sat", vocab))
+        kept, source, vocab = self._kept([("the cat sat", 0.6), ("a dog runs", 0.4)], "the cat sat")
+        assert copy_overlap_rate(tokenize("the cat sat", vocab), source) == 1.0
         assert kept == ["a dog runs"]
 
     def test_partial_copy_removed(self):
-        kept, rule, vocab = self._kept([("the cat ran home", 0.6), ("a dog runs", 0.4)], "the cat sat")
-        assert rule.discards(tokenize("the cat ran home", vocab))  # overlap 2/3 >= 0.5
+        kept, source, vocab = self._kept([("the cat ran home", 0.6), ("a dog runs", 0.4)], "the cat sat")
+        assert copy_overlap_rate(tokenize("the cat ran home", vocab), source) == 2 / 3  # >= 0.5
         assert kept == ["a dog runs"]
 
     def test_clean_candidate_kept(self):
-        kept, rule, vocab = self._kept([("a dog runs", 1.0)], "the cat sat")
-        assert not rule.discards(tokenize("a dog runs", vocab))
+        kept, source, vocab = self._kept([("a dog runs", 1.0)], "the cat sat")
+        assert copy_overlap_rate(tokenize("a dog runs", vocab), source) == 0.0
         assert kept == ["a dog runs"]
 
     def test_empty_source_filters_nothing(self):
-        kept, rule, vocab = self._kept([("a dog runs", 0.7), ("", 0.3)], "", threshold=0.0)
-        assert not rule.discards(tokenize("a dog runs", vocab)) and not rule.discards(())
+        # Threshold 0 would discard every hypothesis of a non-empty source.
+        kept, source, vocab = self._kept([("a dog runs", 0.7), ("", 0.3)], "", threshold=0.0)
+        assert source == () and copy_overlap_rate(tokenize("a dog runs", vocab), source) == 0.0
         assert kept == ["a dog runs", ""]
+        kept, _, _ = self._kept([("a dog runs", 0.7), ("", 0.3)], "cat", threshold=0.0)
+        assert kept == []
 
     def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            CopyFilter((), 1.5)
+        for threshold in (1.5, -0.1):
+            with pytest.raises(ValueError, match="filter_copies must be in"):
+                DecodeSpec(filter_copies=threshold)
 
 
 class TestSampling:
@@ -191,13 +196,33 @@ class TestSampling:
             sample_sequences(model, count=1, strategy="gumbel", seed=1, max_len=5)
 
 
-class TestBeamParamsValidation:
+class TestDecodeSpecValidation:
     def test_ranges(self):
         with pytest.raises(ValueError):
-            BeamParams(beam_size=0)
+            DecodeSpec(beam_size=0)
         with pytest.raises(ValueError):
-            BeamParams(max_len=0)
+            DecodeSpec(max_len=0)
         with pytest.raises(ValueError):
-            BeamParams(scoring="other")
+            DecodeSpec(scoring="other")
         with pytest.raises(ValueError):
-            BeamParams(diverse_gamma=-0.1)
+            DecodeSpec(diverse_gamma=-0.1)
+        for gamma in (math.inf, math.nan):  # a NaN penalty would misorder the beam
+            with pytest.raises(ValueError, match="diverse_gamma must be finite and >= 0"):
+                DecodeSpec(diverse_gamma=gamma)
+        with pytest.raises(ValueError, match=r"decode kind must be beam\|sample"):
+            DecodeSpec(kind="greedy")
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            DecodeSpec(kind="sample", count=0)
+
+    def test_sampling_settings_are_checked_for_the_sample_kind_only(self):
+        with pytest.raises(ValueError, match="top_k sampling needs top_k >= 1"):
+            DecodeSpec(kind="sample", strategy="top_k")
+        with pytest.raises(ValueError, match="strategy must be one of"):
+            DecodeSpec(kind="sample", strategy="gumbel")
+        assert DecodeSpec(kind="beam", strategy="top_k").strategy == "top_k"
+
+    def test_replace_checks_again(self):
+        spec = DecodeSpec(beam_size=3, max_len=4)
+        assert replace(spec, beam_size=5) == DecodeSpec(beam_size=5, max_len=4)
+        with pytest.raises(ValueError, match="nucleus sampling needs top_p"):
+            replace(spec, kind="sample", strategy="nucleus")

@@ -16,9 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from votedecode.decode import (
-    BeamParams,
     CandidateSet,
-    CopyFilter,
+    DecodeSpec,
     ScoredSequence,
     _Hyp,
     _hyp_sort_key,
@@ -95,22 +94,25 @@ def reference_row(model, prefix):
     return out
 
 
-def reference_beam_search(model, context, params):
-    k = params.beam_size
+def reference_beam_search(model, context, spec):
+    k = spec.beam_size
     live = [_Hyp(tokens=(), logprob=0.0, penalty=0.0)]
     finished = []
+    source = set(context or ())
 
     def finish(hyp, eos_logprob):
         total = hyp.logprob + eos_logprob
         if total == NEG_INF:
             return
-        if params.copy_filter is not None and params.copy_filter.discards(hyp.tokens):
+        # The copy filter: an empty source filters nothing.
+        copied = len(source & set(hyp.tokens)) / len(source) if source else 0.0
+        if spec.filter_copies is not None and source and copied >= spec.filter_copies:
             return
         finished.append(_Hyp(tokens=hyp.tokens, logprob=total, penalty=hyp.penalty))
 
-    early_stop = params.scoring == "logprob"
+    early_stop = spec.scoring == "logprob"
     depth = 0
-    while live and depth < params.max_len:
+    while live and depth < spec.max_len:
         expansions = []
         for hyp in live:
             logprobs = model.next_token_logprobs(hyp.tokens, context)
@@ -126,15 +128,15 @@ def reference_beam_search(model, context, params):
                     _Hyp(
                         tokens=hyp.tokens + (token,),
                         logprob=hyp.logprob + step_lp,
-                        penalty=hyp.penalty + params.diverse_gamma * (rank - 1),
+                        penalty=hyp.penalty + spec.diverse_gamma * (rank - 1),
                     )
                 )
-        expansions.sort(key=lambda h: _hyp_sort_key(h, params.scoring))
+        expansions.sort(key=lambda h: _hyp_sort_key(h, spec.scoring))
         live = expansions[:k]
         depth += 1
         if early_stop and len(finished) >= k and live:
-            bar = sorted(h.search_score(params.scoring) for h in finished)[-k]
-            if max(h.search_score(params.scoring) for h in live) < bar:
+            bar = sorted(h.search_score(spec.scoring) for h in finished)[-k]
+            if max(h.search_score(spec.scoring) for h in live) < bar:
                 live = []
                 break
 
@@ -142,9 +144,9 @@ def reference_beam_search(model, context, params):
         logprobs = model.next_token_logprobs(hyp.tokens, context)
         finish(hyp, float(logprobs[EOS_ID]))
 
-    finished.sort(key=lambda h: _hyp_sort_key(h, params.scoring))
+    finished.sort(key=lambda h: _hyp_sort_key(h, spec.scoring))
     items = tuple(ScoredSequence(tokens=h.tokens, logprob=h.logprob) for h in finished[:k])
-    return CandidateSet(items=items, provenance=f"beam({params})")
+    return CandidateSet(items=items, provenance=f"beam({spec})")
 
 
 def reference_sample_items(model, *, count, strategy, top_k=None, top_p=None, seed, max_len):
@@ -345,12 +347,12 @@ class TestBeamSearchEquivalence:
         st.data(),
     )
     def test_identical_candidate_sets(self, model, k, max_len, scoring, gamma, data):
-        copy_filter = None
+        source, threshold = None, None
         if data.draw(st.booleans()):
             source = data.draw(prefixes(model.vocab))
-            copy_filter = CopyFilter(source=source, threshold=data.draw(st.sampled_from([0.0, 0.5, 1.0])))
-        params = BeamParams(beam_size=k, max_len=max_len, scoring=scoring, diverse_gamma=gamma, copy_filter=copy_filter)
-        assert beam_search(model, None, params) == reference_beam_search(model, None, params)
+            threshold = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        spec = DecodeSpec(beam_size=k, max_len=max_len, scoring=scoring, diverse_gamma=gamma, filter_copies=threshold)
+        assert beam_search(model, source, spec) == reference_beam_search(model, source, spec)
 
     def test_children_tied_after_rounding_are_kept(self):
         # Steps 0 and -1e-16 both round to the parent's -40.0, so the lower
@@ -374,9 +376,9 @@ class TestBeamSearchEquivalence:
             def next_token_row(self, prefix, context=None):
                 return sparse_row(self.next_token_logprobs(prefix, context))
 
-        params = BeamParams(beam_size=1, max_len=3)
-        fast = beam_search(Stub(), None, params)
-        assert fast == reference_beam_search(Stub(), None, params)
+        spec = DecodeSpec(beam_size=1, max_len=3)
+        fast = beam_search(Stub(), None, spec)
+        assert fast == reference_beam_search(Stub(), None, spec)
         assert fast.items[0].tokens == (5, 3)
 
 
@@ -507,8 +509,8 @@ class TestRowContract:
         for k in (1, 2, 3, 6):
             for scoring in ("logprob", "length_normalized"):
                 for gamma in (0.0, 0.5):
-                    params = BeamParams(beam_size=k, max_len=4, scoring=scoring, diverse_gamma=gamma)
-                    assert beam_search(model, None, params) == reference_beam_search(model, None, params)
+                    spec = DecodeSpec(beam_size=k, max_len=4, scoring=scoring, diverse_gamma=gamma)
+                    assert beam_search(model, None, spec) == reference_beam_search(model, None, spec)
 
     def test_warm_row_cache_keeps_the_model_value(self):
         corpus = [(3, 4, 4), (4, UNK_ID), (), (5, 3)]
@@ -517,7 +519,7 @@ class TestRowContract:
             return train_ngram_lm(corpus, order=2, add_k=0.5, vocab=vocab_of(3))
 
         warm, cold = trained(), trained()
-        beam_search(warm, None, BeamParams(beam_size=3, max_len=4))
+        beam_search(warm, None, DecodeSpec(beam_size=3, max_len=4))
         sample_sequences(warm, count=5, seed=0, max_len=4)
         assert warm.next_token_row((4,)) is warm.next_token_row((4,))
         assert warm == cold

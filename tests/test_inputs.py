@@ -11,7 +11,7 @@ from votedecode.config import ConfigError, load_config, parse_voter_spec
 from votedecode.formats import FileFormatError, read_candidates, read_dataset, read_votes
 from votedecode.models import ModelFormatError, load_model, train_ngram_lm
 from votedecode.sequences import Vocabulary, build_vocabulary
-from votedecode.voting import VoterSpec
+from votedecode.voting import SimilaritySpec
 
 
 def write_lines(path, lines):
@@ -116,14 +116,15 @@ class TestSamplingVoterSpecs:
         ],
     )
     def test_rejected(self, fields):
-        with pytest.raises(ValueError):
-            VoterSpec(kind="sample", count=5, seed=0, **fields)
+        with pytest.raises(ConfigError, match="^voters: "):
+            parse_voter_spec({"kind": "sample", "count": 5, **fields})
 
     @pytest.mark.parametrize(
         "fields", [{}, {"strategy": "top_k", "top_k": 1}, {"strategy": "nucleus", "top_p": 1.0}]
     )
     def test_accepted(self, fields):
-        VoterSpec(kind="sample", count=5, seed=0, **fields)
+        voters = parse_voter_spec({"kind": "sample", "count": 5, **fields})
+        assert voters == {"kind": "sample", "count": 5, "strategy": "ancestral", "top_k": None, "top_p": None, **fields}
 
     def test_string_spec_is_a_config_error(self):
         with pytest.raises(ConfigError, match="top_k sampling needs top_k >= 1"):
@@ -150,6 +151,78 @@ class TestSamplingVoterSpecs:
         (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
         assert main(["run", "--config", str(tmp_path / "config.json")]) == 3
         assert not (tmp_path / "out").exists()
+
+
+class TestConfigFailsFast:
+    """A bad decode, sim or voters entry is a ConfigError naming it, raised before the model is built."""
+
+    SIM = {"kind": "overl", "n": 1}
+
+    def _config(self, tmp_path, decode=None, sim=None, voters="same"):
+        write_lines(tmp_path / "d.jsonl", [json.dumps({"id": 1, "references": ["a b"]})])
+        config = {
+            "schema_version": 1,
+            "seed": 1,
+            "model": {"kind": "load", "path": "no-such-model.json"},  # building it would be an i/o error
+            "dataset": "d.jsonl",
+            "decode": [{"name": "b", "kind": "beam"}, decode or {"name": "s", "kind": "sample", "count": 2}],
+            "select": [{"name": "map", "kind": "map"},
+                       {"name": "v", "kind": "vote", "sim": self.SIM if sim is None else sim, "voters": voters}],
+            "output_dir": "out",
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        return tmp_path / "config.json"
+
+    def _fails(self, path, message, capsys):
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        assert main(["run", "--config", str(path)]) == 3
+        assert "validation error" in capsys.readouterr().err
+        assert not (path.parent / "out").exists()
+
+    @pytest.mark.parametrize(
+        "sim, message",
+        [
+            ("overl", r"select\[1\]\.sim: must be an object"),
+            ({"kind": "overl", "n": 1.5}, r"select\[1\]\.sim: n must be an integer, got 1\.5"),
+            ({"kind": "bleu", "max_n": 2.5}, r"select\[1\]\.sim: max_n must be an integer, got 2\.5"),
+            ({"kind": "overl", "nn": 2}, r"select\[1\]\.sim: unknown field\(s\) \['nn'\]"),
+        ],
+        ids=["string", "fractional-n", "fractional-max_n", "unknown-key"],
+    )
+    def test_bad_sim(self, tmp_path, capsys, sim, message):
+        self._fails(self._config(tmp_path, sim=sim), message, capsys)
+
+    @pytest.mark.parametrize(
+        "decode, message",
+        [
+            ({"name": "s", "kind": "sample", "count": 0}, r"decode\[1\]: count must be >= 1, got 0"),
+            ({"name": "s", "kind": "sample", "count": 2, "max_len": 0}, r"decode\[1\]: max_len must be >= 1, got 0"),
+            ({"name": "s", "kind": "beam", "beam_size": 2.5}, r"decode\[1\]: beam_size must be an integer, got 2\.5"),
+        ],
+        ids=["sample-count-0", "sample-max_len-0", "fractional-beam_size"],
+    )
+    def test_bad_decode_entry(self, tmp_path, capsys, decode, message):
+        self._fails(self._config(tmp_path, decode=decode), message, capsys)
+
+    @pytest.mark.parametrize(
+        "voters, message",
+        [
+            ({"kind": "same", "beam_size": 3}, r"select\[1\]\.voters: unknown field\(s\) \['beam_size'\]"),
+            ({"kind": "beam", "beam_size": 3, "count": 2}, r"select\[1\]\.voters: unknown field\(s\) \['count'\]"),
+            ({"kind": "beam", "beam_size": 0}, r"select\[1\]\.voters: beam_size must be >= 1, got 0"),
+            ("sample:0", r"select\[1\]\.voters: count must be >= 1, got 0"),
+        ],
+        ids=["same-with-beam_size", "beam-with-count", "beam-size-0", "sample-count-0"],
+    )
+    def test_bad_voters(self, tmp_path, capsys, voters, message):
+        self._fails(self._config(tmp_path, voters=voters), message, capsys)
+
+    def test_integral_numbers_and_the_default_voters_are_accepted(self, tmp_path):
+        sim = {"kind": "overl", "n": 2.0}
+        config = load_config(self._config(tmp_path, decode={"name": "s", "kind": "beam", "beam_size": 3.0}, sim=sim))
+        assert config.decode[1].beam_size == 3 and config.select[1].sim == SimilaritySpec(kind="overl", n=2)
+        assert config.select[1].voters is None
 
 
 class TestDecodeFlags:

@@ -13,6 +13,10 @@ from pathlib import Path
 import pytest
 
 from votedecode.cli import main
+from votedecode.config import load_config
+from votedecode.decode import DecodeSpec, beam_search, sample_sequences
+from votedecode.formats import read_candidates, read_dataset
+from votedecode.harness import build_model, candidate_record, derive_seed, source_context
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -101,3 +105,50 @@ def test_toy_vote_split_golden(tmp_path):
         if path.is_file()
     }
     assert digests == TOY_DIGESTS
+
+
+def test_voters_inherit_every_decode_setting_they_do_not_set(experiment, tmp_path):
+    """`beam:K` voters run their decode's beam search at beam K; `sample:N` voters sample ancestrally.
+
+    Both keep the decode's max_len; beam voters also keep its scoring, diversity
+    penalty and copy filter, and sampled voters drop a nucleus decode's top_p.
+    """
+    beam = {"name": "beam", "kind": "beam", "beam_size": 3, "max_len": 6, "scoring": "length_normalized",
+            "diverse_gamma": 0.5, "filter_copies": 0.2}
+    nucleus = {"name": "nucleus", "kind": "sample", "count": 4, "strategy": "nucleus", "top_p": 0.5, "max_len": 4}
+    config = {
+        "schema_version": 1,
+        "seed": SEED,
+        "model": {"kind": "train", "corpus": str(experiment / "corpus.txt"), "order": 2, "add_k": 0.1},
+        "dataset": str(experiment / "dataset.jsonl"),
+        "decode": [beam, nucleus],
+        "select": [{"name": name, "kind": "vote", "sim": {"kind": "overl", "n": 1}, "voters": voters}
+                   for name, voters in (("beam6", "beam:6"), ("sample7", "sample:7"))],
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(tmp_path / "config.json"), "--output-dir", str(tmp_path / "run")]) == 0
+
+    loaded = load_config(tmp_path / "config.json")
+    model = build_model(loaded.model, loaded)
+    rows = read_dataset(experiment / "dataset.jsonl")
+    contexts = [source_context(row.source, model.vocab, False) for row in rows]
+
+    def records(sets):
+        return [candidate_record(row.id, row.source, cands, model.vocab) for row, cands in zip(rows, sets)]
+
+    def searched(**fields):
+        spec = DecodeSpec(beam_size=6, max_len=6, scoring="length_normalized", diverse_gamma=0.5, **fields)
+        return records(beam_search(model, context, spec) for context in contexts)
+
+    def sampled(**fields):
+        return records(
+            sample_sequences(model, context, count=7, seed=derive_seed(SEED, 2, 1, 1, ri), max_len=4, **fields)
+            for ri, context in enumerate(contexts)
+        )
+
+    beam_voters = read_candidates(tmp_path / "run" / "voters" / "beam+beam6.jsonl")
+    assert beam_voters == searched(filter_copies=0.2)
+    assert beam_voters != searched()  # the copy filter drops voters here
+    sample_voters = read_candidates(tmp_path / "run" / "voters" / "nucleus+sample7.jsonl")
+    assert sample_voters == sampled()
+    assert sample_voters != sampled(strategy="nucleus", top_p=0.5)  # a leaked top_p would show

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votedecode.config import DecodeSpec
-from votedecode.decode import BeamParams, CandidateSet, ScoredSequence, beam_search
+from votedecode.config import ConfigError, parse_voter_spec
+from votedecode.decode import CandidateSet, DecodeSpec, ScoredSequence, beam_search
 from votedecode.harness import decode_row, row_voters
 from votedecode.sequences import detokenize, tokenize
 from votedecode.voting import (
     SimilaritySpec,
-    VoterSpec,
     bleu_sim,
     embed_cosine_sim,
     make_similarity,
@@ -182,7 +181,7 @@ def brute_force_overl1_scores(entries):
 class TestRangeVote:
     def test_fixture_matches_brute_force_matrix(self, fixture5):
         model, vocab = fixture5
-        cands = beam_search(model, None, BeamParams(beam_size=5, max_len=8))
+        cands = beam_search(model, None, DecodeSpec(beam_size=5, max_len=8))
         result = range_vote(cands, cands, SimilaritySpec(kind="overl", n=1))
         expected = {text: s for (text, _), s in zip(FIXTURE5, brute_force_overl1_scores(FIXTURE5))}
         for cand, score in zip(result.ranking, result.scores):
@@ -199,7 +198,7 @@ class TestRangeVote:
 
     def test_empty_sets_rejected(self, fixture5):
         model, _ = fixture5
-        cands = beam_search(model, None, BeamParams(beam_size=5, max_len=8))
+        cands = beam_search(model, None, DecodeSpec(beam_size=5, max_len=8))
         empty = CandidateSet(items=(), provenance="test")
         with pytest.raises(ValueError):
             range_vote(empty, cands, SimilaritySpec(kind="overl", n=1))
@@ -208,7 +207,7 @@ class TestRangeVote:
 
     def test_scale_invariance(self, fixture5):
         model, _ = fixture5
-        cands = beam_search(model, None, BeamParams(beam_size=5, max_len=8))
+        cands = beam_search(model, None, DecodeSpec(beam_size=5, max_len=8))
         spec = SimilaritySpec(kind="prec", n=1)
         base = range_vote(cands, cands, spec)
         for lam in (1e-3, 0.5, 7.0, 1e4):
@@ -223,7 +222,7 @@ class TestRangeVote:
 
     def test_clone_split_leaves_scores_unchanged(self, fixture5):
         model, _ = fixture5
-        cands = beam_search(model, None, BeamParams(beam_size=5, max_len=8))
+        cands = beam_search(model, None, DecodeSpec(beam_size=5, max_len=8))
         spec = SimilaritySpec(kind="overl", n=1)
         base = range_vote(cands, cands, spec)
         for split_idx in range(len(cands.items)):
@@ -242,7 +241,7 @@ class TestRangeVote:
 
     def test_duplicate_candidate_scores_identically(self, fixture5):
         model, _ = fixture5
-        cands = beam_search(model, None, BeamParams(beam_size=5, max_len=8))
+        cands = beam_search(model, None, DecodeSpec(beam_size=5, max_len=8))
         dup = CandidateSet(items=cands.items + (cands.items[0],), provenance="dup")
         result = range_vote(dup, cands, SimilaritySpec(kind="overl", n=1))
         by_tokens = {}
@@ -253,7 +252,7 @@ class TestRangeVote:
 
     def test_underflowing_voter_weights_still_rank(self, fixture5):
         model, _ = fixture5
-        cands = beam_search(model, None, BeamParams(beam_size=5, max_len=8))
+        cands = beam_search(model, None, DecodeSpec(beam_size=5, max_len=8))
         tiny = CandidateSet(
             items=tuple(replace(v, logprob=v.logprob - 5000.0) for v in cands.items),
             provenance="tiny",
@@ -264,7 +263,7 @@ class TestRangeVote:
 
     def test_contribution_matrix_sums_to_scores(self, fixture5):
         model, _ = fixture5
-        cands = beam_search(model, None, BeamParams(beam_size=5, max_len=8))
+        cands = beam_search(model, None, DecodeSpec(beam_size=5, max_len=8))
         result = range_vote(cands, cands, SimilaritySpec(kind="prec", n=1), with_contributions=True)
         assert result.contributions is not None
         assert len(result.contributions) == len(cands.items)
@@ -283,8 +282,8 @@ class TestSelectRepresentative:
     def test_same_voters_reproduce_simple_setting(self, fixture5):
         model, vocab = fixture5
         decode = DecodeSpec(beam_size=5, max_len=8)
-        result = select(model, decode, VoterSpec(kind="same"), SimilaritySpec(kind="overl", n=1))
-        cands = beam_search(model, None, BeamParams(beam_size=5, max_len=8))
+        result = select(model, decode, parse_voter_spec("same"), SimilaritySpec(kind="overl", n=1))
+        cands = beam_search(model, None, DecodeSpec(beam_size=5, max_len=8))
         assert result.ranking == range_vote(cands, cands, SimilaritySpec(kind="overl", n=1)).ranking
         assert detokenize(result.winner.tokens, vocab) == "the tall man runs fast"
 
@@ -293,8 +292,8 @@ class TestSelectRepresentative:
         # BLEU(candidate, voter) over the candidate set.
         model, _ = fixture5
         spec = SimilaritySpec(kind="bleu", max_n=4)
-        winner = select(model, DecodeSpec(beam_size=5, max_len=8), VoterSpec(kind="same"), spec).winner
-        cands = beam_search(model, None, BeamParams(beam_size=5, max_len=8))
+        winner = select(model, DecodeSpec(beam_size=5, max_len=8), parse_voter_spec("same"), spec).winner
+        cands = beam_search(model, None, DecodeSpec(beam_size=5, max_len=8))
         expected = {
             c.tokens: math.fsum(math.exp(v.logprob) * bleu_sim(v.tokens, c.tokens, max_n=4) for v in cands.items)
             for c in cands.items
@@ -307,7 +306,7 @@ class TestSelectRepresentative:
         result = select(
             model,
             DecodeSpec(beam_size=2, max_len=8),
-            VoterSpec(kind="beam", beam_size=5),
+            parse_voter_spec("beam:5"),
             SimilaritySpec(kind="overl", n=1),
         )
         # Candidates restricted to top-2 but all five sequences vote.
@@ -319,24 +318,26 @@ class TestSelectRepresentative:
         args = (
             model,
             DecodeSpec(beam_size=5, max_len=8),
-            VoterSpec(kind="sample", count=100, seed=0),
+            parse_voter_spec("sample:100"),
             SimilaritySpec(kind="overl", n=1),
         )
         assert select(*args, seed=11) == select(*args, seed=11)
 
     def test_voter_spec_validation(self):
-        with pytest.raises(ValueError):
-            VoterSpec(kind="beam")
-        with pytest.raises(ValueError):
-            VoterSpec(kind="sample", count=5)  # missing seed
-        with pytest.raises(ValueError):
-            VoterSpec(kind="jury")
+        with pytest.raises(ConfigError, match="missing required field 'beam_size'"):
+            parse_voter_spec({"kind": "beam"})
+        with pytest.raises(ConfigError, match="missing required field 'count'"):
+            parse_voter_spec({"kind": "sample"})
+        with pytest.raises(ConfigError, match="unknown voter kind 'jury'"):
+            parse_voter_spec({"kind": "jury"})
+        with pytest.raises(ConfigError, match="beam_size must be >= 1"):
+            parse_voter_spec("beam:0")
 
 
 class TestAllKindsSmoke:
     def test_every_similarity_selects_deterministically(self, fixture5):
         model, vocab = fixture5
-        cands = beam_search(model, None, BeamParams(beam_size=5, max_len=8))
+        cands = beam_search(model, None, DecodeSpec(beam_size=5, max_len=8))
         for spec in all_similarity_specs(vocab):
             a = range_vote(cands, cands, spec)
             b = range_vote(cands, cands, spec)
