@@ -7,6 +7,7 @@ against the config file's directory.  CLI flags override config values.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -82,6 +83,40 @@ def _int(data: Mapping, key: str, default: int | None = None) -> int | None:
     return int(value)
 
 
+def _float(data: Mapping, key: str, default: float | None = None) -> float | None:
+    """``data[key]`` as a float, ``default`` if absent; null only where the default is None.
+
+    NaN and infinities pass here: each field's own range check refuses them.
+    """
+    value = data.get(key, default)
+    if value is None and default is None:
+        return None
+    try:
+        if not isinstance(value, (int, float, str)):
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
+def _parse_entries(entries, where: str) -> tuple[tuple[str, float], ...]:
+    """A tabular model's ``[text, probability]`` pairs; each probability positive and finite."""
+    if not isinstance(entries, list):
+        raise ConfigError(f"{where}: entries must be a list of [text, probability] pairs")
+    parsed = []
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise ConfigError(f"{where}: entries[{i}] must be a [text, probability] pair, got {entry!r}")
+        try:
+            prob = _float({"probability": entry[1]}, "probability", 0.0)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: entries[{i}]: {exc}") from exc
+        if not 0.0 < prob < math.inf:
+            raise ConfigError(f"{where}: entries[{i}]: probability must be positive and finite, got {prob}")
+        parsed.append((str(entry[0]), prob))
+    return tuple(parsed)
+
+
 def _parse_model(data, where: str = "model") -> ModelSpec:
     if not isinstance(data, Mapping):
         raise ConfigError(f"{where}: must be an object")
@@ -94,7 +129,7 @@ def _parse_model(data, where: str = "model") -> ModelSpec:
                 kind="train",
                 corpus=corpus,
                 order=_int(data, "order", 2),
-                add_k=float(data.get("add_k", 0.0)),
+                add_k=_float(data, "add_k", 0.0),
                 max_vocab=_int(data, "max_vocab"),
             )
             check_training(spec.order, spec.add_k)
@@ -112,12 +147,7 @@ def _parse_model(data, where: str = "model") -> ModelSpec:
         path = data.get("path")
         if (entries is None) == (path is None):
             raise ConfigError(f"{where}: tabular model needs exactly one of 'entries' or 'path'")
-        parsed = None
-        if entries is not None:
-            try:
-                parsed = tuple((str(t), float(p)) for t, p in entries)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{where}: bad tabular entries: {exc}") from exc
+        parsed = None if entries is None else _parse_entries(entries, where)
         return ModelSpec(kind="tabular", entries=parsed, path=None if path is None else str(path))
     raise ConfigError(f"{where}: unknown model kind {kind!r} (expected train|load|tabular)")
 
@@ -142,12 +172,12 @@ def parse_decode_spec(data, where: str) -> DecodeSpec:
             beam_size=_int(data, "beam_size", 1),
             max_len=_int(data, "max_len", 50),
             scoring=str(data.get("scoring", "logprob")),
-            diverse_gamma=float(data.get("diverse_gamma", 0.0)),
-            filter_copies=None if data.get("filter_copies") is None else float(data["filter_copies"]),
+            diverse_gamma=_float(data, "diverse_gamma", 0.0),
+            filter_copies=_float(data, "filter_copies"),
             count=_int(data, "count", 1),
             strategy=str(data.get("strategy", "ancestral")),
             top_k=_int(data, "top_k"),
-            top_p=None if data.get("top_p") is None else float(data["top_p"]),
+            top_p=_float(data, "top_p"),
         )
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
@@ -194,7 +224,7 @@ def parse_voter_spec(value, where: str = "voters") -> dict | None:
                 "count": _int(value, "count", 1),
                 "strategy": str(value.get("strategy", "ancestral")),
                 "top_k": _int(value, "top_k"),
-                "top_p": None if value.get("top_p") is None else float(value["top_p"]),
+                "top_p": _float(value, "top_p"),
             }
         DecodeSpec(**voters)  # the fields the voters set are checked now, the inherited ones with the decode entry
     except ValueError as exc:
@@ -256,6 +286,11 @@ def parse_config(data: Mapping, base_dir: Path) -> ExperimentConfig:
     if not isinstance(metrics, Mapping):
         raise ConfigError("config: 'metrics' must be an object")
     _check_keys(metrics, {"bleu_max_n", "copy_threshold"}, "metrics")
+    try:
+        bleu_max_n = _int(metrics, "bleu_max_n", 4)
+        copy_threshold = _float(metrics, "copy_threshold", 0.5)
+    except ValueError as exc:
+        raise ConfigError(f"metrics: {exc}") from exc
 
     stochastic = any(d.kind == "sample" for d in decode) or any(
         s.voters is not None and s.voters["kind"] == "sample" for s in select
@@ -271,8 +306,8 @@ def parse_config(data: Mapping, base_dir: Path) -> ExperimentConfig:
             select=select,
             seed=_int(data, "seed", 0),
             lowercase=bool(data.get("lowercase", False)),
-            bleu_max_n=_int(metrics, "bleu_max_n", 4),
-            copy_threshold=float(metrics.get("copy_threshold", 0.5)),
+            bleu_max_n=bleu_max_n,
+            copy_threshold=copy_threshold,
             output_dir=str(data.get("output_dir", "out")),
         )
         # Rows run in order; 'workers' is still read and checked, then ignored.

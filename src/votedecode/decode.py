@@ -7,21 +7,24 @@ used to rank the search.
 
 Both searches read only the model's sparse rows (``next_token_row``): a
 head of observed ids and one ``rest`` value that every other smoothed id
-shares.  In the order both searches use (probability or log-probability
-descending, ties by ascending id), the row is the sorted head with the
-rest ids inserted as one run of equal values in id order, merged by id
-with the head values that tie with it.  The work per step is O(head),
-not O(vocabulary); the rest run is only walked as far as it is used, and
-an id inside it is found by a search over the observed ids.  Sampling
-draws the same numbers as a running sum over the whole sorted support:
-the running sums of the head (added left to right, as ``np.cumsum``
-does) continue into the run only when a draw or a nucleus target passes
-them, seeded with the head's last partial sum.  The masses are
-``math.fsum`` of the head plus the run's value times its length, written
-as an exact sum of power-of-two multiples (``r * m`` = the sum of
+shares.  The model hands each row over presorted twice (see ``models``),
+so neither search sorts.  Beam search walks the head in beam order,
+log-probability descending with ties by ascending id.  Sampling walks it
+in sampling order, probability descending with ties by ascending id: two
+distinct log-probabilities can round to one probability, and then the
+smaller id must come first.  In either order the row is the sorted head
+with the rest ids inserted as one run of equal values in id order, merged
+by id with the head values that tie with it.  The work per step is
+O(head), not O(vocabulary); the rest run is only walked as far as it is
+used, and an id inside it is found by a search over the observed ids.
+Sampling draws the same numbers as a running sum over the whole sorted
+support: the running sums of the head (added left to right, as
+``np.cumsum`` does) continue into the run only when a draw or a nucleus
+target passes them, seeded with the head's last partial sum.  The masses
+are ``math.fsum`` of the head plus the run's value times its length,
+written as an exact sum of power-of-two multiples (``r * m`` = the sum of
 ``ldexp(r, j)`` over the set bits j of m), so every total is exactly
-rounded, as a sum over the whole support would be.  A sampling call
-keeps each row's sorted head for as long as it runs.
+rounded, as a sum over the whole support would be.
 """
 
 from __future__ import annotations
@@ -146,21 +149,29 @@ def _hyp_sort_key(hyp: _Hyp, scoring: str):
 
 def _logprob_of(row: Row, token: int) -> float:
     """The row's log-probability of an id it lists or of a smoothed id it leaves to ``rest``."""
-    ids, logprobs, rest = row
+    ids = row.ids
     i = int(np.searchsorted(ids, token))
-    return float(logprobs[i]) if i < len(ids) and ids[i] == token else rest
+    return float(row.logprobs[i]) if i < len(ids) and ids[i] == token else row.rest
 
 
 def _ranked_children(row: Row, num_ids: int):
     """(step log-probability, id) of every id but EOS: log-probability descending, id ascending."""
-    ids, logprobs, rest = row
-    order = np.argsort(-logprobs, kind="stable")
-    head = [(lp, token) for lp, token in zip(logprobs[order].tolist(), ids[order].tolist()) if token != EOS_ID]
-    if rest == NEG_INF:
-        return iter(head)
-    observed = set(ids.tolist())
-    rest_run = ((rest, token) for token in range(NUM_RESERVED, num_ids) if token not in observed)
-    return heapq.merge(head, rest_run, key=lambda child: (-child[0], child[1]))
+    ids, logprobs = row.beam
+    head = (child for child in zip(logprobs.tolist(), ids.tolist()) if child[1] != EOS_ID)
+    if row.rest == NEG_INF:
+        return head
+    return heapq.merge(head, _rest_children(row, num_ids), key=lambda child: (-child[0], child[1]))
+
+
+def _rest_children(row: Row, num_ids: int):
+    """(rest, id) of every surface id the row leaves to ``rest``, in id order."""
+    observed = row.ids.tolist()  # ascending, so one pointer skips them
+    j = bisect.bisect_left(observed, NUM_RESERVED)
+    for token in range(NUM_RESERVED, num_ids):
+        if j < len(observed) and observed[j] == token:
+            j += 1
+        else:
+            yield row.rest, token
 
 
 def beam_search(model: SequenceModel, context: Sequence | None, spec: DecodeSpec) -> CandidateSet:
@@ -259,30 +270,26 @@ class _SampleRow:
     ``run_len`` copies of the rest probability at positions
     [lead, lead + run_len).  The run holds, in id order, every rest id and
     the ``tied`` head ids whose probability equals the rest probability.
-    The head is kept as Python lists, whose ``accumulate`` and ``bisect``
-    add and search exactly as ``np.cumsum`` and ``np.searchsorted`` do.
+    The head is the row's sampling-order head as Python lists, whose
+    ``accumulate`` and ``bisect`` add and search exactly as ``np.cumsum``
+    and ``np.searchsorted`` do.
     """
 
     def __init__(self, row: Row, num_ids: int, strategy: str, top_k: int | None, top_p: float | None):
-        ids, logprobs, rest = row
         self.row = row
-        *probs, self.rest_p = np.exp(np.append(logprobs, rest)).tolist()
-        id_list = ids.tolist()
-        # Sorted by (-probability, id): ties keep the smaller id first.
-        head = sorted((-p, t, lp) for p, t, lp in zip(probs, id_list, logprobs.tolist()) if p > 0.0)
-        self.probs = [-q for q, _, _ in head]
-        self.ids = [t for _, t, _ in head]
-        self.logprobs = [lp for _, _, lp in head]
+        ids, logprobs, probs, self.rest_p = row.sample
+        self.ids, self.logprobs, self.probs = ids.tolist(), logprobs.tolist(), probs.tolist()
         # Smoothed ids (EOS and the surface ids) the row leaves to ``rest``.
-        rest_count = num_ids - NUM_RESERVED + 1 - len(id_list) + (UNK_ID in id_list[:2]) if self.rest_p > 0.0 else 0
-        self.lead, self.tied = len(head), 0
+        listed = len(row.ids) - (UNK_ID in row.ids[:2].tolist())
+        rest_count = num_ids - NUM_RESERVED + 1 - listed if self.rest_p > 0.0 else 0
+        self.lead, self.tied = len(self.probs), 0
         if rest_count:
             self.lead = bisect.bisect_left(self.probs, -self.rest_p, key=operator.neg)
             self.tied = bisect.bisect_right(self.probs, -self.rest_p, key=operator.neg) - self.lead
         self.run_len = self.tied + rest_count
         self.cum = list(itertools.accumulate(self.probs[: self.lead]))
         self._gaps = None
-        size = len(head) + rest_count
+        size = len(self.probs) + rest_count
         if strategy == "top_k":
             size = min(size, top_k)
         self.cut = size
@@ -322,7 +329,7 @@ class _SampleRow:
             return self.ids[pos], self.logprobs[pos]
         if self._gaps is None:
             # The run's ids are those of [EOS_ID, num_ids) outside ``excluded``.
-            excluded = set(self.row[0].tolist())
+            excluded = set(self.row.ids.tolist())
             excluded.add(UNK_ID)
             excluded.difference_update(self.ids[self.lead : self.lead + self.tied])
             self._gaps = [t - i - EOS_ID for i, t in enumerate(sorted(excluded))]
@@ -361,8 +368,9 @@ def sample_sequences(
     left to right).  The nucleus cut and the draw are searches on those
     sums, the total and truncated masses are ``math.fsum`` (exactly
     rounded), and each step uses one ``rng.random()``: the draws are those
-    of a running-sum walk over the sorted support.  Rows are sorted once per
-    call, and only their heads (see the module docstring).
+    of a running-sum walk over the sorted support.  The model presorts each
+    row's head in this order; a call keeps one view of each row it reads
+    (see the module docstring).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

@@ -6,20 +6,34 @@ add-k n-gram model.  Both are unconditional: the optional ``context``
 argument is accepted for interface compatibility and ignored.
 
 All probability arithmetic is in log space.  A next-token query returns a
-sparse row ``(ids, logprobs, rest)``: the outcomes the history observed, in
-ascending id order with their own log-probabilities, and the one value that
-every other smoothed id (EOS and the surface ids) shares.  BOS, and UNK
-when it is not among ``ids``, have probability 0.  ``rest`` is -inf under
-MLE and for ``TabularModel``.  ``next_token_logprobs`` spreads a row over
-the full id space for callers that want a dense vector.
+sparse :class:`Row`: the outcomes the history observed (``ids``, ascending,
+with their own ``logprobs``), and the one value ``rest`` that every other
+smoothed id (EOS and the surface ids) shares.  BOS, and UNK when it is not
+among ``ids``, have probability 0.  ``rest`` is -inf under MLE and for
+``TabularModel``.  ``next_token_logprobs`` spreads a row over the full id
+space for callers that want a dense vector.
 
-An ``NGramLM`` builds a history's row on its first query, with one
-``math.log`` per observed successor, and keeps it: the cache holds at most
-one row per trained history, plus the one row all unseen histories share,
-and never a dense vector.  Training counts off one flat id stream, each
-line's ids then EOS, as ``index_corpus`` yields it or ``train_ngram_lm``
-flattens its sequences: one scatter pads each line with BOS * (order - 1),
-and one sort counts every (history, event) code.
+Both models build every row once, when they are trained, loaded or built,
+into one :class:`RowTable`: the rows laid end to end (CSR: per-row
+offsets, ids, log-probabilities).  The table also holds each row presorted
+twice, each order from one stable sort over the whole table.  The beam
+order is log-probability descending; the sampling order is probability
+(``np.exp`` of the log-probability) descending, over the ids of positive
+probability.  Both break ties by ascending id.  The two differ because
+distinct log-probabilities can round to one probability, and the sampling
+walk must then order those ids by id.  A query only slices the table, and
+keeps the slices, so equal queries return one row object.
+
+``NGramLM`` counts off one flat id stream, each line's ids then EOS, as
+``index_corpus`` yields it or ``train_ngram_lm`` flattens its sequences:
+one scatter pads each line with BOS * (order - 1), and one sort counts
+every (history, event) code.  The sorted codes are the model's count table
+(per-history offsets, ascending events, counts).  A row's log-probability
+is ``LOG[num] - log_denom[h]``, with ``math.log`` taken once per distinct
+numerator (a count plus ``add_k``, or UNK's bare count) and once per
+distinct denominator: the IEEE subtraction of the two doubles a per-row
+``math.log`` loop makes.  The dict-of-dicts ``counts`` is derived from the
+table on demand, for saving, equality and tests.
 """
 
 from __future__ import annotations
@@ -28,7 +42,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
-from typing import IO, Iterable, Protocol, runtime_checkable
+from typing import IO, Iterable, Mapping, NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -36,11 +50,71 @@ from .sequences import BOS_ID, EOS_ID, NUM_RESERVED, UNK_ID, Sequence, Vocabular
 
 NEG_INF = float("-inf")
 
-# (ids, logprobs, rest): see the module docstring.
-Row = tuple[np.ndarray, np.ndarray, float]
-
 MODEL_FORMAT = "votedecode-ngram-lm"
 MODEL_VERSION = 1
+
+
+class Row(NamedTuple):
+    """One next-token row (see the module docstring); every array is a read-only slice of a :class:`RowTable`."""
+
+    ids: np.ndarray
+    logprobs: np.ndarray
+    rest: float
+    # (ids, logprobs) in beam order: log-probability descending, ties by ascending id.
+    beam: tuple[np.ndarray, np.ndarray]
+    # (ids, logprobs, probabilities) of the ids of positive probability in sampling order, probability
+    # descending, ties by ascending id; then the probability of ``rest``.
+    sample: tuple[np.ndarray, np.ndarray, np.ndarray, float]
+
+
+def _descending_within_rows(values: np.ndarray, row_of: np.ndarray) -> np.ndarray:
+    """Positions by row, then value descending, then position: one stable sort of an integer code.
+
+    The code is the row times the number of distinct values plus the value's
+    descending rank, so equal values (-0.0 and 0.0 included) tie.
+    """
+    distinct, rank = np.unique(-values, return_inverse=True)
+    return np.argsort(row_of * len(distinct) + rank, kind="stable")
+
+
+class RowTable:
+    """Rows laid end to end, each also presorted in beam and in sampling order.
+
+    Row r is positions [offsets[r], offsets[r + 1]) of ``ids`` (ascending
+    within a row) and ``logprobs``, with ``rest[r]``.
+    """
+
+    def __init__(self, offsets: np.ndarray, ids: np.ndarray, logprobs: np.ndarray, rest: np.ndarray):
+        n = len(rest)
+        row_of = np.repeat(np.arange(n), np.diff(offsets))
+        # One np.exp over one contiguous array gives every probability, rest's included.
+        probs = np.exp(np.concatenate((logprobs, rest)))
+        probs, rest_probs = probs[: len(ids)], probs[len(ids) :]
+        # Two orders: distinct log-probabilities can round to one probability.
+        beam, sample = _descending_within_rows(logprobs, row_of), _descending_within_rows(probs, row_of)
+        self._bounds = offsets.tolist()
+        # Zero probabilities sort last, so a row's positive ones end here.
+        self._positive = (offsets[:-1] + np.bincount(row_of[probs > 0.0], minlength=n)).tolist()
+        self._columns = (ids, logprobs, ids[beam], logprobs[beam], ids[sample], logprobs[sample], probs[sample])
+        for column in self._columns:
+            column.flags.writeable = False
+        self._rest = rest.tolist()
+        self._rest_probs = rest_probs.tolist()
+        self._slices: list[Row | None] = [None] * n  # kept, so equal queries return one row object
+
+    def row(self, r: int) -> Row:
+        row = self._slices[r]
+        if row is None:
+            a, b, p = self._bounds[r], self._bounds[r + 1], self._positive[r]
+            ids, logprobs, beam_ids, beam_logprobs, sample_ids, sample_logprobs, sample_probs = self._columns
+            row = self._slices[r] = Row(
+                ids[a:b],
+                logprobs[a:b],
+                self._rest[r],
+                (beam_ids[a:b], beam_logprobs[a:b]),
+                (sample_ids[a:p], sample_logprobs[a:p], sample_probs[a:p], self._rest_probs[r]),
+            )
+        return row
 
 
 class ModelFormatError(ValueError):
@@ -55,10 +129,10 @@ class ZeroMassPrefixError(ValueError):
 class SequenceModel(Protocol):
     """Anything exposing next-token conditional log-probabilities.
 
-    Contract: ``next_token_row`` returns ``(ids, logprobs, rest)`` with
-    ``ids`` distinct, ascending and inside [EOS_ID, vocab.num_ids); see the
-    module docstring.  For every reachable prefix the row's probabilities
-    sum to 1 within 1e-9, and equal queries give identical rows.
+    Contract: ``next_token_row`` returns a :class:`Row` with ``ids``
+    distinct, ascending and inside [EOS_ID, vocab.num_ids); see the module
+    docstring.  For every reachable prefix the row's probabilities sum to 1
+    within 1e-9, and equal queries give identical rows.
     ``next_token_logprobs`` is the same row as a dense vector.
     """
 
@@ -72,17 +146,10 @@ class SequenceModel(Protocol):
 
 def dense_logprobs(row: Row, num_ids: int) -> np.ndarray:
     """A row spread over the full id space."""
-    ids, logprobs, rest = row
     out = np.full(num_ids, NEG_INF)
-    out[EOS_ID] = out[NUM_RESERVED:] = rest
-    out[ids] = logprobs
+    out[EOS_ID] = out[NUM_RESERVED:] = row.rest
+    out[row.ids] = row.logprobs
     return out
-
-
-def _frozen_row(ids: list[int], logprobs: list[float], rest: float) -> Row:
-    ids_arr, lp_arr = np.array(ids, np.int64), np.array(logprobs, np.float64)
-    ids_arr.flags.writeable = lp_arr.flags.writeable = False
-    return ids_arr, lp_arr, rest
 
 
 def sequence_logprob(model: SequenceModel, seq: Sequence, context: Sequence | None = None) -> float:
@@ -102,27 +169,20 @@ class TabularModel:
 
     Conditionals come from prefix masses: P(t | prefix) is
     mass(prefix + t) / mass(prefix), and the EOS mass of a prefix is the
-    probability of the prefix as a complete sequence.
+    probability of the prefix as a complete sequence.  Every prefix of
+    positive mass has its row in ``_table``.
     """
 
     vocab: Vocabulary
     entries: dict[Sequence, float]
-    _mass: dict[Sequence, float] = field(repr=False)
-    _children: dict[Sequence, tuple[int, ...]] = field(repr=False)
+    _index: dict[Sequence, int] = field(repr=False, compare=False)  # prefix -> its row in _table
+    _table: RowTable = field(repr=False, compare=False)
 
     def next_token_row(self, prefix: Sequence, context: Sequence | None = None) -> Row:
-        prefix = tuple(prefix)
-        mass = self._mass.get(prefix)
-        if mass is None:
-            raise ZeroMassPrefixError(f"prefix has zero probability mass: {prefix}")
-        log_mass = math.log(mass)
-        exact = self.entries.get(prefix)
-        ids = [EOS_ID] if exact is not None else []
-        logprobs = [math.log(exact) - log_mass] if exact is not None else []
-        for token in self._children.get(prefix, ()):  # ascending, all above EOS_ID
-            ids.append(token)
-            logprobs.append(math.log(self._mass[prefix + (token,)]) - log_mass)
-        return _frozen_row(ids, logprobs, NEG_INF)
+        r = self._index.get(tuple(prefix))
+        if r is None:
+            raise ZeroMassPrefixError(f"prefix has zero probability mass: {tuple(prefix)}")
+        return self._table.row(r)
 
     def next_token_logprobs(self, prefix: Sequence, context: Sequence | None = None) -> np.ndarray:
         return dense_logprobs(self.next_token_row(prefix, context), self.vocab.num_ids)
@@ -163,11 +223,55 @@ def tabular_model(pairs: Iterable[tuple[Sequence, float]], vocab: Vocabulary) ->
             if cut < len(seq):
                 child_sets.setdefault(seq[:cut], set()).add(seq[cut])
     mass = {prefix: math.fsum(parts) for prefix, parts in contributions.items()}
-    children = {prefix: tuple(sorted(ids)) for prefix, ids in child_sets.items()}
-    return TabularModel(vocab=vocab, entries=entries, _mass=mass, _children=children)
+    ids: list[int] = []
+    logprobs: list[float] = []
+    offsets = [0]
+    for prefix, prefix_mass in mass.items():
+        log_mass = math.log(prefix_mass)
+        if prefix in entries:
+            ids.append(EOS_ID)
+            logprobs.append(math.log(entries[prefix]) - log_mass)
+        for token in sorted(child_sets.get(prefix, ())):  # all above EOS_ID
+            ids.append(token)
+            logprobs.append(math.log(mass[prefix + (token,)]) - log_mass)
+        offsets.append(len(ids))
+    table = RowTable(np.array(offsets), np.array(ids, np.int64), np.array(logprobs, np.float64),
+                     np.full(len(mass), NEG_INF))
+    return TabularModel(vocab=vocab, entries=entries, _index={prefix: r for r, prefix in enumerate(mass)},
+                        _table=table)
 
 
-@dataclass(frozen=True)
+def _log(values: np.ndarray) -> np.ndarray:
+    """``math.log`` of each value (-inf at 0), called once per distinct value."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([math.log(v) if v > 0 else NEG_INF for v in distinct.tolist()], np.float64)[inverse]
+
+
+def _smoothed_rows(vocab: Vocabulary, add_k: float, offsets: np.ndarray, events: np.ndarray,
+                   counts: np.ndarray) -> RowTable:
+    """Every history's row of an :class:`NGramLM`, then the one row all unseen histories share."""
+    smoothed_outcomes = vocab.size + 1  # surface tokens + EOS
+    history = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    # Differences of a running int64 sum are exact (modulo 2**64) for every total below 2**63.
+    running = np.concatenate(([0], np.cumsum(counts)))
+    totals = np.append(running[offsets[1:]] - running[offsets[:-1]], 0)  # unseen histories count nothing
+    denom = totals + add_k * smoothed_outcomes
+    log_denom = _log(denom)
+    # Only the observed smoothed outcomes and an observed UNK need their own value; every other
+    # smoothed outcome shares ``rest``.  Events no row lists still count towards their total.
+    smoothed = (events == EOS_ID) | (events >= NUM_RESERVED) & (events < vocab.num_ids)
+    listed = (smoothed | (events == UNK_ID) & (counts > 0)) & (denom > 0)[history]
+    numerators = np.where(smoothed, counts + add_k, counts)[listed]  # UNK has no pseudo-count
+    logprobs = _log(numerators) - log_denom[history[listed]]
+    rest = math.log(add_k) - log_denom if add_k > 0 else np.full(len(denom), NEG_INF)
+    # A zero denominator (MLE, nothing counted) is unreachable by search, but keep the
+    # conditional well defined: uniform over the smoothed outcomes.
+    rest[denom == 0] = -math.log(smoothed_outcomes)
+    row_offsets = np.zeros(len(denom) + 1, np.int64)
+    np.cumsum(np.bincount(history[listed], minlength=len(denom)), out=row_offsets[1:])
+    return RowTable(row_offsets, events[listed], logprobs, rest)
+
+
 class NGramLM:
     """Add-k smoothed n-gram model with EOS as an ordinary outcome.
 
@@ -176,14 +280,46 @@ class NGramLM:
     counts only (no pseudo-count), which keeps the distribution normalized
     when the training corpus contained out-of-vocabulary tokens.  Histories
     never seen in training fall back to the uniform smoothed distribution.
+
+    The counts are a table: history ``histories[h]``'s events are
+    ``events[offsets[h]:offsets[h + 1]]``, ascending, with
+    ``event_counts`` alongside.  A loaded file may hold events no row lists
+    (BOS, ids past the vocabulary, zero counts under MLE); they still count
+    towards their history's total.  A model's value is its vocabulary,
+    order, ``add_k`` and ``counts``.
     """
 
-    vocab: Vocabulary
-    order: int
-    add_k: float
-    counts: dict[tuple[int, ...], dict[int, int]]
-    # History (None for every unseen one) -> row, filled by queries; not part of the model's value.
-    _rows: dict[tuple[int, ...] | None, Row] = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, vocab: Vocabulary, order: int, add_k: float, histories: Iterable[tuple[int, ...]],
+                 offsets: np.ndarray, events: np.ndarray, event_counts: np.ndarray):
+        self.vocab, self.order, self.add_k = vocab, order, add_k
+        self._index = {history: h for h, history in enumerate(histories)}
+        self._offsets, self._events, self._counts = offsets, events, event_counts
+        self._table = _smoothed_rows(vocab, add_k, offsets, events, event_counts)
+
+    @classmethod
+    def from_counts(cls, vocab: Vocabulary, order: int, add_k: float,
+                    counts: Mapping[tuple[int, ...], Mapping[int, int]]) -> NGramLM:
+        """A model from (history, event) counts as a dict of dicts; histories keep the mapping's order."""
+        rows = [sorted(events.items()) for events in counts.values()]
+        pairs = np.array(list(chain.from_iterable(rows)), np.int64).reshape(-1, 2)
+        offsets = np.cumsum([0, *map(len, rows)])
+        return cls(vocab, order, add_k, map(tuple, counts), offsets, pairs[:, 0].copy(), pairs[:, 1].copy())
+
+    @property
+    def counts(self) -> dict[tuple[int, ...], dict[int, int]]:
+        """The (history, event) counts as a dict of dicts, in table order, derived on each access."""
+        pairs = zip(self._events.tolist(), self._counts.tolist())
+        sizes = np.diff(self._offsets).tolist()
+        return {history: dict(islice(pairs, size)) for history, size in zip(self._index, sizes)}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NGramLM):
+            return NotImplemented
+        return (self.vocab, self.order, self.add_k, self.counts) == (other.vocab, other.order, other.add_k,
+                                                                     other.counts)
+
+    def __repr__(self) -> str:
+        return f"NGramLM(vocab={self.vocab!r}, order={self.order}, add_k={self.add_k}, counts={self.counts!r})"
 
     def _history(self, prefix: Sequence) -> tuple[int, ...]:
         need = self.order - 1
@@ -191,42 +327,11 @@ class NGramLM:
         return (BOS_ID,) * (need - len(tail)) + tail
 
     def next_token_row(self, prefix: Sequence, context: Sequence | None = None) -> Row:
-        history = self._history(prefix)
-        if history not in self.counts:
-            history = None
-        row = self._rows.get(history)
-        if row is None:
-            row = self._rows[history] = self._build_row(history)
-        return row
+        # Row len(_index) is the one every unseen history shares.
+        return self._table.row(self._index.get(self._history(prefix), len(self._index)))
 
     def next_token_logprobs(self, prefix: Sequence, context: Sequence | None = None) -> np.ndarray:
         return dense_logprobs(self.next_token_row(prefix, context), self.vocab.num_ids)
-
-    def _build_row(self, history: tuple[int, ...] | None) -> Row:
-        hist_counts = self.counts.get(history, {})
-        total = sum(hist_counts.values())
-        smoothed_outcomes = self.vocab.size + 1  # surface tokens + EOS
-        denom = total + self.add_k * smoothed_outcomes
-        if denom == 0.0:
-            # Unseen history under MLE: unreachable by search, but keep the
-            # conditional well defined (uniform over smoothed outcomes).
-            return _frozen_row([], [], -math.log(smoothed_outcomes))
-        log_denom = math.log(denom)
-        # Every smoothed outcome without a count shares one value; only the
-        # observed outcomes need their own log.
-        ids, logprobs = [], []
-        num_ids = self.vocab.num_ids
-        for token, count in sorted(hist_counts.items()):
-            if token == EOS_ID or NUM_RESERVED <= token < num_ids:
-                num = count + self.add_k
-            elif token == UNK_ID and count > 0:
-                num = count  # UNK has no pseudo-count
-            else:
-                continue
-            ids.append(token)
-            logprobs.append(math.log(num) - log_denom if num > 0 else NEG_INF)
-        rest = math.log(self.add_k) - log_denom if self.add_k > 0 else NEG_INF
-        return _frozen_row(ids, logprobs, rest)
 
 
 def check_training(order: int, add_k: float) -> None:
@@ -270,11 +375,11 @@ def train_on_stream(events: np.ndarray, lengths: np.ndarray, order: int, add_k: 
     key += events
     codes, totals = np.unique(key, return_counts=True)
     sizes = np.bincount(codes // width)
+    offsets = np.zeros(len(sizes) + 1, np.int64)
+    np.cumsum(sizes, out=offsets[1:])
     histories = ids[seen[: len(sizes), None] + np.arange(-need, 0)].tolist()
-    del ids, is_event, key  # freed before the dicts are built, to keep the peak low
-    pairs = zip((codes % width).tolist(), totals.tolist())
-    counts = {tuple(history): dict(islice(pairs, size)) for history, size in zip(histories, sizes.tolist())}
-    return NGramLM(vocab=vocab, order=order, add_k=add_k, counts=counts)
+    del ids, is_event, key  # freed before the rows are built, to keep the peak low
+    return NGramLM(vocab, order, add_k, map(tuple, histories), offsets, codes % width, totals)
 
 
 def save_model(model: NGramLM, fp: IO[str]) -> None:
@@ -315,6 +420,8 @@ def load_model(fp: IO[str]) -> NGramLM:
         }
         if any(c < 0 for events in counts.values() for c in events.values()):
             raise ValueError("event counts must be >= 0")
-    except (KeyError, TypeError, ValueError) as exc:
+        if any(sum(events.values()) >= 2**63 for events in counts.values()):
+            raise ValueError("a history's counts must sum below 2**63")
+        return NGramLM.from_counts(vocab, order, add_k, counts)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
-    return NGramLM(vocab=vocab, order=order, add_k=add_k, counts=counts)

@@ -25,7 +25,7 @@ from votedecode.decode import (
     beam_search,
     sample_sequences,
 )
-from votedecode.models import NEG_INF, NGramLM, save_model, tabular_model, train_ngram_lm
+from votedecode.models import NEG_INF, NGramLM, RowTable, load_model, save_model, tabular_model, train_ngram_lm
 from votedecode.sequences import (
     BOS_ID,
     EOS_ID,
@@ -68,7 +68,7 @@ def reference_train(corpus, order, add_k, vocab):
         events = tuple(seq) + (EOS_ID,)
         for i, event in enumerate(events):
             counts.setdefault(padded[i : i + need], Counter())[event] += 1
-    return NGramLM(vocab=vocab, order=order, add_k=add_k, counts={h: dict(c) for h, c in counts.items()})
+    return NGramLM.from_counts(vocab, order, add_k, {h: dict(c) for h, c in counts.items()})
 
 
 def reference_row(model, prefix):
@@ -200,7 +200,7 @@ def sparse_row(dense):
     """The row contract over a dense vector: every finite id but BOS, nothing left to ``rest``."""
     ids = np.flatnonzero(dense != NEG_INF)
     ids = ids[ids != BOS_ID]
-    return ids, dense[ids], NEG_INF
+    return RowTable(np.array([0, len(ids)]), ids, dense[ids], np.array([NEG_INF])).row(0)
 
 
 class RowModel:
@@ -332,7 +332,7 @@ class TestNGramRows:
         vocab = vocab_of(3)
         counts = {(): {BOS_ID: 2, EOS_ID: 0, UNK_ID: 1, 4: 3, 9: 5}}
         for add_k in (0.0, 0.25):
-            model = NGramLM(vocab=vocab, order=1, add_k=add_k, counts=counts)
+            model = NGramLM.from_counts(vocab, 1, add_k, counts)
             assert model.next_token_logprobs(()).tobytes() == reference_row(model, ()).tobytes()
 
 
@@ -412,21 +412,27 @@ class TestSamplingEquivalence:
 # particular way.  Vocabulary ids run 3..num_ids-1.
 EDGE_MODELS = {
     # UNK's count equals add_k: its value ties with rest and joins the rest run by id.
-    "unk_tied_with_rest": NGramLM(vocab_of(4), 1, 1.0, {(): {EOS_ID: 2, UNK_ID: 1, 4: 3}}),
+    "unk_tied_with_rest": NGramLM.from_counts(vocab_of(4), 1, 1.0, {(): {EOS_ID: 2, UNK_ID: 1, 4: 3}}),
     # UNK's count is below add_k: its value sorts after the rest run.
-    "unk_below_rest": NGramLM(vocab_of(4), 1, 2.0, {(): {UNK_ID: 1, 5: 4, EOS_ID: 1}}),
+    "unk_below_rest": NGramLM.from_counts(vocab_of(4), 1, 2.0, {(): {UNK_ID: 1, 5: 4, EOS_ID: 1}}),
     # A loaded zero count ties id 5 with rest inside the run (ids 1, 4, 5, 6), and UNK follows the run.
-    "tied_inside_run": NGramLM(vocab_of(4), 1, 2.0, {(): {3: 3, 5: 0, UNK_ID: 1}}),
+    "tied_inside_run": NGramLM.from_counts(vocab_of(4), 1, 2.0, {(): {3: 3, 5: 0, UNK_ID: 1}}),
     # rest * 3 rounds: fsum with the rounded product gives 0.9999999999999998, not 0.9999999999999999.
-    "inexact_rest_product": NGramLM(vocab_of(4), 1, 1.0, {(): {3: 3, 4: 1}}),
+    "inexact_rest_product": NGramLM.from_counts(vocab_of(4), 1, 1.0, {(): {3: 3, 4: 1}}),
     # MLE: rest is -inf, the support is the head alone.
-    "mle": NGramLM(vocab_of(4), 1, 0.0, {(): {3: 2, 5: 1, UNK_ID: 1, EOS_ID: 1}}),
+    "mle": NGramLM.from_counts(vocab_of(4), 1, 0.0, {(): {3: 2, 5: 1, UNK_ID: 1, EOS_ID: 1}}),
     # MLE, and every prefix but (3,) reaches a history never seen: a uniform row.
-    "mle_unseen_history": NGramLM(vocab_of(3), 2, 0.0, {(BOS_ID,): {3: 1, 4: 1}, (3,): {EOS_ID: 1}}),
+    "mle_unseen_history": NGramLM.from_counts(vocab_of(3), 2, 0.0, {(BOS_ID,): {3: 1, 4: 1}, (3,): {EOS_ID: 1}}),
     # Every smoothed id observed: no rest id left.
-    "all_observed": NGramLM(vocab_of(2), 1, 0.5, {(): {EOS_ID: 1, 3: 2, 4: 1}}),
+    "all_observed": NGramLM.from_counts(vocab_of(2), 1, 0.5, {(): {EOS_ID: 1, 3: 2, 4: 1}}),
     # Half the mass is in the rest run, so top-k and nucleus cuts fall inside it.
-    "heavy_rest": NGramLM(vocab_of(6), 1, 1.0, {(): {3: 5}}),
+    "heavy_rest": NGramLM.from_counts(vocab_of(6), 1, 1.0, {(): {3: 5}}),
+    # Loaded events no row lists (BOS, an id past the vocabulary) still count; EOS's zero count takes add_k.
+    "unlisted_events": NGramLM.from_counts(vocab_of(3), 1, 0.25, {(): {BOS_ID: 2, EOS_ID: 0, UNK_ID: 1, 4: 3, 9: 5}}),
+    # MLE: a loaded zero count is listed with -inf and leaves the sampling head.
+    "mle_zero_count": NGramLM.from_counts(vocab_of(3), 1, 0.0, {(): {3: 2, 4: 0, EOS_ID: 1}}),
+    # Forty equal values: both orders must keep them in id order.
+    "many_ties": NGramLM.from_counts(vocab_of(45), 1, 0.5, {(): {t: 1 for t in range(4, 44)} | {EOS_ID: 1}}),
 }
 EDGE_TABULAR = tabular_model([((3, 4), 2.0), ((3,), 1.0), ((4, 3, 3), 1.0), ((UNK_ID,), 2.0)], vocab_of(2))
 SAMPLINGS = [("ancestral", None, None)]
@@ -444,7 +450,7 @@ class TestRowContract:
     def test_rows_match_the_reference(self, name):
         model = EDGE_MODELS[name]
         for prefix in edge_prefixes(model):
-            ids, logprobs, rest = model.next_token_row(prefix)
+            ids, logprobs, rest = model.next_token_row(prefix)[:3]
             assert ids.dtype.kind == "i" and list(ids) == sorted(set(ids.tolist()))
             assert all(EOS_ID <= t < model.vocab.num_ids for t in ids.tolist())
             assert model.next_token_logprobs(prefix).tobytes() == reference_row(model, prefix).tobytes()
@@ -452,10 +458,10 @@ class TestRowContract:
     def test_rest_values(self):
         assert EDGE_MODELS["mle"].next_token_row(())[2] == NEG_INF
         unseen = EDGE_MODELS["mle_unseen_history"]
-        ids, logprobs, rest = unseen.next_token_row((4,))
+        ids, logprobs, rest = unseen.next_token_row((4,))[:3]
         assert (len(ids), len(logprobs), rest) == (0, 0, -math.log(4))
         assert unseen.next_token_row((UNK_ID,)) is unseen.next_token_row((4,))  # one row for every unseen history
-        ids, logprobs, rest = EDGE_MODELS["unk_tied_with_rest"].next_token_row(())
+        ids, logprobs, rest = EDGE_MODELS["unk_tied_with_rest"].next_token_row(())[:3]
         assert logprobs[list(ids).index(UNK_ID)] == rest
 
     @pytest.mark.parametrize("name", sorted(EDGE_MODELS))
@@ -482,13 +488,20 @@ class TestRowContract:
 
     def test_tabular_rows(self):
         model = EDGE_TABULAR
+
+        def extensions(prefix):
+            return [(seq, p) for seq, p in model.entries.items() if seq[: len(prefix)] == prefix]
+
+        def log_mass(prefix):
+            return math.log(math.fsum(p for _, p in extensions(prefix)))
+
         for prefix in [(), (3,), (4,), (4, 3), (3, 4), (UNK_ID,)]:
-            ids, logprobs, rest = model.next_token_row(prefix)
+            ids, logprobs, rest = model.next_token_row(prefix)[:3]
             assert rest == NEG_INF
-            mass = model._mass[prefix]
-            want = {t: math.log(model._mass[prefix + (t,)]) - math.log(mass) for t in model._children.get(prefix, ())}
+            children = {seq[len(prefix)] for seq, _ in extensions(prefix) if len(seq) > len(prefix)}
+            want = {t: math.log(math.fsum(p for _, p in extensions(prefix + (t,)))) - log_mass(prefix) for t in children}
             if prefix in model.entries:
-                want[EOS_ID] = math.log(model.entries[prefix]) - math.log(mass)
+                want[EOS_ID] = math.log(model.entries[prefix]) - log_mass(prefix)
             assert dict(zip(ids.tolist(), logprobs.tolist())) == want
             assert list(ids) == sorted(want)
 
@@ -527,3 +540,87 @@ class TestRowContract:
         save_model(warm, warm_file)
         save_model(cold, cold_file)
         assert warm_file.getvalue() == cold_file.getvalue()
+
+
+# --- the row table ------------------------------------------------------------
+
+
+def assert_presorted(row, dense, num_ids):
+    """``row``'s values, read-only slices and both orders against explicit sorts over the dense reference."""
+    probs = np.exp(dense)
+    ids = row.ids.tolist()
+    assert ids == sorted(set(ids)) and all(EOS_ID <= t < num_ids for t in ids)
+    assert row.logprobs.tobytes() == dense[ids].tobytes()
+    beam = sorted(ids, key=lambda t: (-dense[t], t))
+    sample = [t for t in sorted(ids, key=lambda t: (-probs[t], t)) if probs[t] > 0.0]
+    beam_ids, beam_logprobs = row.beam
+    assert beam_ids.tolist() == beam and beam_logprobs.tobytes() == dense[beam].tobytes()
+    sample_ids, sample_logprobs, sample_probs, rest_prob = row.sample
+    assert sample_ids.tolist() == sample
+    assert sample_logprobs.tobytes() == dense[sample].tobytes() and sample_probs.tobytes() == probs[sample].tobytes()
+    rest_ids = sorted({EOS_ID, *range(NUM_RESERVED, num_ids)} - set(ids))
+    if rest_ids:
+        assert (row.rest, rest_prob) == (dense[rest_ids[0]], probs[rest_ids[0]])
+    assert not any(a.flags.writeable for a in (row.ids, row.logprobs, *row.beam, *row.sample[:3]))
+
+
+@st.composite
+def table_rows(draw):
+    """Rows of values with ties, probabilities that tie at distinct log-probabilities, zeros and -inf."""
+    pool = st.sampled_from([NEG_INF, -800.0, -745.0, -40.0, -3.0, -1e-16, -1e-17, -0.0, 0.0])
+    rows = draw(st.lists(st.lists(pool, max_size=12), min_size=1, max_size=6))
+    return [(np.arange(len(r)) + EOS_ID, np.array(r, np.float64)) for r in rows]
+
+
+class TestRowTable:
+    @settings(max_examples=200, deadline=None)
+    @given(corpora() | raw_corpora(), st.integers(1, 4), st.sampled_from([0.0, 0.01, 0.5]))
+    def test_every_trained_row_is_presorted(self, vocab_corpus, order, add_k):
+        vocab, corpus = vocab_corpus
+        model = train_ngram_lm(corpus, order=order, add_k=add_k, vocab=vocab)
+        for prefix in [*model.counts, (vocab.num_ids - 1,) * order]:  # every history, then an unseen one
+            assert_presorted(model.next_token_row(prefix), reference_row(model, prefix), vocab.num_ids)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_MODELS))
+    def test_every_loaded_row_is_presorted(self, name):
+        model = EDGE_MODELS[name]
+        for prefix in [*model.counts, *edge_prefixes(model)]:
+            assert_presorted(model.next_token_row(prefix), reference_row(model, prefix), model.vocab.num_ids)
+
+    @settings(max_examples=300, deadline=None)
+    @given(table_rows())
+    def test_any_rows_are_presorted(self, rows):
+        offsets = np.cumsum([0, *(len(ids) for ids, _ in rows)])
+        rest = np.full(len(rows), NEG_INF)
+        table = RowTable(offsets, np.concatenate([ids for ids, _ in rows]), np.concatenate([v for _, v in rows]), rest)
+        for r, (ids, values) in enumerate(rows):
+            dense = np.full(max(len(ids) + EOS_ID, NUM_RESERVED), NEG_INF)
+            dense[ids] = values
+            assert_presorted(table.row(r), dense, len(dense))
+            assert table.row(r) is table.row(r)
+
+    def test_the_orders_differ_where_probabilities_tie(self):
+        # exp(-1e-17) and exp(0.0) both round to 1.0: by log-probability id 4 leads, by probability id 3.
+        table = RowTable(np.array([0, 2]), np.array([3, 4]), np.array([-1e-17, 0.0]), np.array([NEG_INF]))
+        row = table.row(0)
+        assert row.beam[0].tolist() == [4, 3] and row.sample[0].tolist() == [3, 4]
+        assert row.sample[2].tolist() == [1.0, 1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpora() | raw_corpora(), st.integers(1, 4), st.sampled_from([0.0, 0.01, 0.5]))
+    def test_trained_and_loaded_copies_are_equal(self, vocab_corpus, order, add_k):
+        vocab, corpus = vocab_corpus
+        trained = train_ngram_lm(corpus, order=order, add_k=add_k, vocab=vocab)
+        saved = io.StringIO()
+        save_model(trained, saved)
+        loaded = load_model(io.StringIO(saved.getvalue()))
+        assert loaded == trained and loaded.counts == trained.counts
+        resaved = io.StringIO()
+        save_model(loaded, resaved)
+        assert resaved.getvalue() == saved.getvalue()
+        for prefix in [*trained.counts, (vocab.num_ids - 1,) * order]:
+            want, got = trained.next_token_row(prefix), loaded.next_token_row(prefix)
+            assert got.rest == want.rest and got.sample[3] == want.sample[3]
+            for a, b in zip((got.ids, got.logprobs, *got.beam, *got.sample[:3]),
+                            (want.ids, want.logprobs, *want.beam, *want.sample[:3])):
+                assert a.tobytes() == b.tobytes()

@@ -158,17 +158,19 @@ class TestConfigFailsFast:
 
     SIM = {"kind": "overl", "n": 1}
 
-    def _config(self, tmp_path, decode=None, sim=None, voters="same"):
+    def _config(self, tmp_path, decode=None, sim=None, voters="same", model=None, metrics=None):
         write_lines(tmp_path / "d.jsonl", [json.dumps({"id": 1, "references": ["a b"]})])
         config = {
             "schema_version": 1,
             "seed": 1,
-            "model": {"kind": "load", "path": "no-such-model.json"},  # building it would be an i/o error
+            # Building the default model would be an i/o error; the train corpus is absent too.
+            "model": model or {"kind": "load", "path": "no-such-model.json"},
             "dataset": "d.jsonl",
             "decode": [{"name": "b", "kind": "beam"}, decode or {"name": "s", "kind": "sample", "count": 2}],
             "select": [{"name": "map", "kind": "map"},
                        {"name": "v", "kind": "vote", "sim": self.SIM if sim is None else sim, "voters": voters}],
             "output_dir": "out",
+            **({} if metrics is None else {"metrics": metrics}),
         }
         (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
         return tmp_path / "config.json"
@@ -187,8 +189,9 @@ class TestConfigFailsFast:
             ({"kind": "overl", "n": 1.5}, r"select\[1\]\.sim: n must be an integer, got 1\.5"),
             ({"kind": "bleu", "max_n": 2.5}, r"select\[1\]\.sim: max_n must be an integer, got 2\.5"),
             ({"kind": "overl", "nn": 2}, r"select\[1\]\.sim: unknown field\(s\) \['nn'\]"),
+            ({"kind": "embed_cosine", "vectors": 5}, r"select\[1\]\.sim: vectors must be a file path, got 5"),
         ],
-        ids=["string", "fractional-n", "fractional-max_n", "unknown-key"],
+        ids=["string", "fractional-n", "fractional-max_n", "unknown-key", "vectors-not-a-path"],
     )
     def test_bad_sim(self, tmp_path, capsys, sim, message):
         self._fails(self._config(tmp_path, sim=sim), message, capsys)
@@ -199,8 +202,15 @@ class TestConfigFailsFast:
             ({"name": "s", "kind": "sample", "count": 0}, r"decode\[1\]: count must be >= 1, got 0"),
             ({"name": "s", "kind": "sample", "count": 2, "max_len": 0}, r"decode\[1\]: max_len must be >= 1, got 0"),
             ({"name": "s", "kind": "beam", "beam_size": 2.5}, r"decode\[1\]: beam_size must be an integer, got 2\.5"),
+            ({"name": "s", "kind": "beam", "diverse_gamma": None},
+             r"decode\[1\]: diverse_gamma must be a number, got None"),
+            ({"name": "s", "kind": "beam", "filter_copies": {"share": 0.5}},
+             r"decode\[1\]: filter_copies must be a number, got \{'share': 0\.5\}"),
+            ({"name": "s", "kind": "sample", "count": 2, "strategy": "nucleus", "top_p": [0.5]},
+             r"decode\[1\]: top_p must be a number, got \[0\.5\]"),
         ],
-        ids=["sample-count-0", "sample-max_len-0", "fractional-beam_size"],
+        ids=["sample-count-0", "sample-max_len-0", "fractional-beam_size", "null-diverse_gamma",
+             "object-filter_copies", "list-top_p"],
     )
     def test_bad_decode_entry(self, tmp_path, capsys, decode, message):
         self._fails(self._config(tmp_path, decode=decode), message, capsys)
@@ -212,11 +222,47 @@ class TestConfigFailsFast:
             ({"kind": "beam", "beam_size": 3, "count": 2}, r"select\[1\]\.voters: unknown field\(s\) \['count'\]"),
             ({"kind": "beam", "beam_size": 0}, r"select\[1\]\.voters: beam_size must be >= 1, got 0"),
             ("sample:0", r"select\[1\]\.voters: count must be >= 1, got 0"),
+            ({"kind": "sample", "count": 2, "strategy": "nucleus", "top_p": [0.5]},
+             r"select\[1\]\.voters: top_p must be a number, got \[0\.5\]"),
         ],
-        ids=["same-with-beam_size", "beam-with-count", "beam-size-0", "sample-count-0"],
+        ids=["same-with-beam_size", "beam-with-count", "beam-size-0", "sample-count-0", "list-top_p"],
     )
     def test_bad_voters(self, tmp_path, capsys, voters, message):
         self._fails(self._config(tmp_path, voters=voters), message, capsys)
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"kind": "train", "corpus": "absent.txt", "add_k": None}, r"model: add_k must be a number, got None"),
+            ({"kind": "train", "corpus": "absent.txt", "add_k": [0.5]}, r"model: add_k must be a number, got \[0\.5\]"),
+            ({"kind": "tabular", "entries": [["a b", 0.5], ["a", None]]},
+             r"model: entries\[1\]: probability must be a number, got None"),
+            ({"kind": "tabular", "entries": [["a b", [0.5]]]},
+             r"model: entries\[0\]: probability must be a number, got \[0\.5\]"),
+            ({"kind": "tabular", "entries": [["a b", 0.5], ["a", math.nan]]},
+             r"model: entries\[1\]: probability must be positive and finite, got nan"),
+            ({"kind": "tabular", "entries": [["a b", math.inf]]},
+             r"model: entries\[0\]: probability must be positive and finite, got inf"),
+            ({"kind": "tabular", "entries": [["a b", 0.5, 1]]},
+             r"model: entries\[0\] must be a \[text, probability\] pair"),
+        ],
+        ids=["null-add_k", "list-add_k", "null-probability", "list-probability", "nan-probability",
+             "inf-probability", "triple-entry"],
+    )
+    def test_bad_model_number(self, tmp_path, capsys, model, message):
+        self._fails(self._config(tmp_path, model=model), message, capsys)
+
+    @pytest.mark.parametrize(
+        "metrics, message",
+        [
+            ({"copy_threshold": None}, r"metrics: copy_threshold must be a number, got None"),
+            ({"copy_threshold": "half"}, r"metrics: copy_threshold must be a number, got 'half'"),
+            ({"copy_threshold": math.nan}, r"metrics\.copy_threshold must be in \[0,1\], got nan"),
+        ],
+        ids=["null", "word", "nan"],
+    )
+    def test_bad_metrics_number(self, tmp_path, capsys, metrics, message):
+        self._fails(self._config(tmp_path, metrics=metrics), message, capsys)
 
     def test_integral_numbers_and_the_default_voters_are_accepted(self, tmp_path):
         sim = {"kind": "overl", "n": 2.0}
@@ -291,6 +337,17 @@ class TestTrainingSettings:
             load_model(io.StringIO(path.read_text(encoding="utf-8")))
         assert main(["oracle", "map", "--model", str(path), "--max-len", "3"]) == 3
         assert "event counts must be >= 0" in capsys.readouterr().err
+
+    # The counts are int64 arrays: a count or a history's total past that range is refused, not wrapped.
+    @pytest.mark.parametrize(
+        "events, message",
+        [([[3, 2**63]], "malformed model file"), ([[3, 2**62], [4, 2**62]], "counts must sum below 2\\*\\*63")],
+    )
+    def test_load_model_refuses_counts_past_int64(self, events, message):
+        payload = {"format": "votedecode-ngram-lm", "version": 1, "vocab": ["a", "b"], "order": 1, "add_k": 0.0,
+                   "counts": [[[], events]]}
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(io.StringIO(json.dumps(payload)))
 
     @pytest.mark.parametrize(
         "fields, message",

@@ -77,7 +77,7 @@ def reference_counts(seqs, order):
 def test_training_matches_the_per_line_reference(lines, order, lowercase, max_vocab):
     model = train_on_lines(lines, order, 0.5, max_vocab, lowercase)
     vocab, seqs = reference_index(lines, lowercase, max_vocab)
-    want = NGramLM(vocab=vocab, order=order, add_k=0.5, counts=reference_counts(seqs, order))
+    want = NGramLM.from_counts(vocab, order, 0.5, reference_counts(seqs, order))
     assert model.vocab.tokens == vocab.tokens
     assert model.counts == want.counts
     assert saved(model) == saved(want)
