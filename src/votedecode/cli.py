@@ -234,7 +234,7 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
             ScoredSequence(tokens=file_ids(tokens, vocab), logprob=lp)
             for tokens, lp in record.candidates
         )
-        return CandidateSet(items=items, provenance=f"file:{candidates_path}")
+        return CandidateSet(items=items)
 
     if model is not None:  # the model's vocabulary would turn an unknown token into UNK
         for rec in cand_records:

@@ -8,15 +8,16 @@ used to rank the search.
 Both searches read only the model's sparse rows (``next_token_row``): a
 head of observed ids and one ``rest`` value that every other smoothed id
 shares.  The model hands each row over presorted twice (see ``models``),
-so neither search sorts.  Beam search walks the head in beam order,
-log-probability descending with ties by ascending id.  Sampling walks it
-in sampling order, probability descending with ties by ascending id: two
-distinct log-probabilities can round to one probability, and then the
-smaller id must come first.  In either order the row is the sorted head
-with the rest ids inserted as one run of equal values in id order, merged
-by id with the head values that tie with it.  The work per step is
-O(head), not O(vocabulary); the rest run is only walked as far as it is
-used, and an id inside it is found by a search over the observed ids.
+so neither search sorts: beam order is log-probability descending,
+sampling order probability descending (two distinct log-probabilities can
+round to one probability), both with ties by ascending id.  In either
+order a row's support is the sorted head with the rest ids inserted as one
+run of equal values, merged by id with the head values that tie with it.
+One positional view, ``_Support``, reads both: position i is the i-th id
+of the support, found inside the run by a search over the ids the run
+skips, so a step costs O(head), not O(vocabulary).  A call keeps one view
+per row; beam search walks positions 0, 1, ..., and sampling searches the
+running sums for one.
 Sampling draws the same numbers as a running sum over the whole sorted
 support: the running sums of the head (added left to right, as
 ``np.cumsum`` does) continue into the run only when a draw or a nucleus
@@ -30,7 +31,6 @@ rounded, as a sum over the whole support would be.
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 import math
 import operator
@@ -90,8 +90,14 @@ class DecodeSpec:
             raise ValueError(f"filter_copies must be in [0,1], got {self.filter_copies}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.kind == "sample":
-            check_sampling(self.strategy, self.top_k, self.top_p)
+        if self.kind != "sample":
+            return
+        if self.strategy not in SAMPLING_STRATEGIES:
+            raise ValueError(f"strategy must be one of {SAMPLING_STRATEGIES}, got {self.strategy!r}")
+        if self.strategy == "top_k" and (self.top_k is None or self.top_k < 1):
+            raise ValueError(f"top_k sampling needs top_k >= 1, got {self.top_k}")
+        if self.strategy == "nucleus" and (self.top_p is None or not 0.0 < self.top_p <= 1.0):
+            raise ValueError(f"nucleus sampling needs top_p in (0,1], got {self.top_p}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +109,6 @@ class CandidateSet:
     """
 
     items: tuple[ScoredSequence, ...]
-    provenance: str
 
     def __len__(self) -> int:
         return len(self.items)
@@ -154,24 +159,48 @@ def _logprob_of(row: Row, token: int) -> float:
     return float(row.logprobs[i]) if i < len(ids) and ids[i] == token else row.rest
 
 
-def _ranked_children(row: Row, num_ids: int):
-    """(step log-probability, id) of every id but EOS: log-probability descending, id ascending."""
-    ids, logprobs = row.beam
-    head = (child for child in zip(logprobs.tolist(), ids.tolist()) if child[1] != EOS_ID)
-    if row.rest == NEG_INF:
-        return head
-    return heapq.merge(head, _rest_children(row, num_ids), key=lambda child: (-child[0], child[1]))
+class _Support:
+    """One row's support in one order, addressed by position.
 
+    ``order`` is (ids, logprobs, values, run value): the head sorted by
+    value descending, ties by ascending id, and the value every rest id
+    takes.  When ``has_rest``, the support is the head with a run of
+    ``run_len`` copies of the run value at positions [lead, lead + run_len),
+    holding, in id order, every rest id and the ``tied`` head ids whose value
+    equals the run value; otherwise it is the head alone.  The head is kept
+    as Python lists, whose ``accumulate`` and ``bisect`` add and search
+    exactly as ``np.cumsum`` and ``np.searchsorted`` do.
+    """
 
-def _rest_children(row: Row, num_ids: int):
-    """(rest, id) of every surface id the row leaves to ``rest``, in id order."""
-    observed = row.ids.tolist()  # ascending, so one pointer skips them
-    j = bisect.bisect_left(observed, NUM_RESERVED)
-    for token in range(NUM_RESERVED, num_ids):
-        if j < len(observed) and observed[j] == token:
-            j += 1
-        else:
-            yield row.rest, token
+    def __init__(self, row: Row, order: tuple, has_rest: bool, num_ids: int):
+        self.row = row
+        ids, logprobs, values, self.value = order
+        self.ids, self.logprobs, self.values = ids.tolist(), logprobs.tolist(), values.tolist()
+        # Smoothed ids (EOS and the surface ids) the row leaves to ``rest``.
+        listed = len(row.ids) - (UNK_ID in row.ids[:2].tolist())
+        rest_count = num_ids - NUM_RESERVED + 1 - listed if has_rest else 0
+        self.lead, self.tied = len(self.values), 0
+        if rest_count:
+            self.lead = bisect.bisect_left(self.values, -self.value, key=operator.neg)
+            self.tied = bisect.bisect_right(self.values, -self.value, key=operator.neg) - self.lead
+        self.run_len = self.tied + rest_count
+        self.size = len(self.values) + rest_count
+        self._gaps = None
+
+    def token(self, pos: int) -> tuple[int, float]:
+        """(id, log-probability) at a position of the support."""
+        j = pos - self.lead
+        if j < 0:
+            return self.ids[pos], self.logprobs[pos]
+        if j >= self.run_len:
+            pos += self.tied - self.run_len
+            return self.ids[pos], self.logprobs[pos]
+        if self._gaps is None:
+            # The run's ids are those of [EOS_ID, num_ids) outside ``excluded``.
+            excluded = {UNK_ID, *self.row.ids.tolist()}.difference(self.ids[self.lead : self.lead + self.tied])
+            self._gaps = [t - i - EOS_ID for i, t in enumerate(sorted(excluded))]
+        token = EOS_ID + j + bisect.bisect_right(self._gaps, j)
+        return token, _logprob_of(self.row, token)
 
 
 def beam_search(model: SequenceModel, context: Sequence | None, spec: DecodeSpec) -> CandidateSet:
@@ -189,17 +218,19 @@ def beam_search(model: SequenceModel, context: Sequence | None, spec: DecodeSpec
     its parent's accumulated penalty.  ``filter_copies`` applies to a
     non-empty ``context`` only: an empty source has nothing to copy.
 
-    Only each parent's top-k children (in sibling-rank order: step
-    log-probability descending, token id ascending; the sorted head merged
-    lazily with the rest ids) enter the global sort, which is exact.
-    Siblings differ only in their last token, and a better-ranked sibling
-    never has a lower step log-probability or a higher penalty, so its (search score, log-probability) is never lower.  A child
+    Only each parent's top-k children (in sibling-rank order: the row's
+    support walked by position in beam order, step log-probability
+    descending, token id ascending, EOS skipped) enter the global sort,
+    which is exact.  Siblings differ only in their last token, and a
+    better-ranked sibling never has a lower step log-probability or a higher
+    penalty, so its (search score, log-probability) is never lower.  A child
     ranked below k therefore has k siblings ahead of it, unless rounding
     makes its (search score, log-probability) equal the k-th sibling's and
     the token-id tie-break decides; such children are kept too.
     """
     k = spec.beam_size
     num_ids = model.vocab.num_ids
+    views: dict[int, _Support] = {}  # by id(row); each view holds its row, so no id is reused
     live: list[_Hyp] = [_Hyp(tokens=(), logprob=0.0, penalty=0.0)]
     finished: list[_Hyp] = []
 
@@ -218,10 +249,19 @@ def beam_search(model: SequenceModel, context: Sequence | None, spec: DecodeSpec
         for hyp in live:
             row = model.next_token_row(hyp.tokens, context)
             finish(hyp, _logprob_of(row, EOS_ID))
+            support = views.get(id(row))
+            if support is None:
+                beam_order = (*row.beam, row.beam[1], row.rest)
+                support = views[id(row)] = _Support(row, beam_order, row.rest > NEG_INF, num_ids)
             cutoff = None
-            for rank, (step_lp, token) in enumerate(_ranked_children(row, num_ids), start=1):
+            rank = 0
+            for pos in range(support.size):
+                token, step_lp = support.token(pos)
+                if token == EOS_ID:
+                    continue
                 if step_lp == NEG_INF:
                     break
+                rank += 1
                 child = _Hyp(
                     tokens=hyp.tokens + (token,),
                     logprob=hyp.logprob + step_lp,
@@ -249,52 +289,21 @@ def beam_search(model: SequenceModel, context: Sequence | None, spec: DecodeSpec
 
     finished.sort(key=lambda h: _hyp_sort_key(h, spec.scoring))
     items = tuple(ScoredSequence(tokens=h.tokens, logprob=h.logprob) for h in finished[:k])
-    return CandidateSet(items=items, provenance=f"beam({spec})")
+    return CandidateSet(items=items)
 
 
-def check_sampling(strategy: str, top_k: int | None, top_p: float | None) -> None:
-    """Raise ValueError unless the sampling strategy and its truncation setting can run."""
-    if strategy not in SAMPLING_STRATEGIES:
-        raise ValueError(f"strategy must be one of {SAMPLING_STRATEGIES}, got {strategy!r}")
-    if strategy == "top_k" and (top_k is None or top_k < 1):
-        raise ValueError(f"top_k sampling needs top_k >= 1, got {top_k}")
-    if strategy == "nucleus" and (top_p is None or not 0.0 < top_p <= 1.0):
-        raise ValueError(f"nucleus sampling needs top_p in (0,1], got {top_p}")
+class _SampleRow(_Support):
+    """A row's support in sampling order (values are probabilities), with its truncation cut and truncated mass."""
 
-
-class _SampleRow:
-    """One row's support in sampling order, with its truncation cut and truncated mass.
-
-    The support is the ids of positive probability, by probability
-    descending and id ascending: the sorted head, with a run of
-    ``run_len`` copies of the rest probability at positions
-    [lead, lead + run_len).  The run holds, in id order, every rest id and
-    the ``tied`` head ids whose probability equals the rest probability.
-    The head is the row's sampling-order head as Python lists, whose
-    ``accumulate`` and ``bisect`` add and search exactly as ``np.cumsum``
-    and ``np.searchsorted`` do.
-    """
-
-    def __init__(self, row: Row, num_ids: int, strategy: str, top_k: int | None, top_p: float | None):
-        self.row = row
-        ids, logprobs, probs, self.rest_p = row.sample
-        self.ids, self.logprobs, self.probs = ids.tolist(), logprobs.tolist(), probs.tolist()
-        # Smoothed ids (EOS and the surface ids) the row leaves to ``rest``.
-        listed = len(row.ids) - (UNK_ID in row.ids[:2].tolist())
-        rest_count = num_ids - NUM_RESERVED + 1 - listed if self.rest_p > 0.0 else 0
-        self.lead, self.tied = len(self.probs), 0
-        if rest_count:
-            self.lead = bisect.bisect_left(self.probs, -self.rest_p, key=operator.neg)
-            self.tied = bisect.bisect_right(self.probs, -self.rest_p, key=operator.neg) - self.lead
-        self.run_len = self.tied + rest_count
-        self.cum = list(itertools.accumulate(self.probs[: self.lead]))
-        self._gaps = None
-        size = len(self.probs) + rest_count
-        if strategy == "top_k":
-            size = min(size, top_k)
+    def __init__(self, row: Row, num_ids: int, spec: DecodeSpec):
+        super().__init__(row, row.sample, row.sample[3] > 0.0, num_ids)
+        self.cum = list(itertools.accumulate(self.values[: self.lead]))
+        size = self.size
+        if spec.strategy == "top_k":
+            size = min(size, spec.top_k)
         self.cut = size
-        if strategy == "nucleus":
-            target = min(top_p, self.mass(size))
+        if spec.strategy == "nucleus":
+            target = min(spec.top_p, self.mass(size))
             self.cut = min(self.position(target - 1e-12, "left") + 1, size)
         self.total = self.mass(self.cut)
 
@@ -303,9 +312,9 @@ class _SampleRow:
         lead, run_len = self.lead, self.run_len
         in_run = min(max(size - lead, 0), run_len)
         after = lead + self.tied
-        parts = self.probs[: min(size, lead)] + self.probs[after : after + max(size - lead - run_len, 0)]
-        # rest_p * in_run exactly, as power-of-two multiples of rest_p.
-        parts += [math.ldexp(self.rest_p, j) for j in range(in_run.bit_length()) if in_run >> j & 1]
+        parts = self.values[: min(size, lead)] + self.values[after : after + max(size - lead - run_len, 0)]
+        # value * in_run exactly, as power-of-two multiples of value.
+        parts += [math.ldexp(self.value, j) for j in range(in_run.bit_length()) if in_run >> j & 1]
         return math.fsum(parts)
 
     def position(self, x: float, side: str = "right") -> int:
@@ -313,46 +322,19 @@ class _SampleRow:
         i = (bisect.bisect_right if side == "right" else bisect.bisect_left)(self.cum, x)
         if i < self.lead:
             return i
-        tail = self.probs[self.lead + self.tied :]
-        sums = np.full(1 + self.run_len + len(tail), self.rest_p)
+        tail = self.values[self.lead + self.tied :]
+        sums = np.full(1 + self.run_len + len(tail), self.value)
         sums[0] = self.cum[-1] if self.lead else 0.0
         sums[1 + self.run_len :] = tail
         return self.lead + int(np.searchsorted(np.cumsum(sums, out=sums)[1:], x, side))
-
-    def token(self, pos: int) -> tuple[int, float]:
-        """(id, log-probability) at a position of the support."""
-        j = pos - self.lead
-        if j < 0:
-            return self.ids[pos], self.logprobs[pos]
-        if j >= self.run_len:
-            pos += self.tied - self.run_len
-            return self.ids[pos], self.logprobs[pos]
-        if self._gaps is None:
-            # The run's ids are those of [EOS_ID, num_ids) outside ``excluded``.
-            excluded = set(self.row.ids.tolist())
-            excluded.add(UNK_ID)
-            excluded.difference_update(self.ids[self.lead : self.lead + self.tied])
-            self._gaps = [t - i - EOS_ID for i, t in enumerate(sorted(excluded))]
-        token = EOS_ID + j + bisect.bisect_right(self._gaps, j)
-        return token, _logprob_of(self.row, token)
 
     def draw(self, u: float) -> tuple[int, float]:
         """The id a running-sum walk picks for a uniform draw ``u`` in [0, 1)."""
         return self.token(min(self.position(u * self.total), self.cut - 1))
 
 
-def sample_sequences(
-    model: SequenceModel,
-    context: Sequence | None = None,
-    *,
-    count: int,
-    strategy: str = "ancestral",
-    top_k: int | None = None,
-    top_p: float | None = None,
-    seed: int,
-    max_len: int = 50,
-) -> CandidateSet:
-    """Draw ``count`` independent sequences with per-step truncation.
+def sample_sequences(model: SequenceModel, context: Sequence | None, spec: DecodeSpec, seed: int) -> CandidateSet:
+    """Draw ``spec.count`` independent sequences with per-step truncation.
 
     ``top_k`` renormalizes over the k highest-probability next tokens,
     ``nucleus`` over the smallest probability-sorted prefix with cumulative
@@ -368,28 +350,20 @@ def sample_sequences(
     left to right).  The nucleus cut and the draw are searches on those
     sums, the total and truncated masses are ``math.fsum`` (exactly
     rounded), and each step uses one ``rng.random()``: the draws are those
-    of a running-sum walk over the sorted support.  The model presorts each
-    row's head in this order; a call keeps one view of each row it reads
-    (see the module docstring).
+    of a running-sum walk over the sorted support (see the module docstring).
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    check_sampling(strategy, top_k, top_p)
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-
     rng = np.random.default_rng(seed)
     num_ids = model.vocab.num_ids
     views: dict[int, _SampleRow] = {}  # by id(row); each view holds its row, so no id is reused
     draws: list[ScoredSequence] = []
-    for _ in range(count):
+    for _ in range(spec.count):
         tokens: Sequence = ()
         logprob = 0.0
-        for _ in range(max_len):
+        for _ in range(spec.max_len):
             row = model.next_token_row(tokens, context)
             view = views.get(id(row))
             if view is None:
-                view = views[id(row)] = _SampleRow(row, num_ids, strategy, top_k, top_p)
+                view = views[id(row)] = _SampleRow(row, num_ids, spec)
             chosen, step_lp = view.draw(rng.random())
             logprob += step_lp
             if chosen == EOS_ID:
@@ -400,8 +374,4 @@ def sample_sequences(
         draws.append(ScoredSequence(tokens=tokens, logprob=logprob))
 
     draws.sort(key=lambda s: (-s.logprob, s.tokens))
-    label = {"ancestral": "ancestral", "top_k": f"top_k({top_k})", "nucleus": f"nucleus({top_p})"}[strategy]
-    return CandidateSet(
-        items=tuple(draws),
-        provenance=f"sample({label}, count={count}, seed={seed}, max_len={max_len})",
-    )
+    return CandidateSet(items=tuple(draws))

@@ -137,16 +137,7 @@ def decode_row(
     """Run one decode setting on one input (beam or sampling)."""
     if spec.kind == "beam":
         return beam_search(model, context, spec)
-    return sample_sequences(
-        model,
-        context,
-        count=spec.count,
-        strategy=spec.strategy,
-        top_k=spec.top_k,
-        top_p=spec.top_p,
-        seed=seed,
-        max_len=spec.max_len,
-    )
+    return sample_sequences(model, context, spec, seed)
 
 
 def row_voters(

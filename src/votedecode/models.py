@@ -414,10 +414,16 @@ def load_model(fp: IO[str]) -> NGramLM:
         order = int(payload["order"])
         add_k = float(payload["add_k"])
         check_training(order, add_k)
-        counts = {
-            tuple(int(t) for t in hist): {int(e): int(c) for e, c in events}
-            for hist, events in payload["counts"]
-        }
+        counts: dict[tuple[int, ...], dict[int, int]] = {}
+        for hist, events in payload["counts"]:
+            history = tuple(int(t) for t in hist)
+            if history in counts:
+                raise ValueError(f"history {list(history)} appears twice")
+            row = counts[history] = {}
+            for e, c in events:
+                if int(e) in row:
+                    raise ValueError(f"event {int(e)} appears twice in history {list(history)}")
+                row[int(e)] = int(c)
         if any(c < 0 for events in counts.values() for c in events.values()):
             raise ValueError("event counts must be >= 0")
         if any(sum(events.values()) >= 2**63 for events in counts.values()):

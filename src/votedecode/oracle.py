@@ -32,7 +32,7 @@ class EnumeratedDistribution:
     total_mass: float
 
     def as_candidate_set(self) -> CandidateSet:
-        return CandidateSet(items=self.entries, provenance="enumeration")
+        return CandidateSet(items=self.entries)
 
 
 def enumerate_distribution(

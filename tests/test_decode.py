@@ -147,10 +147,14 @@ class TestFilterCopies:
                 DecodeSpec(filter_copies=threshold)
 
 
+def sampled(model, seed, **fields):
+    return sample_sequences(model, None, DecodeSpec(kind="sample", max_len=5, **fields), seed)
+
+
 class TestSampling:
     def test_ancestral_matches_known_mass(self, abd):
         model, vocab = abd
-        draws = sample_sequences(model, count=10_000, strategy="ancestral", seed=123, max_len=5)
+        draws = sampled(model, 123, count=10_000, strategy="ancestral")
         freq = Counter(d.tokens for d in draws.items)
         ab = tokenize("a b", vocab)
         # 4 sigma around p=0.5 over 10k draws.
@@ -158,42 +162,41 @@ class TestSampling:
 
     def test_top_k_full_vocab_equals_ancestral(self, abd):
         model, vocab = abd
-        base = sample_sequences(model, count=200, strategy="ancestral", seed=9, max_len=5)
-        topk = sample_sequences(model, count=200, strategy="top_k", top_k=vocab.num_ids, seed=9, max_len=5)
+        base = sampled(model, 9, count=200, strategy="ancestral")
+        topk = sampled(model, 9, count=200, strategy="top_k", top_k=vocab.num_ids)
         assert base.items == topk.items
 
     def test_nucleus_full_mass_equals_ancestral(self, abd):
         model, _ = abd
-        base = sample_sequences(model, count=200, strategy="ancestral", seed=9, max_len=5)
-        nuc = sample_sequences(model, count=200, strategy="nucleus", top_p=1.0, seed=9, max_len=5)
+        base = sampled(model, 9, count=200, strategy="ancestral")
+        nuc = sampled(model, 9, count=200, strategy="nucleus", top_p=1.0)
         assert base.items == nuc.items
 
     def test_top_k_1_is_greedy(self, abd):
         model, vocab = abd
-        draws = sample_sequences(model, count=20, strategy="top_k", top_k=1, seed=3, max_len=5)
+        draws = sampled(model, 3, count=20, strategy="top_k", top_k=1)
         assert set(texts(draws, vocab)) == {"a b"}
 
     def test_determinism(self, abd):
         model, _ = abd
-        a = sample_sequences(model, count=50, strategy="ancestral", seed=42, max_len=5)
-        b = sample_sequences(model, count=50, strategy="ancestral", seed=42, max_len=5)
+        a = sampled(model, 42, count=50, strategy="ancestral")
+        b = sampled(model, 42, count=50, strategy="ancestral")
         assert a.items == b.items
 
     def test_logprobs_are_untruncated_model_logprobs(self, abd):
         model, _ = abd
-        draws = sample_sequences(model, count=100, strategy="top_k", top_k=1, seed=5, max_len=5)
+        draws = sampled(model, 5, count=100, strategy="top_k", top_k=1)
         assert verify_logprobs(model, draws)
 
-    def test_invalid_parameters(self, abd):
-        model, _ = abd
-        with pytest.raises(ValueError):
-            sample_sequences(model, count=0, strategy="ancestral", seed=1, max_len=5)
-        with pytest.raises(ValueError):
-            sample_sequences(model, count=1, strategy="top_k", top_k=0, seed=1, max_len=5)
-        with pytest.raises(ValueError):
-            sample_sequences(model, count=1, strategy="nucleus", top_p=0.0, seed=1, max_len=5)
-        with pytest.raises(ValueError):
-            sample_sequences(model, count=1, strategy="gumbel", seed=1, max_len=5)
+    def test_invalid_parameters(self):
+        with pytest.raises(ValueError, match="count must be"):
+            DecodeSpec(kind="sample", count=0, strategy="ancestral")
+        with pytest.raises(ValueError, match="top_k sampling needs"):
+            DecodeSpec(kind="sample", strategy="top_k", top_k=0)
+        with pytest.raises(ValueError, match="nucleus sampling needs"):
+            DecodeSpec(kind="sample", strategy="nucleus", top_p=0.0)
+        with pytest.raises(ValueError, match="strategy must be one of"):
+            DecodeSpec(kind="sample", strategy="gumbel")
 
 
 class TestDecodeSpecValidation:

@@ -127,7 +127,7 @@ def elections(draw, scored=scored):
     voters = draw(st.lists(scored, min_size=1, max_size=8))
     # Duplicate voters, and candidates that also vote.
     voters += draw(st.lists(st.sampled_from(voters + cands), max_size=4))
-    return CandidateSet(items=tuple(cands), provenance="c"), CandidateSet(items=tuple(voters), provenance="v")
+    return CandidateSet(items=tuple(cands)), CandidateSet(items=tuple(voters))
 
 
 NGRAM_SPECS = [
@@ -170,8 +170,8 @@ class TestBulkElection:
 
     def test_all_minus_infinity_voters(self):
         item = ScoredSequence(tokens=(3, 4), logprob=NEG_INF)
-        cands = CandidateSet(items=(ScoredSequence(tokens=(3,), logprob=-1.0), item), provenance="c")
-        voters = CandidateSet(items=(item, item), provenance="v")
+        cands = CandidateSet(items=(ScoredSequence(tokens=(3,), logprob=-1.0), item))
+        voters = CandidateSet(items=(item, item))
         result = range_vote(cands, voters, SimilaritySpec(kind="prec", n=1), with_contributions=True)
         ranking, scores, contributions = reference_vote(cands, voters, SimilaritySpec(kind="prec", n=1))
         assert (result.ranking, result.scores, result.contributions) == (ranking, scores, contributions)

@@ -22,6 +22,7 @@ from votedecode.decode import (
     _Hyp,
     _hyp_sort_key,
     _SampleRow,
+    _Support,
     beam_search,
     sample_sequences,
 )
@@ -146,7 +147,7 @@ def reference_beam_search(model, context, spec):
 
     finished.sort(key=lambda h: _hyp_sort_key(h, spec.scoring))
     items = tuple(ScoredSequence(tokens=h.tokens, logprob=h.logprob) for h in finished[:k])
-    return CandidateSet(items=items, provenance=f"beam({spec})")
+    return CandidateSet(items=items)
 
 
 def reference_sample_items(model, *, count, strategy, top_k=None, top_p=None, seed, max_len):
@@ -396,9 +397,8 @@ class TestSamplingEquivalence:
     def test_identical_draws(self, model, strategy, top_k, top_p, count, max_len, seed):
         top_k = top_k if strategy == "top_k" else None
         top_p = top_p if strategy == "nucleus" else None
-        fast = sample_sequences(
-            model, count=count, strategy=strategy, top_k=top_k, top_p=top_p, seed=seed, max_len=max_len
-        )
+        spec = DecodeSpec(kind="sample", count=count, strategy=strategy, top_k=top_k, top_p=top_p, max_len=max_len)
+        fast = sample_sequences(model, None, spec, seed)
         ref = reference_sample_items(
             model, count=count, strategy=strategy, top_k=top_k, top_p=top_p, seed=seed, max_len=max_len
         )
@@ -435,9 +435,49 @@ EDGE_MODELS = {
     "many_ties": NGramLM.from_counts(vocab_of(45), 1, 0.5, {(): {t: 1 for t in range(4, 44)} | {EOS_ID: 1}}),
 }
 EDGE_TABULAR = tabular_model([((3, 4), 2.0), ((3,), 1.0), ((4, 3, 3), 1.0), ((UNK_ID,), 2.0)], vocab_of(2))
+
+
+class RawRows:
+    """Hand-written rows (ids, log-probabilities, rest) by prefix length; the last serves every longer prefix."""
+
+    def __init__(self, num_words, rows):
+        self.vocab = vocab_of(num_words)
+        self._rows = rows
+        self._table = RowTable(
+            np.cumsum([0, *(len(ids) for ids, _, _ in rows)]),
+            np.array([t for ids, _, _ in rows for t in ids], dtype=np.int64),
+            np.array([lp for _, lps, _ in rows for lp in lps], dtype=float),
+            np.array([rest for _, _, rest in rows]),
+        )
+
+    def next_token_row(self, prefix, context=None):
+        return self._table.row(min(len(prefix), len(self._rows) - 1))
+
+    def next_token_logprobs(self, prefix, context=None):
+        ids, logprobs, rest = self._rows[min(len(prefix), len(self._rows) - 1)]
+        out = np.full(self.vocab.num_ids, NEG_INF)
+        out[EOS_ID] = out[NUM_RESERVED:] = rest
+        out[ids] = logprobs
+        return out
+
+
+# Rows no n-gram model gives: only a foreign model's rows can meet the rest value this way.
+EDGE_RAW = {
+    # rest is exactly 0.0 and leaves id 3 certain at the first step: the rest run is in the support.
+    "rest_zero": RawRows(1, [([EOS_ID], [NEG_INF], 0.0), ([EOS_ID], [0.0], NEG_INF)]),
+    # Id 3's log-probability is one ulp above rest but its probability equals rest's: it is tied with the
+    # rest run in sampling order only, and must keep its own log-probability there.
+    "probability_tie_with_rest": RawRows(1, [([3], [-0.6931471805599451], -0.6931471805599452)]),
+}
+SEARCH_MODELS = {**EDGE_MODELS, "tabular": EDGE_TABULAR, **EDGE_RAW}
 SAMPLINGS = [("ancestral", None, None)]
 SAMPLINGS += [("top_k", k, None) for k in (1, 2, 3, 5, 50)]
 SAMPLINGS += [("nucleus", None, p) for p in (0.05, 0.5, 0.7, 0.95, 1.0)]
+
+
+def reference_dense(model, prefix):
+    """The reference row of an n-gram edge model; a raw edge model's rows are their own reference."""
+    return reference_row(model, prefix) if isinstance(model, NGramLM) else model.next_token_logprobs(prefix)
 
 
 def edge_prefixes(model):
@@ -464,27 +504,39 @@ class TestRowContract:
         ids, logprobs, rest = EDGE_MODELS["unk_tied_with_rest"].next_token_row(())[:3]
         assert logprobs[list(ids).index(UNK_ID)] == rest
 
-    @pytest.mark.parametrize("name", sorted(EDGE_MODELS))
+    @pytest.mark.parametrize("name", [*sorted(EDGE_MODELS), *sorted(EDGE_RAW)])
     def test_sample_view_walks_the_whole_sorted_support(self, name):
-        model = EDGE_MODELS[name]
+        model = SEARCH_MODELS[name]
         for prefix in edge_prefixes(model)[:4]:
-            dense = reference_row(model, prefix)
+            dense = reference_dense(model, prefix)
             probs = np.exp(dense)
             support = [t for t in range(len(probs)) if probs[t] > 0.0 and t != BOS_ID]
             support.sort(key=lambda t: (-probs[t], t))
             cum = np.cumsum(probs[support])
-            view = _SampleRow(model.next_token_row(prefix), model.vocab.num_ids, "ancestral", None, None)
-            assert [view.token(i) for i in range(len(support))] == [(t, float(dense[t])) for t in support]
+            view = _SampleRow(model.next_token_row(prefix), model.vocab.num_ids, DecodeSpec(kind="sample"))
+            assert [view.token(i) for i in range(view.size)] == [(t, float(dense[t])) for t in support]
             for size in range(len(support) + 1):
                 assert view.mass(size) == math.fsum(probs[support[:size]].tolist())
             for x in [0.0, *cum.tolist(), *np.nextafter(cum, 0.0).tolist(), *np.nextafter(cum, 2.0).tolist()]:
                 for side in ("left", "right"):
                     assert view.position(x, side) == int(np.searchsorted(cum, x, side))
 
+    @pytest.mark.parametrize("name", [*sorted(EDGE_MODELS), *sorted(EDGE_RAW)])
+    def test_beam_view_walks_the_whole_sorted_support(self, name):
+        model = SEARCH_MODELS[name]
+        for prefix in edge_prefixes(model)[:4]:
+            dense = reference_dense(model, prefix)
+            row = model.next_token_row(prefix)
+            # Every id but BOS, by log-probability descending: the finite ones, then the ids the row lists with -inf.
+            support = [t for t in range(len(dense)) if t != BOS_ID and (dense[t] > NEG_INF or t in row.ids)]
+            support.sort(key=lambda t: (-dense[t], t))
+            view = _Support(row, (*row.beam, row.beam[1], row.rest), row.rest > NEG_INF, model.vocab.num_ids)
+            assert [view.token(i) for i in range(view.size)] == [(t, float(dense[t])) for t in support]
+
     def test_rest_mass_is_exact(self):
-        view = _SampleRow(EDGE_MODELS["inexact_rest_product"].next_token_row(()), 7, "ancestral", None, None)
+        view = _SampleRow(EDGE_MODELS["inexact_rest_product"].next_token_row(()), 7, DecodeSpec(kind="sample"))
         assert view.total == 0.9999999999999999
-        assert math.fsum([*view.probs, view.rest_p * view.run_len]) == 0.9999999999999998
+        assert math.fsum([*view.values, view.value * view.run_len]) == 0.9999999999999998
 
     def test_tabular_rows(self):
         model = EDGE_TABULAR
@@ -505,20 +557,21 @@ class TestRowContract:
             assert dict(zip(ids.tolist(), logprobs.tolist())) == want
             assert list(ids) == sorted(want)
 
-    @pytest.mark.parametrize("name", [*sorted(EDGE_MODELS), "tabular"])
+    @pytest.mark.parametrize("name", sorted(SEARCH_MODELS))
     @pytest.mark.parametrize("strategy, top_k, top_p", SAMPLINGS)
     def test_sampling(self, name, strategy, top_k, top_p):
-        model = EDGE_MODELS.get(name, EDGE_TABULAR)
+        model = SEARCH_MODELS[name]
+        spec = DecodeSpec(kind="sample", count=6, strategy=strategy, top_k=top_k, top_p=top_p, max_len=4)
         for seed in range(12):
-            fast = sample_sequences(model, count=6, strategy=strategy, top_k=top_k, top_p=top_p, seed=seed, max_len=4)
+            fast = sample_sequences(model, None, spec, seed)
             ref = reference_sample_items(
                 model, count=6, strategy=strategy, top_k=top_k, top_p=top_p, seed=seed, max_len=4
             )
             assert fast.items == ref
 
-    @pytest.mark.parametrize("name", [*sorted(EDGE_MODELS), "tabular"])
+    @pytest.mark.parametrize("name", sorted(SEARCH_MODELS))
     def test_beam_search(self, name):
-        model = EDGE_MODELS.get(name, EDGE_TABULAR)
+        model = SEARCH_MODELS[name]
         for k in (1, 2, 3, 6):
             for scoring in ("logprob", "length_normalized"):
                 for gamma in (0.0, 0.5):
@@ -533,7 +586,7 @@ class TestRowContract:
 
         warm, cold = trained(), trained()
         beam_search(warm, None, DecodeSpec(beam_size=3, max_len=4))
-        sample_sequences(warm, count=5, seed=0, max_len=4)
+        sample_sequences(warm, None, DecodeSpec(kind="sample", count=5, max_len=4), 0)
         assert warm.next_token_row((4,)) is warm.next_token_row((4,))
         assert warm == cold
         warm_file, cold_file = io.StringIO(), io.StringIO()

@@ -349,6 +349,24 @@ class TestTrainingSettings:
         with pytest.raises(ModelFormatError, match=message):
             load_model(io.StringIO(json.dumps(payload)))
 
+    # A dict built from the lists kept the last copy of a repeated history or event.
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([[[], [[3, 1], [3, 5]]], [[], [[4, 2]]]], r"event 3 appears twice in history \[\]"),
+            ([[[], [[3, 1]]], [[], [[4, 2]]]], r"history \[\] appears twice"),
+        ],
+    )
+    def test_load_model_refuses_duplicates(self, tmp_path, capsys, counts, message):
+        payload = {"format": "votedecode-ngram-lm", "version": 1, "vocab": ["a", "b"], "order": 1, "add_k": 0.0,
+                   "counts": counts}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(io.StringIO(path.read_text(encoding="utf-8")))
+        assert main(["oracle", "map", "--model", str(path), "--max-len", "3"]) == 3
+        assert "appears twice" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "fields, message",
         [

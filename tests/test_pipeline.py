@@ -141,9 +141,9 @@ def test_voters_inherit_every_decode_setting_they_do_not_set(experiment, tmp_pat
         return records(beam_search(model, context, spec) for context in contexts)
 
     def sampled(**fields):
+        spec = DecodeSpec(kind="sample", count=7, max_len=4, **fields)
         return records(
-            sample_sequences(model, context, count=7, seed=derive_seed(SEED, 2, 1, 1, ri), max_len=4, **fields)
-            for ri, context in enumerate(contexts)
+            sample_sequences(model, context, spec, derive_seed(SEED, 2, 1, 1, ri)) for ri, context in enumerate(contexts)
         )
 
     beam_voters = read_candidates(tmp_path / "run" / "voters" / "beam+beam6.jsonl")

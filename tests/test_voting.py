@@ -191,7 +191,7 @@ class TestRangeVote:
 
     def test_singleton_election(self):
         item = ScoredSequence(tokens=(3, 4), logprob=math.log(0.5))
-        cs = CandidateSet(items=(item,), provenance="test")
+        cs = CandidateSet(items=(item,))
         result = range_vote(cs, cs, SimilaritySpec(kind="overl", n=1))
         assert result.winner == item
         assert result.winner_score == pytest.approx(0.5 * 1.0, abs=1e-12)
@@ -199,7 +199,7 @@ class TestRangeVote:
     def test_empty_sets_rejected(self, fixture5):
         model, _ = fixture5
         cands = beam_search(model, None, DecodeSpec(beam_size=5, max_len=8))
-        empty = CandidateSet(items=(), provenance="test")
+        empty = CandidateSet(items=())
         with pytest.raises(ValueError):
             range_vote(empty, cands, SimilaritySpec(kind="overl", n=1))
         with pytest.raises(ValueError):
@@ -211,10 +211,7 @@ class TestRangeVote:
         spec = SimilaritySpec(kind="prec", n=1)
         base = range_vote(cands, cands, spec)
         for lam in (1e-3, 0.5, 7.0, 1e4):
-            scaled_voters = CandidateSet(
-                items=tuple(replace(v, logprob=v.logprob + math.log(lam)) for v in cands.items),
-                provenance="scaled",
-            )
+            scaled_voters = CandidateSet(items=tuple(replace(v, logprob=v.logprob + math.log(lam)) for v in cands.items))
             scaled = range_vote(cands, scaled_voters, spec)
             assert scaled.ranking == base.ranking
             for a, b in zip(scaled.scores, base.scores):
@@ -234,7 +231,7 @@ class TestRangeVote:
                         voters.append(replace(v, logprob=v.logprob + math.log(1 - alpha)))
                     else:
                         voters.append(v)
-                split = range_vote(cands, CandidateSet(items=tuple(voters), provenance="split"), spec)
+                split = range_vote(cands, CandidateSet(items=tuple(voters)), spec)
                 assert split.ranking == base.ranking
                 for a, b in zip(split.scores, base.scores):
                     assert abs(a - b) <= 1e-12
@@ -242,7 +239,7 @@ class TestRangeVote:
     def test_duplicate_candidate_scores_identically(self, fixture5):
         model, _ = fixture5
         cands = beam_search(model, None, DecodeSpec(beam_size=5, max_len=8))
-        dup = CandidateSet(items=cands.items + (cands.items[0],), provenance="dup")
+        dup = CandidateSet(items=cands.items + (cands.items[0],))
         result = range_vote(dup, cands, SimilaritySpec(kind="overl", n=1))
         by_tokens = {}
         for cand, score in zip(result.ranking, result.scores):
@@ -253,10 +250,7 @@ class TestRangeVote:
     def test_underflowing_voter_weights_still_rank(self, fixture5):
         model, _ = fixture5
         cands = beam_search(model, None, DecodeSpec(beam_size=5, max_len=8))
-        tiny = CandidateSet(
-            items=tuple(replace(v, logprob=v.logprob - 5000.0) for v in cands.items),
-            provenance="tiny",
-        )
+        tiny = CandidateSet(items=tuple(replace(v, logprob=v.logprob - 5000.0) for v in cands.items))
         base = range_vote(cands, cands, SimilaritySpec(kind="overl", n=1))
         shifted = range_vote(cands, tiny, SimilaritySpec(kind="overl", n=1))
         assert shifted.ranking == base.ranking  # scores saturate to 0 but order survives
