@@ -53,6 +53,7 @@ from .harness import (
     derive_seed,
     file_ids,
     plain_tokens,
+    require_candidates,
     row_voters,
     run_experiment,
     source_context,
@@ -179,7 +180,7 @@ def decode(model_path, tabular_path, dataset, out, strategy, beam_size, max_len,
     records = []
     for ri, row in enumerate(read_dataset(dataset)):
         context = source_context(row.source, model.vocab, lowercase)
-        cands = decode_row(model, spec, context, derive_seed(seed, 1, 0, ri))
+        cands = require_candidates(spec, row.id, decode_row(model, spec, context, derive_seed(seed, 1, 0, ri)))
         records.append(candidate_record(row.id, row.source, cands, model.vocab))
     with open(out, "w", encoding="utf-8") as fp:
         write_candidates(records, fp)

@@ -35,6 +35,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,28 +129,20 @@ def copy_overlap_rate(candidate: Sequence, source: Sequence) -> float:
     return len(ngram_set(candidate, 1) & source_set) / len(source_set)
 
 
-def _mode_score(logprob: float, length: int, scoring: str) -> float:
-    if scoring == "logprob":
-        return logprob
-    # Length normalisation divides by current hypothesis length; the empty
-    # hypothesis divides by 1 to stay scoreable.
-    return logprob / max(length, 1)
+class _Hyp(NamedTuple):
+    """A beam hypothesis ranked by its fields (see ``beam_search``); unique tokens keep ``penalty`` from deciding."""
 
-
-@dataclass(frozen=True)
-class _Hyp:
+    neg_score: float
+    neg_logprob: float
     tokens: Sequence
-    logprob: float
     penalty: float
 
-    def search_score(self, scoring: str) -> float:
-        return _mode_score(self.logprob, len(self.tokens), scoring) - self.penalty
-
-
-def _hyp_sort_key(hyp: _Hyp, scoring: str):
-    # Tie-breaking everywhere: higher model logprob first, then
-    # lexicographically smaller token-id list.
-    return (-hyp.search_score(scoring), -hyp.logprob, hyp.tokens)
+    @classmethod
+    def of(cls, tokens: Sequence, logprob: float, penalty: float, scoring: str) -> _Hyp:
+        # Length normalisation divides by the hypothesis length; the empty
+        # hypothesis divides by 1 to stay scoreable.
+        score = logprob if scoring == "logprob" else logprob / max(len(tokens), 1)
+        return cls(-(score - penalty), -logprob, tokens, penalty)
 
 
 def _logprob_of(row: Row, token: int) -> float:
@@ -206,6 +199,10 @@ class _Support:
 def beam_search(model: SequenceModel, context: Sequence | None, spec: DecodeSpec) -> CandidateSet:
     """Return up to ``beam_size`` finished hypotheses.
 
+    Hypotheses rank as ``_Hyp`` tuples, by field order: search score
+    descending (penalty and length normalisation included), then
+    log-probability descending, then token ids ascending.
+
     Hypotheses finish by emitting EOS or by force-termination at ``max_len``
     (which appends the EOS step's model log-probability, so the reported
     value is a true sequence probability).  Under logprob scoring the search
@@ -231,16 +228,16 @@ def beam_search(model: SequenceModel, context: Sequence | None, spec: DecodeSpec
     k = spec.beam_size
     num_ids = model.vocab.num_ids
     views: dict[int, _Support] = {}  # by id(row); each view holds its row, so no id is reused
-    live: list[_Hyp] = [_Hyp(tokens=(), logprob=0.0, penalty=0.0)]
-    finished: list[_Hyp] = []
+    live: list[_Hyp] = [_Hyp.of((), 0.0, 0.0, spec.scoring)]
+    finished: list[_Hyp] = []  # in rank order
 
     def finish(hyp: _Hyp, eos_logprob: float) -> None:
-        total = hyp.logprob + eos_logprob
+        total = -hyp.neg_logprob + eos_logprob
         if total == NEG_INF:
             return
         if spec.filter_copies is not None and context and copy_overlap_rate(hyp.tokens, context) >= spec.filter_copies:
             return
-        finished.append(_Hyp(tokens=hyp.tokens, logprob=total, penalty=hyp.penalty))
+        bisect.insort(finished, _Hyp.of(hyp.tokens, total, hyp.penalty, spec.scoring))
 
     early_stop = spec.scoring == "logprob"
     depth = 0
@@ -262,33 +259,26 @@ def beam_search(model: SequenceModel, context: Sequence | None, spec: DecodeSpec
                 if step_lp == NEG_INF:
                     break
                 rank += 1
-                child = _Hyp(
-                    tokens=hyp.tokens + (token,),
-                    logprob=hyp.logprob + step_lp,
-                    penalty=hyp.penalty + spec.diverse_gamma * (rank - 1),
-                )
-                tie = (child.search_score(spec.scoring), child.logprob)
+                penalty = hyp.penalty + spec.diverse_gamma * (rank - 1)
+                child = _Hyp.of(hyp.tokens + (token,), -hyp.neg_logprob + step_lp, penalty, spec.scoring)
                 if rank == k:
-                    cutoff = tie
-                elif rank > k and tie != cutoff:
+                    cutoff = child[:2]
+                elif rank > k and child[:2] != cutoff:
                     break
                 expansions.append(child)
-        expansions.sort(key=lambda h: _hyp_sort_key(h, spec.scoring))
+        expansions.sort()
         live = expansions[:k]
         depth += 1
-        if early_stop and len(finished) >= k and live:
-            bar = sorted(h.search_score(spec.scoring) for h in finished)[-k]
-            # Strict comparison: a live hypothesis tying the bar could still
-            # win the slot on tie-break after finishing.
-            if max(h.search_score(spec.scoring) for h in live) < bar:
-                live = []
-                break
+        # Strict comparison: a live hypothesis tying the k-th finished score
+        # could still win the slot on tie-break after finishing.
+        if early_stop and len(finished) >= k and live and live[0].neg_score > finished[k - 1].neg_score:
+            live = []
+            break
 
     for hyp in live:  # force-termination at max_len
         finish(hyp, _logprob_of(model.next_token_row(hyp.tokens, context), EOS_ID))
 
-    finished.sort(key=lambda h: _hyp_sort_key(h, spec.scoring))
-    items = tuple(ScoredSequence(tokens=h.tokens, logprob=h.logprob) for h in finished[:k])
+    items = tuple(ScoredSequence(tokens=h.tokens, logprob=-h.neg_logprob) for h in finished[:k])
     return CandidateSet(items=items)
 
 

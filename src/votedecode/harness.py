@@ -140,6 +140,16 @@ def decode_row(
     return sample_sequences(model, context, spec, seed)
 
 
+def require_candidates(spec: DecodeSpec, row_id, candidates: CandidateSet) -> CandidateSet:
+    """``candidates``, refused when empty: no selection can be made from an empty set."""
+    if not candidates.items:
+        raise ValueError(
+            f"decode {spec.name!r} left no candidates for input {row_id!r} "
+            "(support empty or everything copy-filtered)"
+        )
+    return candidates
+
+
 def row_voters(
     model: SequenceModel,
     decode: DecodeSpec,
@@ -186,14 +196,9 @@ def run_experiment(
     files: list[tuple[str, Callable, list]] = []  # (path under out, writer, records)
     for di, dspec in enumerate(config.decode):
         cand_sets = [
-            decode_row(model, dspec, context, derive_seed(config.seed, 1, di, ri)) for ri, context in enumerate(contexts)
+            require_candidates(dspec, row.id, decode_row(model, dspec, context, derive_seed(config.seed, 1, di, ri)))
+            for ri, (row, context) in enumerate(zip(rows, contexts))
         ]
-        for row, cands in zip(rows, cand_sets):
-            if not cands.items:
-                raise ValueError(
-                    f"decode {dspec.name!r} left no candidates for input {row.id!r} "
-                    "(support empty or everything copy-filtered)"
-                )
         files.append((
             f"candidates/{dspec.name}.jsonl",
             write_candidates,

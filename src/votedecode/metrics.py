@@ -270,14 +270,17 @@ def evaluate_system(
     max_n: int = 4,
     copy_threshold: float = 0.5,
 ) -> EvalRow:
-    """Compute the full report row for one system's outputs."""
+    """Compute the full report row for one system's outputs; BLEU-n reads orders 1..n of one statistics pass."""
+    hyp_len, ref_len, *counts = map(sum, zip(*_segment_stats(hyps, refs, max_n)))
+    matched, total = counts[:max_n], counts[max_n:]
+    bleu = tuple(bleu_from_stats((hyp_len, ref_len, *matched[:n], *total[:n])) for n in range(1, max_n + 1))
     stats = distinct_stats(hyps)
     exact = partial = None
     if sources is not None:
         exact, partial = copy_rates(hyps, sources, threshold=copy_threshold)
     return EvalRow(
         system=system,
-        bleu=tuple(corpus_bleu(hyps, refs, max_n=n) for n in range(1, max_n + 1)),
+        bleu=bleu,
         avg_length=stats.avg_length,
         distinct_sequences=stats.distinct_sequences,
         distinct_unigrams=stats.distinct_unigrams,

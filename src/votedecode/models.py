@@ -417,6 +417,8 @@ def load_model(fp: IO[str]) -> NGramLM:
         counts: dict[tuple[int, ...], dict[int, int]] = {}
         for hist, events in payload["counts"]:
             history = tuple(int(t) for t in hist)
+            if len(history) != order - 1:
+                raise ValueError(f"history {list(history)} has {len(history)} ids, an order-{order} model needs {order - 1}")
             if history in counts:
                 raise ValueError(f"history {list(history)} appears twice")
             row = counts[history] = {}

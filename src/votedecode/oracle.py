@@ -93,13 +93,12 @@ def exact_vote(
     sim: SimilaritySpec,
     max_len: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    with_contributions: bool = False,
 ) -> VoteResult:
-    """Full election over the enumerated support, with audit data."""
+    """Full election over the enumerated support: every sequence is both a candidate and a voter."""
     support = enumerate_distribution(model, max_len, prob_floor=0.0, node_budget=node_budget).as_candidate_set()
     if not support.items:
         raise ValueError("model has no sequence with positive probability within max_len")
-    return range_vote(support, support, sim, with_contributions=with_contributions)
+    return range_vote(support, support, sim)
 
 
 # Generator tokens: one pool for the short generic sequence, one for the
@@ -109,20 +108,15 @@ _LONG_POOL = tuple(f"w{i:02d}" for i in range(20))
 GENERATOR_VOCAB = Vocabulary(tokens=_SHORT_POOL + _LONG_POOL)
 
 
-def make_vote_split_model(
-    seed: int,
-    *,
-    families: tuple[int, int] = (1, 3),
-    members: tuple[int, int] = (3, 6),
-    stem_len: tuple[int, int] = (5, 9),
-) -> TabularModel:
+def make_vote_split_model(seed: int) -> TabularModel:
     """Seeded nested-prefix tabular model exhibiting vote splitting.
 
     One short generic sequence holds the largest single mass; families of
     long near-duplicates (a shared stem plus one distinguishing token each)
     hold more total mass, with the main family heavy enough that n-gram
     voting reliably prefers a long member while the short sequence stays
-    the exact argmax.
+    the exact argmax.  There are 1-3 families of 3-6 members, each with a
+    stem of 5-9 tokens.
     """
     rng = np.random.default_rng(seed)
     vocab = GENERATOR_VOCAB
@@ -133,7 +127,7 @@ def make_vote_split_model(
     short = tuple(rng.choice(short_ids, size=short_len, replace=False).tolist())
     p_short = float(rng.uniform(0.26, 0.34))
 
-    n_fam = int(rng.integers(families[0], families[1] + 1))
+    n_fam = int(rng.integers(1, 4))
     # Main family keeps >= 2/3 of the long mass so its members' mutual
     # support beats the short sequence's self-vote in every draw.
     shares = np.concatenate(([1.0], rng.uniform(0.05, 0.25, size=n_fam - 1)))
@@ -141,10 +135,10 @@ def make_vote_split_model(
 
     pairs: list[tuple[Sequence, float]] = [(short, p_short)]
     for share in shares:
-        length = int(rng.integers(stem_len[0], stem_len[1] + 1))
+        length = int(rng.integers(5, 10))
         stem = tuple(rng.choice(long_ids, size=length, replace=False).tolist())
         leftover = [t for t in long_ids if t not in stem]
-        m = int(rng.integers(members[0], members[1] + 1))
+        m = int(rng.integers(3, 7))
         variants = rng.choice(leftover, size=m, replace=False).tolist()
         # Near-uniform member weights: max share stays below the short mass.
         raw = rng.uniform(1.0, 1.1, size=m)

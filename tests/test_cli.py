@@ -1,4 +1,4 @@
-"""Commands driven through `cli.main`: flags files, the oracle group, reserved markers in votes, empty decodes."""
+"""Commands driven through `cli.main`: flags files, the oracle group, reserved markers in votes, refused inputs."""
 
 import json
 import math
@@ -48,7 +48,7 @@ FLAG_CASES = {
     "decode-beam": ("decode", {"tabular": "toy.json", "dataset": "data.jsonl", "strategy": "beam", "beam_size": 3,
                                "max_len": 6, "scoring": "length_normalized", "diverse_gamma": 0.5,
                                "filter_copies": 0.9},
-                    ["out"], "beam_size", 1),
+                    ["out"], "beam_size", 2),
     "decode-nucleus": ("decode", {"tabular": "toy.json", "dataset": "data.jsonl", "strategy": "nucleus", "count": 5,
                                   "top_p": 0.8, "max_len": 6, "seed": 7},
                        ["out"], "seed", 0),
@@ -217,3 +217,25 @@ def test_empty_decode_exits_3_before_writing_its_candidates(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "config.json")]) == 3
     assert "decode 'filtered' left no candidates for input 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_an_empty_decode_command_exits_3_without_writing(tmp_path, capsys):
+    (tmp_path / "toy.json").write_text(json.dumps({"entries": [["a", 1.0]]}), encoding="utf-8")
+    (tmp_path / "d.jsonl").write_text(json.dumps({"id": 1, "source": "a", "references": ["a"]}) + "\n")
+    out = tmp_path / "c.jsonl"
+    assert main(["decode", "--tabular", str(tmp_path / "toy.json"), "--dataset", str(tmp_path / "d.jsonl"),
+                 "--beam-size", "2", "--max-len", "3", "--filter-copies", "0.0", "--out", str(out)]) == 3
+    assert "decode 'decode' left no candidates for input 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("max_n", ["0", "-2"])
+def test_eval_refuses_a_bleu_order_below_one(tmp_path, capsys, max_n):
+    (tmp_path / "d.jsonl").write_text(json.dumps({"id": 1, "references": ["a b"]}) + "\n")
+    hyps = tmp_path / "h.jsonl"
+    hyps.write_text(json.dumps({"id": 1, "candidates": [{"tokens": ["a", "b"], "logprob": -1.0}]}) + "\n")
+    out = tmp_path / "r.tsv"
+    assert main(["eval", "--hyps", str(hyps), "--dataset", str(tmp_path / "d.jsonl"), "--max-n", max_n,
+                 "--out-tsv", str(out)]) == 3
+    assert "max_n must be >= 1" in capsys.readouterr().err
+    assert not out.exists()

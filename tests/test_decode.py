@@ -88,6 +88,14 @@ class TestBeamSearch:
         cands = beam_search(model, None, DecodeSpec(beam_size=3, max_len=1))
         assert texts(cands, vocab) == ["d"]
 
+    def test_a_live_hypothesis_tying_the_pool_is_not_cut(self):
+        # After depth 1 the pool holds "a" and "b" at log 0.25 and live "a b" ties them.  It goes on to
+        # "a b b", whose EOS step is log 1, finishes tied with "b" and takes the second slot on its
+        # smaller tokens.  Stopping the search at the tie would return "b".
+        model, vocab = model_from_texts([("a", 0.25), ("a b b", 0.25), ("b", 0.25), ("c", 0.25)])
+        cands = beam_search(model, None, DecodeSpec(beam_size=2, max_len=4))
+        assert texts(cands, vocab) == ["a", "a b b"]
+
     def test_length_normalized_prefers_longer(self):
         # Same log-mass, different lengths: normalization ranks the longer first.
         model, vocab = model_from_texts([("a", 0.25), ("b c d e", 0.25), ("f", 0.5)])[0:2]

@@ -10,6 +10,7 @@ The fast paths must agree with them bit for bit, ties and rounding included.
 import io
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -19,8 +20,6 @@ from votedecode.decode import (
     CandidateSet,
     DecodeSpec,
     ScoredSequence,
-    _Hyp,
-    _hyp_sort_key,
     _SampleRow,
     _Support,
     beam_search,
@@ -95,9 +94,25 @@ def reference_row(model, prefix):
     return out
 
 
+@dataclass(frozen=True)
+class RefHyp:
+    tokens: tuple
+    logprob: float
+    penalty: float
+
+    def score(self, scoring):
+        # Length normalisation divides by the hypothesis length, the empty one by 1.
+        return (self.logprob if scoring == "logprob" else self.logprob / max(len(self.tokens), 1)) - self.penalty
+
+
+def reference_rank(hyp, scoring):
+    """Search score descending, then log-probability descending, then token ids ascending."""
+    return (-hyp.score(scoring), -hyp.logprob, hyp.tokens)
+
+
 def reference_beam_search(model, context, spec):
     k = spec.beam_size
-    live = [_Hyp(tokens=(), logprob=0.0, penalty=0.0)]
+    live = [RefHyp(tokens=(), logprob=0.0, penalty=0.0)]
     finished = []
     source = set(context or ())
 
@@ -109,7 +124,7 @@ def reference_beam_search(model, context, spec):
         copied = len(source & set(hyp.tokens)) / len(source) if source else 0.0
         if spec.filter_copies is not None and source and copied >= spec.filter_copies:
             return
-        finished.append(_Hyp(tokens=hyp.tokens, logprob=total, penalty=hyp.penalty))
+        finished.append(RefHyp(tokens=hyp.tokens, logprob=total, penalty=hyp.penalty))
 
     early_stop = spec.scoring == "logprob"
     depth = 0
@@ -126,18 +141,18 @@ def reference_beam_search(model, context, spec):
             steps.sort(key=lambda st: (-st[0], st[1]))
             for rank, (step_lp, token) in enumerate(steps, start=1):
                 expansions.append(
-                    _Hyp(
+                    RefHyp(
                         tokens=hyp.tokens + (token,),
                         logprob=hyp.logprob + step_lp,
                         penalty=hyp.penalty + spec.diverse_gamma * (rank - 1),
                     )
                 )
-        expansions.sort(key=lambda h: _hyp_sort_key(h, spec.scoring))
+        expansions.sort(key=lambda h: reference_rank(h, spec.scoring))
         live = expansions[:k]
         depth += 1
         if early_stop and len(finished) >= k and live:
-            bar = sorted(h.search_score(spec.scoring) for h in finished)[-k]
-            if max(h.search_score(spec.scoring) for h in live) < bar:
+            bar = sorted(h.score(spec.scoring) for h in finished)[-k]
+            if max(h.score(spec.scoring) for h in live) < bar:
                 live = []
                 break
 
@@ -145,7 +160,7 @@ def reference_beam_search(model, context, spec):
         logprobs = model.next_token_logprobs(hyp.tokens, context)
         finish(hyp, float(logprobs[EOS_ID]))
 
-    finished.sort(key=lambda h: _hyp_sort_key(h, spec.scoring))
+    finished.sort(key=lambda h: reference_rank(h, spec.scoring))
     items = tuple(ScoredSequence(tokens=h.tokens, logprob=h.logprob) for h in finished[:k])
     return CandidateSet(items=items)
 

@@ -367,6 +367,25 @@ class TestTrainingSettings:
         assert main(["oracle", "map", "--model", str(path), "--max-len", "3"]) == 3
         assert "appears twice" in capsys.readouterr().err
 
+    # A history of the wrong length can never be queried: its counts were silently ignored and saved back.
+    @pytest.mark.parametrize(
+        "order, counts, message",
+        [
+            (1, [[[], [[3, 1], [1, 1]]], [[3, 4], [[4, 7]]]], r"history \[3, 4\] has 2 ids, an order-1 model needs 0"),
+            (2, [[[], [[3, 1]]]], r"history \[\] has 0 ids, an order-2 model needs 1"),
+        ],
+        ids=["too-long", "too-short"],
+    )
+    def test_load_model_refuses_a_history_of_the_wrong_length(self, tmp_path, capsys, order, counts, message):
+        payload = {"format": "votedecode-ngram-lm", "version": 1, "vocab": ["a", "b"], "order": order, "add_k": 0.0,
+                   "counts": counts}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(io.StringIO(path.read_text(encoding="utf-8")))
+        assert main(["oracle", "map", "--model", str(path), "--max-len", "3"]) == 3
+        assert "model needs" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "fields, message",
         [

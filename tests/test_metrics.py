@@ -3,6 +3,7 @@ import random
 
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from votedecode.metrics import (
     copy_rates,
@@ -17,6 +18,10 @@ from votedecode.metrics import (
 
 def toks(text):
     return tuple(text.split())
+
+
+# Short sequences over three words, so every n-gram order both matches and misses.
+WORDS = st.lists(st.sampled_from("abc"), max_size=7).map(tuple)
 
 
 class TestCorpusBleu:
@@ -193,6 +198,14 @@ class TestEvaluateSystem:
         assert row.bleu == (1.0, 1.0)
         assert row.exact_copy_rate == 0.0
         assert row.avg_length == 3.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(WORDS, st.lists(WORDS, min_size=1, max_size=3)), min_size=1, max_size=4))
+    def test_each_bleu_order_is_the_corpus_bleu_of_that_order(self, segments):
+        hyps = [hyp for hyp, _ in segments]
+        refs = [ref_list for _, ref_list in segments]
+        row = evaluate_system("sys", hyps, refs, max_n=4)
+        assert row.bleu == tuple(corpus_bleu(hyps, refs, max_n=n) for n in range(1, 5))
 
     def test_row_without_sources(self):
         row = evaluate_system("sys", [toks("a")], [[toks("a")]], None, max_n=1)
