@@ -29,16 +29,17 @@ from . import __version__
 from .config import ConfigError, load_config, parse_decode_spec, parse_voter_spec
 from .decode import CandidateSet, DecodeSpec, ScoredSequence, beam_search, sample_sequences
 from .formats import (
+    METRIC_GROUPS,
     CandidateRecord,
     FileFormatError,
+    join_by_id,
     read_candidates,
     read_corpus_lines,
     read_dataset,
     read_hypotheses,
     read_tabular_entries,
     read_vector_file,
-    record_key,
-    report_filter_columns,
+    report_columns,
     vectors_for_vocab,
     write_candidates,
     write_enumeration,
@@ -211,11 +212,11 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
          model_path, tabular_path, max_len, seed, lowercase):
     """Run the range-voting election over decoded candidates."""
     cand_records = read_candidates(candidates_path)
-    voter_records = None
-    voter_spec = None
-    model = None
+    voter_file, voter_records, voter_spec, model = [], None, None, None
     if voters_flag.startswith("file:"):
-        voter_records = {record_key(rec.id): rec for rec in read_candidates(voters_flag[len("file:"):])}
+        voter_path = voters_flag[len("file:"):]
+        voter_file = read_candidates(voter_path)
+        voter_records = join_by_id([rec.id for rec in cand_records], [(rec.id, rec) for rec in voter_file], voter_path)
     elif voters_flag != "same":
         voter_spec = parse_voter_spec(voters_flag)
         voter_decode = DecodeSpec(max_len=max_len)  # the decode regenerated voters inherit from
@@ -224,18 +225,11 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
     if model is not None:
         vocab = model.vocab
     else:
-        token_seqs = [tokens for rec in cand_records for tokens, _ in rec.candidates]
-        if voter_records is not None:
-            token_seqs += [tokens for rec in voter_records.values() for tokens, _ in rec.candidates]
-        vocab = adhoc_vocab(token_seqs)
+        vocab = adhoc_vocab(tokens for rec in cand_records + voter_file for tokens, _ in rec.candidates)
     sim = _sim_spec(sim_kind, n, max_n, vectors, vocab)
 
     def to_set(record: CandidateRecord) -> CandidateSet:
-        items = tuple(
-            ScoredSequence(tokens=file_ids(tokens, vocab), logprob=lp)
-            for tokens, lp in record.candidates
-        )
-        return CandidateSet(items=items)
+        return CandidateSet(tuple(ScoredSequence(file_ids(tokens, vocab), lp) for tokens, lp in record.candidates))
 
     if model is not None:  # the model's vocabulary would turn an unknown token into UNK
         for rec in cand_records:
@@ -247,10 +241,7 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
     for ri, rec in enumerate(cand_records):
         cands = to_set(rec)
         if voter_records is not None:
-            voter_rec = voter_records.get(record_key(rec.id))
-            if voter_rec is None:
-                raise FileFormatError(f"voter file has no record for input {rec.id!r}")
-            voters = to_set(voter_rec)
+            voters = to_set(voter_records[ri])
         elif voter_spec is not None:
             context = source_context(rec.source, vocab, lowercase)
             voters = row_voters(model, voter_decode, voter_spec, context, cands, derive_seed(seed, 2, 0, ri))
@@ -269,8 +260,7 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
               help="Candidates or votes file; the top entry per input is scored.")
 @click.option("--dataset", type=click.Path(), default=None, help="References (and sources) by input id.")
 @click.option("--system", type=str, default=None, help="Label for the report row (default: the --hyps file stem).")
-@click.option("--metric", type=click.Choice(["all", "bleu", "length", "distinct", "copies"]), default="all",
-              show_default=True)
+@click.option("--metric", type=click.Choice(list(METRIC_GROUPS)), default="all", show_default=True)
 @click.option("--max-n", type=int, default=4, show_default=True, help="Highest BLEU order.")
 @click.option("--copy-threshold", type=float, default=0.5, show_default=True)
 @click.option("--lowercase/--no-lowercase", default=False, help="Lowercase references/sources.")
@@ -293,25 +283,13 @@ def eval_cmd(hyps_path, dataset, system, metric, max_n, copy_threshold, lowercas
         raise click.UsageError("--hyps and --dataset are required")
     system = system or Path(hyps_path).stem
 
-    rows = {record_key(row.id): row for row in read_dataset(dataset)}
+    rows = read_dataset(dataset)
     hyps = read_hypotheses(hyps_path)
-    aligned_rows = []
-    for rec_id, _ in hyps:
-        row = rows.get(record_key(rec_id))
-        if row is None:
-            raise FileFormatError(f"dataset has no row for input {rec_id!r}")
-        aligned_rows.append(row)
-    aligned_refs, sources = plain_tokens(aligned_rows, lowercase)
-    hyp_tokens = [tokens for _, tokens in hyps]
+    ids, hyp_tokens = map(list, zip(*hyps))
+    aligned_refs, sources = plain_tokens(join_by_id(ids, [(row.id, row) for row in rows], dataset), lowercase)
 
     if compare_path is not None:
-        hyps_b = {record_key(rec_id): tokens for rec_id, tokens in read_hypotheses(compare_path)}
-        aligned_b = []
-        for rec_id, _ in hyps:
-            tokens_b = hyps_b.get(record_key(rec_id))
-            if tokens_b is None:
-                raise FileFormatError(f"--compare file has no record for input {rec_id!r}")
-            aligned_b.append(tokens_b)
+        aligned_b = join_by_id(ids, read_hypotheses(compare_path), compare_path)
         p = paired_bootstrap(
             hyp_tokens,
             aligned_b,
@@ -331,17 +309,17 @@ def eval_cmd(hyps_path, dataset, system, metric, max_n, copy_threshold, lowercas
         max_n=max_n,
         copy_threshold=copy_threshold,
     )
-    buf = io.StringIO()
-    write_report_tsv([row], max_n, buf)
-    text = report_filter_columns(buf.getvalue(), metric, max_n)
+    columns = [col for col in report_columns(max_n) if col == "system" or METRIC_GROUPS[metric](col)]
     if out_tsv:
         with open(out_tsv, "w", encoding="utf-8") as fp:
-            fp.write(text)
+            write_report_tsv([row], columns, fp)
     else:
-        click.echo(text, nl=False)
+        buf = io.StringIO()
+        write_report_tsv([row], columns, buf)
+        click.echo(buf.getvalue(), nl=False)
     if out_json:
         with open(out_json, "w", encoding="utf-8") as fp:
-            write_report_json([row], max_n, fp)
+            write_report_json([row], fp)
 
 
 # --- oracle ---------------------------------------------------------------------

@@ -3,6 +3,15 @@
 The line-delimited JSON formats exchange token *strings*, so downstream
 steps (voting, evaluation) do not need the model's vocabulary.  Floats are
 serialized with full round-trip precision.
+
+Every record of a dataset, candidates or votes file goes through one loop
+under one set of rules: a record is a JSON object with an ``id`` and the
+file's field; no two records share an id under :func:`record_key`; a file
+holds at least one record.  A record's candidates or ranked entries form a
+non-empty list; each entry's ``tokens`` is a list of strings and its
+``logprob`` a number that is finite or -Infinity (probability zero; NaN and
++Infinity are refused).  A fault is a :class:`FileFormatError` naming
+``path:line``.  :func:`join_by_id` aligns one file's records to another's ids.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 import numpy as np
 
@@ -32,6 +41,95 @@ def read_corpus_lines(path: str | Path) -> list[str]:
         return [line.rstrip("\n") for line in fp]
 
 
+# --- records ----------------------------------------------------------------
+
+def _read_records(path: str | Path, what: str, field: str, parse: Callable[[dict, str], object]) -> list:
+    """Every record of a JSON-lines file under the module's record rules, each built by ``parse(obj, where)``."""
+    records = []
+    seen: dict = {}
+    for lineno, obj in _read_jsonl(path):
+        where = f"{path}:{lineno}"
+        if type(obj) is not dict or "id" not in obj or field not in obj:
+            raise FileFormatError(f"{where}: {what} rows need 'id' and '{field}'")
+        first = seen.setdefault(record_key(obj["id"]), lineno)
+        if first != lineno:
+            raise FileFormatError(f"{where}: duplicate id {obj['id']!r} (first on line {first})")
+        records.append(parse(obj, where))
+    if not records:
+        raise FileFormatError(f"{path}: no {what} records")
+    return records
+
+
+_NUMBER = (int, float)  # the types json gives numbers; bool is neither
+
+
+def _strings(value) -> bool:
+    """Whether ``value`` is a list of strings; ``str.join`` checks every item's type in C."""
+    try:
+        "".join(value)
+    except TypeError:
+        return False
+    return type(value) is list
+
+
+def _source(obj: dict, where: str) -> str | None:
+    source = obj.get("source")
+    if source is not None and type(source) is not str:
+        raise FileFormatError(f"{where}: 'source' must be a string")
+    return source
+
+
+def _entries(obj: dict, field: str, where: str) -> tuple:
+    """A record's checked ``(tokens, logprob)`` entries, ``(tokens, logprob, score)`` for ``ranked``."""
+    entries = obj[field]
+    if type(entries) is not list or not entries:
+        raise FileFormatError(f"{where}: '{field}' must be a non-empty list")
+    scored = field == "ranked"
+    out = []
+    for entry in entries:
+        try:
+            tokens, logprob = entry["tokens"], entry["logprob"]
+            score = entry["score"] if scored else 0.0  # a number, so only a ranked entry's score is checked
+        except (KeyError, TypeError) as exc:
+            keys = "'tokens', 'logprob' and 'score'" if scored else "'tokens' and 'logprob'"
+            raise FileFormatError(f"{where}: {field} entries need {keys}, got {entry!r}") from exc
+        if not _strings(tokens):
+            raise FileFormatError(f"{where}: 'tokens' must be a list of strings, got {tokens!r}")
+        if type(logprob) not in _NUMBER or logprob != logprob or logprob == math.inf:
+            raise FileFormatError(f"{where}: log-probability must be finite or -Infinity, got {logprob!r}")
+        if type(score) not in _NUMBER:
+            raise FileFormatError(f"{where}: 'score' must be a number, got {score!r}")
+        out.append((tuple(tokens), float(logprob), float(score)) if scored else (tuple(tokens), float(logprob)))
+    return tuple(out)
+
+
+def join_by_id(ids: list, records: Iterable[tuple[object, object]], path: str | Path) -> list:
+    """The record of ``path`` for each of ``ids``, in order; ``records`` are its ``(id, record)`` pairs."""
+    by_key = {record_key(rec_id): rec for rec_id, rec in records}
+    missing = [rec_id for rec_id in ids if record_key(rec_id) not in by_key]
+    if missing:
+        raise FileFormatError(f"{path}: no record for input {missing[0]!r}")
+    return [by_key[record_key(rec_id)] for rec_id in ids]
+
+
+def record_key(record_id) -> object:
+    """Hashable dict key for a record id; ids that are lists or objects key by their JSON text."""
+    if isinstance(record_id, (list, dict)):
+        return ("json", json.dumps(record_id, sort_keys=True))
+    return record_id
+
+
+def _read_jsonl(path: str | Path):
+    with open(path, encoding="utf-8") as fp:
+        for lineno, line in enumerate(fp, start=1):
+            if not line.strip():
+                continue
+            try:
+                yield lineno, json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FileFormatError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+
+
 # --- dataset --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -41,24 +139,15 @@ class DatasetRow:
     references: tuple[str, ...]
 
 
+def _dataset_row(obj: dict, where: str) -> DatasetRow:
+    if not _strings(obj["references"]):
+        raise FileFormatError(f"{where}: 'references' must be a list of strings")
+    return DatasetRow(id=obj["id"], source=_source(obj, where), references=tuple(obj["references"]))
+
+
 def read_dataset(path: str | Path) -> list[DatasetRow]:
     """Line-delimited JSON: {"id", "source"?, "references": [string, ...]}."""
-    rows = []
-    seen_ids: dict = {}
-    for lineno, obj in _read_jsonl(path):
-        if not isinstance(obj, dict) or "id" not in obj or "references" not in obj:
-            raise FileFormatError(f"{path}:{lineno}: dataset rows need 'id' and 'references'")
-        _check_unique_id(seen_ids, obj["id"], path, lineno)
-        refs = obj["references"]
-        if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
-            raise FileFormatError(f"{path}:{lineno}: 'references' must be a list of strings")
-        source = obj.get("source")
-        if source is not None and not isinstance(source, str):
-            raise FileFormatError(f"{path}:{lineno}: 'source' must be a string")
-        rows.append(DatasetRow(id=obj["id"], source=source, references=tuple(refs)))
-    if not rows:
-        raise FileFormatError(f"{path}: dataset is empty")
-    return rows
+    return _read_records(path, "dataset", "references", _dataset_row)
 
 
 # --- candidates / votes ---------------------------------------------------
@@ -83,24 +172,13 @@ def write_candidates(records: Iterable[CandidateRecord], fp: IO[str]) -> None:
         fp.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+def _candidate_record(obj: dict, where: str) -> CandidateRecord:
+    return CandidateRecord(id=obj["id"], source=_source(obj, where), candidates=_entries(obj, "candidates", where))
+
+
 def read_candidates(path: str | Path) -> list[CandidateRecord]:
-    records = []
-    seen_ids: dict = {}
-    for lineno, obj in _read_jsonl(path):
-        if not isinstance(obj, dict) or "id" not in obj or "candidates" not in obj:
-            raise FileFormatError(f"{path}:{lineno}: candidate rows need 'id' and 'candidates'")
-        _check_unique_id(seen_ids, obj["id"], path, lineno)
-        cands = []
-        for c in obj["candidates"]:
-            try:
-                tokens, logprob = tuple(c["tokens"]), float(c["logprob"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FileFormatError(f"{path}:{lineno}: bad candidate entry: {exc}") from exc
-            cands.append((tokens, _check_logprob(logprob, path, lineno)))
-        records.append(CandidateRecord(id=obj["id"], source=obj.get("source"), candidates=tuple(cands)))
-    if not records:
-        raise FileFormatError(f"{path}: no candidate records")
-    return records
+    """Line-delimited JSON: {"id", "source"?, "candidates": [{"tokens", "logprob"}, ...]}."""
+    return _read_records(path, "candidate", "candidates", _candidate_record)
 
 
 @dataclass(frozen=True)
@@ -126,27 +204,19 @@ def write_votes(records: Iterable[VoteRecord], fp: IO[str]) -> None:
         fp.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+def _vote_record(obj: dict, where: str) -> VoteRecord:
+    ranked, contributions = _entries(obj, "ranked", where), None
+    if "contributions" in obj:
+        rows = obj["contributions"]
+        if type(rows) is not list or not all(type(row) is list and all(type(x) in _NUMBER for x in row) for row in rows):
+            raise FileFormatError(f"{where}: 'contributions' must be a list of lists of numbers")
+        contributions = tuple(tuple(map(float, row)) for row in rows)
+    return VoteRecord(id=obj["id"], ranked=ranked, contributions=contributions)
+
+
 def read_votes(path: str | Path) -> list[VoteRecord]:
-    records = []
-    seen_ids: dict = {}
-    for lineno, obj in _read_jsonl(path):
-        if not isinstance(obj, dict) or "id" not in obj or "ranked" not in obj:
-            raise FileFormatError(f"{path}:{lineno}: vote rows need 'id' and 'ranked'")
-        _check_unique_id(seen_ids, obj["id"], path, lineno)
-        ranked = []
-        for c in obj["ranked"]:
-            try:
-                tokens, logprob, score = tuple(c["tokens"]), float(c["logprob"]), float(c["score"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FileFormatError(f"{path}:{lineno}: bad ranked entry: {exc}") from exc
-            ranked.append((tokens, _check_logprob(logprob, path, lineno), score))
-        contributions = None
-        if "contributions" in obj:
-            contributions = tuple(tuple(float(x) for x in row) for row in obj["contributions"])
-        records.append(VoteRecord(id=obj["id"], ranked=tuple(ranked), contributions=contributions))
-    if not records:
-        raise FileFormatError(f"{path}: no vote records")
-    return records
+    """Line-delimited JSON: {"id", "ranked": [{"tokens", "logprob", "score"}, ...], "contributions"?}."""
+    return _read_records(path, "vote", "ranked", _vote_record)
 
 
 def read_hypotheses(path: str | Path) -> list[tuple[object, tuple[str, ...]]]:
@@ -158,16 +228,8 @@ def read_hypotheses(path: str | Path) -> list[tuple[object, tuple[str, ...]]]:
     with contextlib.closing(_read_jsonl(path)) as lines:
         _, first = next(lines, (None, None))
     if isinstance(first, dict) and "ranked" in first:
-        records, key = read_votes(path), "ranked"
-    else:
-        records, key = read_candidates(path), "candidates"
-    out = []
-    for rec in records:
-        entries = getattr(rec, key)
-        if not entries:
-            raise FileFormatError(f"{path}: record {rec.id!r} has no entries to select from")
-        out.append((rec.id, entries[0][0]))
-    return out
+        return [(rec.id, rec.ranked[0][0]) for rec in read_votes(path)]
+    return [(rec.id, rec.candidates[0][0]) for rec in read_candidates(path)]
 
 
 # --- similarity vectors / tabular distributions ----------------------------
@@ -239,76 +301,29 @@ def report_columns(max_n: int) -> list[str]:
     return ["system", *(f"bleu_{n}" for n in range(1, max_n + 1)), *_ROW_FIELDS]
 
 
-def _row_values(row: EvalRow) -> list:
-    return [row.system, *row.bleu, *(getattr(row, name) for name in _ROW_FIELDS)]
+def _row_dict(row: EvalRow) -> dict:
+    values = [row.system, *row.bleu, *(getattr(row, name) for name in _ROW_FIELDS)]
+    return dict(zip(report_columns(len(row.bleu)), values))
 
 
-def write_report_tsv(rows: list[EvalRow], max_n: int, fp: IO[str]) -> None:
-    fp.write("\t".join(report_columns(max_n)) + "\n")
-    for row in rows:
-        cells = ["" if v is None else (v if isinstance(v, str) else repr(v)) for v in _row_values(row)]
-        fp.write("\t".join(cells) + "\n")
+def write_report_tsv(rows: list[EvalRow], columns: list[str], fp: IO[str]) -> None:
+    """The report's ``columns``, any of :func:`report_columns`, as a TSV."""
+    fp.write("\t".join(columns) + "\n")
+    for row in map(_row_dict, rows):
+        cells = (row[col] for col in columns)
+        fp.write("\t".join("" if v is None else (v if isinstance(v, str) else repr(v)) for v in cells) + "\n")
 
 
-def write_report_json(rows: list[EvalRow], max_n: int, fp: IO[str]) -> None:
-    cols = report_columns(max_n)
-    payload = [dict(zip(cols, _row_values(row))) for row in rows]
-    json.dump(payload, fp, sort_keys=True, indent=2)
+def write_report_json(rows: list[EvalRow], fp: IO[str]) -> None:
+    json.dump(list(map(_row_dict, rows)), fp, sort_keys=True, indent=2)
     fp.write("\n")
 
 
+# Report columns by metric group; `eval --metric` keeps "system" and the group's columns.
 METRIC_GROUPS = {
+    "all": lambda col: True,
     "bleu": lambda col: col.startswith("bleu_"),
     "length": lambda col: col == "avg_length",
     "distinct": lambda col: col.startswith("distinct_"),
     "copies": lambda col: col.endswith("_copy_rate"),
 }
-
-
-def report_filter_columns(tsv_text: str, metric: str, max_n: int) -> str:
-    """Restrict a report TSV to one metric group ('all' passes through)."""
-    if metric == "all":
-        return tsv_text
-    if metric not in METRIC_GROUPS:
-        raise FileFormatError(f"unknown metric group {metric!r}")
-    keep = METRIC_GROUPS[metric]
-    cols = report_columns(max_n)
-    indices = [0] + [i for i, col in enumerate(cols) if keep(col)]
-    lines = tsv_text.splitlines()
-    out = []
-    for line in lines:
-        cells = line.split("\t")
-        out.append("\t".join(cells[i] for i in indices))
-    return "\n".join(out) + "\n"
-
-
-def _check_logprob(logprob: float, path: str | Path, lineno: int) -> float:
-    """Reject NaN and +inf; -inf (probability zero) stays legal."""
-    if math.isnan(logprob) or logprob == math.inf:
-        raise FileFormatError(f"{path}:{lineno}: log-probability must be finite or -Infinity, got {logprob}")
-    return logprob
-
-
-def record_key(record_id) -> object:
-    """Hashable dict key for a record id; ids that are lists or objects key by their JSON text."""
-    if isinstance(record_id, (list, dict)):
-        return ("json", json.dumps(record_id, sort_keys=True))
-    return record_id
-
-
-def _check_unique_id(seen: dict, record_id, path: str | Path, lineno: int) -> None:
-    """Record ``record_id``'s line, keyed by :func:`record_key`."""
-    first = seen.setdefault(record_key(record_id), lineno)
-    if first != lineno:
-        raise FileFormatError(f"{path}:{lineno}: duplicate id {record_id!r} (first on line {first})")
-
-
-def _read_jsonl(path: str | Path):
-    with open(path, encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            if not line.strip():
-                continue
-            try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FileFormatError(f"{path}:{lineno}: not valid JSON: {exc}") from exc

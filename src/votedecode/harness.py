@@ -30,6 +30,7 @@ from .formats import (
     read_dataset,
     read_tabular_entries,
     read_vector_file,
+    report_columns,
     vectors_for_vocab,
     write_candidates,
     write_report_json,
@@ -258,8 +259,8 @@ def run_experiment(
         with open(path, "w", encoding="utf-8") as fp:
             writer(records, fp)
     with open(out / "report.tsv", "w", encoding="utf-8") as fp:
-        write_report_tsv(report, config.bleu_max_n, fp)
+        write_report_tsv(report, report_columns(config.bleu_max_n), fp)
     with open(out / "report.json", "w", encoding="utf-8") as fp:
-        write_report_json(report, config.bleu_max_n, fp)
+        write_report_json(report, fp)
     return report, out
 

@@ -284,8 +284,8 @@ class NGramLM:
     The counts are a table: history ``histories[h]``'s events are
     ``events[offsets[h]:offsets[h + 1]]``, ascending, with
     ``event_counts`` alongside.  A loaded file may hold events no row lists
-    (BOS, ids past the vocabulary, zero counts under MLE); they still count
-    towards their history's total.  A model's value is its vocabulary,
+    (BOS, zero counts under MLE); they still count towards their history's
+    total.  Its events are ids of the vocabulary, reserved ones included.  A model's value is its vocabulary,
     order, ``add_k`` and ``counts``.
     """
 
@@ -423,6 +423,8 @@ def load_model(fp: IO[str]) -> NGramLM:
                 raise ValueError(f"history {list(history)} appears twice")
             row = counts[history] = {}
             for e, c in events:
+                if not 0 <= int(e) < vocab.num_ids:
+                    raise ValueError(f"event {int(e)} in history {list(history)} is outside the ids 0..{vocab.num_ids - 1}")
                 if int(e) in row:
                     raise ValueError(f"event {int(e)} appears twice in history {list(history)}")
                 row[int(e)] = int(c)

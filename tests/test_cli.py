@@ -1,4 +1,5 @@
-"""Commands driven through `cli.main`: flags files, the oracle group, reserved markers in votes, refused inputs."""
+"""Commands driven through `cli.main`: flags files, the oracle group, reserved markers in votes, refused inputs,
+`eval --metric` columns and `embed_cosine` vector files."""
 
 import json
 import math
@@ -6,9 +7,10 @@ import math
 import pytest
 
 from votedecode.cli import main
-from votedecode.formats import read_votes
+from votedecode.formats import read_vector_file, read_votes, vectors_for_vocab
 from votedecode.oracle import enumerate_distribution, exact_vote
-from votedecode.voting import SimilaritySpec
+from votedecode.sequences import Vocabulary
+from votedecode.voting import SimilaritySpec, embed_cosine_sim
 
 from conftest import FIXTURE5, model_from_texts
 
@@ -239,3 +241,94 @@ def test_eval_refuses_a_bleu_order_below_one(tmp_path, capsys, max_n):
                  "--out-tsv", str(out)]) == 3
     assert "max_n must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def write_dataset(path):
+    rows = [{"id": 1, "source": "the tall man", "references": ["the tall man runs fast"]},
+            {"id": 2, "source": "ok", "references": ["ok then", "the man sprints"]}]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    return path
+
+
+class TestEvalMetricGroups:
+    """`eval --metric` writes "system" and its group's columns, with the values of the full report."""
+
+    GROUPS = {
+        "all": ["bleu_1", "bleu_2", "bleu_3", "avg_length", "distinct_sequences", "distinct_unigrams",
+                "distinct_bigrams", "exact_copy_rate", "partial_copy_rate"],
+        "bleu": ["bleu_1", "bleu_2", "bleu_3"],
+        "length": ["avg_length"],
+        "distinct": ["distinct_sequences", "distinct_unigrams", "distinct_bigrams"],
+        "copies": ["exact_copy_rate", "partial_copy_rate"],
+    }
+
+    @pytest.mark.parametrize("metric", sorted(GROUPS))
+    def test_columns_and_values(self, tabular, tmp_path, capsys, metric):
+        dataset = write_dataset(tmp_path / "d.jsonl")
+        cands = tmp_path / "c.jsonl"
+        assert main(["decode", "--tabular", str(tabular), "--dataset", str(dataset), "--beam-size", "3",
+                     "--max-len", str(MAX_LEN), "--out", str(cands)]) == 0
+        argv = ["eval", "--hyps", str(cands), "--dataset", str(dataset), "--max-n", "3"]
+        assert main(argv + ["--out-json", str(tmp_path / "full.json")]) == 0
+        full = json.loads((tmp_path / "full.json").read_text(encoding="utf-8"))[0]
+        capsys.readouterr()
+        assert main(argv + ["--metric", metric]) == 0
+        header, values = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert header == ["system", *self.GROUPS[metric]]
+        assert values == ["c", *(repr(full[col]) for col in self.GROUPS[metric])]
+
+
+class TestEmbedCosineVectors:
+    """Votes by `embed_cosine` read the vector file, and score each pair by `embed_cosine_sim` over its vectors."""
+
+    @pytest.fixture
+    def vectors(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("the 1 0 0\ntall 0 1 0\nman 0 0 1\nruns 1 1 0\nfast 0.5 -1 2\nok -1 0 1\n", encoding="utf-8")
+        return path
+
+    @staticmethod
+    def pairwise_scores(ranked, vectors_path):
+        """Every ranked entry's score recomputed with every entry voting: P(v) * sim(v, c), summed over v."""
+        vocab = Vocabulary(tokens=tuple(sorted({token for tokens, _, _ in ranked for token in tokens})))
+        vectors = vectors_for_vocab(read_vector_file(vectors_path), vocab)
+        seqs = [tuple(map(vocab.id_of, tokens)) for tokens, _, _ in ranked]
+        top = max(logprob for _, logprob, _ in ranked)
+        weights = [math.exp(logprob - top) for _, logprob, _ in ranked]
+        return [math.exp(top) * math.fsum(w * embed_cosine_sim(v, c, vectors) for w, v in zip(weights, seqs))
+                for c in seqs]
+
+    def test_vote(self, tabular, tmp_path, vectors):
+        dataset = write_dataset(tmp_path / "d.jsonl")
+        cands, out = tmp_path / "c.jsonl", tmp_path / "votes.jsonl"
+        assert main(["decode", "--tabular", str(tabular), "--dataset", str(dataset), "--beam-size", "5",
+                     "--max-len", str(MAX_LEN), "--out", str(cands)]) == 0
+        assert main(["vote", "--candidates", str(cands), "--sim", "embed_cosine", "--vectors", str(vectors),
+                     "--out", str(out)]) == 0
+        for rec in read_votes(out):
+            assert len(rec.ranked) == 5
+            assert [score for _, _, score in rec.ranked] == self.pairwise_scores(rec.ranked, vectors)
+
+    def test_run(self, tmp_path, vectors):
+        write_dataset(tmp_path / "d.jsonl")
+        config = {
+            "schema_version": 1,
+            "model": {"kind": "tabular", "entries": FIXTURE5},
+            "dataset": "d.jsonl",
+            "decode": [{"name": "beam", "kind": "beam", "beam_size": 5, "max_len": MAX_LEN}],
+            "select": [{"name": "cos", "kind": "vote", "sim": {"kind": "embed_cosine", "vectors": vectors.name}}],
+            "output_dir": "out",
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == 0
+        for rec in read_votes(tmp_path / "out" / "votes" / "beam+cos.jsonl"):
+            assert len(rec.ranked) == 5
+            assert [score for _, _, score in rec.ranked] == self.pairwise_scores(rec.ranked, vectors)
+
+    def test_vote_without_vectors_exits_1(self, tmp_path, capsys):
+        cands = tmp_path / "c.jsonl"
+        cands.write_text(json.dumps({"id": 1, "candidates": [{"tokens": ["ok"], "logprob": -1.0}]}) + "\n")
+        out = tmp_path / "votes.jsonl"
+        assert main(["vote", "--candidates", str(cands), "--sim", "embed_cosine", "--out", str(out)]) == 1
+        assert "--sim embed_cosine needs --vectors FILE" in capsys.readouterr().err
+        assert not out.exists()

@@ -442,7 +442,8 @@ EDGE_MODELS = {
     "all_observed": NGramLM.from_counts(vocab_of(2), 1, 0.5, {(): {EOS_ID: 1, 3: 2, 4: 1}}),
     # Half the mass is in the rest run, so top-k and nucleus cuts fall inside it.
     "heavy_rest": NGramLM.from_counts(vocab_of(6), 1, 1.0, {(): {3: 5}}),
-    # Loaded events no row lists (BOS, an id past the vocabulary) still count; EOS's zero count takes add_k.
+    # Events no row lists (BOS; an id past the vocabulary, which only `from_counts` admits) still count;
+    # EOS's zero count takes add_k.
     "unlisted_events": NGramLM.from_counts(vocab_of(3), 1, 0.25, {(): {BOS_ID: 2, EOS_ID: 0, UNK_ID: 1, 4: 3, 9: 5}}),
     # MLE: a loaded zero count is listed with -inf and leaves the sampling head.
     "mle_zero_count": NGramLM.from_counts(vocab_of(3), 1, 0.0, {(): {3: 2, 4: 0, EOS_ID: 1}}),

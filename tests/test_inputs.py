@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -367,6 +368,24 @@ class TestTrainingSettings:
         assert main(["oracle", "map", "--model", str(path), "--max-len", "3"]) == 3
         assert "appears twice" in capsys.readouterr().err
 
+    # An event outside the ids entered its history's total but no row, so the row summed to less than 1.
+    @pytest.mark.parametrize("event", [99, -1, 5])
+    def test_load_model_refuses_an_event_outside_the_ids(self, tmp_path, capsys, event):
+        payload = {"format": "votedecode-ngram-lm", "version": 1, "vocab": ["a", "b"], "order": 1, "add_k": 0.5,
+                   "counts": [[[], [[3, 1], [event, 5]]]]}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        message = f"event {event} in history [] is outside the ids 0..4"
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(io.StringIO(path.read_text(encoding="utf-8")))
+        assert main(["oracle", "map", "--model", str(path), "--max-len", "3"]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_load_model_keeps_reserved_events(self):
+        payload = {"format": "votedecode-ngram-lm", "version": 1, "vocab": ["a", "b"], "order": 1, "add_k": 0.5,
+                   "counts": [[[], [[0, 2], [1, 1], [2, 1], [4, 3]]]]}
+        assert load_model(io.StringIO(json.dumps(payload))).counts == {(): {0: 2, 1: 1, 2: 1, 4: 3}}
+
     # A history of the wrong length can never be queried: its counts were silently ignored and saved back.
     @pytest.mark.parametrize(
         "order, counts, message",
@@ -445,3 +464,79 @@ class TestVoteWithModelVoters:
         code, out = self.vote(files, ["the", "<unk>", "sat"], "beam:2")
         assert code == 0
         assert ["the", "<unk>", "sat"] in [list(tokens) for tokens, _, _ in read_votes(out)[0].ranked]
+
+
+class TestEntryShapes:
+    """A candidate or ranked entry of the wrong shape exits 3 naming its line, before any output is written."""
+
+    GOOD = {"tokens": ["a"], "logprob": -1.0}
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"candidates": [{"tokens": "abc", "logprob": -1.0}]},  # was voted on as the tokens a, b, c
+            {"candidates": 5},
+            {"candidates": []},  # was refused only by the election, without a line
+            {"candidates": [{"tokens": [1, 2], "logprob": -1.0}]},
+            {"candidates": [{"tokens": [["a"]], "logprob": -1.0}]},
+            {"candidates": [{"tokens": ["a"], "logprob": True}]},  # was read as log-probability 1.0
+            {"candidates": [GOOD], "source": 5},
+        ],
+        ids=["string-tokens", "number-candidates", "empty-candidates", "number-tokens", "nested-tokens", "bool-logprob", "number-source"],
+    )
+    def test_vote(self, tmp_path, capsys, record):
+        cands = write_lines(tmp_path / "c.jsonl", [json.dumps({"id": 1, "candidates": [self.GOOD]}),
+                                                   json.dumps({"id": 2, **record})])
+        out = tmp_path / "votes.jsonl"
+        assert main(["vote", "--candidates", str(cands), "--sim", "overl", "--n", "1", "--out", str(out)]) == 3
+        assert f"validation error: {cands}:2: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"ranked": 7}, {"ranked": [{**GOOD, "score": 0.5}], "contributions": [5]},
+         {"ranked": [{**GOOD, "score": None}]}],
+        ids=["number-ranked", "number-contribution-row", "null-score"],
+    )
+    def test_eval_of_a_votes_file(self, tmp_path, capsys, fields):
+        dataset = write_lines(tmp_path / "d.jsonl", [dataset_line(1), dataset_line(2)])
+        votes = write_lines(tmp_path / "v.jsonl", [votes_line(1, -1.0), json.dumps({"id": 2, **fields})])
+        report = tmp_path / "report.tsv"
+        assert main(["eval", "--hyps", str(votes), "--dataset", str(dataset), "--out-tsv", str(report)]) == 3
+        assert f"validation error: {votes}:2: " in capsys.readouterr().err
+        assert not report.exists()
+
+
+class TestMissingIds:
+    """Each join by id refuses an input id the other file lacks, naming that file and the id."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """Dataset and candidates files with ids 1 and "two", and a copy of each holding id 1 alone."""
+        return (write_lines(tmp_path / "d.jsonl", [dataset_line(1), dataset_line("two")]),
+                write_lines(tmp_path / "d_short.jsonl", [dataset_line(1)]),
+                write_lines(tmp_path / "c.jsonl", [candidates_line(1, -1), candidates_line("two", -1)]),
+                write_lines(tmp_path / "c_short.jsonl", [candidates_line(1, -1)]))
+
+    def test_vote_voters_file(self, files, tmp_path, capsys):
+        _, _, cands, short = files
+        out = tmp_path / "votes.jsonl"
+        argv = ["vote", "--candidates", str(cands), "--voters", f"file:{short}", "--sim", "overl", "--n", "1"]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert f"{short}: no record for input 'two'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_dataset(self, files, tmp_path, capsys):
+        _, dataset, cands, _ = files
+        report = tmp_path / "report.tsv"
+        assert main(["eval", "--hyps", str(cands), "--dataset", str(dataset), "--out-tsv", str(report)]) == 3
+        assert f"{dataset}: no record for input 'two'" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_eval_compare(self, files, capsys):
+        dataset, _, cands, short = files
+        assert main(["eval", "--hyps", str(cands), "--dataset", str(dataset), "--compare", str(short),
+                     "--n-bootstrap", "5"]) == 3
+        captured = capsys.readouterr()
+        assert f"{short}: no record for input 'two'" in captured.err
+        assert captured.out == ""
