@@ -99,22 +99,22 @@ def _float(data: Mapping, key: str, default: float | None = None) -> float | Non
         raise ValueError(f"{key} must be a number, got {value!r}") from None
 
 
-def _parse_entries(entries, where: str) -> tuple[tuple[str, float], ...]:
-    """A tabular model's ``[text, probability]`` pairs; each probability positive and finite."""
+def parse_entries(entries, where: str, error: type[ValueError] = ConfigError) -> list[tuple[str, float]]:
+    """A config's or tabular file's ``[text, probability]`` pairs: string texts, positive finite probabilities."""
     if not isinstance(entries, list):
-        raise ConfigError(f"{where}: entries must be a list of [text, probability] pairs")
+        raise error(f"{where}: entries must be a list of [text, probability] pairs")
     parsed = []
     for i, entry in enumerate(entries):
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ConfigError(f"{where}: entries[{i}] must be a [text, probability] pair, got {entry!r}")
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
+            raise error(f"{where}: entries[{i}] must be a [text, probability] pair, got {entry!r}")
         try:
             prob = _float({"probability": entry[1]}, "probability", 0.0)
         except ValueError as exc:
-            raise ConfigError(f"{where}: entries[{i}]: {exc}") from exc
+            raise error(f"{where}: entries[{i}]: {exc}") from exc
         if not 0.0 < prob < math.inf:
-            raise ConfigError(f"{where}: entries[{i}]: probability must be positive and finite, got {prob}")
-        parsed.append((str(entry[0]), prob))
-    return tuple(parsed)
+            raise error(f"{where}: entries[{i}]: probability must be positive and finite, got {prob}")
+        parsed.append((entry[0], prob))
+    return parsed
 
 
 def _parse_model(data, where: str = "model") -> ModelSpec:
@@ -147,7 +147,7 @@ def _parse_model(data, where: str = "model") -> ModelSpec:
         path = data.get("path")
         if (entries is None) == (path is None):
             raise ConfigError(f"{where}: tabular model needs exactly one of 'entries' or 'path'")
-        parsed = None if entries is None else _parse_entries(entries, where)
+        parsed = None if entries is None else tuple(parse_entries(entries, where))
         return ModelSpec(kind="tabular", entries=parsed, path=None if path is None else str(path))
     raise ConfigError(f"{where}: unknown model kind {kind!r} (expected train|load|tabular)")
 

@@ -16,8 +16,8 @@ run of equal values, merged by id with the head values that tie with it.
 One positional view, ``_Support``, reads both: position i is the i-th id
 of the support, found inside the run by a search over the ids the run
 skips, so a step costs O(head), not O(vocabulary).  A call keeps one view
-per row; beam search walks positions 0, 1, ..., and sampling searches the
-running sums for one.
+per row; beam search walks positions 0, 1, ... of ``beam_view``, as the
+oracle's enumeration does, and sampling searches the running sums for one.
 Sampling draws the same numbers as a running sum over the whole sorted
 support: the running sums of the head (added left to right, as
 ``np.cumsum`` does) continue into the run only when a draw or a nucleus
@@ -145,13 +145,6 @@ class _Hyp(NamedTuple):
         return cls(-(score - penalty), -logprob, tokens, penalty)
 
 
-def _logprob_of(row: Row, token: int) -> float:
-    """The row's log-probability of an id it lists or of a smoothed id it leaves to ``rest``."""
-    ids = row.ids
-    i = int(np.searchsorted(ids, token))
-    return float(row.logprobs[i]) if i < len(ids) and ids[i] == token else row.rest
-
-
 class _Support:
     """One row's support in one order, addressed by position.
 
@@ -193,7 +186,12 @@ class _Support:
             excluded = {UNK_ID, *self.row.ids.tolist()}.difference(self.ids[self.lead : self.lead + self.tied])
             self._gaps = [t - i - EOS_ID for i, t in enumerate(sorted(excluded))]
         token = EOS_ID + j + bisect.bisect_right(self._gaps, j)
-        return token, _logprob_of(self.row, token)
+        return token, self.row.logprob_of(token)
+
+
+def beam_view(row: Row, num_ids: int) -> _Support:
+    """A row's support in beam order, BOS left out: the view beam search and the oracle's enumeration walk."""
+    return _Support(row, (*row.beam, row.beam[1], row.rest), row.rest > NEG_INF, num_ids)
 
 
 def beam_search(model: SequenceModel, context: Sequence | None, spec: DecodeSpec) -> CandidateSet:
@@ -244,12 +242,11 @@ def beam_search(model: SequenceModel, context: Sequence | None, spec: DecodeSpec
     while live and depth < spec.max_len:
         expansions: list[_Hyp] = []
         for hyp in live:
-            row = model.next_token_row(hyp.tokens, context)
-            finish(hyp, _logprob_of(row, EOS_ID))
+            row = model.next_token_row(hyp.tokens)
+            finish(hyp, row.logprob_of(EOS_ID))
             support = views.get(id(row))
             if support is None:
-                beam_order = (*row.beam, row.beam[1], row.rest)
-                support = views[id(row)] = _Support(row, beam_order, row.rest > NEG_INF, num_ids)
+                support = views[id(row)] = beam_view(row, num_ids)
             cutoff = None
             rank = 0
             for pos in range(support.size):
@@ -276,7 +273,7 @@ def beam_search(model: SequenceModel, context: Sequence | None, spec: DecodeSpec
             break
 
     for hyp in live:  # force-termination at max_len
-        finish(hyp, _logprob_of(model.next_token_row(hyp.tokens, context), EOS_ID))
+        finish(hyp, model.next_token_row(hyp.tokens).logprob_of(EOS_ID))
 
     items = tuple(ScoredSequence(tokens=h.tokens, logprob=-h.neg_logprob) for h in finished[:k])
     return CandidateSet(items=items)
@@ -341,6 +338,7 @@ def sample_sequences(model: SequenceModel, context: Sequence | None, spec: Decod
     sums, the total and truncated masses are ``math.fsum`` (exactly
     rounded), and each step uses one ``rng.random()``: the draws are those
     of a running-sum walk over the sorted support (see the module docstring).
+    ``context`` goes unread (models are unconditional): it keeps beam search's signature.
     """
     rng = np.random.default_rng(seed)
     num_ids = model.vocab.num_ids
@@ -350,7 +348,7 @@ def sample_sequences(model: SequenceModel, context: Sequence | None, spec: Decod
         tokens: Sequence = ()
         logprob = 0.0
         for _ in range(spec.max_len):
-            row = model.next_token_row(tokens, context)
+            row = model.next_token_row(tokens)
             view = views.get(id(row))
             if view is None:
                 view = views[id(row)] = _SampleRow(row, num_ids, spec)
@@ -360,7 +358,7 @@ def sample_sequences(model: SequenceModel, context: Sequence | None, spec: Decod
                 break
             tokens = tokens + (chosen,)
         else:
-            logprob += _logprob_of(model.next_token_row(tokens, context), EOS_ID)
+            logprob += model.next_token_row(tokens).logprob_of(EOS_ID)
         draws.append(ScoredSequence(tokens=tokens, logprob=logprob))
 
     draws.sort(key=lambda s: (-s.logprob, s.tokens))

@@ -25,6 +25,7 @@ from typing import IO, Callable, Iterable
 
 import numpy as np
 
+from .config import parse_entries
 from .metrics import EvalRow
 from .sequences import Vocabulary
 
@@ -235,7 +236,7 @@ def read_hypotheses(path: str | Path) -> list[tuple[object, tuple[str, ...]]]:
 # --- similarity vectors / tabular distributions ----------------------------
 
 def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
-    """Token vector table: one `token v1 v2 ...` line per token."""
+    """Token vector table: one `token v1 v2 ...` line per token, every component finite."""
     table: dict[str, np.ndarray] = {}
     dim = None
     with open(path, encoding="utf-8") as fp:
@@ -249,6 +250,8 @@ def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
                 raise FileFormatError(f"{path}:{lineno}: bad vector component: {exc}") from exc
             if vec.size == 0:
                 raise FileFormatError(f"{path}:{lineno}: token {parts[0]!r} has no vector components")
+            if not np.isfinite(vec).all():
+                raise FileFormatError(f"{path}:{lineno}: token {parts[0]!r} has a non-finite vector component")
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:
@@ -265,7 +268,7 @@ def vectors_for_vocab(table: dict[str, np.ndarray], vocab: Vocabulary) -> dict[i
 
 
 def read_tabular_entries(path: str | Path) -> list[tuple[str, float]]:
-    """Whole-sequence distribution file: {"entries": [["text", prob], ...]}."""
+    """Whole-sequence distribution file: {"entries": [["text", prob], ...]}, each entry as a config's."""
     with open(path, encoding="utf-8") as fp:
         try:
             payload = json.load(fp)
@@ -274,14 +277,7 @@ def read_tabular_entries(path: str | Path) -> list[tuple[str, float]]:
     entries = payload.get("entries") if isinstance(payload, dict) else None
     if not isinstance(entries, list) or not entries:
         raise FileFormatError(f"{path}: expected a non-empty 'entries' list")
-    out = []
-    for item in entries:
-        try:
-            text, prob = item
-            out.append((str(text), float(prob)))
-        except (TypeError, ValueError) as exc:
-            raise FileFormatError(f"{path}: bad entry {item!r}: {exc}") from exc
-    return out
+    return parse_entries(entries, str(path), FileFormatError)
 
 
 def write_enumeration(pairs: Iterable[tuple[str, float]], fp: IO[str]) -> None:

@@ -2,16 +2,16 @@
 
 ``TabularModel`` wraps a finite distribution over whole sequences, giving the
 oracles something they can enumerate exactly.  ``NGramLM`` is a trainable
-add-k n-gram model.  Both are unconditional: the optional ``context``
-argument is accepted for interface compatibility and ignored.
+add-k n-gram model.  Both are unconditional: a query is a prefix alone.
 
-All probability arithmetic is in log space.  A next-token query returns a
-sparse :class:`Row`: the outcomes the history observed (``ids``, ascending,
-with their own ``logprobs``), and the one value ``rest`` that every other
-smoothed id (EOS and the surface ids) shares.  BOS, and UNK when it is not
-among ``ids``, have probability 0.  ``rest`` is -inf under MLE and for
-``TabularModel``.  ``next_token_logprobs`` spreads a row over the full id
-space for callers that want a dense vector.
+All probability arithmetic is in log space.  The model contract is one
+query, ``next_token_row(prefix)``, returning a sparse :class:`Row`: the
+outcomes the history observed (``ids``, ascending, with their own
+``logprobs``), and the one value ``rest`` that every other smoothed id (EOS
+and the surface ids) shares.  BOS, and UNK when it is not among ``ids``,
+have probability 0 (:meth:`Row.logprob_of`).  ``rest`` is -inf under MLE
+and for ``TabularModel``.  No consumer reads a dense vector: the one dense
+spread, ``NGramLM.next_token_logprobs``, is only the benchmark tracer's hook.
 
 Both models build every row once, when they are trained, loaded or built,
 into one :class:`RowTable`: the rows laid end to end (CSR: per-row
@@ -42,7 +42,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
-from typing import IO, Iterable, Mapping, NamedTuple, Protocol, runtime_checkable
+from typing import IO, Iterable, Mapping, NamedTuple, Protocol
 
 import numpy as np
 
@@ -65,6 +65,14 @@ class Row(NamedTuple):
     # (ids, logprobs, probabilities) of the ids of positive probability in sampling order, probability
     # descending, ties by ascending id; then the probability of ``rest``.
     sample: tuple[np.ndarray, np.ndarray, np.ndarray, float]
+
+    def logprob_of(self, token: int) -> float:
+        """One id's log-probability: its own value if listed, else ``rest`` for EOS and the surface ids, else -inf."""
+        ids = self.ids
+        i = int(np.searchsorted(ids, token))
+        if i < len(ids) and ids[i] == token:
+            return float(self.logprobs[i])
+        return self.rest if token == EOS_ID or token >= NUM_RESERVED else NEG_INF
 
 
 def _descending_within_rows(values: np.ndarray, row_of: np.ndarray) -> np.ndarray:
@@ -125,41 +133,31 @@ class ZeroMassPrefixError(ValueError):
     """Raised when a tabular model is queried with a prefix of zero mass."""
 
 
-@runtime_checkable
 class SequenceModel(Protocol):
-    """Anything exposing next-token conditional log-probabilities.
+    """Anything that answers next-token queries, one prefix at a time.
 
-    Contract: ``next_token_row`` returns a :class:`Row` with ``ids``
-    distinct, ascending and inside [EOS_ID, vocab.num_ids); see the module
-    docstring.  For every reachable prefix the row's probabilities sum to 1
-    within 1e-9, and equal queries give identical rows.
-    ``next_token_logprobs`` is the same row as a dense vector.
+    Contract: a ``vocab`` and one method, ``next_token_row(prefix)``, which
+    takes no context (models are unconditional) and returns a :class:`Row`
+    with ``ids`` distinct, ascending and inside [EOS_ID, vocab.num_ids); see
+    the module docstring.  For every reachable prefix the row's
+    probabilities sum to 1 within 1e-9, and equal queries give identical
+    rows.
     """
 
     @property
     def vocab(self) -> Vocabulary: ...
 
-    def next_token_row(self, prefix: Sequence, context: Sequence | None = None) -> Row: ...
-
-    def next_token_logprobs(self, prefix: Sequence, context: Sequence | None = None) -> np.ndarray: ...
+    def next_token_row(self, prefix: Sequence) -> Row: ...
 
 
-def dense_logprobs(row: Row, num_ids: int) -> np.ndarray:
-    """A row spread over the full id space."""
-    out = np.full(num_ids, NEG_INF)
-    out[EOS_ID] = out[NUM_RESERVED:] = row.rest
-    out[row.ids] = row.logprobs
-    return out
-
-
-def sequence_logprob(model: SequenceModel, seq: Sequence, context: Sequence | None = None) -> float:
+def sequence_logprob(model: SequenceModel, seq: Sequence) -> float:
     """Log-probability of the full sequence, terminal EOS step included."""
     total = 0.0
     for i, token in enumerate(seq):
-        total += float(model.next_token_logprobs(seq[:i], context)[token])
+        total += model.next_token_row(seq[:i]).logprob_of(token)
         if total == NEG_INF:
             return NEG_INF
-    total += float(model.next_token_logprobs(seq, context)[EOS_ID])
+    total += model.next_token_row(seq).logprob_of(EOS_ID)
     return total
 
 
@@ -178,14 +176,11 @@ class TabularModel:
     _index: dict[Sequence, int] = field(repr=False, compare=False)  # prefix -> its row in _table
     _table: RowTable = field(repr=False, compare=False)
 
-    def next_token_row(self, prefix: Sequence, context: Sequence | None = None) -> Row:
+    def next_token_row(self, prefix: Sequence) -> Row:
         r = self._index.get(tuple(prefix))
         if r is None:
             raise ZeroMassPrefixError(f"prefix has zero probability mass: {tuple(prefix)}")
         return self._table.row(r)
-
-    def next_token_logprobs(self, prefix: Sequence, context: Sequence | None = None) -> np.ndarray:
-        return dense_logprobs(self.next_token_row(prefix, context), self.vocab.num_ids)
 
     @property
     def max_len(self) -> int:
@@ -326,12 +321,15 @@ class NGramLM:
         tail = tuple(prefix[-need:]) if need else ()
         return (BOS_ID,) * (need - len(tail)) + tail
 
-    def next_token_row(self, prefix: Sequence, context: Sequence | None = None) -> Row:
+    def next_token_row(self, prefix: Sequence) -> Row:
         # Row len(_index) is the one every unseen history shares.
         return self._table.row(self._index.get(self._history(prefix), len(self._index)))
 
-    def next_token_logprobs(self, prefix: Sequence, context: Sequence | None = None) -> np.ndarray:
-        return dense_logprobs(self.next_token_row(prefix, context), self.vocab.num_ids)
+    # bench/tracing.py patches next_token_logprobs by its name on this class, so this one
+    # dense spread of a row over the id space stays although nothing in the package calls it.
+    def next_token_logprobs(self, prefix: Sequence) -> np.ndarray:
+        row = self.next_token_row(prefix)
+        return np.array([row.logprob_of(token) for token in range(self.vocab.num_ids)])
 
 
 def check_training(order: int, add_k: float) -> None:

@@ -1,8 +1,9 @@
 """Exact brute-force references: enumeration, exact argmax, exact election.
 
-Enumeration works in log space, summing the same per-step conditionals beam
-search sums, so the two routes agree bitwise on enumerable models and
-near-ties sort identically.
+Enumeration walks each row in beam search's own view (``decode.beam_view``)
+and sums the same per-step conditionals beam search sums, so the two routes
+agree bitwise on enumerable models, and near-ties sort identically, by
+construction.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decode import CandidateSet, ScoredSequence
+from .decode import CandidateSet, ScoredSequence, beam_view
 from .models import NEG_INF, SequenceModel, TabularModel, tabular_model
-from .sequences import BOS_ID, EOS_ID, Sequence, Vocabulary
+from .sequences import EOS_ID, Sequence, Vocabulary
 from .voting import SimilaritySpec, VoteResult, range_vote
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -45,7 +46,9 @@ def enumerate_distribution(
 
     Exact on tabular models with a zero floor.  Zero-mass continuations are
     never followed; expansion beyond ``node_budget`` nodes aborts with
-    :class:`BudgetExceededError`.
+    :class:`BudgetExceededError`.  Children come in beam order, so the walk
+    stops at the first that is -inf or below the floor: IEEE ``+`` and
+    ``exp`` are monotone, so no later child could pass.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
@@ -61,18 +64,20 @@ def enumerate_distribution(
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(f"enumeration exceeded node budget of {node_budget}")
-        logprobs = model.next_token_logprobs(prefix)
-        seq_lp = prefix_lp + float(logprobs[EOS_ID])
+        row = model.next_token_row(prefix)
+        seq_lp = prefix_lp + row.logprob_of(EOS_ID)
         if seq_lp > NEG_INF and math.exp(seq_lp) >= prob_floor:
             found.append(ScoredSequence(tokens=prefix, logprob=seq_lp))
         if len(prefix) >= max_len:
             continue
-        for token in range(len(logprobs)):
-            if token in (BOS_ID, EOS_ID) or logprobs[token] == NEG_INF:
+        children = beam_view(row, model.vocab.num_ids)
+        for token, step_lp in map(children.token, range(children.size)):
+            if token == EOS_ID:
                 continue
-            child_lp = prefix_lp + float(logprobs[token])
-            if child_lp > NEG_INF and math.exp(child_lp) >= prob_floor:
-                stack.append((prefix + (token,), child_lp))
+            child_lp = prefix_lp + step_lp
+            if not (child_lp > NEG_INF and math.exp(child_lp) >= prob_floor):  # a NaN floor passes nothing
+                break
+            stack.append((prefix + (token,), child_lp))
     found.sort(key=lambda s: (-s.logprob, s.tokens))
     return EnumeratedDistribution(
         entries=tuple(found),

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from votedecode import SimilaritySpec, Vocabulary, sequence_logprob, tabular_model, tokenize
 from votedecode.models import NEG_INF
-from votedecode.sequences import RESERVED_MARKS
+from votedecode.sequences import EOS_ID, NUM_RESERVED, RESERVED_MARKS
 
 # Tabular toy distribution used across modules: support {"a b", "a c", "d"}.
 ABD_ENTRIES = [("a b", 0.5), ("a c", 0.3), ("d", 0.2)]
@@ -66,10 +66,22 @@ def model_from_texts(entries):
     return tabular_model([(tokenize(t, vocab), p) for t, p in entries], vocab), vocab
 
 
-def verify_logprobs(model, candidates, context=None, tol=1e-9):
+def dense_logprobs(model, prefix):
+    """The reference dense vector: ``model``'s row for ``prefix`` spread over the full id space.
+
+    Listed ids take their own values, EOS and the other surface ids ``rest``, BOS and an unlisted UNK -inf.
+    """
+    row = model.next_token_row(prefix)
+    out = np.full(model.vocab.num_ids, NEG_INF)
+    out[EOS_ID] = out[NUM_RESERVED:] = row.rest
+    out[row.ids] = row.logprobs
+    return out
+
+
+def verify_logprobs(model, candidates, tol=1e-9):
     """Check that reported logprobs match sequence_logprob within ``tol``."""
     for cand in candidates.items:
-        want = sequence_logprob(model, cand.tokens, context)
+        want = sequence_logprob(model, cand.tokens)
         if cand.logprob == NEG_INF and want == NEG_INF:
             continue
         if abs(cand.logprob - want) > tol:

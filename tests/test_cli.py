@@ -325,6 +325,18 @@ class TestEmbedCosineVectors:
             assert len(rec.ranked) == 5
             assert [score for _, _, score in rec.ranked] == self.pairwise_scores(rec.ranked, vectors)
 
+    @pytest.mark.parametrize("table, line", [("ok nan 1\n", 1), ("ok 1 0\nthe 0 inf\n", 2), ("ok -inf 1\n", 1)],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_vote_refuses_a_non_finite_component(self, tmp_path, capsys, table, line):
+        cands = tmp_path / "c.jsonl"
+        cands.write_text(json.dumps({"id": 1, "candidates": [{"tokens": ["ok"], "logprob": -1.0}]}) + "\n")
+        vectors, out = tmp_path / "vectors.txt", tmp_path / "votes.jsonl"
+        vectors.write_text(table, encoding="utf-8")
+        assert main(["vote", "--candidates", str(cands), "--sim", "embed_cosine", "--vectors", str(vectors),
+                     "--out", str(out)]) == 3
+        assert f"{vectors}:{line}: token" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_vote_without_vectors_exits_1(self, tmp_path, capsys):
         cands = tmp_path / "c.jsonl"
         cands.write_text(json.dumps({"id": 1, "candidates": [{"tokens": ["ok"], "logprob": -1.0}]}) + "\n")

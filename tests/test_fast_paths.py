@@ -26,6 +26,7 @@ from votedecode.decode import (
     sample_sequences,
 )
 from votedecode.models import NEG_INF, NGramLM, RowTable, load_model, save_model, tabular_model, train_ngram_lm
+from votedecode.oracle import BudgetExceededError, EnumeratedDistribution, enumerate_distribution
 from votedecode.sequences import (
     BOS_ID,
     EOS_ID,
@@ -36,6 +37,8 @@ from votedecode.sequences import (
     build_vocabulary,
     tokenize,
 )
+
+from conftest import dense_logprobs
 
 # --- reference algorithms ----------------------------------------------------
 
@@ -131,7 +134,7 @@ def reference_beam_search(model, context, spec):
     while live and depth < spec.max_len:
         expansions = []
         for hyp in live:
-            logprobs = model.next_token_logprobs(hyp.tokens, context)
+            logprobs = dense_logprobs(model, hyp.tokens)
             finish(hyp, float(logprobs[EOS_ID]))
             steps = [
                 (float(logprobs[t]), t)
@@ -157,7 +160,7 @@ def reference_beam_search(model, context, spec):
                 break
 
     for hyp in live:
-        logprobs = model.next_token_logprobs(hyp.tokens, context)
+        logprobs = dense_logprobs(model, hyp.tokens)
         finish(hyp, float(logprobs[EOS_ID]))
 
     finished.sort(key=lambda h: reference_rank(h, spec.scoring))
@@ -172,7 +175,7 @@ def reference_sample_items(model, *, count, strategy, top_k=None, top_p=None, se
         tokens = ()
         logprob = 0.0
         for _ in range(max_len):
-            lps = model.next_token_logprobs(tokens, None)
+            lps = dense_logprobs(model, tokens)
             probs = np.exp(lps)
             support = [t for t in range(len(probs)) if probs[t] > 0.0 and t != BOS_ID]
             support.sort(key=lambda t: (-probs[t], t))
@@ -203,10 +206,34 @@ def reference_sample_items(model, *, count, strategy, top_k=None, top_p=None, se
                 break
             tokens = tokens + (chosen,)
         else:
-            logprob += float(model.next_token_logprobs(tokens, None)[EOS_ID])
+            logprob += float(dense_logprobs(model, tokens)[EOS_ID])
         draws.append(ScoredSequence(tokens=tokens, logprob=logprob))
     draws.sort(key=lambda s: (-s.logprob, s.tokens))
     return tuple(draws)
+
+
+def reference_enumerate(model, max_len, prob_floor):
+    """Depth-first enumeration over the dense row, every id in ascending order: (distribution, nodes expanded)."""
+    found = []
+    nodes = 0
+    stack = [((), 0.0)]
+    while stack:
+        prefix, prefix_lp = stack.pop()
+        nodes += 1
+        logprobs = dense_logprobs(model, prefix)
+        seq_lp = prefix_lp + float(logprobs[EOS_ID])
+        if seq_lp > NEG_INF and math.exp(seq_lp) >= prob_floor:
+            found.append(ScoredSequence(tokens=prefix, logprob=seq_lp))
+        if len(prefix) >= max_len:
+            continue
+        for token in range(len(logprobs)):
+            if token in (BOS_ID, EOS_ID) or logprobs[token] == NEG_INF:
+                continue
+            child_lp = prefix_lp + float(logprobs[token])
+            if child_lp > NEG_INF and math.exp(child_lp) >= prob_floor:
+                stack.append((prefix + (token,), child_lp))
+    found.sort(key=lambda s: (-s.logprob, s.tokens))
+    return EnumeratedDistribution(tuple(found), math.fsum(math.exp(s.logprob) for s in found)), nodes
 
 
 # --- models under test -------------------------------------------------------
@@ -232,7 +259,7 @@ class RowModel:
         self._pool = np.array(pool)
         self._seed = seed
 
-    def next_token_logprobs(self, prefix, context=None):
+    def dense(self, prefix):
         rng = np.random.default_rng([self._seed, len(prefix), *prefix])
         row = rng.choice(self._pool, size=self.vocab.num_ids)
         row[BOS_ID] = NEG_INF
@@ -240,8 +267,8 @@ class RowModel:
             row[EOS_ID] = -3.0
         return row
 
-    def next_token_row(self, prefix, context=None):
-        return sparse_row(self.next_token_logprobs(prefix, context))
+    def next_token_row(self, prefix):
+        return sparse_row(self.dense(prefix))
 
 
 def vocab_of(size):
@@ -340,7 +367,7 @@ class TestNGramRows:
     @given(ngram_models(), st.data())
     def test_rows_bit_identical(self, model, data):
         for prefix in data.draw(st.lists(prefixes(model.vocab), min_size=1, max_size=5)):
-            fast = model.next_token_logprobs(prefix)
+            fast = dense_logprobs(model, prefix)
             assert fast.tobytes() == reference_row(model, prefix).tobytes()
 
     def test_loaded_counts_outside_the_smoothed_outcomes(self):
@@ -349,7 +376,7 @@ class TestNGramRows:
         counts = {(): {BOS_ID: 2, EOS_ID: 0, UNK_ID: 1, 4: 3, 9: 5}}
         for add_k in (0.0, 0.25):
             model = NGramLM.from_counts(vocab, 1, add_k, counts)
-            assert model.next_token_logprobs(()).tobytes() == reference_row(model, ()).tobytes()
+            assert dense_logprobs(model, ()).tobytes() == reference_row(model, ()).tobytes()
 
 
 class TestBeamSearchEquivalence:
@@ -379,7 +406,7 @@ class TestBeamSearchEquivalence:
             def __init__(self):
                 self.vocab = vocab
 
-            def next_token_logprobs(self, prefix, context=None):
+            def dense(self, prefix):
                 row = np.full(vocab.num_ids, NEG_INF)
                 if not prefix:
                     row[5] = -40.0
@@ -389,8 +416,8 @@ class TestBeamSearchEquivalence:
                     row[EOS_ID] = 0.0
                 return row
 
-            def next_token_row(self, prefix, context=None):
-                return sparse_row(self.next_token_logprobs(prefix, context))
+            def next_token_row(self, prefix):
+                return sparse_row(self.dense(prefix))
 
         spec = DecodeSpec(beam_size=1, max_len=3)
         fast = beam_search(Stub(), None, spec)
@@ -466,10 +493,10 @@ class RawRows:
             np.array([rest for _, _, rest in rows]),
         )
 
-    def next_token_row(self, prefix, context=None):
+    def next_token_row(self, prefix):
         return self._table.row(min(len(prefix), len(self._rows) - 1))
 
-    def next_token_logprobs(self, prefix, context=None):
+    def dense(self, prefix):
         ids, logprobs, rest = self._rows[min(len(prefix), len(self._rows) - 1)]
         out = np.full(self.vocab.num_ids, NEG_INF)
         out[EOS_ID] = out[NUM_RESERVED:] = rest
@@ -493,7 +520,7 @@ SAMPLINGS += [("nucleus", None, p) for p in (0.05, 0.5, 0.7, 0.95, 1.0)]
 
 def reference_dense(model, prefix):
     """The reference row of an n-gram edge model; a raw edge model's rows are their own reference."""
-    return reference_row(model, prefix) if isinstance(model, NGramLM) else model.next_token_logprobs(prefix)
+    return reference_row(model, prefix) if isinstance(model, NGramLM) else model.dense(prefix)
 
 
 def edge_prefixes(model):
@@ -509,7 +536,22 @@ class TestRowContract:
             ids, logprobs, rest = model.next_token_row(prefix)[:3]
             assert ids.dtype.kind == "i" and list(ids) == sorted(set(ids.tolist()))
             assert all(EOS_ID <= t < model.vocab.num_ids for t in ids.tolist())
-            assert model.next_token_logprobs(prefix).tobytes() == reference_row(model, prefix).tobytes()
+            assert dense_logprobs(model, prefix).tobytes() == reference_row(model, prefix).tobytes()
+
+    @pytest.mark.parametrize("name", [*sorted(EDGE_MODELS), *sorted(EDGE_RAW)])
+    def test_point_lookup_matches_the_dense_row(self, name):
+        model = SEARCH_MODELS[name]
+        for prefix in edge_prefixes(model):
+            row = model.next_token_row(prefix)
+            got = np.array([row.logprob_of(t) for t in range(model.vocab.num_ids)])
+            assert got.tobytes() == dense_logprobs(model, prefix).tobytes() == reference_dense(model, prefix).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(EDGE_MODELS))
+    def test_bench_hook_is_the_dense_row(self, name):
+        # NGramLM.next_token_logprobs stays only for bench/tracing.py; it must spread the row as the adapter does.
+        model = EDGE_MODELS[name]
+        for prefix in edge_prefixes(model):
+            assert model.next_token_logprobs(prefix).tobytes() == dense_logprobs(model, prefix).tobytes()
 
     def test_rest_values(self):
         assert EDGE_MODELS["mle"].next_token_row(())[2] == NEG_INF
@@ -693,3 +735,40 @@ class TestRowTable:
             for a, b in zip((got.ids, got.logprobs, *got.beam, *got.sample[:3]),
                             (want.ids, want.logprobs, *want.beam, *want.sample[:3])):
                 assert a.tobytes() == b.tobytes()
+
+
+# --- the oracle's enumeration --------------------------------------------------
+
+
+def assert_enumerates_like_the_reference(model, max_len):
+    """Entries and total mass bit for bit, and the budget error at the reference's node count, at each floor."""
+    root = dense_logprobs(model, ())
+    steps = [lp for t, lp in enumerate(root.tolist()) if t not in (BOS_ID, EOS_ID) and lp > NEG_INF]
+    floors = [0.0, 1e-4, 1e-2]
+    if steps:  # the root's likeliest child sits exactly on this floor, and must be kept
+        floors.append(math.exp(max(steps)))
+    for floor in floors:
+        want, nodes = reference_enumerate(model, max_len, floor)
+        got = enumerate_distribution(model, max_len, floor, node_budget=nodes)
+        assert [(s.tokens, s.logprob.hex()) for s in got.entries] == [(s.tokens, s.logprob.hex()) for s in want.entries]
+        assert got.total_mass.hex() == want.total_mass.hex()
+        if nodes > 1:
+            with pytest.raises(BudgetExceededError, match=f"node budget of {nodes - 1}$"):
+                enumerate_distribution(model, max_len, floor, node_budget=nodes - 1)
+
+
+class TestEnumerationEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(corpora(), st.integers(1, 3), st.sampled_from([0.0, 0.01, 0.5]))
+    def test_trained_models(self, vocab_corpus, order, add_k):
+        vocab, corpus = vocab_corpus
+        assert_enumerates_like_the_reference(train_ngram_lm(corpus, order=order, add_k=add_k, vocab=vocab), 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tabular_models(), st.integers(1, 5))
+    def test_tabular_models(self, model, max_len):
+        assert_enumerates_like_the_reference(model, max_len)
+
+    @pytest.mark.parametrize("name", [*sorted(EDGE_MODELS), "tabular", *sorted(EDGE_RAW)])
+    def test_edge_models(self, name):
+        assert_enumerates_like_the_reference(SEARCH_MODELS[name], 2)

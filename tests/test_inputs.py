@@ -246,9 +246,10 @@ class TestConfigFailsFast:
              r"model: entries\[0\]: probability must be positive and finite, got inf"),
             ({"kind": "tabular", "entries": [["a b", 0.5, 1]]},
              r"model: entries\[0\] must be a \[text, probability\] pair"),
+            ({"kind": "tabular", "entries": [[5, 0.5]]}, r"model: entries\[0\] must be a \[text, probability\] pair"),
         ],
         ids=["null-add_k", "list-add_k", "null-probability", "list-probability", "nan-probability",
-             "inf-probability", "triple-entry"],
+             "inf-probability", "triple-entry", "numeric-text"],
     )
     def test_bad_model_number(self, tmp_path, capsys, model, message):
         self._fails(self._config(tmp_path, model=model), message, capsys)
@@ -270,6 +271,25 @@ class TestConfigFailsFast:
         config = load_config(self._config(tmp_path, decode={"name": "s", "kind": "beam", "beam_size": 3.0}, sim=sim))
         assert config.decode[1].beam_size == 3 and config.select[1].sim == SimilaritySpec(kind="overl", n=2)
         assert config.select[1].voters is None
+
+
+class TestTabularFileEntries:
+    """A tabular file's entries go through the config's entry parser, with faults naming the file."""
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (["a1"], r"entries\[0\] must be a \[text, probability\] pair, got 'a1'"),  # was read as ("a", 1.0)
+            # was read with the text "5"
+            ([["a b", 0.5], [5, 0.5]], r"entries\[1\] must be a \[text, probability\] pair, got \[5, 0\.5\]"),
+            ([["a b", -1]], r"entries\[0\]: probability must be positive and finite, got -1\.0"),
+        ],
+        ids=["string-entry", "numeric-text", "negative-probability"],
+    )
+    def test_oracle_map_exits_3_naming_the_file(self, tmp_path, capsys, entries, message):
+        tabular = write_lines(tmp_path / "t.json", [json.dumps({"entries": entries})])
+        assert main(["oracle", "map", "--tabular", str(tabular), "--max-len", "3"]) == 3
+        assert re.search(re.escape(f"{tabular}: ") + message, capsys.readouterr().err)
 
 
 class TestDecodeFlags:

@@ -16,11 +16,11 @@ from votedecode.models import (
 )
 from votedecode.sequences import EOS_ID, UNK_ID, Vocabulary, tokenize
 
-from conftest import model_from_texts
+from conftest import dense_logprobs, model_from_texts
 
 
 def logprobs_as_probs(model, prefix):
-    return np.exp(model.next_token_logprobs(prefix))
+    return np.exp(dense_logprobs(model, prefix))
 
 
 class TestTabularModel:
@@ -44,7 +44,7 @@ class TestTabularModel:
     def test_zero_mass_prefix_error(self, abd):
         model, vocab = abd
         with pytest.raises(ZeroMassPrefixError):
-            model.next_token_logprobs((vocab.id_of("b"),))
+            model.next_token_row((vocab.id_of("b"),))
 
     def test_merge_and_normalize(self):
         vocab = Vocabulary(tokens=("a",))
@@ -81,7 +81,7 @@ class TestTabularModel:
         model, _ = fixture5
         prefixes = {seq[:i] for seq in model.entries for i in range(len(seq) + 1)}
         for prefix in prefixes:
-            total = float(np.sum(np.exp(model.next_token_logprobs(prefix))))
+            total = float(np.sum(np.exp(dense_logprobs(model, prefix))))
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -150,9 +150,7 @@ class TestPersistence:
         save_model(model, buf)
         loaded = load_model(io.StringIO(buf.getvalue()))
         for prefix in [(), tokenize("a", vocab), tokenize("a b", vocab), tokenize("c", vocab)]:
-            np.testing.assert_array_equal(
-                model.next_token_logprobs(prefix), loaded.next_token_logprobs(prefix)
-            )
+            np.testing.assert_array_equal(dense_logprobs(model, prefix), dense_logprobs(loaded, prefix))
 
     def test_save_is_deterministic(self):
         model, _ = self._trained()
