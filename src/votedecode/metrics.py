@@ -97,15 +97,34 @@ def bleu_from_stats_array(stats: TySequence[np.ndarray], smoothed: bool = False)
 
 
 def _per_distinct(fn: Callable[..., float], first: np.ndarray, second: np.ndarray | None = None) -> np.ndarray:
-    """``fn(x)`` of every float, or ``fn(x, y)`` of every pair of non-negative ints, once per distinct argument."""
-    if second is None:  # floats, ranked by their bits so that the integer sort kernel serves every table
+    """``fn(x)`` of every float, or ``fn(x, y)`` of every pair of non-negative ints, once per distinct argument.
+
+    Pairs pack into the key ``x * width + y``.  When the key range is at most
+    the number of pairs, a presence table over the range flags the distinct
+    keys, ``fn`` runs once per flagged key, and one gather ``table[key]``
+    spreads the results, with no sort; the tables then take no more memory
+    than the pairs.  Wider keys, and floats (ranked by their bits so that
+    the integer sort kernel serves every table), go through ``np.unique``.
+    """
+    if second is None:
         keys, inverse = np.unique(first.view(np.int64), return_inverse=True)
-        args = zip(keys.view(np.float64).tolist())
+        return np.array([fn(x) for x in keys.view(np.float64).tolist()], dtype=np.float64)[inverse]
+    width = int(second.max(initial=0)) + 1
+    packed = first * width + second
+    span = int(packed.max(initial=-1)) + 1
+    by_table = span <= packed.size
+    if by_table:
+        present = np.zeros(span, dtype=bool)
+        present[packed] = True
+        keys = np.flatnonzero(present)
     else:
-        width = int(second.max(initial=0)) + 1
-        keys, inverse = np.unique(first * width + second, return_inverse=True)
-        args = zip(*(part.tolist() for part in np.divmod(keys, width)))
-    return np.array([fn(*arg) for arg in args], dtype=np.float64)[inverse]
+        keys, inverse = np.unique(packed, return_inverse=True)
+    values = np.array([fn(*arg) for arg in zip(*(part.tolist() for part in np.divmod(keys, width)))], dtype=np.float64)
+    if not by_table:
+        return values[inverse]
+    table = np.zeros(span)
+    table[keys] = values
+    return table[packed]
 
 
 def corpus_bleu(hyps: TySequence[Sequence], refs: TySequence[TySequence[Sequence]], max_n: int = 4) -> float:
@@ -214,7 +233,11 @@ def paired_bootstrap(
 
     Segment indices are resampled with replacement ``n_bootstrap`` times;
     the p-value is the fraction of resamples where A's metric is <= B's.
-    The default metric is corpus BLEU at ``max_n``.
+    The default metric is corpus BLEU at ``max_n``.  Its route draws each
+    block of resamples with one ``rng.integers`` call of shape (resamples,
+    segments): the bit generator keeps the spare half of a 64-bit draw
+    between calls, so that is the same stream, resample by resample, as
+    the one call per resample of a custom ``metric``.
     """
     if not (len(hyps_a) == len(hyps_b) == len(refs)):
         raise ValueError("hypothesis and reference lists must be aligned")
@@ -226,12 +249,12 @@ def paired_bootstrap(
     if metric is None:
         # Corpus BLEU of a resample is the epilogue of its summed segment
         # statistics: counts[b, i] is how often resample b drew segment i.
-        # Resamples are stacked _BOOTSTRAP_DRAWS segment draws at a time.
+        # Resamples are stacked _BOOTSTRAP_DRAWS segment draws at a time, one draw call per block.
         stats_a = np.array(_segment_stats(hyps_a, refs, max_n), dtype=np.int64)
         stats_b = np.array(_segment_stats(hyps_b, refs, max_n), dtype=np.int64)
         step = max(1, _BOOTSTRAP_DRAWS // n)
         for start in range(0, n_bootstrap, step):
-            draws = np.stack([rng.integers(0, n, size=n) for _ in range(min(step, n_bootstrap - start))])
+            draws = rng.integers(0, n, size=(min(step, n_bootstrap - start), n))
             counts = np.bincount((draws + n * np.arange(len(draws))[:, None]).ravel(), minlength=draws.size)
             counts = counts.reshape(draws.shape)
             lost = bleu_from_stats_array((counts @ stats_a).T) <= bleu_from_stats_array((counts @ stats_b).T)

@@ -393,8 +393,7 @@ def save_model(model: NGramLM, fp: IO[str]) -> None:
             for hist, events in sorted(model.counts.items())
         ],
     }
-    json.dump(payload, fp, sort_keys=True, separators=(",", ":"))
-    fp.write("\n")
+    fp.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")  # one write: json.dump streams many small ones
 
 
 def load_model(fp: IO[str]) -> NGramLM:
@@ -408,6 +407,8 @@ def load_model(fp: IO[str]) -> NGramLM:
     if payload.get("version") != MODEL_VERSION:
         raise ModelFormatError(f"unsupported model file version: {payload.get('version')!r}")
     try:
+        if not isinstance(payload["vocab"], list):  # a string would split into its characters
+            raise ValueError(f"vocab must be a list of strings, got {type(payload['vocab']).__name__}")
         vocab = Vocabulary(tokens=tuple(payload["vocab"]))
         order = int(payload["order"])
         add_k = float(payload["add_k"])

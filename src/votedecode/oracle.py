@@ -52,8 +52,8 @@ def enumerate_distribution(
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    if prob_floor < 0:
-        raise ValueError(f"prob_floor must be >= 0, got {prob_floor}")
+    if not 0 <= prob_floor <= 1:  # NaN too: it would keep nothing
+        raise ValueError(f"prob_floor must be in [0, 1], got {prob_floor}")
     if node_budget < 1:
         raise ValueError(f"node budget must be >= 1, got {node_budget}")
     found: list[ScoredSequence] = []
@@ -75,7 +75,7 @@ def enumerate_distribution(
             if token == EOS_ID:
                 continue
             child_lp = prefix_lp + step_lp
-            if not (child_lp > NEG_INF and math.exp(child_lp) >= prob_floor):  # a NaN floor passes nothing
+            if not (child_lp > NEG_INF and math.exp(child_lp) >= prob_floor):
                 break
             stack.append((prefix + (token,), child_lp))
     found.sort(key=lambda s: (-s.logprob, s.tokens))

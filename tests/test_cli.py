@@ -188,6 +188,15 @@ class TestOracle:
         assert f"node budget must be >= 1, got {budget}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("floor", ["nan", "inf", "2", "-1"])
+    def test_a_floor_outside_0_1_exits_3(self, tabular, tmp_path, capsys, floor):
+        out = tmp_path / "enum.jsonl"
+        argv = ["oracle", "enumerate", "--tabular", str(tabular), "--max-len", str(MAX_LEN), "--floor", floor,
+                "--out", str(out)]
+        assert main(argv) == 3
+        assert "prob_floor must be in [0, 1], got" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReservedMarkersInVotes:
     @pytest.mark.parametrize("voters", ["same", "file"])

@@ -8,12 +8,13 @@ scores and contributions are compared with ``==``, not approximately.
 """
 
 import math
+import random
 from collections import Counter
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from votedecode import metrics, voting
 from votedecode.decode import CandidateSet, ScoredSequence
@@ -168,6 +169,38 @@ class TestBulkElection:
         matrix = voting._similarity_matrix(voters, cands, spec)
         assert matrix.tolist() == [[fn(v, c) for c in cands] for v in voters]
 
+    def test_rerank_sized_bleu_election_sorts_once_in_its_epilogue(self):
+        """200 voters x 40 candidates from near-duplicate families over 40 words, as a rerank row.
+
+        Every integer lookup of the epilogue takes the presence table; the one
+        ``np.unique`` left is the float lookup of exp per distinct log_sum.
+        """
+        rng = random.Random(7)
+        stems = [[rng.randrange(3, 43) for _ in range(11)] for _ in range(4)]
+
+        def member():
+            tokens = list(rng.choice(stems))
+            for _ in range(rng.randint(1, 3)):
+                tokens.insert(rng.randrange(len(tokens)), rng.randrange(3, 43))
+                del tokens[rng.randrange(len(tokens))]
+            return ScoredSequence(tokens=tuple(tokens[: rng.randint(6, 14)]), logprob=-rng.uniform(5.0, 20.0))
+
+        cands = CandidateSet(items=tuple(member() for _ in range(40)))
+        voters = CandidateSet(items=tuple(member() for _ in range(200)))
+        spec = SimilaritySpec(kind="bleu", max_n=4)
+        sorts = []
+
+        def epilogue(*args, **kwargs):
+            with patch.object(np, "unique", wraps=np.unique) as unique:
+                scores = bleu_from_stats_array(*args, **kwargs)
+            sorts.append(unique.call_count)
+            return scores
+
+        with patch.object(voting, "bleu_from_stats_array", epilogue):
+            result = range_vote(cands, voters, spec, with_contributions=True)
+        assert sorts == [1]
+        assert (result.ranking, result.scores, result.contributions) == reference_vote(cands, voters, spec)
+
     def test_all_minus_infinity_voters(self):
         item = ScoredSequence(tokens=(3, 4), logprob=NEG_INF)
         cands = CandidateSet(items=(ScoredSequence(tokens=(3,), logprob=-1.0), item))
@@ -206,6 +239,32 @@ def bleu_stat_rows(draw):
     return rows
 
 
+@st.composite
+def epilogue_rows(draw, route):
+    """Statistics rows (max_n 1..4) sized for one ``_per_distinct`` route.
+
+    ``table``: 60..150 short segments with matches at every order, whose keys
+    span fewer values than there are pairs, plus a few with a zero match or
+    hyp_len 0 (and zero totals).  ``sort``: one to five long segments, whose
+    keys span far more, with zero matches common.
+    """
+    max_n = draw(st.integers(min_value=1, max_value=4))
+    table = route == "table"
+    counts = st.integers(min_value=int(table), max_value=4 if table else 10**4)
+    rows = []
+    for _ in range(draw(st.integers(min_value=60, max_value=150) if table else st.integers(1, 5))):
+        hyp_len = draw(counts)
+        totals = [0] * max_n if hyp_len == 0 else draw(st.lists(counts, min_size=max_n, max_size=max_n))
+        matched = [draw(st.integers(min_value=min(int(table), t), max_value=t)) for t in totals]
+        rows.append((hyp_len, draw(st.integers(min_value=0, max_value=6 if table else 10**4)), *matched, *totals))
+    for row in draw(st.lists(st.sampled_from(rows), max_size=6)) if table else ():
+        n = draw(st.integers(min_value=0, max_value=max_n - 1))
+        rows.append(row[: 2 + n] + (0,) + row[3 + n :])  # a zero match at order n + 1
+    if table and draw(st.booleans()):
+        rows.append((0, 3, *[0] * 2 * max_n))
+    return rows
+
+
 class TestBleuStatistics:
     @settings(max_examples=200, deadline=None)
     @given(tokens, tokens, st.integers(min_value=1, max_value=4), st.booleans())
@@ -228,6 +287,27 @@ class TestBleuStatistics:
         got = bleu_from_stats_array(np.array(rows, dtype=np.int64).T, smoothed=smoothed)
         assert got.dtype == np.float64
         assert got.tolist() == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["table", "sort"]).flatmap(lambda route: st.tuples(st.just(route), epilogue_rows(route))),
+           st.booleans())
+    def test_both_epilogue_routes_bit_for_bit(self, case, smoothed):
+        route, rows = case
+        want = np.array([bleu_from_stats(row, smoothed=smoothed) for row in rows], dtype=np.float64)
+        with patch.object(np, "unique", wraps=np.unique) as unique:
+            got = bleu_from_stats_array(np.array(rows, dtype=np.int64).T, smoothed=smoothed)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        # `--hypothesis-show-statistics` shows the split: table-shaped rows mostly sort once (the float lookup).
+        event(f"{route} route, {unique.call_count} np.unique calls")
+
+    def test_epilogue_routes_follow_the_key_range(self):
+        """Short statistics of many pairs take the presence table, long ones of few pairs the sort."""
+        short = np.array([(3, 4, 2, 1, 3, 2)] * 20 + [(2, 2, 1, 0, 2, 1)] * 20, dtype=np.int64).T
+        long = np.array([(900, 1000, 700, 500, 900, 899)] * 3, dtype=np.int64).T
+        for stats, sorts in ((short, 1), (long, 4)):  # the float lookup; + two orders and the brevity penalty
+            with patch.object(np, "unique", wraps=np.unique) as unique:
+                bleu_from_stats_array(stats, smoothed=True)
+            assert unique.call_count == sorts
 
     def test_array_epilogue_broadcasts_its_statistics(self):
         # Rows: a brevity penalty, none.  Columns: all matched, a zero match, hyp_len 0 with zero totals.
@@ -254,7 +334,7 @@ class TestBleuStatistics:
 class TestBootstrapFastPath:
     @settings(max_examples=60, deadline=None)
     @given(
-        st.lists(st.tuples(tokens, tokens, refs_lists), min_size=1, max_size=6),
+        st.lists(st.tuples(tokens, tokens, refs_lists), min_size=1, max_size=50),
         st.integers(min_value=1, max_value=4),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
@@ -268,8 +348,8 @@ class TestBootstrapFastPath:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        st.lists(st.tuples(tokens, tokens, refs_lists), min_size=1, max_size=6),
-        st.integers(min_value=1, max_value=12),
+        st.lists(st.tuples(tokens, tokens, refs_lists), min_size=1, max_size=50),
+        st.integers(min_value=1, max_value=120),
     )
     def test_resample_blocks_do_not_change_the_p_value(self, segments, draws):
         hyps_a, hyps_b, refs = ([segment[i] for segment in segments] for i in range(3))

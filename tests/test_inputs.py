@@ -401,6 +401,37 @@ class TestTrainingSettings:
         assert main(["oracle", "map", "--model", str(path), "--max-len", "3"]) == 3
         assert message in capsys.readouterr().err
 
+    # An int entry crashed the CLI with an AttributeError traceback (exit 1); a string split into its
+    # characters and was refused as "duplicate vocabulary token: 'a'".
+    @pytest.mark.parametrize(
+        "vocab, message",
+        [
+            (["a", 3], "vocabulary token must be a string: 3"),
+            (["a", ["b"]], "vocabulary token must be a string: ['b']"),
+            ("aab", "vocab must be a list of strings, got str"),
+            ({"a": 1}, "vocab must be a list of strings, got dict"),
+            (None, "vocab must be a list of strings, got NoneType"),
+        ],
+        ids=["int-entry", "list-entry", "string", "object", "null"],
+    )
+    def test_load_model_refuses_a_malformed_vocab(self, tmp_path, capsys, vocab, message):
+        payload = {"format": "votedecode-ngram-lm", "version": 1, "vocab": vocab, "order": 1, "add_k": 0.5,
+                   "counts": [[[], [[3, 1]]]]}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(io.StringIO(path.read_text(encoding="utf-8")))
+        write_lines(tmp_path / "d.jsonl", [json.dumps({"id": 1, "source": "a"})])
+        record = {"id": "r1", "candidates": [{"tokens": ["a"], "logprob": -1.0}]}
+        cands = write_lines(tmp_path / "c.jsonl", [json.dumps(record)])
+        model = ["--model", str(path), "--max-len", "3"]
+        for argv in (["decode", "--dataset", str(tmp_path / "d.jsonl"), "--out", str(tmp_path / "out.jsonl")],
+                     ["vote", "--candidates", str(cands), "--voters", "beam:2", "--sim", "overl", "--n", "1",
+                      "--out", str(tmp_path / "out.jsonl")]):
+            assert main(argv + model) == 3
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "out.jsonl").exists()
+
     def test_load_model_keeps_reserved_events(self):
         payload = {"format": "votedecode-ngram-lm", "version": 1, "vocab": ["a", "b"], "order": 1, "add_k": 0.5,
                    "counts": [[[], [[0, 2], [1, 1], [2, 1], [4, 3]]]]}

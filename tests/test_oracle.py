@@ -1,6 +1,7 @@
 """The exact oracles against brute force, and the paper's mean/median point as a property."""
 
 import math
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,23 @@ def test_exact_map_is_the_most_likely_sequence(seed):
     tokens, prob = max(model.entries.items(), key=lambda e: e[1])
     assert best.tokens == tokens
     assert best.logprob == pytest.approx(math.log(prob), abs=1e-12)
+
+
+# A NaN floor, or one above 1, used to keep nothing and return an empty distribution.
+@pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf, 2.0, 1.0 + 2**-52, -0.5])
+def test_a_floor_outside_the_unit_interval_is_refused_before_enumerating(floor):
+    model = make_vote_split_model(0)
+    with patch.object(type(model), "next_token_row") as query:
+        with pytest.raises(ValueError, match=r"prob_floor must be in \[0, 1\], got"):
+            enumerate_distribution(model, model.max_len, prob_floor=floor)
+    query.assert_not_called()
+
+
+@pytest.mark.parametrize("floor", [0.0, 1.0])
+def test_the_unit_interval_ends_are_floors(floor):
+    model = make_vote_split_model(0)
+    entries = enumerate_distribution(model, model.max_len, prob_floor=floor).entries
+    assert len(entries) == (len(model.entries) if floor == 0.0 else 0)
 
 
 @pytest.mark.parametrize("sim", SIMS, ids=lambda s: s.name)
