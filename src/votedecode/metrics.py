@@ -112,18 +112,18 @@ def _per_distinct(fn: Callable[..., float], first: np.ndarray, second: np.ndarra
     width = int(second.max(initial=0)) + 1
     packed = first * width + second
     span = int(packed.max(initial=-1)) + 1
-    by_table = span <= packed.size
-    if by_table:
-        present = np.zeros(span, dtype=bool)
-        present[packed] = True
-        keys = np.flatnonzero(present)
-    else:
+
+    def values(keys: np.ndarray) -> np.ndarray:
+        return np.array([fn(*arg) for arg in zip(*(part.tolist() for part in np.divmod(keys, width)))], dtype=np.float64)
+
+    if span > packed.size:  # wide keys: a table would outgrow the pairs
         keys, inverse = np.unique(packed, return_inverse=True)
-    values = np.array([fn(*arg) for arg in zip(*(part.tolist() for part in np.divmod(keys, width)))], dtype=np.float64)
-    if not by_table:
-        return values[inverse]
+        return values(keys)[inverse]
+    present = np.zeros(span, dtype=bool)
+    present[packed] = True
+    keys = np.flatnonzero(present)
     table = np.zeros(span)
-    table[keys] = values
+    table[keys] = values(keys)
     return table[packed]
 
 

@@ -44,15 +44,17 @@ class Vocabulary:
     tokens: tuple[str, ...]
 
     def __post_init__(self):
-        # C-level passes over the whole vocabulary; _refuse_token walks it only to name a bad token.
-        try:
-            joined = "".join(self.tokens)  # no whitespace in the tokens' concatenation: none in any token
-            clean = all(self.tokens) and (not joined or joined.split() == [joined])
-        except TypeError:  # a token that is not a string
-            clean = False
-        index = dict(zip(self.tokens, count(NUM_RESERVED))) if clean else {}
-        if not (clean and len(index) == len(self.tokens) and RESERVED_MARKS.isdisjoint(index)):
-            _refuse_token(self.tokens)
+        index: dict[str, int] = {}
+        for offset, token in enumerate(self.tokens):
+            if not isinstance(token, str):
+                raise ValueError(f"vocabulary token must be a string: {token!r}")
+            if not token or token.split() != [token]:
+                raise ValueError(f"vocabulary token may not contain whitespace: {token!r}")
+            if token in RESERVED_MARKS:
+                raise ValueError(f"vocabulary token collides with a reserved marker: {token!r}")
+            if token in index:
+                raise ValueError(f"duplicate vocabulary token: {token!r}")
+            index[token] = NUM_RESERVED + offset
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "marked_index", {**index, **MARK_IDS})  # tokens and reserved markers to ids
 
@@ -87,21 +89,6 @@ class Vocabulary:
 
     def __contains__(self, token: str) -> bool:
         return token in self._index
-
-
-def _refuse_token(tokens: tuple[str, ...]) -> None:
-    """Raise the ValueError naming the first token a vocabulary may not hold."""
-    seen: set[str] = set()
-    for token in tokens:
-        if not isinstance(token, str):
-            raise ValueError(f"vocabulary token must be a string: {token!r}")
-        if not token or token.split() != [token]:
-            raise ValueError(f"vocabulary token may not contain whitespace: {token!r}")
-        if token in RESERVED_MARKS:
-            raise ValueError(f"vocabulary token collides with a reserved marker: {token!r}")
-        if token in seen:
-            raise ValueError(f"duplicate vocabulary token: {token!r}")
-        seen.add(token)
 
 
 def tokenize(text: str, vocab: Vocabulary, lowercase: bool = False) -> Sequence:

@@ -68,28 +68,6 @@ class TestVocabulary:
             Vocabulary(tokens=tokens)
         assert str(info.value) == message
 
-    # Tokens that are usually legal, with whitespace, empty strings, markers and repeats mixed in.
-    @given(st.lists(st.sampled_from(["a", "b", "cd", "", " ", "e f", "g\n", "\u00a0h", "<bos>", "<unk>", "i"]), max_size=6))
-    def test_whole_vocabulary_check_is_the_token_walk(self, tokens):
-        """The C-level check accepts exactly what a per-token walk accepts, and refuses with the walk's message."""
-        want = None
-        for i, token in enumerate(tokens):
-            if not token or token.split() != [token]:
-                want = f"vocabulary token may not contain whitespace: {token!r}"
-            elif token in MARK_IDS:
-                want = f"vocabulary token collides with a reserved marker: {token!r}"
-            elif token in tokens[:i]:
-                want = f"duplicate vocabulary token: {token!r}"
-            if want:
-                break
-        if want is None:
-            vocab = Vocabulary(tokens=tuple(tokens))
-            assert [vocab.id_of(t) for t in tokens] == list(range(3, 3 + len(tokens)))
-        else:
-            with pytest.raises(ValueError) as info:
-                Vocabulary(tokens=tuple(tokens))
-            assert str(info.value) == want
-
 
 class TestTokenize:
     def test_known_tokens(self):
