@@ -18,10 +18,20 @@ of the support, found inside the run by a search over the ids the run
 skips, so a step costs O(head), not O(vocabulary).  A call keeps one view
 per row; beam search walks positions 0, 1, ... of ``beam_view``, as the
 oracle's enumeration does, and sampling searches the running sums for one.
+A beam step ranks its children as plain (score, log-probability, parent,
+token) tuples and builds hypotheses only for the at most k survivors.
 Sampling draws the same numbers as a running sum over the whole sorted
 support: the running sums of the head (added left to right, as
 ``np.cumsum`` does) continue into the run only when a draw or a nucleus
-target passes them, seeded with the head's last partial sum.  The masses
+target passes them, seeded with the head's last partial sum.  There the
+sum is walked one binade at a time (``_crossing``): while the sum s stays
+in the binade whose float spacing is u, every add of the run value v moves
+s by one constant d, v rounded to a multiple of u, so the crossing index
+is one division plus an exact check of s + i*d.  An add is taken alone
+where v mod u is exactly u/2 (ties-to-even makes that step depend on the
+last bit of s), at the binade's top, and where d is 0 (s then stays put
+for the rest of the run); the head values after the run follow one by
+one, so a search costs O(binades), not O(vocabulary).  The masses
 are ``math.fsum`` of the head plus the run's value times its length,
 written as an exact sum of power-of-two multiples (``r * m`` = the sum of
 ``ldexp(r, j)`` over the set bits j of m), so every total is exactly
@@ -240,8 +250,11 @@ def beam_search(model: SequenceModel, context: Sequence | None, spec: DecodeSpec
     early_stop = spec.scoring == "logprob"
     depth = 0
     while live and depth < spec.max_len:
-        expansions: list[_Hyp] = []
-        for hyp in live:
+        # Children as (neg_score, neg_logprob, parent index, token, penalty), parents indexed in
+        # token order: live hypotheses share one length, so this ranks as the children's _Hyp would.
+        parents = sorted(live, key=operator.attrgetter("tokens"))
+        expansions: list[tuple[float, float, int, int, float]] = []
+        for p, hyp in enumerate(parents):
             row = model.next_token_row(hyp.tokens)
             finish(hyp, row.logprob_of(EOS_ID))
             support = views.get(id(row))
@@ -257,14 +270,16 @@ def beam_search(model: SequenceModel, context: Sequence | None, spec: DecodeSpec
                     break
                 rank += 1
                 penalty = hyp.penalty + spec.diverse_gamma * (rank - 1)
-                child = _Hyp.of(hyp.tokens + (token,), -hyp.neg_logprob + step_lp, penalty, spec.scoring)
+                logprob = -hyp.neg_logprob + step_lp
+                score = logprob if spec.scoring == "logprob" else logprob / (depth + 1)  # as in _Hyp.of
+                child = (-(score - penalty), -logprob, p, token, penalty)
                 if rank == k:
                     cutoff = child[:2]
                 elif rank > k and child[:2] != cutoff:
                     break
                 expansions.append(child)
         expansions.sort()
-        live = expansions[:k]
+        live = [_Hyp(ns, nl, parents[p].tokens + (t,), pen) for ns, nl, p, t, pen in expansions[:k]]
         depth += 1
         # Strict comparison: a live hypothesis tying the k-th finished score
         # could still win the slot on tie-break after finishing.
@@ -277,6 +292,49 @@ def beam_search(model: SequenceModel, context: Sequence | None, spec: DecodeSpec
 
     items = tuple(ScoredSequence(tokens=h.tokens, logprob=-h.neg_logprob) for h in finished[:k])
     return CandidateSet(items=items)
+
+
+def _crossing(s: float, v: float, n: int, tail: list[float], x: float, right: bool) -> int:
+    """``np.searchsorted(np.cumsum([s, *[v] * n, *tail])[1:], x, side)`` for v >= 0 and a non-negative tail.
+
+    The running sum is walked one binade of s at a time (see the module
+    docstring), so n adds cost O(binades), not O(n).
+    """
+    counts = operator.le if right else operator.lt  # whether a partial sum lies before the crossing
+    i = 0
+    while i < n:
+        u = math.ulp(s)  # the spacing of floats in [s, u * 2**53)
+        r = math.fmod(v, u)
+        steps = 0
+        if 2 * r != u and v < u * 2**53:
+            step = int((v - r) / u) + (2 * r > u)  # v / u rounded to the nearest integer
+            if step:  # exact steps of step * u that end at or below u * (2**53 - 1)
+                steps = min(n - i, (2**53 - 1 - int(s / u)) // step)
+        if steps:
+            d = step * u
+            est = (x - s) / d
+            j = steps if not est < steps else max(int(est), 0)
+            while j < steps and counts(s + (j + 1) * d, x):
+                j += 1
+            while j and not counts(s + j * d, x):
+                j -= 1
+            if j < steps:
+                return i + j
+            s += steps * d
+            i += steps
+            continue
+        # One add of its own: a half-ulp tie, the binade's top, or a step that rounds to 0.
+        after = s + v
+        if not counts(after, x):
+            return i
+        i = n if after == s else i + 1  # an add that leaves s alone leaves it there for the whole run
+        s = after
+    for w in tail:
+        s += w
+        if not counts(s, x):
+            return i
+        i += 1
+    return i
 
 
 class _SampleRow(_Support):
@@ -305,15 +363,13 @@ class _SampleRow(_Support):
         return math.fsum(parts)
 
     def position(self, x: float, side: str = "right") -> int:
-        """``np.searchsorted(np.cumsum(support), x, side)``; the run is summed only when x passes the lead."""
+        """``np.searchsorted(np.cumsum(support), x, side)``; the run is walked only when x passes the lead."""
         i = (bisect.bisect_right if side == "right" else bisect.bisect_left)(self.cum, x)
         if i < self.lead:
             return i
+        start = self.cum[-1] if self.lead else 0.0
         tail = self.values[self.lead + self.tied :]
-        sums = np.full(1 + self.run_len + len(tail), self.value)
-        sums[0] = self.cum[-1] if self.lead else 0.0
-        sums[1 + self.run_len :] = tail
-        return self.lead + int(np.searchsorted(np.cumsum(sums, out=sums)[1:], x, side))
+        return self.lead + _crossing(start, self.value, self.run_len, tail, x, side == "right")
 
     def draw(self, u: float) -> tuple[int, float]:
         """The id a running-sum walk picks for a uniform draw ``u`` in [0, 1)."""

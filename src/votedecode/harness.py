@@ -184,11 +184,16 @@ def run_experiment(
 
     Every file is computed before the output directory is made, so a run
     that fails leaves no output tree behind; the report is written last.
+    An output directory that already holds anything is refused before the
+    model is built, so no file of an earlier run sits beside the report.
     """
+    out = Path(output_dir) if output_dir is not None else config.resolve(config.output_dir)
+    held = min(out.iterdir(), default=None) if out.is_dir() else None
+    if held is not None:
+        raise ConfigError(f"output directory {out} already holds {held.name!r}; run into a new or empty directory")
     model = build_model(config.model, config)
     vocab = model.vocab
     rows = read_dataset(config.resolve(config.dataset))
-    out = Path(output_dir) if output_dir is not None else config.resolve(config.output_dir)
 
     contexts = [source_context(row.source, vocab, config.lowercase) for row in rows]
     refs, sources = plain_tokens(rows, config.lowercase)

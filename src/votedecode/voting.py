@@ -120,21 +120,11 @@ def embed_cosine_sim(v: Sequence, c: Sequence, vectors: Mapping[int, np.ndarray]
     Tokens without a vector fall back to the zero vector; a zero-norm mean
     on either side gives similarity 0.
     """
-    mean_v = _mean_vector(v, vectors)
-    mean_c = _mean_vector(c, vectors)
-    if mean_v is None or mean_c is None:
-        return 0.0
-    norm_v = float(np.linalg.norm(mean_v))
-    norm_c = float(np.linalg.norm(mean_c))
-    if norm_v == 0.0 or norm_c == 0.0:
-        return 0.0
-    cosine = float(np.dot(mean_v, mean_c)) / (norm_v * norm_c)
-    # Rounding can push the ratio a hair outside [-1, 1]; keep votes in range.
-    cosine = min(1.0, max(-1.0, cosine))
-    return (cosine + 1.0) / 2.0
+    return _rescaled_cosine(_embedding(v, vectors), _embedding(c, vectors))
 
 
-def _mean_vector(seq: Sequence, vectors: Mapping[int, np.ndarray]) -> np.ndarray | None:
+def _embedding(seq: Sequence, vectors: Mapping[int, np.ndarray]) -> tuple[np.ndarray, float] | None:
+    """A sequence's mean token vector and its norm; None when the sequence is empty or the mean is zero."""
     if len(seq) == 0 or not vectors:
         return None
     dim = len(next(iter(vectors.values())))
@@ -143,7 +133,18 @@ def _mean_vector(seq: Sequence, vectors: Mapping[int, np.ndarray]) -> np.ndarray
         vec = vectors.get(token)
         if vec is not None:
             acc += np.asarray(vec, dtype=float)
-    return acc / len(seq)
+    mean = acc / len(seq)
+    norm = float(np.linalg.norm(mean))
+    return None if norm == 0.0 else (mean, norm)
+
+
+def _rescaled_cosine(a: tuple[np.ndarray, float] | None, b: tuple[np.ndarray, float] | None) -> float:
+    if a is None or b is None:
+        return 0.0
+    cosine = float(np.dot(a[0], b[0])) / (a[1] * b[1])
+    # Rounding can push the ratio a hair outside [-1, 1]; keep votes in range.
+    cosine = min(1.0, max(-1.0, cosine))
+    return (cosine + 1.0) / 2.0
 
 
 def make_similarity(spec: SimilaritySpec) -> Callable[[Sequence, Sequence], float]:
@@ -230,8 +231,12 @@ def _similarity_matrix(voters: list[Sequence], cands: list[Sequence], spec: Simi
         return matched / np.maximum(sizes, 1)[:, None]
     if spec.kind in ("bleu", "smoothed_bleu"):
         return _bleu_matrix(voters, cands, spec.max_n, smoothed=spec.kind == "smoothed_bleu")
-    fn = make_similarity(spec)
-    return np.array([[fn(v, c) for c in cands] for v in voters], dtype=np.float64)
+    if spec.vectors is None:
+        raise ValueError("embed_cosine similarity needs a token vector table")
+    # Each sequence's mean vector and norm once, then embed_cosine_sim's per-pair steps.
+    voter_embeddings = [_embedding(v, spec.vectors) for v in voters]
+    cand_embeddings = [_embedding(c, spec.vectors) for c in cands]
+    return np.array([[_rescaled_cosine(a, b) for b in cand_embeddings] for a in voter_embeddings], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -278,7 +283,8 @@ def range_vote(
     rounded in numpy as in Python, the epilogue calls libm ``math.log`` and
     ``math.exp`` on the very arguments the scalar loop does, adding its logs
     in the same order, and the products and fsums are unchanged.
-    ``embed_cosine`` calls its scalar similarity pair by pair.
+    ``embed_cosine`` takes each sequence's mean vector and norm once and
+    runs the scalar similarity's per-pair dot, division and clamp.
     """
     if not candidates.items:
         raise ValueError("candidate set is empty")

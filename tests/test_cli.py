@@ -3,6 +3,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from votedecode.voting import SimilaritySpec, embed_cosine_sim
 from conftest import FIXTURE5, model_from_texts
 
 MAX_LEN = 6
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -228,6 +230,37 @@ def test_empty_decode_exits_3_before_writing_its_candidates(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "config.json")]) == 3
     assert "decode 'filtered' left no candidates for input 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_refuses_an_output_directory_that_holds_a_file(tmp_path, capsys):
+    # beam5, then beam3, into one directory used to leave beam5's files beside a report listing only beam3.
+    config = json.loads((CONFIGS / "toy_vote_split.json").read_text(encoding="utf-8"))
+    config["dataset"] = str(CONFIGS / "toy_dataset.jsonl")
+    out = tmp_path / "toy"
+    out.mkdir()  # an empty directory is taken
+    for name, size, code in [("beam5", 5, 0), ("beam3", 3, 3)]:
+        config["decode"] = [{"name": name, "kind": "beam", "beam_size": size, "max_len": 8}]
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(tmp_path / "config.json"), "--output-dir", str(out)]) == code
+    assert f"output directory {out} already holds 'candidates'" in capsys.readouterr().err
+    assert sorted(p.name for p in (out / "candidates").iterdir()) == ["beam5.jsonl"]
+    assert [row["system"] for row in json.loads((out / "report.json").read_text())] == ["beam5+map", "beam5+overl1"]
+
+
+def test_a_reused_output_directory_is_refused_before_the_model_is_built(tmp_path, capsys):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "stale.txt").write_text("")
+    config = {
+        "schema_version": 1,
+        "model": {"kind": "load", "path": "missing.json"},
+        "dataset": "missing.jsonl",
+        "decode": [{"name": "b", "kind": "beam"}],
+        "select": [{"name": "map", "kind": "map"}],
+        "output_dir": "out",
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(tmp_path / "config.json")]) == 3
+    assert "already holds 'stale.txt'" in capsys.readouterr().err
 
 
 def test_an_empty_decode_command_exits_3_without_writing(tmp_path, capsys):

@@ -22,6 +22,7 @@ from votedecode.decode import (
     ScoredSequence,
     _SampleRow,
     _Support,
+    _crossing,
     beam_search,
     sample_sequences,
 )
@@ -275,6 +276,17 @@ def vocab_of(size):
     return Vocabulary(tokens=tuple(f"w{i}" for i in range(size)))
 
 
+class DenseRows:
+    """A model over ``num_words`` words whose dense row for each prefix is ``dense(prefix)``."""
+
+    def __init__(self, num_words, dense):
+        self.vocab = vocab_of(num_words)
+        self.dense = dense
+
+    def next_token_row(self, prefix):
+        return sparse_row(self.dense(prefix))
+
+
 @st.composite
 def corpora(draw):
     size = draw(st.integers(1, 6))
@@ -400,29 +412,40 @@ class TestBeamSearchEquivalence:
     def test_children_tied_after_rounding_are_kept(self):
         # Steps 0 and -1e-16 both round to the parent's -40.0, so the lower
         # ranked child with the smaller token id wins the tie-break.
-        vocab = vocab_of(3)
-
-        class Stub:
-            def __init__(self):
-                self.vocab = vocab
-
-            def dense(self, prefix):
-                row = np.full(vocab.num_ids, NEG_INF)
-                if not prefix:
-                    row[5] = -40.0
-                elif len(prefix) == 1:
-                    row[3], row[4], row[5] = -1e-16, -0.5, 0.0
-                else:
-                    row[EOS_ID] = 0.0
-                return row
-
-            def next_token_row(self, prefix):
-                return sparse_row(self.dense(prefix))
+        def dense(prefix):
+            row = np.full(vocab_of(3).num_ids, NEG_INF)
+            if not prefix:
+                row[5] = -40.0
+            elif len(prefix) == 1:
+                row[3], row[4], row[5] = -1e-16, -0.5, 0.0
+            else:
+                row[EOS_ID] = 0.0
+            return row
 
         spec = DecodeSpec(beam_size=1, max_len=3)
-        fast = beam_search(Stub(), None, spec)
-        assert fast == reference_beam_search(Stub(), None, spec)
+        fast = beam_search(DenseRows(3, dense), None, spec)
+        assert fast == reference_beam_search(DenseRows(3, dense), None, spec)
         assert fast.items[0].tokens == (5, 3)
+
+    def test_tied_children_rank_by_their_parents_tokens(self):
+        # Parent (4,) outranks parent (3,), but their children (4, 5) and (3, 5) tie at -2.5:
+        # the last slot goes to the smaller token tuple, whatever the parents' rank.
+        def dense(prefix):
+            row = np.full(vocab_of(3).num_ids, NEG_INF)
+            if not prefix:
+                row[3], row[4] = -2.0, -1.0
+            elif prefix == (4,):
+                row[3], row[5] = -0.1, -1.5
+            elif prefix == (3,):
+                row[5] = -0.5
+            else:
+                row[EOS_ID] = 0.0
+            return row
+
+        spec = DecodeSpec(beam_size=2, max_len=2)
+        fast = beam_search(DenseRows(3, dense), None, spec)
+        assert fast == reference_beam_search(DenseRows(3, dense), None, spec)
+        assert [s.tokens for s in fast] == [(4, 3), (3, 5)]
 
 
 class TestSamplingEquivalence:
@@ -445,6 +468,44 @@ class TestSamplingEquivalence:
             model, count=count, strategy=strategy, top_k=top_k, top_p=top_p, seed=seed, max_len=max_len
         )
         assert fast.items == ref
+
+
+@st.composite
+def run_walks(draw):
+    """(start, value, run length, tail): running sums that meet half-ulp ties, binade tops, stalls and subnormals."""
+    # A start a few ulps below a binade's top makes short steps cross it.
+    below_top = st.builds(lambda e, j: 2.0**-e - j * 2.0 ** (-e - 53), st.integers(0, 3), st.integers(1, 64))
+    start = draw(st.just(0.0) | st.floats(1e-3, 0.999) | below_top)
+    ulp = math.ulp(start if start else draw(st.floats(1e-6, 0.5)))
+    # v mod ulp below, at and above half an ulp; q = 0 puts v below half an ulp of the sum, so it stalls.
+    near_ulp = st.builds(
+        lambda q, frac: (q + frac) * ulp,
+        st.integers(0, 4) | st.integers(0, 2**20),
+        st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+    )
+    subnormal = st.integers(1, 2**20).map(lambda m: m * 5e-324)
+    value = draw(near_ulp | subnormal | st.floats(1e-7, 0.01))
+    n = draw(st.sampled_from([0, 1, 3000]) | st.integers(0, 3000))
+    tail = draw(st.lists(st.floats(0.0, 0.01) | subnormal, max_size=3))
+    return start, value, n, tail
+
+
+class TestRunCrossing:
+    @settings(max_examples=1000, deadline=None)
+    @given(run_walks(), st.data())
+    def test_matches_searchsorted_on_the_cumsum(self, walk, data):
+        start, value, n, tail = walk
+        sums = np.cumsum([start, *[value] * n, *tail])[1:]
+        targets = [0.0, start, *np.nextafter(start, [0.0, 2.0]).tolist()]
+        if len(sums):
+            picks = [0, *data.draw(st.lists(st.integers(0, len(sums) - 1), max_size=8))]
+            for x in sums[picks].tolist():  # partial sums and the floats on either side
+                targets += [x, *np.nextafter(x, [0.0, 4.0]).tolist()]
+            # Between two sums, and past the total.
+            targets += [(sums[picks[-1]] + sums[-1]) / 2, np.nextafter(sums[-1], 4.0), sums[-1] * 2 + 1.0]
+        for x in map(float, targets):
+            for side in ("left", "right"):
+                assert _crossing(start, value, n, tail, x, side == "right") == int(np.searchsorted(sums, x, side))
 
 
 # --- row contract edge cases -------------------------------------------------
@@ -651,6 +712,17 @@ class TestRowContract:
         save_model(warm, warm_file)
         save_model(cold, cold_file)
         assert warm_file.getvalue() == cold_file.getvalue()
+
+
+class TestBeamSearchOnEdgeRows:
+    @pytest.mark.parametrize("name", sorted(SEARCH_MODELS))
+    def test_copy_filter(self, name):
+        model = SEARCH_MODELS[name]
+        for source in [(3,), (3, 4, UNK_ID)]:
+            for threshold in (0.0, 0.5, 1.0):
+                for k in (1, 3):
+                    spec = DecodeSpec(beam_size=k, max_len=4, filter_copies=threshold)
+                    assert beam_search(model, source, spec) == reference_beam_search(model, source, spec)
 
 
 # --- the row table ------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from votedecode import voting
 from votedecode.config import ConfigError, parse_voter_spec
 from votedecode.decode import CandidateSet, DecodeSpec, ScoredSequence, beam_search
 from votedecode.harness import decode_row, row_voters
@@ -118,6 +119,39 @@ class TestEmbedCosine:
 
     def test_missing_tokens_fall_back_to_zero(self):
         assert embed_cosine_sim((9,), (1,), self.VECS) == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 9), max_size=5).map(tuple), min_size=1, max_size=6), st.integers(0, 2**32))
+    def test_election_matrix_is_the_scalar_similarity(self, sequences, seed):
+        # Tokens 1 and 2 cancel to a zero mean, 9 has no vector, and a sequence may be empty.
+        rng = np.random.default_rng(seed)
+        vecs = {1: np.array([1.0, -1.0, 0.5]), 2: np.array([-1.0, 1.0, -0.5])}
+        vecs |= {t: rng.normal(size=3) for t in range(3, 9)}
+        voters, cands = sequences, sequences[::-1] + [(), (9,), (1, 2)]
+        want = [[reference_embed_cosine(v, c, vecs) for c in cands] for v in voters]
+        assert [[embed_cosine_sim(v, c, vecs) for c in cands] for v in voters] == want
+        spec = SimilaritySpec(kind="embed_cosine", vectors=vecs)
+        assert voting._similarity_matrix(voters, cands, spec).tolist() == want
+
+
+def reference_embed_cosine(v, c, vectors):
+    """The per-pair similarity: both mean vectors and norms rebuilt for every pair."""
+
+    def mean(seq):
+        acc = np.zeros(3)
+        for token in seq:
+            if token in vectors:
+                acc += vectors[token]
+        return acc / len(seq)
+
+    if not v or not c:
+        return 0.0
+    mean_v, mean_c = mean(v), mean(c)
+    norm_v, norm_c = float(np.linalg.norm(mean_v)), float(np.linalg.norm(mean_c))
+    if norm_v == 0.0 or norm_c == 0.0:
+        return 0.0
+    cosine = min(1.0, max(-1.0, float(np.dot(mean_v, mean_c)) / (norm_v * norm_c)))
+    return (cosine + 1.0) / 2.0
 
 
 class TestSimilaritySpec:
