@@ -15,6 +15,9 @@ penalty, copy filter.
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
@@ -182,12 +185,16 @@ def run_experiment(
 ) -> tuple[list[EvalRow], Path]:
     """Run the full grid: decode x select per input, then one report row per system.
 
-    Every file is computed before the output directory is made, so a run
-    that fails leaves no output tree behind; the report is written last.
-    An output directory that already holds anything is refused before the
-    model is built, so no file of an earlier run sits beside the report.
+    Every file is computed first, then written into a temporary sibling
+    directory that is renamed into place, so a run that fails, in computing
+    or part-way through writing, leaves no output tree behind.  An output
+    path that is not a directory, or a directory that already holds
+    anything, is refused before the model is built, so no file of an
+    earlier run sits beside the report; an empty directory is replaced.
     """
     out = Path(output_dir) if output_dir is not None else config.resolve(config.output_dir)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"output directory {out} exists and is not a directory")
     held = min(out.iterdir(), default=None) if out.is_dir() else None
     if held is not None:
         raise ConfigError(f"output directory {out} already holds {held.name!r}; run into a new or empty directory")
@@ -257,15 +264,23 @@ def run_experiment(
                 )
             )
 
-    out.mkdir(parents=True, exist_ok=True)
-    for name, writer, records in files:
-        path = out / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fp:
-            writer(records, fp)
-    with open(out / "report.tsv", "w", encoding="utf-8") as fp:
-        write_report_tsv(report, report_columns(config.bleu_max_n), fp)
-    with open(out / "report.json", "w", encoding="utf-8") as fp:
-        write_report_json(report, fp)
+    target = out.resolve()  # through a symlink, so the rename replaces what it points to
+    target.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{target.name}-", dir=target.parent))
+    try:
+        tree = staging / target.name  # mkdtemp's own directory is private (mode 0700); this one is not
+        tree.mkdir()
+        for name, writer, records in files:
+            path = tree / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(path, "w", encoding="utf-8") as fp:
+                writer(records, fp)
+        with open(tree / "report.tsv", "w", encoding="utf-8") as fp:
+            write_report_tsv(report, report_columns(config.bleu_max_n), fp)
+        with open(tree / "report.json", "w", encoding="utf-8") as fp:
+            write_report_json(report, fp)
+        os.replace(tree, target)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return report, out
 

@@ -24,16 +24,15 @@ distinct log-probabilities can round to one probability, and the sampling
 walk must then order those ids by id.  A query only slices the table, and
 keeps the slices, so equal queries return one row object.
 
-``NGramLM`` counts off one flat id stream, each line's ids then EOS, as
-``index_corpus`` yields it or ``train_ngram_lm`` flattens its sequences:
-one scatter pads each line with BOS * (order - 1), and one sort counts
-every (history, event) code.  The sorted codes are the model's count table
-(per-history offsets, ascending events, counts).  A row's log-probability
-is ``LOG[num] - log_denom[h]``, with ``math.log`` taken once per distinct
-numerator (a count plus ``add_k``, or UNK's bare count) and once per
-distinct denominator: the IEEE subtraction of the two doubles a per-row
-``math.log`` loop makes.  The dict-of-dicts ``counts`` is derived from the
-table on demand, for saving, equality and tests.
+``NGramLM`` keeps its counts in one table: histories in ascending tuple
+order, per-history offsets, ascending events and their counts.  Training
+builds it off one flat id stream, each line's ids then EOS: one scatter pads
+each line with BOS * (order - 1), and one sort counts every (history, event)
+code.  Loading checks a file's entries as flat arrays and sorts them into the
+same table; saving writes it out row by row.  A row's log-probability is
+``LOG[num] - log_denom[h]``, with ``math.log`` taken once per distinct
+numerator (a count plus ``add_k``, or UNK's bare count) and once per distinct
+denominator: the IEEE subtraction of the two doubles a per-row loop makes.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
-from typing import IO, Iterable, Mapping, NamedTuple, Protocol
+from typing import IO, Iterable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -262,8 +261,7 @@ def _smoothed_rows(vocab: Vocabulary, add_k: float, offsets: np.ndarray, events:
     # A zero denominator (MLE, nothing counted) is unreachable by search, but keep the
     # conditional well defined: uniform over the smoothed outcomes.
     rest[denom == 0] = -math.log(smoothed_outcomes)
-    row_offsets = np.zeros(len(denom) + 1, np.int64)
-    np.cumsum(np.bincount(history[listed], minlength=len(denom)), out=row_offsets[1:])
+    row_offsets = np.append(0, np.cumsum(np.bincount(history[listed], minlength=len(denom))))
     return RowTable(row_offsets, events[listed], logprobs, rest)
 
 
@@ -276,42 +274,31 @@ class NGramLM:
     when the training corpus contained out-of-vocabulary tokens.  Histories
     never seen in training fall back to the uniform smoothed distribution.
 
-    The counts are a table: history ``histories[h]``'s events are
-    ``events[offsets[h]:offsets[h + 1]]``, ascending, with
-    ``event_counts`` alongside.  A loaded file may hold events no row lists
-    (BOS, zero counts under MLE); they still count towards their history's
-    total.  Its events are ids of the vocabulary, reserved ones included.  A model's value is its vocabulary,
-    order, ``add_k`` and ``counts``.
+    Its counts are the module docstring's count table, built only by
+    :func:`train_on_stream` and :func:`load_model`; events no row lists (BOS,
+    zero counts under MLE) still count towards their history's total.  A
+    model's value is its vocabulary, order, ``add_k`` and count table.
     """
 
     def __init__(self, vocab: Vocabulary, order: int, add_k: float, histories: Iterable[tuple[int, ...]],
                  offsets: np.ndarray, events: np.ndarray, event_counts: np.ndarray):
         self.vocab, self.order, self.add_k = vocab, order, add_k
         self._index = {history: h for h, history in enumerate(histories)}
-        self._offsets, self._events, self._counts = offsets, events, event_counts
+        self._arrays = offsets, events, event_counts
         self._table = _smoothed_rows(vocab, add_k, offsets, events, event_counts)
-
-    @classmethod
-    def from_counts(cls, vocab: Vocabulary, order: int, add_k: float,
-                    counts: Mapping[tuple[int, ...], Mapping[int, int]]) -> NGramLM:
-        """A model from (history, event) counts as a dict of dicts; histories keep the mapping's order."""
-        rows = [sorted(events.items()) for events in counts.values()]
-        pairs = np.array(list(chain.from_iterable(rows)), np.int64).reshape(-1, 2)
-        offsets = np.cumsum([0, *map(len, rows)])
-        return cls(vocab, order, add_k, map(tuple, counts), offsets, pairs[:, 0].copy(), pairs[:, 1].copy())
 
     @property
     def counts(self) -> dict[tuple[int, ...], dict[int, int]]:
-        """The (history, event) counts as a dict of dicts, in table order, derived on each access."""
-        pairs = zip(self._events.tolist(), self._counts.tolist())
-        sizes = np.diff(self._offsets).tolist()
-        return {history: dict(islice(pairs, size)) for history, size in zip(self._index, sizes)}
+        """The count table as a dict of dicts, in table order; derived on each access, so editing it changes nothing."""
+        offsets, events, counts = self._arrays
+        pairs = zip(events.tolist(), counts.tolist())
+        return {history: dict(islice(pairs, size)) for history, size in zip(self._index, np.diff(offsets).tolist())}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NGramLM):
             return NotImplemented
-        return (self.vocab, self.order, self.add_k, self.counts) == (other.vocab, other.order, other.add_k,
-                                                                     other.counts)
+        mine, theirs = ((m.vocab, m.order, m.add_k, list(m._index), *map(np.ndarray.tolist, m._arrays)) for m in (self, other))
+        return mine == theirs
 
     def __repr__(self) -> str:
         return f"NGramLM(vocab={self.vocab!r}, order={self.order}, add_k={self.add_k}, counts={self.counts!r})"
@@ -365,39 +352,40 @@ def train_on_stream(events: np.ndarray, lengths: np.ndarray, order: int, add_k: 
         key += ids[:offset][is_event[-offset:]]
         if offset > -need:
             key = np.unique(key, return_inverse=True)[1]
-    first = np.full(int(key.max()) + 1, len(ids))  # each key's first position; unused keys sort last
-    np.minimum.at(first, key, np.flatnonzero(is_event))
-    seen = np.sort(first)
-    np.take(np.searchsorted(seen, first), key, out=key)  # renumbered, histories keep first-seen order
+    # Keys now follow the histories' ascending tuple order: dense ranks, or for order 2 the one id itself.
+    where = np.zeros(int(key.max()) + 1, np.int64)
+    where[key] = np.flatnonzero(is_event)  # a stream position of each key's history
     key *= width
     key += events
     codes, totals = np.unique(key, return_counts=True)
-    sizes = np.bincount(codes // width)
-    offsets = np.zeros(len(sizes) + 1, np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    histories = ids[seen[: len(sizes), None] + np.arange(-need, 0)].tolist()
+    offsets = np.append(np.flatnonzero(np.diff(codes // width, prepend=-1)), len(codes))
+    histories = ids[where[codes[offsets[:-1]] // width, None] + np.arange(-need, 0)].tolist()
     del ids, is_event, key  # freed before the rows are built, to keep the peak low
     return NGramLM(vocab, order, add_k, map(tuple, histories), offsets, codes % width, totals)
 
 
 def save_model(model: NGramLM, fp: IO[str]) -> None:
-    """Serialize an NGramLM as versioned JSON; saves are byte-deterministic."""
+    """Serialize an NGramLM as versioned JSON, its count table row by row; saves are byte-deterministic."""
+    pairs = np.stack(model._arrays[1:], axis=1).tolist()
+    bounds = model._arrays[0].tolist()
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "order": model.order,
         "add_k": model.add_k,
         "vocab": list(model.vocab.tokens),
-        "counts": [
-            [list(hist), [[event, count] for event, count in sorted(events.items())]]
-            for hist, events in sorted(model.counts.items())
-        ],
+        "counts": [[list(hist), pairs[a:b]] for hist, a, b in zip(model._index, bounds, bounds[1:])],
     }
     fp.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")  # one write: json.dump streams many small ones
 
 
 def load_model(fp: IO[str]) -> NGramLM:
-    """Parse a model file written by :func:`save_model`."""
+    """Parse a model file written by :func:`save_model`, its entries in any order, into the count table.
+
+    Of several faults, the first kind of these is reported: a history of the wrong length or an event
+    outside the ids (the first in the file), an event twice in one entry or a history twice (the first in
+    ascending order), a negative count, a total of 2**63 or more.
+    """
     try:
         payload = json.load(fp)
     except json.JSONDecodeError as exc:
@@ -413,24 +401,35 @@ def load_model(fp: IO[str]) -> NGramLM:
         order = int(payload["order"])
         add_k = float(payload["add_k"])
         check_training(order, add_k)
-        counts: dict[tuple[int, ...], dict[int, int]] = {}
-        for hist, events in payload["counts"]:
-            history = tuple(int(t) for t in hist)
-            if len(history) != order - 1:
-                raise ValueError(f"history {list(history)} has {len(history)} ids, an order-{order} model needs {order - 1}")
-            if history in counts:
-                raise ValueError(f"history {list(history)} appears twice")
-            row = counts[history] = {}
-            for e, c in events:
-                if not 0 <= int(e) < vocab.num_ids:
-                    raise ValueError(f"event {int(e)} in history {list(history)} is outside the ids 0..{vocab.num_ids - 1}")
-                if int(e) in row:
-                    raise ValueError(f"event {int(e)} appears twice in history {list(history)}")
-                row[int(e)] = int(c)
-        if any(c < 0 for events in counts.values() for c in events.values()):
+        entries, need = payload["counts"], order - 1
+        if (hist := next((hist for hist, _ in entries if len(hist) != need), None)) is not None:
+            raise ValueError(f"history {[int(t) for t in hist]} has {len(hist)} ids, an order-{order} model needs {need}")
+        histories = np.array([hist for hist, _ in entries], np.int64).reshape(len(entries), need)
+        entry_of = np.repeat(np.arange(len(entries)), [len(events) for _, events in entries])
+        pairs = np.array([pair for _, events in entries for pair in events] or np.empty((0, 2)), np.int64)
+        if pairs.shape[1:] != (2,):
+            raise ValueError("every event entry must be an [event, count] pair")
+        events, counts = pairs.T
+        if (outside := (events < 0) | (events >= vocab.num_ids)).any():
+            e = outside.argmax()
+            raise ValueError(f"event {events[e]} in history {histories[entry_of[e]].tolist()} is outside the ids 0..{vocab.num_ids - 1}")
+        by_history = np.lexsort((np.arange(len(entries)), *histories.T[::-1]))  # entries in file order on a tie
+        histories, row_of = histories[by_history], np.argsort(by_history)[entry_of]  # each event's table row
+        by_event = np.lexsort((events, row_of))
+        events, counts, row_of = events[by_event], counts[by_event], row_of[by_event]
+        if (twice := (events[1:] == events[:-1]) & (row_of[1:] == row_of[:-1])).any():
+            e = twice.argmax()
+            raise ValueError(f"event {events[e]} appears twice in history {histories[row_of[e]].tolist()}")
+        if (twice := (histories[1:] == histories[:-1]).all(axis=1)).any():
+            raise ValueError(f"history {histories[twice.argmax()].tolist()} appears twice")
+        if np.any(counts < 0):
             raise ValueError("event counts must be >= 0")
-        if any(sum(events.values()) >= 2**63 for events in counts.values()):
+        offsets = np.searchsorted(row_of, np.arange(len(entries) + 1))
+        # Exact totals: the counts' high and low 32-bit halves, summed apart, cannot wrap.
+        running = np.pad(np.cumsum((counts >> 32, counts & 0xFFFFFFFF), axis=1), ((0, 0), (1, 0)))
+        high, low = running[:, offsets[1:]] - running[:, offsets[:-1]]
+        if np.any(high + (low >> 32) >= 2**31):
             raise ValueError("a history's counts must sum below 2**63")
-        return NGramLM.from_counts(vocab, order, add_k, counts)
+        return NGramLM(vocab, order, add_k, map(tuple, histories.tolist()), offsets, events, counts)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc

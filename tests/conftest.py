@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from votedecode import SimilaritySpec, Vocabulary, sequence_logprob, tabular_model, tokenize
-from votedecode.models import NEG_INF
+from votedecode.models import NEG_INF, NGramLM
 from votedecode.sequences import EOS_ID, NUM_RESERVED, RESERVED_MARKS
 
 # Tabular toy distribution used across modules: support {"a b", "a c", "d"}.
@@ -54,6 +54,18 @@ def reference_index(lines, lowercase, max_size):
     ranked = sorted(counts.keys() - RESERVED_MARKS, key=lambda word: (-counts[word], word))
     vocab = Vocabulary(tokens=tuple(ranked[:max_size]))
     return vocab, [tokenize(line, vocab, lowercase) for line in lines]
+
+
+def ngram_lm(vocab, order, add_k, counts):
+    """An ``NGramLM`` from (history, event) counts as a dict of dicts, in the count table's order.
+
+    Histories and each history's events go in ascending, as training and
+    loading lay them out; unlike a model file, any event id is accepted.
+    """
+    histories = sorted(counts)
+    rows = [sorted(counts[history].items()) for history in histories]
+    events, event_counts = np.array([pair for row in rows for pair in row], np.int64).reshape(-1, 2).T
+    return NGramLM(vocab, order, add_k, histories, np.cumsum([0, *map(len, rows)]), events, event_counts)
 
 
 def vocab_over(texts):

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from votedecode import harness
 from votedecode.cli import main
-from votedecode.formats import read_vector_file, read_votes, vectors_for_vocab
+from votedecode.formats import read_vector_file, read_votes, vectors_for_vocab, write_candidates
 from votedecode.oracle import enumerate_distribution, exact_vote
 from votedecode.sequences import Vocabulary
 from votedecode.voting import SimilaritySpec, embed_cosine_sim
@@ -261,6 +262,54 @@ def test_a_reused_output_directory_is_refused_before_the_model_is_built(tmp_path
     (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
     assert main(["run", "--config", str(tmp_path / "config.json")]) == 3
     assert "already holds 'stale.txt'" in capsys.readouterr().err
+
+
+def toy_run_argv(tmp_path, out):
+    config = json.loads((CONFIGS / "toy_vote_split.json").read_text(encoding="utf-8"))
+    config["dataset"] = str(CONFIGS / "toy_dataset.jsonl")
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    return ["run", "--config", str(tmp_path / "config.json"), "--output-dir", str(out)]
+
+
+def test_an_output_path_that_is_a_file_is_refused_before_the_model_is_built(tmp_path, capsys, monkeypatch):
+    # The whole grid used to be decoded and voted before out.mkdir failed with "File exists" (exit 2).
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    monkeypatch.setattr(harness, "build_model", lambda *args: pytest.fail("the model was built"))
+    assert main(toy_run_argv(tmp_path, out)) == 3
+    assert f"output directory {out} exists and is not a directory" in capsys.readouterr().err
+    assert out.read_text() == "keep"
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "empty"])
+def test_a_run_that_fails_part_way_through_writing_leaves_no_tree(tmp_path, capsys, monkeypatch, existing):
+    out = tmp_path / "runs" / "toy"
+    if existing:
+        out.mkdir(parents=True)
+    written = []
+
+    def write_then_fail(records, fp):
+        written.append(fp.name)
+        if len(written) == 2:
+            raise OSError("No space left on device")
+        write_candidates(records, fp)
+
+    monkeypatch.setattr(harness, "write_candidates", write_then_fail)
+    assert main(toy_run_argv(tmp_path, out)) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(written) == 2 and not Path(written[0]).exists()
+    assert [p.name for p in out.parent.iterdir()] == (["toy"] if existing else [])
+    assert not existing or not any(out.iterdir())
+
+
+def test_a_run_into_an_empty_directory_replaces_it_with_the_usual_mode(tmp_path):
+    out = tmp_path / "toy"
+    out.mkdir()
+    (tmp_path / "probe").mkdir()
+    assert main(toy_run_argv(tmp_path, out)) == 0
+    assert out.stat().st_mode == (tmp_path / "probe").stat().st_mode
+    assert sorted(p.name for p in out.iterdir()) == ["candidates", "report.json", "report.tsv", "selections", "votes"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "probe", "toy"]
 
 
 def test_an_empty_decode_command_exits_3_without_writing(tmp_path, capsys):

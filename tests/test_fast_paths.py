@@ -8,13 +8,15 @@ The fast paths must agree with them bit for bit, ties and rounding included.
 """
 
 import io
+import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from votedecode.decode import (
     CandidateSet,
@@ -26,7 +28,16 @@ from votedecode.decode import (
     beam_search,
     sample_sequences,
 )
-from votedecode.models import NEG_INF, NGramLM, RowTable, load_model, save_model, tabular_model, train_ngram_lm
+from votedecode.models import (
+    NEG_INF,
+    ModelFormatError,
+    NGramLM,
+    RowTable,
+    load_model,
+    save_model,
+    tabular_model,
+    train_ngram_lm,
+)
 from votedecode.oracle import BudgetExceededError, EnumeratedDistribution, enumerate_distribution
 from votedecode.sequences import (
     BOS_ID,
@@ -39,7 +50,7 @@ from votedecode.sequences import (
     tokenize,
 )
 
-from conftest import dense_logprobs
+from conftest import dense_logprobs, ngram_lm
 
 # --- reference algorithms ----------------------------------------------------
 
@@ -64,7 +75,7 @@ def reference_tokenize(text, vocab, lowercase=False):
     return tuple(vocab.id_of(w) for w in words)
 
 
-def reference_train(corpus, order, add_k, vocab):
+def reference_train(corpus, order):
     counts = {}
     need = order - 1
     for seq in corpus:
@@ -72,7 +83,8 @@ def reference_train(corpus, order, add_k, vocab):
         events = tuple(seq) + (EOS_ID,)
         for i, event in enumerate(events):
             counts.setdefault(padded[i : i + need], Counter())[event] += 1
-    return NGramLM.from_counts(vocab, order, add_k, {h: dict(c) for h, c in counts.items()})
+    # The count table's order: histories ascending, each one's events ascending.
+    return {h: dict(sorted(counts[h].items())) for h in sorted(counts)}
 
 
 def reference_row(model, prefix):
@@ -372,8 +384,7 @@ class TestNGramRows:
     def test_training_matches_per_event_counting(self, vocab_corpus, order, add_k):
         vocab, corpus = vocab_corpus
         fast = train_ngram_lm(iter(corpus), order=order, add_k=add_k, vocab=vocab)
-        ref = reference_train(corpus, order, add_k, vocab)
-        assert list(fast.counts.items()) == list(ref.counts.items())
+        assert list(fast.counts.items()) == list(reference_train(corpus, order).items())
 
     @settings(max_examples=200, deadline=None)
     @given(ngram_models(), st.data())
@@ -387,7 +398,7 @@ class TestNGramRows:
         vocab = vocab_of(3)
         counts = {(): {BOS_ID: 2, EOS_ID: 0, UNK_ID: 1, 4: 3, 9: 5}}
         for add_k in (0.0, 0.25):
-            model = NGramLM.from_counts(vocab, 1, add_k, counts)
+            model = ngram_lm(vocab, 1, add_k, counts)
             assert dense_logprobs(model, ()).tobytes() == reference_row(model, ()).tobytes()
 
 
@@ -515,28 +526,28 @@ class TestRunCrossing:
 # particular way.  Vocabulary ids run 3..num_ids-1.
 EDGE_MODELS = {
     # UNK's count equals add_k: its value ties with rest and joins the rest run by id.
-    "unk_tied_with_rest": NGramLM.from_counts(vocab_of(4), 1, 1.0, {(): {EOS_ID: 2, UNK_ID: 1, 4: 3}}),
+    "unk_tied_with_rest": ngram_lm(vocab_of(4), 1, 1.0, {(): {EOS_ID: 2, UNK_ID: 1, 4: 3}}),
     # UNK's count is below add_k: its value sorts after the rest run.
-    "unk_below_rest": NGramLM.from_counts(vocab_of(4), 1, 2.0, {(): {UNK_ID: 1, 5: 4, EOS_ID: 1}}),
+    "unk_below_rest": ngram_lm(vocab_of(4), 1, 2.0, {(): {UNK_ID: 1, 5: 4, EOS_ID: 1}}),
     # A loaded zero count ties id 5 with rest inside the run (ids 1, 4, 5, 6), and UNK follows the run.
-    "tied_inside_run": NGramLM.from_counts(vocab_of(4), 1, 2.0, {(): {3: 3, 5: 0, UNK_ID: 1}}),
+    "tied_inside_run": ngram_lm(vocab_of(4), 1, 2.0, {(): {3: 3, 5: 0, UNK_ID: 1}}),
     # rest * 3 rounds: fsum with the rounded product gives 0.9999999999999998, not 0.9999999999999999.
-    "inexact_rest_product": NGramLM.from_counts(vocab_of(4), 1, 1.0, {(): {3: 3, 4: 1}}),
+    "inexact_rest_product": ngram_lm(vocab_of(4), 1, 1.0, {(): {3: 3, 4: 1}}),
     # MLE: rest is -inf, the support is the head alone.
-    "mle": NGramLM.from_counts(vocab_of(4), 1, 0.0, {(): {3: 2, 5: 1, UNK_ID: 1, EOS_ID: 1}}),
+    "mle": ngram_lm(vocab_of(4), 1, 0.0, {(): {3: 2, 5: 1, UNK_ID: 1, EOS_ID: 1}}),
     # MLE, and every prefix but (3,) reaches a history never seen: a uniform row.
-    "mle_unseen_history": NGramLM.from_counts(vocab_of(3), 2, 0.0, {(BOS_ID,): {3: 1, 4: 1}, (3,): {EOS_ID: 1}}),
+    "mle_unseen_history": ngram_lm(vocab_of(3), 2, 0.0, {(BOS_ID,): {3: 1, 4: 1}, (3,): {EOS_ID: 1}}),
     # Every smoothed id observed: no rest id left.
-    "all_observed": NGramLM.from_counts(vocab_of(2), 1, 0.5, {(): {EOS_ID: 1, 3: 2, 4: 1}}),
+    "all_observed": ngram_lm(vocab_of(2), 1, 0.5, {(): {EOS_ID: 1, 3: 2, 4: 1}}),
     # Half the mass is in the rest run, so top-k and nucleus cuts fall inside it.
-    "heavy_rest": NGramLM.from_counts(vocab_of(6), 1, 1.0, {(): {3: 5}}),
-    # Events no row lists (BOS; an id past the vocabulary, which only `from_counts` admits) still count;
+    "heavy_rest": ngram_lm(vocab_of(6), 1, 1.0, {(): {3: 5}}),
+    # Events no row lists (BOS; an id past the vocabulary, which only `ngram_lm` admits) still count;
     # EOS's zero count takes add_k.
-    "unlisted_events": NGramLM.from_counts(vocab_of(3), 1, 0.25, {(): {BOS_ID: 2, EOS_ID: 0, UNK_ID: 1, 4: 3, 9: 5}}),
+    "unlisted_events": ngram_lm(vocab_of(3), 1, 0.25, {(): {BOS_ID: 2, EOS_ID: 0, UNK_ID: 1, 4: 3, 9: 5}}),
     # MLE: a loaded zero count is listed with -inf and leaves the sampling head.
-    "mle_zero_count": NGramLM.from_counts(vocab_of(3), 1, 0.0, {(): {3: 2, 4: 0, EOS_ID: 1}}),
+    "mle_zero_count": ngram_lm(vocab_of(3), 1, 0.0, {(): {3: 2, 4: 0, EOS_ID: 1}}),
     # Forty equal values: both orders must keep them in id order.
-    "many_ties": NGramLM.from_counts(vocab_of(45), 1, 0.5, {(): {t: 1 for t in range(4, 44)} | {EOS_ID: 1}}),
+    "many_ties": ngram_lm(vocab_of(45), 1, 0.5, {(): {t: 1 for t in range(4, 44)} | {EOS_ID: 1}}),
 }
 EDGE_TABULAR = tabular_model([((3, 4), 2.0), ((3,), 1.0), ((4, 3, 3), 1.0), ((UNK_ID,), 2.0)], vocab_of(2))
 
@@ -794,19 +805,90 @@ class TestRowTable:
     def test_trained_and_loaded_copies_are_equal(self, vocab_corpus, order, add_k):
         vocab, corpus = vocab_corpus
         trained = train_ngram_lm(corpus, order=order, add_k=add_k, vocab=vocab)
-        saved = io.StringIO()
-        save_model(trained, saved)
-        loaded = load_model(io.StringIO(saved.getvalue()))
+        saved = saved_text(trained)
+        loaded = load_model(io.StringIO(saved))
         assert loaded == trained and loaded.counts == trained.counts
-        resaved = io.StringIO()
-        save_model(loaded, resaved)
-        assert resaved.getvalue() == saved.getvalue()
-        for prefix in [*trained.counts, (vocab.num_ids - 1,) * order]:
-            want, got = trained.next_token_row(prefix), loaded.next_token_row(prefix)
-            assert got.rest == want.rest and got.sample[3] == want.sample[3]
-            for a, b in zip((got.ids, got.logprobs, *got.beam, *got.sample[:3]),
-                            (want.ids, want.logprobs, *want.beam, *want.sample[:3])):
-                assert a.tobytes() == b.tobytes()
+        assert saved_text(loaded) == saved
+        assert_same_rows(loaded, trained)
+
+
+# --- model files ----------------------------------------------------------------
+
+
+def saved_text(model):
+    out = io.StringIO()
+    save_model(model, out)
+    return out.getvalue()
+
+
+def assert_same_rows(got, want):
+    """Every history's row, and an unseen history's, bit for bit."""
+    for prefix in [*want.counts, (want.vocab.num_ids - 1,) * want.order]:
+        a, b = got.next_token_row(prefix), want.next_token_row(prefix)
+        assert a.rest == b.rest and a.sample[3] == b.sample[3]
+        for x, y in zip((a.ids, a.logprobs, *a.beam, *a.sample[:3]), (b.ids, b.logprobs, *b.beam, *b.sample[:3])):
+            assert x.tobytes() == y.tobytes()
+
+
+@st.composite
+def model_files(draw, min_entries=1):
+    """(trained model, its saved payload with the entries and each entry's events shuffled)."""
+    vocab, corpus = draw(corpora() | raw_corpora())
+    order = draw(st.integers(1 if min_entries == 1 else 2, 4))
+    model = train_ngram_lm(corpus, order=order, add_k=draw(st.sampled_from([0.0, 0.01, 0.5])), vocab=vocab)
+    payload = json.loads(saved_text(model))
+    assume(len(payload["counts"]) >= min_entries)
+    rng = draw(st.randoms(use_true_random=False))
+    rng.shuffle(payload["counts"])
+    for _, events in payload["counts"]:
+        rng.shuffle(events)
+    return model, payload
+
+
+# Counts below 2**63 whose sum is not: it wraps an int64 sum to -2**63, -2, 0 and 2**63 - 3.
+PAST_INT64 = [[2**62, 2**62], [2**63 - 1] * 2, [2**62] * 4, [2**63 - 1] * 3]
+
+
+class TestModelFiles:
+    @settings(max_examples=200, deadline=None)
+    @given(model_files())
+    def test_any_entry_order_loads_as_the_trained_model(self, model_file):
+        trained, payload = model_file
+        loaded = load_model(io.StringIO(json.dumps(payload)))
+        assert loaded == trained and list(loaded.counts.items()) == list(trained.counts.items())
+        assert saved_text(loaded) == saved_text(trained)
+        assert_same_rows(loaded, trained)
+
+    @settings(max_examples=300, deadline=None)
+    @given(model_files(min_entries=2), st.sampled_from(["length", "outside", "event", "history", "negative", "total"]),
+           st.data())
+    def test_a_fault_in_a_later_entry_is_named(self, model_file, fault, data):
+        trained, payload = model_file
+        entries = payload["counts"]
+        at = data.draw(st.integers(1, len(entries) - 1))
+        hist, events = entries[at]
+        num_ids = trained.vocab.num_ids
+        if fault == "length":
+            hist.append(NUM_RESERVED)
+            message = f"history {hist} has {len(hist)} ids, an order-{trained.order} model needs {trained.order - 1}"
+        elif fault == "outside":
+            bad = data.draw(st.sampled_from([-1, num_ids, num_ids + 7]))
+            events.append([bad, 1])
+            message = f"event {bad} in history {hist} is outside the ids 0..{num_ids - 1}"
+        elif fault == "event":
+            events.insert(data.draw(st.integers(0, len(events))), [events[0][0], 3])
+            message = f"event {events[0][0]} appears twice in history {hist}"
+        elif fault == "history":
+            entries.insert(data.draw(st.integers(at + 1, len(entries))), [list(hist), [[EOS_ID, 1]]])
+            message = f"history {hist} appears twice"
+        elif fault == "negative":
+            events[0][1] = -1
+            message = "event counts must be >= 0"
+        else:
+            entries[at][1] = [[e, c] for e, c in zip(range(num_ids), data.draw(st.sampled_from(PAST_INT64)))]
+            message = "a history's counts must sum below 2**63"
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(io.StringIO(json.dumps(payload)))
 
 
 # --- the oracle's enumeration --------------------------------------------------

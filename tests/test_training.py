@@ -7,10 +7,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import corpus_lines, reference_index
+from conftest import corpus_lines, ngram_lm, reference_index
 from votedecode.cli import main
 from votedecode.harness import train_on_lines
-from votedecode.models import NGramLM, save_model, train_ngram_lm
+from votedecode.models import save_model, train_ngram_lm
 from votedecode.sequences import BOS_ID, EOS_ID
 
 WORDS = ["the", "The", "THE", "cat", "Cat", "dog", "sat", "ran", "on", "mat", "ΟΔΟΣ", "Σ", "İzmir", "<unk>", "<bos>",
@@ -77,7 +77,7 @@ def reference_counts(seqs, order):
 def test_training_matches_the_per_line_reference(lines, order, lowercase, max_vocab):
     model = train_on_lines(lines, order, 0.5, max_vocab, lowercase)
     vocab, seqs = reference_index(lines, lowercase, max_vocab)
-    want = NGramLM.from_counts(vocab, order, 0.5, reference_counts(seqs, order))
+    want = ngram_lm(vocab, order, 0.5, reference_counts(seqs, order))
     assert model.vocab.tokens == vocab.tokens
     assert model.counts == want.counts
     assert saved(model) == saved(want)
