@@ -274,10 +274,10 @@ class NGramLM:
     when the training corpus contained out-of-vocabulary tokens.  Histories
     never seen in training fall back to the uniform smoothed distribution.
 
-    Its counts are the module docstring's count table, built only by
-    :func:`train_on_stream` and :func:`load_model`; events no row lists (BOS,
-    zero counts under MLE) still count towards their history's total.  A
-    model's value is its vocabulary, order, ``add_k`` and count table.
+    Its counts are the module docstring's count table; in the package only
+    :func:`train_on_stream` and :func:`load_model` build one.  Events no row
+    lists (BOS, zero counts under MLE) still count towards their history's
+    total.  A model's value is its vocabulary, order, ``add_k`` and count table.
     """
 
     def __init__(self, vocab: Vocabulary, order: int, add_k: float, histories: Iterable[tuple[int, ...]],
