@@ -40,7 +40,6 @@ from .formats import (
     read_tabular_entries,
     read_vector_file,
     report_columns,
-    vectors_for_vocab,
     write_candidates,
     write_enumeration,
     write_report_json,
@@ -53,6 +52,7 @@ from .harness import (
     decode_row,
     derive_seed,
     file_ids,
+    keyed_similarity,
     plain_tokens,
     require_candidates,
     row_voters,
@@ -113,12 +113,11 @@ def _load_cli_model(model_path: str | None, tabular_path: str | None, lowercase:
 
 
 def _sim_spec(kind: str, n: int | None, max_n: int | None, vectors: str | None, vocab: Vocabulary) -> SimilaritySpec:
-    spec = SimilaritySpec(kind=kind, n=n, max_n=max_n, vector_path=vectors)
-    if spec.kind == "embed_cosine":
-        if vectors is None:
-            raise click.UsageError("--sim embed_cosine needs --vectors FILE")
-        spec = replace(spec, vectors=vectors_for_vocab(read_vector_file(vectors), vocab))
-    return spec
+    """The ``--sim`` flags' spec; an embed_cosine vote reads ``--vectors`` and keys it by ``vocab``'s ids."""
+    if kind == "embed_cosine" and vectors is None:
+        raise click.UsageError("--sim embed_cosine needs --vectors FILE")
+    table = read_vector_file(vectors) if kind == "embed_cosine" else None
+    return keyed_similarity(SimilaritySpec(kind=kind, n=n, max_n=max_n, vector_path=vectors), table, vocab)
 
 
 @click.group()
@@ -231,7 +230,9 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
     def to_set(record: CandidateRecord) -> CandidateSet:
         return CandidateSet(tuple(ScoredSequence(file_ids(tokens, vocab), lp) for tokens, lp in record.candidates))
 
-    if model is not None:  # the model's vocabulary would turn an unknown token into UNK
+    # Tokens and ids correspond one to one, so vote records write back the strings read.  A model's
+    # vocabulary would turn an unknown token into UNK; it refuses <bos> and <eos> as unknown too.
+    if model is not None:
         for rec in cand_records:
             unknown = [t for tokens, _ in rec.candidates for t in tokens if t != UNK_MARK and t not in vocab]
             if unknown:
@@ -247,7 +248,7 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
             voters = row_voters(model, voter_decode, voter_spec, context, cands, derive_seed(seed, 2, 0, ri))
         else:
             voters = cands
-        results.append(vote_record(rec.id, range_vote(cands, voters, sim, with_contributions=contributions), vocab))
+        results.append(vote_record(rec, cands, range_vote(cands, voters, sim, with_contributions=contributions)))
     with open(out, "w", encoding="utf-8") as fp:
         write_votes(results, fp)
     click.echo(f"voted on {len(results)} inputs with {sim.name} -> {out}")

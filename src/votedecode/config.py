@@ -251,6 +251,8 @@ def _parse_select(data, index: int) -> SelectSpec:
             sim = SimilaritySpec.from_dict({**sim_data, "n": _int(sim_data, "n"), "max_n": _int(sim_data, "max_n")})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}.sim: {exc}") from exc
+        if sim.kind == "embed_cosine" and sim.vector_path is None:
+            raise ConfigError(f"{where}.sim: embed_cosine needs a 'vectors' file path")
         voters = parse_voter_spec(data.get("voters", "same"), where=f"{where}.voters")
         return SelectSpec(name=name, kind="vote", sim=sim, voters=voters,
                           contributions=bool(data.get("contributions", False)))

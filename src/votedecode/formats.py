@@ -27,7 +27,6 @@ import numpy as np
 
 from .config import parse_entries
 from .metrics import EvalRow
-from .sequences import Vocabulary
 
 
 class FileFormatError(ValueError):
@@ -238,6 +237,7 @@ def read_hypotheses(path: str | Path) -> list[tuple[object, tuple[str, ...]]]:
 def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
     """Token vector table: one `token v1 v2 ...` line per token, every component finite."""
     table: dict[str, np.ndarray] = {}
+    line_of: dict[str, int] = {}
     dim = None
     with open(path, encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
@@ -256,15 +256,12 @@ def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
                 dim = vec.size
             elif vec.size != dim:
                 raise FileFormatError(f"{path}:{lineno}: vector dimension {vec.size} != {dim}")
+            if (first := line_of.setdefault(parts[0], lineno)) != lineno:
+                raise FileFormatError(f"{path}:{lineno}: token {parts[0]!r} is listed twice, first on line {first}")
             table[parts[0]] = vec
     if not table:
         raise FileFormatError(f"{path}: empty vector file")
     return table
-
-
-def vectors_for_vocab(table: dict[str, np.ndarray], vocab: Vocabulary) -> dict[int, np.ndarray]:
-    """Re-key a string-keyed vector table by vocabulary id (missing tokens dropped)."""
-    return {i: table[token] for i, token in zip(vocab.surface_ids, vocab.tokens) if token in table}
 
 
 def read_tabular_entries(path: str | Path) -> list[tuple[str, float]]:

@@ -11,6 +11,10 @@ Candidates and voters come from one search: a ``DecodeSpec`` run by
 beam size, or a sample count, strategy and truncation) and inherit every
 other setting of the decode they vote for: max_len, scoring, diversity
 penalty, copy filter.
+
+Ids become strings in one place: ``candidate_record``, for decoded
+candidates and regenerated voters.  Vote records, selections and report
+hypotheses reuse the strings of the candidates' record, file-read or made.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .formats import (
     read_tabular_entries,
     read_vector_file,
     report_columns,
-    vectors_for_vocab,
     write_candidates,
     write_report_json,
     write_report_tsv,
@@ -83,7 +86,7 @@ def build_model(spec: ModelSpec, base: ExperimentConfig) -> SequenceModel:
 
 
 def surface_tokens(seq: Sequence, vocab: Vocabulary) -> tuple[str, ...]:
-    return tuple(vocab.token_of(t) for t in seq)
+    return tuple(map(vocab.marked_tokens.__getitem__, seq))
 
 
 def adhoc_vocab(token_seqs: Iterable[Iterable[str]]) -> Vocabulary:
@@ -105,13 +108,12 @@ def candidate_record(row_id, source: str | None, cands: CandidateSet, vocab: Voc
     )
 
 
-def vote_record(row_id, result: VoteResult, vocab: Vocabulary) -> VoteRecord:
+def vote_record(record: CandidateRecord, cands: CandidateSet, result: VoteResult) -> VoteRecord:
+    """``result``, an election over ``cands``, ranked with the strings ``record`` holds for the same ids."""
+    strings = dict(zip((c.tokens for c in cands.items), (tokens for tokens, _ in record.candidates)))
     return VoteRecord(
-        id=row_id,
-        ranked=tuple(
-            (surface_tokens(c.tokens, vocab), c.logprob, score)
-            for c, score in zip(result.ranking, result.scores)
-        ),
+        id=record.id,
+        ranked=tuple((strings[c.tokens], c.logprob, score) for c, score in zip(result.ranking, result.scores)),
         contributions=result.contributions,
     )
 
@@ -169,13 +171,11 @@ def row_voters(
     return candidates if voters is None else decode_row(model, replace(decode, **voters), context, seed)
 
 
-def _resolve_sim(sim: SimilaritySpec, config: ExperimentConfig, vocab: Vocabulary) -> SimilaritySpec:
-    if sim.kind != "embed_cosine" or sim.vectors is not None:
+def keyed_similarity(sim: SimilaritySpec, table: dict | None, vocab: Vocabulary) -> SimilaritySpec:
+    """``sim`` with ``table``, an embed_cosine vote's vector file, keyed by ``vocab``'s ids (other tokens dropped)."""
+    if table is None:
         return sim
-    if sim.vector_path is None:
-        raise ConfigError("embed_cosine similarity needs a 'vectors' file path")
-    table = read_vector_file(config.resolve(sim.vector_path))
-    return replace(sim, vectors=vectors_for_vocab(table, vocab))
+    return replace(sim, vectors={i: table[t] for i, t in zip(vocab.surface_ids, vocab.tokens) if t in table})
 
 
 def run_experiment(
@@ -198,8 +198,13 @@ def run_experiment(
     held = min(out.iterdir(), default=None) if out.is_dir() else None
     if held is not None:
         raise ConfigError(f"output directory {out} already holds {held.name!r}; run into a new or empty directory")
+    tables = [  # each embed_cosine vote's vector file, read before the model is built
+        read_vector_file(config.resolve(s.sim.vector_path)) if s.sim and s.sim.kind == "embed_cosine" else None
+        for s in config.select
+    ]
     model = build_model(config.model, config)
     vocab = model.vocab
+    sims = [keyed_similarity(s.sim, table, vocab) for s, table in zip(config.select, tables)]
     rows = read_dataset(config.resolve(config.dataset))
 
     contexts = [source_context(row.source, vocab, config.lowercase) for row in rows]
@@ -212,47 +217,33 @@ def run_experiment(
             require_candidates(dspec, row.id, decode_row(model, dspec, context, derive_seed(config.seed, 1, di, ri)))
             for ri, (row, context) in enumerate(zip(rows, contexts))
         ]
-        files.append((
-            f"candidates/{dspec.name}.jsonl",
-            write_candidates,
-            [candidate_record(row.id, row.source, cands, vocab) for row, cands in zip(rows, cand_sets)],
-        ))
-        for si, sspec in enumerate(config.select):
+        records = [candidate_record(row.id, row.source, cands, vocab) for row, cands in zip(rows, cand_sets)]
+        files.append((f"candidates/{dspec.name}.jsonl", write_candidates, records))
+        for si, (sspec, sim) in enumerate(zip(config.select, sims)):
             system = f"{dspec.name}+{sspec.name}"
             if sspec.kind == "map":
-                winners = [cands.items[0] for cands in cand_sets]
+                tops = [rec.candidates[0] for rec in records]
             else:
-                sim = _resolve_sim(sspec.sim, config, vocab)
-                results, voter_sets = [], []
-                for ri, cands in enumerate(cand_sets):
+                votes, voter_sets = [], []
+                for ri, (rec, cands) in enumerate(zip(records, cand_sets)):
                     seed = derive_seed(config.seed, 2, di, si, ri)
                     voter_sets.append(row_voters(model, dspec, sspec.voters, contexts[ri], cands, seed))
-                    results.append(range_vote(cands, voter_sets[-1], sim, with_contributions=sspec.contributions))
+                    result = range_vote(cands, voter_sets[-1], sim, with_contributions=sspec.contributions)
+                    votes.append(vote_record(rec, cands, result))
                 if sspec.voters is not None:
                     files.append((
                         f"voters/{system}.jsonl",
                         write_candidates,
                         [candidate_record(row.id, row.source, voters, vocab) for row, voters in zip(rows, voter_sets)],
                     ))
-                files.append((
-                    f"votes/{system}.jsonl",
-                    write_votes,
-                    [vote_record(row.id, res, vocab) for row, res in zip(rows, results)],
-                ))
-                winners = [res.winner for res in results]
+                files.append((f"votes/{system}.jsonl", write_votes, votes))
+                tops = [vote.ranked[0][:2] for vote in votes]
             files.append((
                 f"selections/{system}.jsonl",
                 write_candidates,
-                [
-                    CandidateRecord(
-                        id=row.id,
-                        source=row.source,
-                        candidates=((surface_tokens(w.tokens, vocab), w.logprob),),
-                    )
-                    for row, w in zip(rows, winners)
-                ],
+                [CandidateRecord(id=row.id, source=row.source, candidates=(top,)) for row, top in zip(rows, tops)],
             ))
-            hyps = [surface_tokens(w.tokens, vocab) for w in winners]
+            hyps = [tokens for tokens, _ in tops]
             report.append(
                 evaluate_system(
                     system,

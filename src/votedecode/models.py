@@ -379,6 +379,16 @@ def save_model(model: NGramLM, fp: IO[str]) -> None:
     fp.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")  # one write: json.dump streams many small ones
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """Nested lists of JSON numbers as one int64 array, a fraction refused rather than truncated."""
+    if (inferred := np.array(values)).dtype == np.int64:
+        return inferred
+    exact = np.array(values, np.int64)  # refuses null, non-numeric strings and ints past int64
+    if inferred.dtype.kind == "f" and (fraction := exact != inferred).any():
+        raise ValueError(f"{what} must be integers, got {inferred[fraction][0]}")
+    return exact
+
+
 def load_model(fp: IO[str]) -> NGramLM:
     """Parse a model file written by :func:`save_model`, its entries in any order, into the count table.
 
@@ -404,9 +414,9 @@ def load_model(fp: IO[str]) -> NGramLM:
         entries, need = payload["counts"], order - 1
         if (hist := next((hist for hist, _ in entries if len(hist) != need), None)) is not None:
             raise ValueError(f"history {[int(t) for t in hist]} has {len(hist)} ids, an order-{order} model needs {need}")
-        histories = np.array([hist for hist, _ in entries], np.int64).reshape(len(entries), need)
+        histories = _integers([hist for hist, _ in entries], "history ids").reshape(len(entries), need)
         entry_of = np.repeat(np.arange(len(entries)), [len(events) for _, events in entries])
-        pairs = np.array([pair for _, events in entries for pair in events] or np.empty((0, 2)), np.int64)
+        pairs = _integers([pair for _, events in entries for pair in events] or np.empty((0, 2)), "events and counts")
         if pairs.shape[1:] != (2,):
             raise ValueError("every event entry must be an [event, count] pair")
         events, counts = pairs.T

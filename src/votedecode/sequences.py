@@ -57,6 +57,7 @@ class Vocabulary:
             index[token] = NUM_RESERVED + offset
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "marked_index", {**index, **MARK_IDS})  # tokens and reserved markers to ids
+        object.__setattr__(self, "marked_tokens", (*sorted(MARK_IDS, key=MARK_IDS.get), *self.tokens))  # the inverse
 
     @property
     def size(self) -> int:
@@ -77,15 +78,9 @@ class Vocabulary:
         return self._index.get(token, UNK_ID)
 
     def token_of(self, token_id: int) -> str:
-        if token_id == BOS_ID:
-            return BOS_MARK
-        if token_id == EOS_ID:
-            return EOS_MARK
-        if token_id == UNK_ID:
-            return UNK_MARK
-        if NUM_RESERVED <= token_id < self.num_ids:
-            return self.tokens[token_id - NUM_RESERVED]
-        raise KeyError(f"id {token_id} not in vocabulary")
+        if not 0 <= token_id < self.num_ids:
+            raise KeyError(f"id {token_id} not in vocabulary")
+        return self.marked_tokens[token_id]
 
     def __contains__(self, token: str) -> bool:
         return token in self._index
@@ -104,7 +99,7 @@ def tokenize(text: str, vocab: Vocabulary, lowercase: bool = False) -> Sequence:
 
 def detokenize(seq: Iterable[int], vocab: Vocabulary) -> str:
     """Join surface strings with single spaces (UNK renders as its marker)."""
-    return " ".join(vocab.token_of(t) for t in seq)
+    return " ".join(map(vocab.marked_tokens.__getitem__, seq))
 
 
 def ngram_bag(seq: Sequence, n: int) -> Counter[NGram]:

@@ -9,7 +9,7 @@ import pytest
 
 from votedecode import harness
 from votedecode.cli import main
-from votedecode.formats import read_vector_file, read_votes, vectors_for_vocab, write_candidates
+from votedecode.formats import read_candidates, read_vector_file, read_votes, write_candidates
 from votedecode.oracle import enumerate_distribution, exact_vote
 from votedecode.sequences import Vocabulary
 from votedecode.voting import SimilaritySpec, embed_cosine_sim
@@ -216,6 +216,44 @@ class TestReservedMarkersInVotes:
         assert ranked == [["<bos>", "a", "<unk>"], ["a", "<eos>"]]
 
 
+class TestOneCrossing:
+    """Each token crosses between string and id once per command; later records reuse its strings."""
+
+    @pytest.mark.parametrize("voters", ["same", "file"])
+    def test_a_file_fed_vote_maps_no_id_back(self, tabular, tmp_path, monkeypatch, voters):
+        dataset, cands = write_dataset(tmp_path / "d.jsonl"), tmp_path / "c.jsonl"
+        assert main(["decode", "--tabular", str(tabular), "--dataset", str(dataset), "--beam-size", "4",
+                     "--max-len", str(MAX_LEN), "--out", str(cands)]) == 0
+        flag = "same" if voters == "same" else f"file:{cands}"
+        argv = ["vote", "--candidates", str(cands), "--voters", flag, "--sim", "bleu", "--contributions"]
+        assert main([*argv, "--out", str(tmp_path / "plain.jsonl")]) == 0
+
+        def refuse(self, token_id):
+            raise AssertionError(f"id {token_id} mapped back to a string")
+
+        monkeypatch.setattr(Vocabulary, "token_of", refuse)
+        assert main([*argv, "--out", str(tmp_path / "patched.jsonl")]) == 0
+        assert (tmp_path / "patched.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
+
+    def test_a_run_maps_each_decoded_candidate_and_voter_once(self, tmp_path, monkeypatch):
+        config = json.loads((CONFIGS / "toy_vote_split.json").read_text(encoding="utf-8"))
+        config["select"].append({"name": "beam3", "kind": "vote", "sim": {"kind": "bleu"}, "voters": "beam:3"})
+        config["dataset"] = str(CONFIGS / "toy_dataset.jsonl")
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        conversions, surface_tokens = [], harness.surface_tokens
+
+        def counted(seq, vocab):
+            conversions.append(seq)
+            return surface_tokens(seq, vocab)
+
+        monkeypatch.setattr(harness, "surface_tokens", counted)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tmp_path / "config.json"), "--output-dir", str(out)]) == 0
+        decoded = [*read_candidates(out / "candidates" / "beam5.jsonl"),
+                   *read_candidates(out / "voters" / "beam5+beam3.jsonl")]
+        assert len(conversions) == sum(len(rec.candidates) for rec in decoded)
+
+
 def test_empty_decode_exits_3_before_writing_its_candidates(tmp_path, capsys):
     (tmp_path / "d.jsonl").write_text(json.dumps({"id": 1, "source": "a", "references": ["a"]}) + "\n")
     config = {
@@ -382,7 +420,7 @@ class TestEmbedCosineVectors:
     def pairwise_scores(ranked, vectors_path):
         """Every ranked entry's score recomputed with every entry voting: P(v) * sim(v, c), summed over v."""
         vocab = Vocabulary(tokens=tuple(sorted({token for tokens, _, _ in ranked for token in tokens})))
-        vectors = vectors_for_vocab(read_vector_file(vectors_path), vocab)
+        vectors = {vocab.id_of(token): vec for token, vec in read_vector_file(vectors_path).items() if token in vocab}
         seqs = [tuple(map(vocab.id_of, tokens)) for tokens, _, _ in ranked]
         top = max(logprob for _, logprob, _ in ranked)
         weights = [math.exp(logprob - top) for _, logprob, _ in ranked]
@@ -427,6 +465,35 @@ class TestEmbedCosineVectors:
                      "--out", str(out)]) == 3
         assert f"{vectors}:{line}: token" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_vote_refuses_a_token_listed_twice(self, tmp_path, capsys):
+        # The last vector of a repeated token was kept silently.
+        cands = tmp_path / "c.jsonl"
+        cands.write_text(json.dumps({"id": 1, "candidates": [{"tokens": ["ok"], "logprob": -1.0}]}) + "\n")
+        vectors, out = tmp_path / "vectors.txt", tmp_path / "votes.jsonl"
+        vectors.write_text("ok 1 0\nthe 1 1\nok 0 1\n", encoding="utf-8")
+        assert main(["vote", "--candidates", str(cands), "--sim", "embed_cosine", "--vectors", str(vectors),
+                     "--out", str(out)]) == 3
+        assert f"{vectors}:3: token 'ok' is listed twice, first on line 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_reads_the_vector_file_once(self, tmp_path, vectors, monkeypatch):
+        # It was read again, and keyed again, for every decode entry.
+        write_dataset(tmp_path / "d.jsonl")
+        config = {
+            "schema_version": 1,
+            "model": {"kind": "tabular", "entries": FIXTURE5},
+            "dataset": "d.jsonl",
+            "decode": [{"name": "beam", "kind": "beam", "beam_size": 5, "max_len": MAX_LEN},
+                       {"name": "beam3", "kind": "beam", "beam_size": 3, "max_len": MAX_LEN}],
+            "select": [{"name": "cos", "kind": "vote", "sim": {"kind": "embed_cosine", "vectors": vectors.name}}],
+            "output_dir": "out",
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        reads = []
+        monkeypatch.setattr(harness, "read_vector_file", lambda path: reads.append(path) or read_vector_file(path))
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == 0
+        assert reads == [tmp_path / vectors.name]
 
     def test_vote_without_vectors_exits_1(self, tmp_path, capsys):
         cands = tmp_path / "c.jsonl"

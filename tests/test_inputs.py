@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from votedecode import harness
 from votedecode.cli import main
 from votedecode.config import ConfigError, load_config, parse_voter_spec
 from votedecode.formats import FileFormatError, read_candidates, read_dataset, read_votes
@@ -191,10 +192,13 @@ class TestConfigFailsFast:
             ({"kind": "bleu", "max_n": 2.5}, r"select\[1\]\.sim: max_n must be an integer, got 2\.5"),
             ({"kind": "overl", "nn": 2}, r"select\[1\]\.sim: unknown field\(s\) \['nn'\]"),
             ({"kind": "embed_cosine", "vectors": 5}, r"select\[1\]\.sim: vectors must be a file path, got 5"),
+            # Was refused only after the model was built and the first decode entry had run.
+            ({"kind": "embed_cosine"}, r"select\[1\]\.sim: embed_cosine needs a 'vectors' file path"),
         ],
-        ids=["string", "fractional-n", "fractional-max_n", "unknown-key", "vectors-not-a-path"],
+        ids=["string", "fractional-n", "fractional-max_n", "unknown-key", "vectors-not-a-path", "no-vectors"],
     )
-    def test_bad_sim(self, tmp_path, capsys, sim, message):
+    def test_bad_sim(self, tmp_path, capsys, monkeypatch, sim, message):
+        monkeypatch.setattr(harness, "build_model", lambda *args: pytest.fail("the model was built"))
         self._fails(self._config(tmp_path, sim=sim), message, capsys)
 
     @pytest.mark.parametrize(
@@ -369,6 +373,26 @@ class TestTrainingSettings:
                    "counts": [[[], events]]}
         with pytest.raises(ModelFormatError, match=message):
             load_model(io.StringIO(json.dumps(payload)))
+
+    # An int64 cast truncated them: event 3.7 with count 1.5 loaded as event 3 with count 1, history [3.9] as (3,).
+    @pytest.mark.parametrize(
+        "order, counts, message",
+        [
+            (1, [[[], [[3.7, 1.5], [4, 2]]]], "events and counts must be integers, got 3.7"),
+            (1, [[[], [[3, 1.5], [4, 2]]]], "events and counts must be integers, got 1.5"),
+            (2, [[[3.9], [[3, 1]]]], r"history ids must be integers, got 3\.9"),
+        ],
+        ids=["event", "count", "history"],
+    )
+    def test_load_model_refuses_a_fraction(self, tmp_path, capsys, order, counts, message):
+        payload = {"format": "votedecode-ngram-lm", "version": 1, "vocab": ["a", "b"], "order": order, "add_k": 0.0,
+                   "counts": counts}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(io.StringIO(path.read_text(encoding="utf-8")))
+        assert main(["oracle", "map", "--model", str(path), "--max-len", "3"]) == 3
+        assert "must be integers" in capsys.readouterr().err
 
     # A dict built from the lists kept the last copy of a repeated history or event.
     @pytest.mark.parametrize(
