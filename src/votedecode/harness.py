@@ -14,7 +14,7 @@ penalty, copy filter.
 
 Ids become strings in one place: ``candidate_record``, for decoded
 candidates and regenerated voters.  Vote records, selections and report
-hypotheses reuse the strings of the candidates' record, file-read or made.
+hypotheses reuse the strings of the candidates' record (read or made).
 """
 
 from __future__ import annotations

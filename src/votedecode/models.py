@@ -408,7 +408,8 @@ def load_model(fp: IO[str]) -> NGramLM:
         if not isinstance(payload["vocab"], list):  # a string would split into its characters
             raise ValueError(f"vocab must be a list of strings, got {type(payload['vocab']).__name__}")
         vocab = Vocabulary(tokens=tuple(payload["vocab"]))
-        order = int(payload["order"])
+        if (order := int(payload["order"])) != payload["order"]:
+            raise ValueError(f"order must be an integer, got {payload['order']!r}")
         add_k = float(payload["add_k"])
         check_training(order, add_k)
         entries, need = payload["counts"], order - 1

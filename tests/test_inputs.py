@@ -374,15 +374,17 @@ class TestTrainingSettings:
         with pytest.raises(ModelFormatError, match=message):
             load_model(io.StringIO(json.dumps(payload)))
 
-    # An int64 cast truncated them: event 3.7 with count 1.5 loaded as event 3 with count 1, history [3.9] as (3,).
+    # They were truncated: event 3.7 with count 1.5 loaded as event 3 with count 1, history [3.9] as (3,),
+    # order 2.5 as 2.
     @pytest.mark.parametrize(
         "order, counts, message",
         [
             (1, [[[], [[3.7, 1.5], [4, 2]]]], "events and counts must be integers, got 3.7"),
             (1, [[[], [[3, 1.5], [4, 2]]]], "events and counts must be integers, got 1.5"),
             (2, [[[3.9], [[3, 1]]]], r"history ids must be integers, got 3\.9"),
+            (2.5, [[[3], [[3, 1]]]], r"order must be an integer, got 2\.5"),
         ],
-        ids=["event", "count", "history"],
+        ids=["event", "count", "history", "order"],
     )
     def test_load_model_refuses_a_fraction(self, tmp_path, capsys, order, counts, message):
         payload = {"format": "votedecode-ngram-lm", "version": 1, "vocab": ["a", "b"], "order": order, "add_k": 0.0,
@@ -392,7 +394,7 @@ class TestTrainingSettings:
         with pytest.raises(ModelFormatError, match=message):
             load_model(io.StringIO(path.read_text(encoding="utf-8")))
         assert main(["oracle", "map", "--model", str(path), "--max-len", "3"]) == 3
-        assert "must be integers" in capsys.readouterr().err
+        assert re.search(message, capsys.readouterr().err)
 
     # A dict built from the lists kept the last copy of a repeated history or event.
     @pytest.mark.parametrize(
