@@ -20,7 +20,6 @@ from .metrics import (
     distinct_stats,
     evaluate_system,
     paired_bootstrap,
-    sentence_bleu,
     sign_test,
 )
 from .models import (
@@ -31,7 +30,6 @@ from .models import (
     ZeroMassPrefixError,
     load_model,
     save_model,
-    sequence_logprob,
     tabular_model,
     train_ngram_lm,
 )
@@ -55,10 +53,6 @@ from .sequences import (
 from .voting import (
     SimilaritySpec,
     VoteResult,
-    bleu_sim,
-    embed_cosine_sim,
-    overl_sim,
-    prec_sim,
     range_vote,
 )
 
@@ -82,13 +76,11 @@ __all__ = [
     "VoteResult",
     "ZeroMassPrefixError",
     "beam_search",
-    "bleu_sim",
     "build_vocabulary",
     "copy_rates",
     "corpus_bleu",
     "detokenize",
     "distinct_stats",
-    "embed_cosine_sim",
     "enumerate_distribution",
     "evaluate_system",
     "exact_map",
@@ -97,14 +89,10 @@ __all__ = [
     "make_vote_split_model",
     "ngram_bag",
     "ngram_set",
-    "overl_sim",
     "paired_bootstrap",
-    "prec_sim",
     "range_vote",
     "sample_sequences",
     "save_model",
-    "sentence_bleu",
-    "sequence_logprob",
     "sign_test",
     "tabular_model",
     "tokenize",

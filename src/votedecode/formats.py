@@ -2,15 +2,16 @@
 
 The line-delimited JSON formats exchange token *strings*, so downstream
 steps (voting, evaluation) do not need the model's vocabulary.  Floats are
-serialized with full round-trip precision.
+serialized with full round-trip precision, and every file written is strict
+JSON: a -inf log-probability (probability zero) is written as ``null``.
 
 Every record of a dataset, candidates or votes file goes through one loop
 under one set of rules: a record is a JSON object with an ``id`` and the
 file's field; no two records share an id under :func:`record_key`; a file
 holds at least one record.  A record's candidates or ranked entries form a
 non-empty list; each entry's ``tokens`` is a list of strings and its
-``logprob`` a number that is finite or -Infinity (probability zero; NaN and
-+Infinity are refused).  A fault is a :class:`FileFormatError` naming
+``logprob`` finite, or ``null`` or -Infinity for probability zero (NaN
+and +Infinity are refused).  A fault is a :class:`FileFormatError` naming
 ``path:line``.  :func:`join_by_id` aligns one file's records to another's ids.
 """
 
@@ -95,8 +96,9 @@ def _entries(obj: dict, field: str, where: str) -> tuple:
             raise FileFormatError(f"{where}: {field} entries need {keys}, got {entry!r}") from exc
         if not _strings(tokens):
             raise FileFormatError(f"{where}: 'tokens' must be a list of strings, got {tokens!r}")
+        logprob = -math.inf if logprob is None else logprob
         if type(logprob) not in _NUMBER or logprob != logprob or logprob == math.inf:
-            raise FileFormatError(f"{where}: log-probability must be finite or -Infinity, got {logprob!r}")
+            raise FileFormatError(f"{where}: log-probability must be finite, null or -Infinity, got {logprob!r}")
         if type(score) not in _NUMBER:
             raise FileFormatError(f"{where}: 'score' must be a number, got {score!r}")
         out.append((tuple(tokens), float(logprob), float(score)) if scored else (tuple(tokens), float(logprob)))
@@ -115,7 +117,7 @@ def join_by_id(ids: list, records: Iterable[tuple[object, object]], path: str | 
 def record_key(record_id) -> object:
     """Hashable dict key for a record id; ids that are lists or objects key by their JSON text."""
     if isinstance(record_id, (list, dict)):
-        return ("json", json.dumps(record_id, sort_keys=True))
+        return ("json", json.dumps(record_id, sort_keys=True, allow_nan=False))
     return record_id
 
 
@@ -167,9 +169,10 @@ def write_candidates(records: Iterable[CandidateRecord], fp: IO[str]) -> None:
         if rec.source is not None:
             obj["source"] = rec.source
         obj["candidates"] = [
-            {"tokens": list(tokens), "logprob": logprob} for tokens, logprob in rec.candidates
+            {"tokens": list(tokens), "logprob": None if logprob == -math.inf else logprob}
+            for tokens, logprob in rec.candidates
         ]
-        fp.write(json.dumps(obj, sort_keys=True) + "\n")
+        fp.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _candidate_record(obj: dict, where: str) -> CandidateRecord:
@@ -195,13 +198,13 @@ def write_votes(records: Iterable[VoteRecord], fp: IO[str]) -> None:
         obj: dict = {
             "id": rec.id,
             "ranked": [
-                {"tokens": list(tokens), "logprob": logprob, "score": score}
+                {"tokens": list(tokens), "logprob": None if logprob == -math.inf else logprob, "score": score}
                 for tokens, logprob, score in rec.ranked
             ],
         }
         if rec.contributions is not None:
             obj["contributions"] = [list(row) for row in rec.contributions]
-        fp.write(json.dumps(obj, sort_keys=True) + "\n")
+        fp.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _vote_record(obj: dict, where: str) -> VoteRecord:
@@ -280,7 +283,7 @@ def read_tabular_entries(path: str | Path) -> list[tuple[str, float]]:
 def write_enumeration(pairs: Iterable[tuple[str, float]], fp: IO[str]) -> None:
     """Line-delimited JSON (sequence string, probability) for inspection."""
     for text, prob in pairs:
-        fp.write(json.dumps({"sequence": text, "prob": prob}, sort_keys=True) + "\n")
+        fp.write(json.dumps({"sequence": text, "prob": prob}, sort_keys=True, allow_nan=False) + "\n")
 
 
 # --- evaluation report ------------------------------------------------------
@@ -308,7 +311,7 @@ def write_report_tsv(rows: list[EvalRow], columns: list[str], fp: IO[str]) -> No
 
 
 def write_report_json(rows: list[EvalRow], fp: IO[str]) -> None:
-    json.dump(list(map(_row_dict, rows)), fp, sort_keys=True, indent=2)
+    json.dump(list(map(_row_dict, rows)), fp, sort_keys=True, indent=2, allow_nan=False)
     fp.write("\n")
 
 

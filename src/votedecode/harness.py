@@ -172,10 +172,10 @@ def row_voters(
 
 
 def keyed_similarity(sim: SimilaritySpec, table: dict | None, vocab: Vocabulary) -> SimilaritySpec:
-    """``sim`` with ``table``, an embed_cosine vote's vector file, keyed by ``vocab``'s ids (other tokens dropped)."""
+    """``sim`` with ``table``, an embed_cosine vote's vector file, keyed by ``vocab``'s ids, ``<unk>``'s included."""
     if table is None:
         return sim
-    return replace(sim, vectors={i: table[t] for i, t in zip(vocab.surface_ids, vocab.tokens) if t in table})
+    return replace(sim, vectors={i: table[t] for t, i in vocab.marked_index.items() if t in table})
 
 
 def run_experiment(

@@ -150,11 +150,6 @@ def _segment_stats(hyps: TySequence[Sequence], refs: TySequence[TySequence[Seque
     return [bleu_stats(hyp, ref_list, max_n) for hyp, ref_list in zip(hyps, refs)]
 
 
-def sentence_bleu(hyp: Sequence, refs: TySequence[Sequence], max_n: int = 4) -> float:
-    """One-segment corpus BLEU (handy for per-segment bootstrap metrics)."""
-    return corpus_bleu([hyp], [refs], max_n=max_n)
-
-
 @dataclass(frozen=True)
 class DistinctStats:
     distinct_sequences: int
@@ -224,7 +219,6 @@ def paired_bootstrap(
     hyps_b: TySequence[Sequence],
     refs: TySequence[TySequence[Sequence]],
     *,
-    metric: Callable[[TySequence[Sequence], TySequence[TySequence[Sequence]]], float] | None = None,
     max_n: int = 4,
     n_bootstrap: int = 1000,
     seed: int = 0,
@@ -232,12 +226,12 @@ def paired_bootstrap(
     """Paired bootstrap p-value for system A beating system B.
 
     Segment indices are resampled with replacement ``n_bootstrap`` times;
-    the p-value is the fraction of resamples where A's metric is <= B's.
-    The default metric is corpus BLEU at ``max_n``.  Its route draws each
-    block of resamples with one ``rng.integers`` call of shape (resamples,
-    segments): the bit generator keeps the spare half of a 64-bit draw
-    between calls, so that is the same stream, resample by resample, as
-    the one call per resample of a custom ``metric``.
+    the p-value is the fraction of resamples where A's corpus BLEU at
+    ``max_n`` is <= B's.  A resample's BLEU is the epilogue of its summed
+    segment statistics.  Each block of resamples is drawn with one
+    ``rng.integers`` call of shape (resamples, segments): the bit generator
+    keeps the spare half of a 64-bit draw between calls, so that is the
+    same stream, resample by resample, as one call per resample.
     """
     if not (len(hyps_a) == len(hyps_b) == len(refs)):
         raise ValueError("hypothesis and reference lists must be aligned")
@@ -246,27 +240,16 @@ def paired_bootstrap(
     rng = np.random.default_rng(seed)
     n = len(refs)
     losses = 0
-    if metric is None:
-        # Corpus BLEU of a resample is the epilogue of its summed segment
-        # statistics: counts[b, i] is how often resample b drew segment i.
-        # Resamples are stacked _BOOTSTRAP_DRAWS segment draws at a time, one draw call per block.
-        stats_a = np.array(_segment_stats(hyps_a, refs, max_n), dtype=np.int64)
-        stats_b = np.array(_segment_stats(hyps_b, refs, max_n), dtype=np.int64)
-        step = max(1, _BOOTSTRAP_DRAWS // n)
-        for start in range(0, n_bootstrap, step):
-            draws = rng.integers(0, n, size=(min(step, n_bootstrap - start), n))
-            counts = np.bincount((draws + n * np.arange(len(draws))[:, None]).ravel(), minlength=draws.size)
-            counts = counts.reshape(draws.shape)
-            lost = bleu_from_stats_array((counts @ stats_a).T) <= bleu_from_stats_array((counts @ stats_b).T)
-            losses += int(np.count_nonzero(lost))
-        return losses / n_bootstrap
-    for _ in range(n_bootstrap):
-        idx = rng.integers(0, n, size=n)
-        sample_a = [hyps_a[i] for i in idx]
-        sample_b = [hyps_b[i] for i in idx]
-        sample_r = [refs[i] for i in idx]
-        if metric(sample_a, sample_r) <= metric(sample_b, sample_r):
-            losses += 1
+    stats_a = np.array(_segment_stats(hyps_a, refs, max_n), dtype=np.int64)
+    stats_b = np.array(_segment_stats(hyps_b, refs, max_n), dtype=np.int64)
+    # counts[b, i] is how often resample b drew segment i; _BOOTSTRAP_DRAWS segment draws per block.
+    step = max(1, _BOOTSTRAP_DRAWS // n)
+    for start in range(0, n_bootstrap, step):
+        draws = rng.integers(0, n, size=(min(step, n_bootstrap - start), n))
+        counts = np.bincount((draws + n * np.arange(len(draws))[:, None]).ravel(), minlength=draws.size)
+        counts = counts.reshape(draws.shape)
+        lost = bleu_from_stats_array((counts @ stats_a).T) <= bleu_from_stats_array((counts @ stats_b).T)
+        losses += int(np.count_nonzero(lost))
     return losses / n_bootstrap
 
 

@@ -149,17 +149,6 @@ class SequenceModel(Protocol):
     def next_token_row(self, prefix: Sequence) -> Row: ...
 
 
-def sequence_logprob(model: SequenceModel, seq: Sequence) -> float:
-    """Log-probability of the full sequence, terminal EOS step included."""
-    total = 0.0
-    for i, token in enumerate(seq):
-        total += model.next_token_row(seq[:i]).logprob_of(token)
-        if total == NEG_INF:
-            return NEG_INF
-    total += model.next_token_row(seq).logprob_of(EOS_ID)
-    return total
-
-
 @dataclass(frozen=True)
 class TabularModel:
     """Exact distribution over a finite set of sequences.
@@ -380,10 +369,13 @@ def save_model(model: NGramLM, fp: IO[str]) -> None:
 
 
 def _integers(values, what: str) -> np.ndarray:
-    """Nested lists of JSON numbers as one int64 array, a fraction refused rather than truncated."""
+    """Nested lists of JSON numbers as one int64 array, a string or a fraction refused rather than converted."""
     if (inferred := np.array(values)).dtype == np.int64:
         return inferred
-    exact = np.array(values, np.int64)  # refuses null, non-numeric strings and ints past int64
+    odd = [] if inferred.dtype.kind in "iuf" else [v for v in np.array(values, object).flat if type(v) not in (int, float)]
+    if odd:  # a string, null or bool; an object array of JSON ints only holds ints past int64
+        raise ValueError(f"{what} must be integers, got {odd[0]!r}")
+    exact = np.array(values, np.int64)  # refuses ints past int64
     if inferred.dtype.kind == "f" and (fraction := exact != inferred).any():
         raise ValueError(f"{what} must be integers, got {inferred[fraction][0]}")
     return exact

@@ -10,23 +10,24 @@ to raw probability units.
 The n-gram elections are exact, not approximate: voters and candidates are
 coded together as integer n-grams (``sequences.gram_codes``), their
 clipped matches are integer counts, and every float step after the counts
-is the IEEE +, /, * and libm ``math.log``/``math.exp`` call the scalar
-similarity makes for that pair (the BLEU epilogue makes each call once per
-distinct argument), so every score equals the pairwise route bit for bit.
+is the IEEE +, /, * and libm ``math.log``/``math.exp`` call a pairwise
+computation of :class:`SimilaritySpec`'s definition makes for that pair (the
+BLEU epilogue makes each call once per distinct argument), so every score is
+equal bit for bit to the pairwise reference in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .decode import CandidateSet, ScoredSequence, beam_search, sample_sequences
-from .metrics import bleu_from_stats, bleu_from_stats_array, bleu_stats
+from .metrics import bleu_from_stats_array
 from .models import NEG_INF
-from .sequences import Sequence, gram_codes, ngram_bag, ngram_set
+from .sequences import Sequence, gram_codes
 
 # bench/tracing.py patches beam_search and sample_sequences by their names in
 # this module, so both stay bound here although voters are searched by the harness.
@@ -36,7 +37,23 @@ SIMILARITY_KINDS = ("prec", "overl", "bleu", "smoothed_bleu", "embed_cosine")
 
 @dataclass(frozen=True)
 class SimilaritySpec:
-    """Closed description of a similarity measure (kind plus parameters).
+    """Closed description of a similarity sim(v, c) in [0, 1] of voter v and candidate c.
+
+    - ``prec`` (order ``n``): multiset precision of the voter's n-grams,
+      the sum over grams g of min(count_v(g), count_c(g)) over the sum of
+      count_v(g); 0 for a voter without n-grams.  Asymmetric: a candidate
+      holding the voter and more keeps the full score.
+    - ``overl`` (order ``n``): the same over n-gram sets,
+      |set_n(v) & set_n(c)| / |set_n(v)|; 0 for a voter without n-grams.
+    - ``bleu`` and ``smoothed_bleu`` (orders 1..``max_n``, default 4):
+      sentence BLEU of hypothesis c against the single reference v, the
+      geometric mean of the clipped n-gram precisions times the brevity
+      penalty exp(1 - |v|/|c|) when c is shorter.  Any zero precision
+      (an empty c included) gives 0; the smoothed kind first adds 1 to the
+      matched and total counts of every n > 1.
+    - ``embed_cosine``: the cosine of the two mean token vectors, rescaled
+      from [-1, 1] to [0, 1].  A token without a vector counts as the zero
+      vector, and an empty sequence or a zero-norm mean scores 0.
 
     ``vectors`` maps token ids to real vectors and is only consulted by the
     embed_cosine kind; it is excluded from equality (``vector_path``
@@ -79,50 +96,6 @@ class SimilaritySpec:
         )
 
 
-def prec_sim(v: Sequence, c: Sequence, n: int) -> float:
-    """Multiset n-gram precision of the voter against the candidate.
-
-    |bag_n(v) & bag_n(c)| / |bag_n(v)| with per-gram minimum counts; 0 when
-    the voter has no n-grams.  Asymmetric: a candidate containing the voter
-    plus more keeps the full score.
-    """
-    bag_v = ngram_bag(v, n)
-    denom = sum(bag_v.values())
-    if denom == 0:
-        return 0.0
-    bag_c = ngram_bag(c, n)
-    matched = sum(min(count, bag_c[g]) for g, count in bag_v.items() if g in bag_c)
-    return matched / denom
-
-
-def overl_sim(v: Sequence, c: Sequence, n: int) -> float:
-    """Set-based n-gram overlap: |set_n(v) & set_n(c)| / |set_n(v)|."""
-    set_v = ngram_set(v, n)
-    if not set_v:
-        return 0.0
-    return len(set_v & ngram_set(c, n)) / len(set_v)
-
-
-def bleu_sim(v: Sequence, c: Sequence, max_n: int = 4, smoothed: bool = False) -> float:
-    """Sentence BLEU of hypothesis ``c`` against single reference ``v``.
-
-    Geometric mean of clipped n-gram precisions for n = 1..max_n times the
-    brevity penalty exp(1 - |v|/|c|) when the hypothesis is shorter.  The
-    smoothed variant adds 1 to matched and total counts for every n > 1;
-    without smoothing any zero precision zeroes the whole score.
-    """
-    return bleu_from_stats(bleu_stats(c, (v,), max_n), smoothed=smoothed)
-
-
-def embed_cosine_sim(v: Sequence, c: Sequence, vectors: Mapping[int, np.ndarray]) -> float:
-    """Cosine of mean token vectors, affinely rescaled from [-1,1] to [0,1].
-
-    Tokens without a vector fall back to the zero vector; a zero-norm mean
-    on either side gives similarity 0.
-    """
-    return _rescaled_cosine(_embedding(v, vectors), _embedding(c, vectors))
-
-
 def _embedding(seq: Sequence, vectors: Mapping[int, np.ndarray]) -> tuple[np.ndarray, float] | None:
     """A sequence's mean token vector and its norm; None when the sequence is empty or the mean is zero."""
     if len(seq) == 0 or not vectors:
@@ -145,21 +118,6 @@ def _rescaled_cosine(a: tuple[np.ndarray, float] | None, b: tuple[np.ndarray, fl
     # Rounding can push the ratio a hair outside [-1, 1]; keep votes in range.
     cosine = min(1.0, max(-1.0, cosine))
     return (cosine + 1.0) / 2.0
-
-
-def make_similarity(spec: SimilaritySpec) -> Callable[[Sequence, Sequence], float]:
-    """Resolve a spec to its scalar pairwise similarity function."""
-    if spec.kind == "prec":
-        return lambda v, c: prec_sim(v, c, spec.n)
-    if spec.kind == "overl":
-        return lambda v, c: overl_sim(v, c, spec.n)
-    if spec.kind in ("bleu", "smoothed_bleu"):
-        smoothed = spec.kind == "smoothed_bleu"
-        return lambda v, c: bleu_sim(v, c, max_n=spec.max_n, smoothed=smoothed)
-    if spec.vectors is None:
-        raise ValueError("embed_cosine similarity needs a token vector table")
-    vectors = spec.vectors
-    return lambda v, c: embed_cosine_sim(v, c, vectors)
 
 
 # Gram columns per dense block of the clipped-count kernel: a 0/1 block
@@ -211,7 +169,7 @@ def _clipped_counts(
 
 
 def _bleu_matrix(voters: list[Sequence], cands: list[Sequence], max_n: int, smoothed: bool) -> np.ndarray:
-    """bleu_sim(v, c) for every pair: all orders coded in one pass, then the table-driven epilogue."""
+    """BLEU of every candidate against every voter: all orders coded in one pass, then the table-driven epilogue."""
     hyp_len = np.array([len(c) for c in cands], dtype=np.int64)
     ref_len = np.array([len(v) for v in voters], dtype=np.int64)[:, None]
     matched = [
@@ -223,7 +181,7 @@ def _bleu_matrix(voters: list[Sequence], cands: list[Sequence], max_n: int, smoo
 
 
 def _similarity_matrix(voters: list[Sequence], cands: list[Sequence], spec: SimilaritySpec) -> np.ndarray:
-    """sim[v, c] for every voter and candidate, equal bit for bit to ``make_similarity(spec)(v, c)``."""
+    """sim[v, c] for every voter and candidate, equal bit for bit to the pairwise reference in ``tests/conftest.py``."""
     if spec.kind in ("prec", "overl"):
         rows, codes = gram_codes([*voters, *cands], spec.n)[-1]
         matched, sizes = _clipped_counts(rows, codes, len(voters), len(cands), binary=spec.kind == "overl")
@@ -233,7 +191,7 @@ def _similarity_matrix(voters: list[Sequence], cands: list[Sequence], spec: Simi
         return _bleu_matrix(voters, cands, spec.max_n, smoothed=spec.kind == "smoothed_bleu")
     if spec.vectors is None:
         raise ValueError("embed_cosine similarity needs a token vector table")
-    # Each sequence's mean vector and norm once, then embed_cosine_sim's per-pair steps.
+    # Each sequence's mean vector and norm once, then per pair one dot, division and clamp.
     voter_embeddings = [_embedding(v, spec.vectors) for v in voters]
     cand_embeddings = [_embedding(c, spec.vectors) for c in cands]
     return np.array([[_rescaled_cosine(a, b) for b in cand_embeddings] for a in voter_embeddings], dtype=np.float64)
@@ -281,10 +239,10 @@ def range_vote(
     statistics.  Every score is bit-identical to ``w_v * sim(v, c)`` pair by
     pair: the counts are exact integers, an int/int quotient is correctly
     rounded in numpy as in Python, the epilogue calls libm ``math.log`` and
-    ``math.exp`` on the very arguments the scalar loop does, adding its logs
+    ``math.exp`` on the very arguments a per-pair loop does, adding its logs
     in the same order, and the products and fsums are unchanged.
     ``embed_cosine`` takes each sequence's mean vector and norm once and
-    runs the scalar similarity's per-pair dot, division and clamp.
+    runs a per-pair dot, division and clamp.
     """
     if not candidates.items:
         raise ValueError("candidate set is empty")

@@ -1,12 +1,13 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from votedecode import SimilaritySpec, Vocabulary, sequence_logprob, tabular_model, tokenize
+from votedecode import SimilaritySpec, Vocabulary, tabular_model, tokenize
 from votedecode.models import NEG_INF, NGramLM
-from votedecode.sequences import EOS_ID, NUM_RESERVED, RESERVED_MARKS
+from votedecode.sequences import EOS_ID, NUM_RESERVED, RESERVED_MARKS, ngram_bag, ngram_set
 
 # Tabular toy distribution used across modules: support {"a b", "a c", "d"}.
 ABD_ENTRIES = [("a b", 0.5), ("a c", 0.3), ("d", 0.2)]
@@ -90,6 +91,16 @@ def dense_logprobs(model, prefix):
     return out
 
 
+def sequence_logprob(model, seq):
+    """Log-probability of the full sequence, terminal EOS step included, one row query per step."""
+    total = 0.0
+    for i, token in enumerate(seq):
+        total += model.next_token_row(seq[:i]).logprob_of(token)
+        if total == NEG_INF:
+            return NEG_INF
+    return total + model.next_token_row(seq).logprob_of(EOS_ID)
+
+
 def verify_logprobs(model, candidates, tol=1e-9):
     """Check that reported logprobs match sequence_logprob within ``tol``."""
     for cand in candidates.items:
@@ -105,6 +116,79 @@ def toy_vectors(vocab, dim=4, seed=0):
     """Deterministic dense vectors for every surface id (embed_cosine tests)."""
     rng = np.random.default_rng(seed)
     return {i: rng.normal(size=dim) for i in vocab.surface_ids}
+
+
+def reference_bleu_sim(v, c, max_n=4, smoothed=False):
+    """Sentence BLEU of hypothesis ``c`` against the one reference ``v``, every n-gram bag recounted."""
+    if len(c) == 0:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, max_n + 1):
+        bag_c = ngram_bag(c, n)
+        bag_v = ngram_bag(v, n)
+        total = sum(bag_c.values())
+        matched = sum(min(count, bag_v[g]) for g, count in bag_c.items() if g in bag_v)
+        if smoothed and n > 1:
+            matched += 1
+            total += 1
+        if matched == 0 or total == 0:
+            return 0.0
+        log_sum += math.log(matched / total)
+    score = math.exp(log_sum / max_n)
+    if len(c) < len(v):
+        score *= math.exp(1.0 - len(v) / len(c))
+    return score
+
+
+def reference_prec(v, c, n):
+    """|bag_n(v) & bag_n(c)| / |bag_n(v)| with per-gram minimum counts; 0 when the voter has no n-grams."""
+    bag_v = ngram_bag(v, n)
+    denom = sum(bag_v.values())
+    if denom == 0:
+        return 0.0
+    bag_c = ngram_bag(c, n)
+    return sum(min(count, bag_c[g]) for g, count in bag_v.items() if g in bag_c) / denom
+
+
+def reference_overl(v, c, n):
+    """|set_n(v) & set_n(c)| / |set_n(v)|; 0 when the voter has no n-grams."""
+    set_v = ngram_set(v, n)
+    return len(set_v & ngram_set(c, n)) / len(set_v) if set_v else 0.0
+
+
+def reference_embed_cosine(v, c, vectors):
+    """The rescaled cosine of mean vectors, both means and norms rebuilt for every pair."""
+
+    def mean(seq):
+        acc = np.zeros(len(next(iter(vectors.values()))))
+        for token in seq:
+            if token in vectors:
+                acc += vectors[token]
+        return acc / len(seq)
+
+    if not v or not c or not vectors:
+        return 0.0
+    mean_v, mean_c = mean(v), mean(c)
+    norm_v, norm_c = float(np.linalg.norm(mean_v)), float(np.linalg.norm(mean_c))
+    if norm_v == 0.0 or norm_c == 0.0:
+        return 0.0
+    cosine = min(1.0, max(-1.0, float(np.dot(mean_v, mean_c)) / (norm_v * norm_c)))
+    return (cosine + 1.0) / 2.0
+
+
+def pairwise_sim(spec):
+    """The pairwise reference of ``spec``'s similarity, as ``SimilaritySpec`` defines each kind.
+
+    The election's similarity matrix must equal it bit for bit: one call per
+    (voter, candidate) pair, with every bag, set and mean vector rebuilt.
+    """
+    if spec.kind == "prec":
+        return lambda v, c: reference_prec(v, c, spec.n)
+    if spec.kind == "overl":
+        return lambda v, c: reference_overl(v, c, spec.n)
+    if spec.kind in ("bleu", "smoothed_bleu"):
+        return lambda v, c: reference_bleu_sim(v, c, spec.max_n, smoothed=spec.kind == "smoothed_bleu")
+    return lambda v, c: reference_embed_cosine(v, c, spec.vectors)
 
 
 def all_similarity_specs(vocab, vector_seed=0):

@@ -12,9 +12,9 @@ from votedecode.cli import main
 from votedecode.formats import read_candidates, read_vector_file, read_votes, write_candidates
 from votedecode.oracle import enumerate_distribution, exact_vote
 from votedecode.sequences import Vocabulary
-from votedecode.voting import SimilaritySpec, embed_cosine_sim
+from votedecode.voting import SimilaritySpec
 
-from conftest import FIXTURE5, model_from_texts
+from conftest import FIXTURE5, model_from_texts, pairwise_sim
 
 MAX_LEN = 6
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -408,7 +408,7 @@ class TestEvalMetricGroups:
 
 
 class TestEmbedCosineVectors:
-    """Votes by `embed_cosine` read the vector file, and score each pair by `embed_cosine_sim` over its vectors."""
+    """Votes by `embed_cosine` read the vector file, and score each pair as the pairwise reference does over its vectors."""
 
     @pytest.fixture
     def vectors(self, tmp_path):
@@ -424,8 +424,8 @@ class TestEmbedCosineVectors:
         seqs = [tuple(map(vocab.id_of, tokens)) for tokens, _, _ in ranked]
         top = max(logprob for _, logprob, _ in ranked)
         weights = [math.exp(logprob - top) for _, logprob, _ in ranked]
-        return [math.exp(top) * math.fsum(w * embed_cosine_sim(v, c, vectors) for w, v in zip(weights, seqs))
-                for c in seqs]
+        sim = pairwise_sim(SimilaritySpec(kind="embed_cosine", vectors=vectors))
+        return [math.exp(top) * math.fsum(w * sim(v, c) for w, v in zip(weights, seqs)) for c in seqs]
 
     def test_vote(self, tabular, tmp_path, vectors):
         dataset = write_dataset(tmp_path / "d.jsonl")
@@ -453,6 +453,18 @@ class TestEmbedCosineVectors:
         for rec in read_votes(tmp_path / "out" / "votes" / "beam+cos.jsonl"):
             assert len(rec.ranked) == 5
             assert [score for _, _, score in rec.ranked] == self.pairwise_scores(rec.ranked, vectors)
+
+    def test_vote_keys_the_unk_vector(self, tmp_path):
+        # The vector of <unk> was dropped: <unk> scored as the zero vector, 0 against every candidate.
+        cands = tmp_path / "c.jsonl"
+        cands.write_text(json.dumps({"id": 1, "candidates": [{"tokens": ["<unk>"], "logprob": 0.0},
+                                                             {"tokens": ["ok"], "logprob": 0.0}]}) + "\n")
+        vectors, out = tmp_path / "vectors.txt", tmp_path / "votes.jsonl"
+        vectors.write_text("<unk> 1 0\nok 0 1\n", encoding="utf-8")
+        assert main(["vote", "--candidates", str(cands), "--sim", "embed_cosine", "--vectors", str(vectors),
+                     "--out", str(out)]) == 0
+        # Each candidate: 1 from itself, 0.5 from the orthogonal other.
+        assert [(tokens, score) for tokens, _, score in read_votes(out)[0].ranked] == [(("<unk>",), 1.5), (("ok",), 1.5)]
 
     @pytest.mark.parametrize("table, line", [("ok nan 1\n", 1), ("ok 1 0\nthe 0 inf\n", 2), ("ok -inf 1\n", 1)],
                              ids=["nan", "inf", "minus-inf"])

@@ -1,10 +1,11 @@
 """The bulk n-gram election and the BLEU sufficient statistics against pairwise references.
 
-``reference_vote`` is the pairwise election: one scalar similarity call per
-(voter, candidate) pair, weighted and summed with ``math.fsum`` in voter
-order.  ``reference_bleu_sim`` and ``reference_corpus_bleu`` recount every
-n-gram bag for every call.  The fast paths must agree with them exactly:
-scores and contributions are compared with ``==``, not approximately.
+``reference_vote`` is the pairwise election: one ``conftest.pairwise_sim``
+call per (voter, candidate) pair, weighted and summed with ``math.fsum`` in
+voter order.  ``reference_bleu_sim`` and ``reference_corpus_bleu`` recount
+every n-gram bag for every call, and ``reference_bootstrap`` draws one
+resample at a time.  The fast paths must agree with them exactly: scores,
+contributions and p-values are compared with ``==``, not approximately.
 """
 
 import math
@@ -21,30 +22,11 @@ from votedecode.decode import CandidateSet, ScoredSequence
 from votedecode.metrics import bleu_from_stats, bleu_from_stats_array, bleu_stats, corpus_bleu, paired_bootstrap
 from votedecode.models import NEG_INF
 from votedecode.sequences import ngram_bag
-from votedecode.voting import SimilaritySpec, bleu_sim, overl_sim, prec_sim, range_vote
+from votedecode.voting import SimilaritySpec, range_vote
+
+from conftest import pairwise_sim, reference_bleu_sim
 
 # --- reference algorithms ----------------------------------------------------
-
-
-def reference_bleu_sim(v, c, max_n=4, smoothed=False):
-    if len(c) == 0:
-        return 0.0
-    log_sum = 0.0
-    for n in range(1, max_n + 1):
-        bag_c = ngram_bag(c, n)
-        bag_v = ngram_bag(v, n)
-        total = sum(bag_c.values())
-        matched = sum(min(count, bag_v[g]) for g, count in bag_c.items() if g in bag_v)
-        if smoothed and n > 1:
-            matched += 1
-            total += 1
-        if matched == 0 or total == 0:
-            return 0.0
-        log_sum += math.log(matched / total)
-    score = math.exp(log_sum / max_n)
-    if len(c) < len(v):
-        score *= math.exp(1.0 - len(v) / len(c))
-    return score
 
 
 def reference_corpus_bleu(hyps, refs, max_n=4):
@@ -75,17 +57,9 @@ def reference_corpus_bleu(hyps, refs, max_n=4):
     return score
 
 
-def scalar_sim(spec):
-    if spec.kind == "prec":
-        return lambda v, c: prec_sim(v, c, spec.n)
-    if spec.kind == "overl":
-        return lambda v, c: overl_sim(v, c, spec.n)
-    return lambda v, c: reference_bleu_sim(v, c, spec.max_n, smoothed=spec.kind == "smoothed_bleu")
-
-
 def reference_vote(candidates, voters, spec):
     """(ranking, scores, contributions) of the pairwise election."""
-    fn = scalar_sim(spec)
+    fn = pairwise_sim(spec)
     max_lp = max(v.logprob for v in voters.items)
     if max_lp == NEG_INF:
         weights = [0.0] * len(voters.items)
@@ -105,6 +79,18 @@ def reference_vote(candidates, voters, spec):
         tuple(scale * per_cand[i][v] for i in order) for v in range(len(voters.items))
     )
     return ranking, scores, contributions
+
+
+def reference_bootstrap(hyps_a, hyps_b, refs, metric, n_bootstrap, seed):
+    """The paired bootstrap one resample at a time: one draw call and two ``metric`` calls per resample."""
+    rng = np.random.default_rng(seed)
+    n = len(refs)
+    losses = 0
+    for _ in range(n_bootstrap):
+        idx = rng.integers(0, n, size=n)
+        sample_r = [refs[i] for i in idx]
+        losses += metric([hyps_a[i] for i in idx], sample_r) <= metric([hyps_b[i] for i in idx], sample_r)
+    return losses / n_bootstrap
 
 
 # --- strategies ----------------------------------------------------------------
@@ -165,7 +151,7 @@ class TestBulkElection:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(tokens, min_size=1, max_size=5), st.lists(tokens, min_size=1, max_size=5), st.sampled_from(NGRAM_SPECS))
     def test_similarity_matrix_is_the_scalar_similarity(self, voters, cands, spec):
-        fn = scalar_sim(spec)
+        fn = pairwise_sim(spec)
         matrix = voting._similarity_matrix(voters, cands, spec)
         assert matrix.tolist() == [[fn(v, c) for c in cands] for v in voters]
 
@@ -270,7 +256,8 @@ class TestBleuStatistics:
     @given(tokens, tokens, st.integers(min_value=1, max_value=4), st.booleans())
     def test_sentence_bleu_bit_for_bit(self, v, c, max_n, smoothed):
         want = reference_bleu_sim(v, c, max_n, smoothed)
-        assert bleu_sim(v, c, max_n=max_n, smoothed=smoothed) == want
+        spec = SimilaritySpec(kind="smoothed_bleu" if smoothed else "bleu", max_n=max_n)
+        assert voting._similarity_matrix([v], [c], spec).tolist() == [[want]]
         assert bleu_from_stats(bleu_stats(c, [v], max_n), smoothed=smoothed) == want
 
     @settings(max_examples=150, deadline=None)
@@ -344,7 +331,7 @@ class TestBootstrapFastPath:
         refs = [r for _, _, r in segments]
         fast = paired_bootstrap(hyps_a, hyps_b, refs, max_n=max_n, n_bootstrap=40, seed=seed)
         for metric in (lambda h, r: corpus_bleu(h, r, max_n), lambda h, r: reference_corpus_bleu(h, r, max_n)):
-            assert paired_bootstrap(hyps_a, hyps_b, refs, metric=metric, n_bootstrap=40, seed=seed) == fast
+            assert reference_bootstrap(hyps_a, hyps_b, refs, metric, n_bootstrap=40, seed=seed) == fast
 
     @settings(max_examples=30, deadline=None)
     @given(

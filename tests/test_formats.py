@@ -1,7 +1,9 @@
 """Candidates and votes files: what a writer writes, its reader reads back."""
 
+import json
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from votedecode.formats import (
@@ -53,9 +55,16 @@ ROUND_TRIPS = settings(max_examples=60, deadline=None, suppress_health_check=[He
 
 
 def write(path, writer, records):
+    """Write ``records`` to ``path``, and check that every line is strict JSON (no NaN or Infinity)."""
     with open(path, "w", encoding="utf-8") as fp:
         writer(records, fp)
+    for line in path.read_text(encoding="utf-8").splitlines():
+        json.loads(line, parse_constant=refuse_constant)
     return path
+
+
+def refuse_constant(name):
+    pytest.fail(f"non-standard JSON constant {name}")
 
 
 @ROUND_TRIPS

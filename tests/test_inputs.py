@@ -383,8 +383,12 @@ class TestTrainingSettings:
             (1, [[[], [[3, 1.5], [4, 2]]]], "events and counts must be integers, got 1.5"),
             (2, [[[3.9], [[3, 1]]]], r"history ids must be integers, got 3\.9"),
             (2.5, [[[3], [[3, 1]]]], r"order must be an integer, got 2\.5"),
+            # Numeric strings were converted: ["3", "1"] loaded as event 3 with count 1, history ["3"] as (3,).
+            (1, [[[], [["3", "1"], [4, 2]]]], "events and counts must be integers, got '3'"),
+            (1, [[[], [[3, "1"], [4, 2]]]], "events and counts must be integers, got '1'"),
+            (2, [[["3"], [[3, 1]]]], "history ids must be integers, got '3'"),
         ],
-        ids=["event", "count", "history", "order"],
+        ids=["event", "count", "history", "order", "event-string", "count-string", "history-string"],
     )
     def test_load_model_refuses_a_fraction(self, tmp_path, capsys, order, counts, message):
         payload = {"format": "votedecode-ngram-lm", "version": 1, "vocab": ["a", "b"], "order": order, "add_k": 0.0,

@@ -6,12 +6,13 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from votedecode.metrics import (
+    bleu_from_stats,
+    bleu_stats,
     copy_rates,
     corpus_bleu,
     distinct_stats,
     evaluate_system,
     paired_bootstrap,
-    sentence_bleu,
     sign_test,
 )
 
@@ -38,7 +39,7 @@ class TestCorpusBleu:
     def test_one_segment_equals_sentence_bleu(self):
         hyp = toks("a b c d")
         refs = [toks("a b c e"), toks("a b")]
-        assert corpus_bleu([hyp], [refs], max_n=4) == sentence_bleu(hyp, refs, max_n=4)
+        assert corpus_bleu([hyp], [refs], max_n=4) == bleu_from_stats(bleu_stats(hyp, refs, max_n=4))
 
     def test_permutation_invariance(self):
         hyps = [toks("a b"), toks("c d e"), toks("f")]
@@ -165,17 +166,12 @@ class TestPairedBootstrap:
         assert paired_bootstrap(hyps, list(hyps), self.REFS, n_bootstrap=200, seed=1) == 1.0
 
     def test_strict_dominance_gives_zero(self):
-        # A matches every reference exactly; B matches nothing.  Per-segment
-        # smoothed sentence BLEU keeps the dominance strict on every resample.
+        # A matches every reference exactly; B matches nothing.  At max_n=2 every
+        # resample gives A a positive corpus BLEU and B zero.  (At max_n=4 both
+        # score 0, as the 2-3-token segments hold no 4-grams, and p is 1.)
         hyps_a = [r[0] for r in self.REFS]
         hyps_b = [toks("x y"), toks("x y"), toks("x y")]
-
-        def mean_smoothed(hyps, refs):
-            from votedecode.voting import bleu_sim
-
-            return sum(max(bleu_sim(r, h, max_n=2, smoothed=True) for r in rs) for h, rs in zip(hyps, refs)) / len(hyps)
-
-        p = paired_bootstrap(hyps_a, hyps_b, self.REFS, metric=mean_smoothed, n_bootstrap=300, seed=2)
+        p = paired_bootstrap(hyps_a, hyps_b, self.REFS, max_n=2, n_bootstrap=300, seed=2)
         assert p == 0.0
 
     def test_same_seed_same_p(self):

@@ -10,13 +10,12 @@ from votedecode.models import (
     ZeroMassPrefixError,
     load_model,
     save_model,
-    sequence_logprob,
     tabular_model,
     train_ngram_lm,
 )
 from votedecode.sequences import EOS_ID, UNK_ID, Vocabulary, tokenize
 
-from conftest import dense_logprobs, model_from_texts
+from conftest import dense_logprobs, model_from_texts, sequence_logprob
 
 
 def logprobs_as_probs(model, prefix):

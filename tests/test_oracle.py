@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from votedecode.oracle import enumerate_distribution, exact_map, exact_vote, make_vote_split_model
-from votedecode.voting import SimilaritySpec, make_similarity
+from votedecode.voting import SimilaritySpec
+
+from conftest import pairwise_sim
 
 SEEDS = range(6)
 SIMS = [SimilaritySpec(kind="overl", n=1), SimilaritySpec(kind="prec", n=2), SimilaritySpec(kind="bleu")]
@@ -46,7 +48,7 @@ def test_the_unit_interval_ends_are_floors(floor):
 def test_exact_vote_scores_every_pair_of_the_support(seed, sim):
     model = make_vote_split_model(seed)
     support = enumerate_distribution(model, model.max_len).entries
-    similarity = make_similarity(sim)
+    similarity = pairwise_sim(sim)
     brute = {
         c.tokens: math.fsum(math.exp(v.logprob) * similarity(v.tokens, c.tokens) for v in support) for c in support
     }

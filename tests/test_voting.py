@@ -10,69 +10,79 @@ from votedecode.config import ConfigError, parse_voter_spec
 from votedecode.decode import CandidateSet, DecodeSpec, ScoredSequence, beam_search
 from votedecode.harness import decode_row, row_voters
 from votedecode.sequences import detokenize, tokenize
-from votedecode.voting import (
-    SimilaritySpec,
-    bleu_sim,
-    embed_cosine_sim,
-    make_similarity,
-    overl_sim,
-    prec_sim,
-    range_vote,
-)
+from votedecode.voting import SimilaritySpec, range_vote
 
-from conftest import FIXTURE5, all_similarity_specs, model_from_texts, toy_vectors
+from conftest import FIXTURE5, all_similarity_specs, model_from_texts, pairwise_sim, toy_vectors
 
 
 def seqs(*lists):
     return [tuple(x) for x in lists]
 
 
+def elect(spec, v, c):
+    """sim(v, c) as the election scores it: one voter and one candidate of log-probability 0 (weight and scale 1)."""
+    voters, cands = (CandidateSet(items=(ScoredSequence(tokens=tuple(seq), logprob=0.0),)) for seq in (v, c))
+    return range_vote(cands, voters, spec).winner_score
+
+
+def prec(n):
+    return SimilaritySpec(kind="prec", n=n)
+
+
+def overl(n):
+    return SimilaritySpec(kind="overl", n=n)
+
+
+def bleu(max_n, smoothed=False):
+    return SimilaritySpec(kind="smoothed_bleu" if smoothed else "bleu", max_n=max_n)
+
+
 class TestPrecSim:
     def test_min_count_intersection(self):
         v, c = (1, 2, 2), (2, 3)
-        assert prec_sim(v, c, 1) == pytest.approx(1 / 3)
+        assert elect(prec(1), v, c) == pytest.approx(1 / 3)
 
     def test_identity(self):
         s = (1, 2, 3)
-        assert prec_sim(s, s, 2) == 1.0
+        assert elect(prec(2), s, s) == 1.0
 
     def test_bigram_overlap(self):
         v, c = (1, 2, 3, 4), (2, 3, 4, 5)
-        assert prec_sim(v, c, 2) == pytest.approx(2 / 3)
+        assert elect(prec(2), v, c) == pytest.approx(2 / 3)
 
     def test_empty_voter_abstains(self):
-        assert prec_sim((), (1, 2), 1) == 0.0
-        assert prec_sim((1,), (1, 2), 2) == 0.0
+        assert elect(prec(1), (), (1, 2)) == 0.0
+        assert elect(prec(2), (1,), (1, 2)) == 0.0
 
     def test_asymmetry_for_contiguous_subsequence(self):
         c = (1, 2, 3, 4, 5)
         for start in range(3):
             v = c[start : start + 3]
             for n in (1, 2, 3):
-                assert prec_sim(v, c, n) == 1.0
-                assert prec_sim(c, v, n) < 1.0
+                assert elect(prec(n), v, c) == 1.0
+                assert elect(prec(n), c, v) < 1.0
 
 
 class TestOverlSim:
     def test_set_overlap(self):
-        assert overl_sim((1, 2, 1), (1, 3), 1) == pytest.approx(1 / 2)
+        assert elect(overl(1), (1, 2, 1), (1, 3)) == pytest.approx(1 / 2)
 
     def test_identity(self):
-        assert overl_sim((4, 5), (4, 5), 1) == 1.0
+        assert elect(overl(1), (4, 5), (4, 5)) == 1.0
 
     def test_no_ngrams_of_order(self):
-        assert overl_sim((1,), (2, 3), 2) == 0.0
+        assert elect(overl(2), (1,), (2, 3)) == 0.0
 
 
 class TestBleuSim:
     def test_identity(self):
         s = (1, 2, 3, 4)
-        assert bleu_sim(s, s, max_n=4) == pytest.approx(1.0)
+        assert elect(bleu(4), s, s) == pytest.approx(1.0)
 
     def test_smoothed_hand_value(self):
         # precisions: 3/4, (2+1)/(3+1), (1+1)/(2+1), (0+1)/(1+1); BP = 1.
         expected = (3 / 4 * 3 / 4 * 2 / 3 * 1 / 2) ** 0.25
-        got = bleu_sim(v=(1, 2, 3, 5), c=(1, 2, 3, 4), max_n=4, smoothed=True)
+        got = elect(bleu(4, smoothed=True), (1, 2, 3, 5), (1, 2, 3, 4))
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.658, abs=1e-3)
 
@@ -80,45 +90,45 @@ class TestBleuSim:
         the, cat, is_, on, mat = range(5)
         c = (the,) * 7
         v = (the, cat, is_, on, the, mat)
-        assert bleu_sim(v, c, max_n=1) == pytest.approx(2 / 7)
+        assert elect(bleu(1), v, c) == pytest.approx(2 / 7)
 
     def test_empty_hypothesis(self):
-        assert bleu_sim((1, 2), (), max_n=4) == 0.0
+        assert elect(bleu(4), (1, 2), ()) == 0.0
 
     def test_unsmoothed_zero_on_missing_order(self):
         # No 2-gram matches: unsmoothed collapses to 0, smoothed does not.
         v, c = (1, 2), (1, 3)
-        assert bleu_sim(v, c, max_n=2, smoothed=False) == 0.0
-        assert bleu_sim(v, c, max_n=2, smoothed=True) > 0.0
+        assert elect(bleu(2), v, c) == 0.0
+        assert elect(bleu(2, smoothed=True), v, c) > 0.0
 
     def test_brevity_penalty_direction(self):
         v = (1, 2, 3, 4)
         shorter = (1, 2)
-        assert bleu_sim(v, shorter, max_n=1) == pytest.approx(1.0 * math.exp(1 - 4 / 2))
+        assert elect(bleu(1), v, shorter) == pytest.approx(1.0 * math.exp(1 - 4 / 2))
         longer = (1, 2, 3, 4, 5, 6)
-        assert bleu_sim(v, longer, max_n=1) == pytest.approx(4 / 6)  # no penalty
+        assert elect(bleu(1), v, longer) == pytest.approx(4 / 6)  # no penalty
 
 
 class TestEmbedCosine:
-    VECS = {1: np.array([1.0, 0.0]), 2: np.array([0.0, 1.0])}
+    SPEC = SimilaritySpec(kind="embed_cosine", vectors={1: np.array([1.0, 0.0]), 2: np.array([0.0, 1.0])})
 
     def test_identity(self):
-        assert embed_cosine_sim((1, 2), (1, 2), self.VECS) == pytest.approx(1.0)
+        assert elect(self.SPEC, (1, 2), (1, 2)) == pytest.approx(1.0)
 
     def test_orthogonal_rescaled(self):
-        assert embed_cosine_sim((1,), (2,), self.VECS) == pytest.approx(0.5)
+        assert elect(self.SPEC, (1,), (2,)) == pytest.approx(0.5)
 
     def test_hand_value(self):
-        got = embed_cosine_sim((1,), (1, 2), self.VECS)
+        got = elect(self.SPEC, (1,), (1, 2))
         assert got == pytest.approx((1 / math.sqrt(2) + 1) / 2, abs=1e-12)
         assert got == pytest.approx(0.8536, abs=1e-4)
 
     def test_zero_mean_vector(self):
         vecs = {1: np.array([1.0, -1.0]), 2: np.array([-1.0, 1.0])}
-        assert embed_cosine_sim((1, 2), (1,), vecs) == 0.0
+        assert elect(SimilaritySpec(kind="embed_cosine", vectors=vecs), (1, 2), (1,)) == 0.0
 
     def test_missing_tokens_fall_back_to_zero(self):
-        assert embed_cosine_sim((9,), (1,), self.VECS) == 0.0
+        assert elect(self.SPEC, (9,), (1,)) == 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.integers(1, 9), max_size=5).map(tuple), min_size=1, max_size=6), st.integers(0, 2**32))
@@ -128,30 +138,9 @@ class TestEmbedCosine:
         vecs = {1: np.array([1.0, -1.0, 0.5]), 2: np.array([-1.0, 1.0, -0.5])}
         vecs |= {t: rng.normal(size=3) for t in range(3, 9)}
         voters, cands = sequences, sequences[::-1] + [(), (9,), (1, 2)]
-        want = [[reference_embed_cosine(v, c, vecs) for c in cands] for v in voters]
-        assert [[embed_cosine_sim(v, c, vecs) for c in cands] for v in voters] == want
         spec = SimilaritySpec(kind="embed_cosine", vectors=vecs)
+        want = [[pairwise_sim(spec)(v, c) for c in cands] for v in voters]
         assert voting._similarity_matrix(voters, cands, spec).tolist() == want
-
-
-def reference_embed_cosine(v, c, vectors):
-    """The per-pair similarity: both mean vectors and norms rebuilt for every pair."""
-
-    def mean(seq):
-        acc = np.zeros(3)
-        for token in seq:
-            if token in vectors:
-                acc += vectors[token]
-        return acc / len(seq)
-
-    if not v or not c:
-        return 0.0
-    mean_v, mean_c = mean(v), mean(c)
-    norm_v, norm_c = float(np.linalg.norm(mean_v)), float(np.linalg.norm(mean_c))
-    if norm_v == 0.0 or norm_c == 0.0:
-        return 0.0
-    cosine = min(1.0, max(-1.0, float(np.dot(mean_v, mean_c)) / (norm_v * norm_c)))
-    return (cosine + 1.0) / 2.0
 
 
 class TestSimilaritySpec:
@@ -175,7 +164,7 @@ class TestSimilaritySpec:
 
     def test_embed_needs_vectors_at_resolution(self):
         with pytest.raises(ValueError):
-            make_similarity(SimilaritySpec(kind="embed_cosine"))
+            elect(SimilaritySpec(kind="embed_cosine"), (3,), (3,))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -194,7 +183,7 @@ class TestSimilaritySpec:
             SimilaritySpec(kind="smoothed_bleu"),
             SimilaritySpec(kind="embed_cosine", vectors=table),
         ]:
-            value = make_similarity(spec)(v, c)
+            value = elect(spec, v, c)
             assert 0.0 <= value <= 1.0
 
 
@@ -323,7 +312,7 @@ class TestSelectRepresentative:
         winner = select(model, DecodeSpec(beam_size=5, max_len=8), parse_voter_spec("same"), spec).winner
         cands = beam_search(model, None, DecodeSpec(beam_size=5, max_len=8))
         expected = {
-            c.tokens: math.fsum(math.exp(v.logprob) * bleu_sim(v.tokens, c.tokens, max_n=4) for v in cands.items)
+            c.tokens: math.fsum(math.exp(v.logprob) * pairwise_sim(spec)(v.tokens, c.tokens) for v in cands.items)
             for c in cands.items
         }
         best = max(expected.items(), key=lambda kv: kv[1])
