@@ -16,7 +16,6 @@ from .metrics import (
     DistinctStats,
     EvalRow,
     copy_rates,
-    corpus_bleu,
     distinct_stats,
     evaluate_system,
     paired_bootstrap,
@@ -31,7 +30,6 @@ from .models import (
     load_model,
     save_model,
     tabular_model,
-    train_ngram_lm,
 )
 from .oracle import (
     BudgetExceededError,
@@ -44,10 +42,7 @@ from .oracle import (
 from .sequences import (
     Sequence,
     Vocabulary,
-    build_vocabulary,
     detokenize,
-    ngram_bag,
-    ngram_set,
     tokenize,
 )
 from .voting import (
@@ -76,9 +71,7 @@ __all__ = [
     "VoteResult",
     "ZeroMassPrefixError",
     "beam_search",
-    "build_vocabulary",
     "copy_rates",
-    "corpus_bleu",
     "detokenize",
     "distinct_stats",
     "enumerate_distribution",
@@ -87,8 +80,6 @@ __all__ = [
     "exact_vote",
     "load_model",
     "make_vote_split_model",
-    "ngram_bag",
-    "ngram_set",
     "paired_bootstrap",
     "range_vote",
     "sample_sequences",
@@ -96,5 +87,4 @@ __all__ = [
     "sign_test",
     "tabular_model",
     "tokenize",
-    "train_ngram_lm",
 ]

@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .models import NEG_INF, Row, SequenceModel
-from .sequences import EOS_ID, NUM_RESERVED, UNK_ID, Sequence, ngram_set
+from .sequences import EOS_ID, NUM_RESERVED, UNK_ID, Sequence
 
 SCORING_MODES = ("logprob", "length_normalized")
 SAMPLING_STRATEGIES = ("ancestral", "top_k", "nucleus")
@@ -133,10 +133,8 @@ def copy_overlap_rate(candidate: Sequence, source: Sequence) -> float:
 
     An empty source has no unigrams to copy; the rate is defined as 0.
     """
-    source_set = ngram_set(source, 1)
-    if not source_set:
-        return 0.0
-    return len(ngram_set(candidate, 1) & source_set) / len(source_set)
+    source_set = set(source)
+    return len(source_set.intersection(candidate)) / len(source_set) if source_set else 0.0
 
 
 class _Hyp(NamedTuple):

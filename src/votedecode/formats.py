@@ -7,7 +7,8 @@ JSON: a -inf log-probability (probability zero) is written as ``null``.
 
 Every record of a dataset, candidates or votes file goes through one loop
 under one set of rules: a record is a JSON object with an ``id`` and the
-file's field; no two records share an id under :func:`record_key`; a file
+file's field; no two records share an id under :func:`record_key`; no id
+is or holds NaN or ±Infinity, which strict JSON cannot write back; a file
 holds at least one record.  A record's candidates or ranked entries form a
 non-empty list; each entry's ``tokens`` is a list of strings and its
 ``logprob`` finite, or ``null`` or -Infinity for probability zero (NaN
@@ -52,7 +53,10 @@ def _read_records(path: str | Path, what: str, field: str, parse: Callable[[dict
         where = f"{path}:{lineno}"
         if type(obj) is not dict or "id" not in obj or field not in obj:
             raise FileFormatError(f"{where}: {what} rows need 'id' and '{field}'")
-        first = seen.setdefault(record_key(obj["id"]), lineno)
+        try:
+            first = seen.setdefault(record_key(obj["id"]), lineno)
+        except ValueError:
+            raise FileFormatError(f"{where}: id {obj['id']!r} is or holds NaN or Infinity") from None
         if first != lineno:
             raise FileFormatError(f"{where}: duplicate id {obj['id']!r} (first on line {first})")
         records.append(parse(obj, where))
@@ -115,9 +119,11 @@ def join_by_id(ids: list, records: Iterable[tuple[object, object]], path: str | 
 
 
 def record_key(record_id) -> object:
-    """Hashable dict key for a record id; ids that are lists or objects key by their JSON text."""
+    """Hashable dict key for a record id, a list or object by its JSON text; ValueError if it holds NaN or ±inf."""
     if isinstance(record_id, (list, dict)):
         return ("json", json.dumps(record_id, sort_keys=True, allow_nan=False))
+    if type(record_id) is float and not math.isfinite(record_id):
+        raise ValueError(f"id {record_id!r} is not finite")
     return record_id
 
 

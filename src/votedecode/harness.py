@@ -45,7 +45,7 @@ from .formats import (
 )
 from .metrics import EvalRow, evaluate_system
 from .models import NGramLM, SequenceModel, TabularModel, load_model, tabular_model, train_on_stream
-from .sequences import RESERVED_MARKS, UNK_ID, Sequence, Vocabulary, build_vocabulary, index_corpus, tokenize
+from .sequences import RESERVED_MARKS, UNK_ID, Sequence, Vocabulary, index_corpus, tokenize
 from .voting import SimilaritySpec, VoteResult, range_vote
 
 _MASK = (1 << 64) - 1
@@ -62,7 +62,7 @@ def derive_seed(*parts: int) -> int:
 def tabular_model_from_text(entries: Iterable[tuple[str, float]], lowercase: bool = False) -> TabularModel:
     """Build a tabular model (and its vocabulary) from (text, probability) pairs."""
     entries = list(entries)
-    vocab = build_vocabulary((text for text, _ in entries), lowercase=lowercase)
+    vocab = index_corpus((text for text, _ in entries), lowercase)[0]
     return tabular_model([(tokenize(t, vocab, lowercase), p) for t, p in entries], vocab)
 
 

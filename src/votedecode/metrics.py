@@ -5,12 +5,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence as TySequence
 
 import numpy as np
 
 from .decode import copy_overlap_rate
-from .sequences import Sequence, ngram_bag, ngram_set
+from .sequences import Sequence
 
 
 def bleu_stats(hyp: Sequence, refs: TySequence[Sequence], max_n: int = 4) -> tuple[int, ...]:
@@ -20,7 +21,10 @@ def bleu_stats(hyp: Sequence, refs: TySequence[Sequence], max_n: int = 4) -> tup
     ``ref_len`` is the closest reference length, ties broken toward the
     shorter reference; ``matched_n`` clips each hypothesis n-gram count at
     its maximum count in any one reference; ``total_n`` counts the
-    hypothesis n-grams.  Statistics of several segments add up.
+    hypothesis n-grams.  Statistics of several segments add up: corpus BLEU
+    (Papineni et al. 2002) is :func:`bleu_from_stats` of their sum, clipped
+    matches pooled over segments, each segment's ``ref_len`` its own
+    closest length, and 0 for any zero pooled precision.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
@@ -28,17 +32,10 @@ def bleu_stats(hyp: Sequence, refs: TySequence[Sequence], max_n: int = 4) -> tup
         raise ValueError("every segment needs at least one reference")
     ref_len = min((len(r) for r in refs), key=lambda L: (abs(L - len(hyp)), L))
     matched = []
-    total = []
     for n in range(1, max_n + 1):
-        bag_h = ngram_bag(hyp, n)
-        clip: Counter = Counter()
-        for ref in refs:
-            bag_r = ngram_bag(ref, n)
-            for g in bag_h:
-                clip[g] = max(clip[g], bag_r.get(g, 0))
-        matched.append(sum(min(count, clip[g]) for g, count in bag_h.items()))
-        total.append(sum(bag_h.values()))
-    return (len(hyp), ref_len, *matched, *total)
+        bag, *ref_bags = (Counter(zip(*(seq[i:] for i in range(n)))) for seq in (hyp, *refs))
+        matched.append(sum(min(count, max(ref_bag[g] for ref_bag in ref_bags)) for g, count in bag.items()))
+    return (len(hyp), ref_len, *matched, *(max(len(hyp) - n + 1, 0) for n in range(1, max_n + 1)))
 
 
 def bleu_from_stats(stats: TySequence[int], smoothed: bool = False) -> float:
@@ -127,18 +124,6 @@ def _per_distinct(fn: Callable[..., float], first: np.ndarray, second: np.ndarra
     return table[packed]
 
 
-def corpus_bleu(hyps: TySequence[Sequence], refs: TySequence[TySequence[Sequence]], max_n: int = 4) -> float:
-    """Corpus-level BLEU in [0, 1].
-
-    Clipped n-gram matches are pooled over all segments (clipping against
-    the maximum count across that segment's references) before taking the
-    geometric mean of the n-gram precisions.  The brevity penalty uses the
-    per-segment closest reference length, ties broken toward the shorter
-    reference.  Any zero pooled precision gives a zero score.
-    """
-    return bleu_from_stats([sum(column) for column in zip(*_segment_stats(hyps, refs, max_n))])
-
-
 def _segment_stats(hyps: TySequence[Sequence], refs: TySequence[TySequence[Sequence]], max_n: int) -> list[tuple[int, ...]]:
     """One :func:`bleu_stats` row per segment."""
     if max_n < 1:
@@ -162,15 +147,10 @@ def distinct_stats(outputs: TySequence[Sequence]) -> DistinctStats:
     """Diversity counts pooled over a system's outputs, plus mean token length."""
     if not outputs:
         raise ValueError("need at least one output")
-    unigrams: set = set()
-    bigrams: set = set()
-    for seq in outputs:
-        unigrams |= ngram_set(seq, 1)
-        bigrams |= ngram_set(seq, 2)
     return DistinctStats(
         distinct_sequences=len({tuple(s) for s in outputs}),
-        distinct_unigrams=len(unigrams),
-        distinct_bigrams=len(bigrams),
+        distinct_unigrams=len(set(chain.from_iterable(outputs))),
+        distinct_bigrams=len(set(chain.from_iterable(zip(s, s[1:]) for s in outputs))),
         avg_length=sum(len(s) for s in outputs) / len(outputs),
     )
 
@@ -185,13 +165,9 @@ def copy_rates(outputs: TySequence[Sequence], sources: TySequence[Sequence], thr
         raise ValueError(f"got {len(outputs)} outputs but {len(sources)} sources")
     if not outputs:
         raise ValueError("need at least one output")
-    exact = 0
-    partial = 0
-    for out, src in zip(outputs, sources):
-        is_exact = tuple(out) == tuple(src)
-        exact += is_exact
-        partial += is_exact or copy_overlap_rate(out, src) >= threshold
-    return exact / len(outputs), partial / len(outputs)
+    exact = [tuple(out) == tuple(src) for out, src in zip(outputs, sources)]
+    partial = sum(is_exact or copy_overlap_rate(o, s) >= threshold for is_exact, o, s in zip(exact, outputs, sources))
+    return sum(exact) / len(outputs), partial / len(outputs)
 
 
 def sign_test(wins_a: int, wins_b: int) -> float:
@@ -276,7 +252,11 @@ def evaluate_system(
     max_n: int = 4,
     copy_threshold: float = 0.5,
 ) -> EvalRow:
-    """Compute the full report row for one system's outputs; BLEU-n reads orders 1..n of one statistics pass."""
+    """Compute the full report row for one system's outputs; BLEU-n reads orders 1..n of one statistics pass.
+
+    BLEU-n is corpus BLEU: clipped matches pooled over segments, each segment's closest reference length (ties
+    to the shorter), and 0 for any zero pooled precision.
+    """
     hyp_len, ref_len, *counts = map(sum, zip(*_segment_stats(hyps, refs, max_n)))
     matched, total = counts[:max_n], counts[max_n:]
     bleu = tuple(bleu_from_stats((hyp_len, ref_len, *matched[:n], *total[:n])) for n in range(1, max_n + 1))

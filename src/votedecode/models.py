@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import IO, Iterable, NamedTuple, Protocol
 
 import numpy as np
@@ -316,15 +316,8 @@ def check_training(order: int, add_k: float) -> None:
         raise ValueError(f"add_k must be finite and >= 0, got {add_k}")
 
 
-def train_ngram_lm(corpus: Iterable[Sequence], order: int, add_k: float, vocab: Vocabulary) -> NGramLM:
-    """Collect (history, event) counts with BOS padding and a terminal EOS per line (ids >= 0)."""
-    corpus = list(corpus)
-    ids = np.fromiter(chain.from_iterable(chain.from_iterable(zip(corpus, repeat((EOS_ID,))))), np.uint32)
-    return train_on_stream(ids, np.fromiter(map(len, corpus), np.int64, len(corpus)), order, add_k, vocab)
-
-
 def train_on_stream(events: np.ndarray, lengths: np.ndarray, order: int, add_k: float, vocab: Vocabulary) -> NGramLM:
-    """:func:`train_ngram_lm` on a flat stream: each line's ``lengths[i]`` ids, then its EOS."""
+    """An :class:`NGramLM` counted off a flat stream, each line's ``lengths[i]`` ids (>= 0) then its EOS, BOS-padded."""
     check_training(order, add_k)
     if not len(lengths):
         raise ValueError("training corpus is empty")
@@ -368,15 +361,16 @@ def save_model(model: NGramLM, fp: IO[str]) -> None:
     fp.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")  # one write: json.dump streams many small ones
 
 
-def _integers(values, what: str) -> np.ndarray:
-    """Nested lists of JSON numbers as one int64 array, a string or a fraction refused rather than converted."""
-    if (inferred := np.array(values)).dtype == np.int64:
-        return inferred
-    odd = [] if inferred.dtype.kind in "iuf" else [v for v in np.array(values, object).flat if type(v) not in (int, float)]
-    if odd:  # a string, null or bool; an object array of JSON ints only holds ints past int64
-        raise ValueError(f"{what} must be integers, got {odd[0]!r}")
-    exact = np.array(values, np.int64)  # refuses ints past int64
-    if inferred.dtype.kind == "f" and (fraction := exact != inferred).any():
+def _integers(rows: list, width: int, what: str) -> np.ndarray:
+    """Rows of ``width`` JSON numbers as one int64 array; a string, null, bool or fraction is refused, not converted.
+
+    Types are checked before ``np.array``, which would read a bool among integers as 0 or 1.
+    """
+    flat = list(chain.from_iterable(rows))
+    if not (types := set(map(type, flat))) <= {int, float}:
+        raise ValueError(f"{what} must be integers, got {next(v for v in flat if type(v) not in (int, float))!r}")
+    exact = np.array(flat, np.int64).reshape(len(rows), width)  # refuses ints past int64
+    if float in types and (fraction := exact.ravel() != (inferred := np.array(flat))).any():
         raise ValueError(f"{what} must be integers, got {inferred[fraction][0]}")
     return exact
 
@@ -407,12 +401,12 @@ def load_model(fp: IO[str]) -> NGramLM:
         entries, need = payload["counts"], order - 1
         if (hist := next((hist for hist, _ in entries if len(hist) != need), None)) is not None:
             raise ValueError(f"history {[int(t) for t in hist]} has {len(hist)} ids, an order-{order} model needs {need}")
-        histories = _integers([hist for hist, _ in entries], "history ids").reshape(len(entries), need)
+        histories = _integers([hist for hist, _ in entries], need, "history ids")
         entry_of = np.repeat(np.arange(len(entries)), [len(events) for _, events in entries])
-        pairs = _integers([pair for _, events in entries for pair in events] or np.empty((0, 2)), "events and counts")
-        if pairs.shape[1:] != (2,):
+        pairs = [pair for _, events in entries for pair in events]
+        if set(map(len, pairs)) - {2}:
             raise ValueError("every event entry must be an [event, count] pair")
-        events, counts = pairs.T
+        events, counts = _integers(pairs, 2, "events and counts").T
         if (outside := (events < 0) | (events >= vocab.num_ids)).any():
             e = outside.argmax()
             raise ValueError(f"event {events[e]} in history {histories[entry_of[e]].tolist()} is outside the ids 0..{vocab.num_ids - 1}")

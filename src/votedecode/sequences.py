@@ -4,12 +4,13 @@ A sequence is a plain tuple of vocabulary ids.  Begin/end markers are
 model-side bookkeeping and never stored in a sequence, so n-gram statistics
 are always over surface tokens only.  :func:`index_corpus` splits a corpus
 once, as a stream, and codes, counts and ranks its words in C and numpy;
-:func:`gram_codes` numbers the n-grams of many sequences in one array pass.
+:func:`gram_codes` numbers the n-grams of many sequences in one array pass
+for the elections; the report's metrics count theirs in plain collections.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, count, repeat
 from typing import Iterable
@@ -17,7 +18,6 @@ from typing import Iterable
 import numpy as np
 
 Sequence = tuple[int, ...]
-NGram = tuple[int, ...]
 
 BOS_ID = 0
 EOS_ID = 1
@@ -77,11 +77,6 @@ class Vocabulary:
         """Id for a surface string; unknown strings map to UNK."""
         return self._index.get(token, UNK_ID)
 
-    def token_of(self, token_id: int) -> str:
-        if not 0 <= token_id < self.num_ids:
-            raise KeyError(f"id {token_id} not in vocabulary")
-        return self.marked_tokens[token_id]
-
     def __contains__(self, token: str) -> bool:
         return token in self._index
 
@@ -100,20 +95,6 @@ def tokenize(text: str, vocab: Vocabulary, lowercase: bool = False) -> Sequence:
 def detokenize(seq: Iterable[int], vocab: Vocabulary) -> str:
     """Join surface strings with single spaces (UNK renders as its marker)."""
     return " ".join(map(vocab.marked_tokens.__getitem__, seq))
-
-
-def ngram_bag(seq: Sequence, n: int) -> Counter[NGram]:
-    """Multiset of all contiguous n-grams of ``seq``; empty when len(seq) < n."""
-    if n < 1:
-        raise ValueError(f"n-gram order must be >= 1, got {n}")
-    return Counter(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
-
-
-def ngram_set(seq: Sequence, n: int) -> frozenset[NGram]:
-    """Set of distinct contiguous n-grams of ``seq``."""
-    if n < 1:
-        raise ValueError(f"n-gram order must be >= 1, got {n}")
-    return frozenset(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
 
 
 def gram_codes(seqs: list[Sequence], max_n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -166,7 +147,3 @@ def index_corpus(
     vocab = Vocabulary(tokens=tuple(map(tokens.__getitem__, keep.tolist())))
     return vocab, to_id[codes], np.diff(np.flatnonzero(codes == 0), prepend=-1) - 1
 
-
-def build_vocabulary(lines: Iterable[str], lowercase: bool = False, max_size: int | None = None) -> Vocabulary:
-    """The vocabulary of :func:`index_corpus`."""
-    return index_corpus(lines, lowercase, max_size)[0]

@@ -1,13 +1,14 @@
 import math
 from collections import Counter
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from votedecode import SimilaritySpec, Vocabulary, tabular_model, tokenize
-from votedecode.models import NEG_INF, NGramLM
-from votedecode.sequences import EOS_ID, NUM_RESERVED, RESERVED_MARKS, ngram_bag, ngram_set
+from votedecode.models import NEG_INF, NGramLM, train_on_stream
+from votedecode.sequences import EOS_ID, NUM_RESERVED, RESERVED_MARKS
 
 # Tabular toy distribution used across modules: support {"a b", "a c", "d"}.
 ABD_ENTRIES = [("a b", 0.5), ("a c", 0.3), ("d", 0.2)]
@@ -47,6 +48,27 @@ corpus_lines = st.lists(
     ),
     max_size=12,
 )
+
+
+def ngram_bag(seq, n):
+    """Multiset of all contiguous n-grams of ``seq``, as tuples; empty when len(seq) < n."""
+    if n < 1:
+        raise ValueError(f"n-gram order must be >= 1, got {n}")
+    return Counter(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
+
+
+def ngram_set(seq, n):
+    """Set of distinct contiguous n-grams of ``seq``, as tuples."""
+    if n < 1:
+        raise ValueError(f"n-gram order must be >= 1, got {n}")
+    return frozenset(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
+
+
+def train_ngram_lm(corpus, order, add_k, vocab):
+    """``train_on_stream`` over sequences of ids: each sequence's ids, then its EOS, as one stream."""
+    corpus = list(corpus)
+    ids = np.fromiter(chain.from_iterable(chain.from_iterable(zip(corpus, repeat((EOS_ID,))))), np.uint32)
+    return train_on_stream(ids, np.fromiter(map(len, corpus), np.int64, len(corpus)), order, add_k, vocab)
 
 
 def reference_index(lines, lowercase, max_size):

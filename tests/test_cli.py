@@ -11,7 +11,7 @@ from votedecode import harness
 from votedecode.cli import main
 from votedecode.formats import read_candidates, read_vector_file, read_votes, write_candidates
 from votedecode.oracle import enumerate_distribution, exact_vote
-from votedecode.sequences import Vocabulary
+from votedecode.sequences import Vocabulary, detokenize
 from votedecode.voting import SimilaritySpec
 
 from conftest import FIXTURE5, model_from_texts, pairwise_sim
@@ -163,7 +163,7 @@ class TestOracle:
         winner = json.loads(stdout)
         model, vocab = model_from_texts(FIXTURE5)
         result = exact_vote(model, SimilaritySpec(kind="overl", n=1), MAX_LEN)
-        assert winner["sequence"] == " ".join(vocab.token_of(t) for t in result.winner.tokens)
+        assert winner["sequence"] == detokenize(result.winner.tokens, vocab)
         assert winner["score"] == result.winner_score
         assert winner["sequence"] != "ok"  # the near-duplicates' shared words outvote the MAP sequence
 
@@ -228,10 +228,10 @@ class TestOneCrossing:
         argv = ["vote", "--candidates", str(cands), "--voters", flag, "--sim", "bleu", "--contributions"]
         assert main([*argv, "--out", str(tmp_path / "plain.jsonl")]) == 0
 
-        def refuse(self, token_id):
-            raise AssertionError(f"id {token_id} mapped back to a string")
+        def refuse(seq, vocab):
+            raise AssertionError(f"ids {seq} mapped back to strings")
 
-        monkeypatch.setattr(Vocabulary, "token_of", refuse)
+        monkeypatch.setattr(harness, "surface_tokens", refuse)
         assert main([*argv, "--out", str(tmp_path / "patched.jsonl")]) == 0
         assert (tmp_path / "patched.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
 

@@ -19,14 +19,18 @@ from hypothesis import event, given, settings, strategies as st
 
 from votedecode import metrics, voting
 from votedecode.decode import CandidateSet, ScoredSequence
-from votedecode.metrics import bleu_from_stats, bleu_from_stats_array, bleu_stats, corpus_bleu, paired_bootstrap
+from votedecode.metrics import bleu_from_stats, bleu_from_stats_array, bleu_stats, evaluate_system, paired_bootstrap
 from votedecode.models import NEG_INF
-from votedecode.sequences import ngram_bag
 from votedecode.voting import SimilaritySpec, range_vote
 
-from conftest import pairwise_sim, reference_bleu_sim
+from conftest import ngram_bag, pairwise_sim, reference_bleu_sim
 
 # --- reference algorithms ----------------------------------------------------
+
+
+def corpus_bleu(hyps, refs, max_n):
+    """The package's corpus BLEU at ``max_n``: the last BLEU column of the report row."""
+    return evaluate_system("system", hyps, refs, max_n=max_n).bleu[-1]
 
 
 def reference_corpus_bleu(hyps, refs, max_n=4):
@@ -265,7 +269,7 @@ class TestBleuStatistics:
     def test_corpus_bleu_bit_for_bit(self, segments, max_n):
         hyps = [h for h, _ in segments]
         refs = [r for _, r in segments]
-        assert corpus_bleu(hyps, refs, max_n=max_n) == reference_corpus_bleu(hyps, refs, max_n)
+        assert corpus_bleu(hyps, refs, max_n) == reference_corpus_bleu(hyps, refs, max_n)
 
     @settings(max_examples=150, deadline=None)
     @given(bleu_stat_rows(), st.booleans())

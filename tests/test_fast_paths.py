@@ -36,7 +36,6 @@ from votedecode.models import (
     load_model,
     save_model,
     tabular_model,
-    train_ngram_lm,
 )
 from votedecode.oracle import BudgetExceededError, EnumeratedDistribution, enumerate_distribution
 from votedecode.sequences import (
@@ -46,11 +45,11 @@ from votedecode.sequences import (
     RESERVED_MARKS,
     UNK_ID,
     Vocabulary,
-    build_vocabulary,
+    index_corpus,
     tokenize,
 )
 
-from conftest import dense_logprobs, ngram_lm
+from conftest import dense_logprobs, ngram_lm, train_ngram_lm
 
 # --- reference algorithms ----------------------------------------------------
 
@@ -372,7 +371,7 @@ class TestCorpusToIds:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(text_lines(), max_size=8), st.booleans(), st.none() | st.integers(0, 6), st.data())
     def test_vocabulary_and_tokens(self, lines, lowercase, max_size, data):
-        vocab = build_vocabulary(lines, lowercase=lowercase, max_size=max_size)
+        vocab = index_corpus(lines, lowercase, max_size)[0]
         assert vocab == reference_build_vocabulary(lines, lowercase, max_size)
         for text in lines + data.draw(st.lists(text_lines(), max_size=3)):
             assert tokenize(text, vocab, lowercase) == reference_tokenize(text, vocab, lowercase)

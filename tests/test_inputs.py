@@ -11,9 +11,11 @@ from votedecode import harness
 from votedecode.cli import main
 from votedecode.config import ConfigError, load_config, parse_voter_spec
 from votedecode.formats import FileFormatError, read_candidates, read_dataset, read_votes
-from votedecode.models import ModelFormatError, load_model, train_ngram_lm
-from votedecode.sequences import Vocabulary, build_vocabulary
+from votedecode.models import ModelFormatError, load_model
+from votedecode.sequences import Vocabulary, index_corpus
 from votedecode.voting import SimilaritySpec
+
+from conftest import train_ngram_lm
 
 
 def write_lines(path, lines):
@@ -52,6 +54,39 @@ class TestNonFiniteLogprobs:
         cands = write_lines(tmp_path / "c.jsonl", [candidates_line(1, "NaN")])
         out = tmp_path / "votes.jsonl"
         assert main(["vote", "--candidates", str(cands), "--sim", "overl", "--n", "1", "--out", str(out)]) == 3
+        assert not out.exists()
+
+
+# An id that is or holds NaN or ±Infinity has no strict JSON text: writing it back failed after the output was open.
+NON_FINITE_IDS = [math.nan, math.inf, -math.inf, [1, math.nan], {"a": -math.inf}]
+
+
+class TestNonFiniteIds:
+    @pytest.mark.parametrize("bad", NON_FINITE_IDS, ids=["nan", "inf", "minus-inf", "list", "object"])
+    def test_every_reader_names_the_line(self, tmp_path, bad):
+        cases = [
+            (read_dataset, [dataset_line(1), dataset_line(bad)]),
+            (read_candidates, [candidates_line(1, -1), candidates_line(bad, -1)]),
+            (read_votes, [votes_line(1, -1), votes_line(bad, -1)]),
+        ]
+        for reader, lines in cases:
+            path = write_lines(tmp_path / f"{reader.__name__}.jsonl", lines)
+            with pytest.raises(FileFormatError, match=rf"{path}:2: id .* is or holds NaN or Infinity"):
+                reader(path)
+
+    @pytest.mark.parametrize("command", ["vote", "decode"])
+    def test_exits_3_before_any_output(self, tmp_path, capsys, command):
+        out = tmp_path / "out.jsonl"
+        if command == "vote":
+            path = write_lines(tmp_path / "c.jsonl", [candidates_line(math.nan, -1)])
+            argv = ["vote", "--candidates", str(path), "--sim", "overl", "--n", "1"]
+        else:
+            path = write_lines(tmp_path / "d.jsonl", [dataset_line(math.nan)])
+            tabular = tmp_path / "t.json"
+            tabular.write_text(json.dumps({"entries": [["a", 1.0]]}), encoding="utf-8")
+            argv = ["decode", "--tabular", str(tabular), "--dataset", str(path)]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert f"{path}:1: id nan is or holds NaN or Infinity" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -334,8 +369,8 @@ class TestTrainingSettings:
 
     def test_build_vocabulary_rejects_a_negative_max_size(self):
         with pytest.raises(ValueError, match="max_vocab must be >= 0, got -1"):
-            build_vocabulary(["a b c d"], max_size=-1)
-        assert build_vocabulary(["a b c d"], max_size=0).tokens == ()
+            index_corpus(["a b c d"], max_size=-1)
+        assert index_corpus(["a b c d"], max_size=0)[0].tokens == ()
 
     @pytest.mark.parametrize("flags", [["--add-k", "nan"], ["--add-k", "inf"], ["--max-vocab", "-1"]])
     def test_train_exits_3_and_writes_nothing(self, tmp_path, flags):
@@ -387,8 +422,14 @@ class TestTrainingSettings:
             (1, [[[], [["3", "1"], [4, 2]]]], "events and counts must be integers, got '3'"),
             (1, [[[], [[3, "1"], [4, 2]]]], "events and counts must be integers, got '1'"),
             (2, [[["3"], [[3, 1]]]], "history ids must be integers, got '3'"),
+            # A bool among integers was read as 0 or 1: [3, true] loaded as event 3 with count 1.
+            (1, [[[], [[True, 1], [4, 2]]]], "events and counts must be integers, got True"),
+            (1, [[[], [[3, True], [4, 2]]]], "events and counts must be integers, got True"),
+            (2, [[[3], [[3, 1]]], [[False], [[4, 1]]]], "history ids must be integers, got False"),
+            (1, [[[], [[3, 2.0], [4, False]]]], "events and counts must be integers, got False"),
         ],
-        ids=["event", "count", "history", "order", "event-string", "count-string", "history-string"],
+        ids=["event", "count", "history", "order", "event-string", "count-string", "history-string", "event-bool",
+             "count-bool", "history-bool", "count-bool-among-floats"],
     )
     def test_load_model_refuses_a_fraction(self, tmp_path, capsys, order, counts, message):
         payload = {"format": "votedecode-ngram-lm", "version": 1, "vocab": ["a", "b"], "order": order, "add_k": 0.0,

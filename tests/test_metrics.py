@@ -3,22 +3,32 @@ import random
 
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from votedecode.decode import copy_overlap_rate
 from votedecode.metrics import (
     bleu_from_stats,
     bleu_stats,
     copy_rates,
-    corpus_bleu,
     distinct_stats,
     evaluate_system,
     paired_bootstrap,
     sign_test,
 )
 
+from conftest import ngram_set
+from test_elections import reference_corpus_bleu
+
 
 def toks(text):
     return tuple(text.split())
+
+
+def corpus_bleu(hyps, refs, max_n):
+    """Corpus BLEU at ``max_n`` as the report computes it, checked bit for bit against the reference."""
+    score = evaluate_system("sys", hyps, refs, max_n=max_n).bleu[-1]
+    assert score == reference_corpus_bleu(hyps, refs, max_n)
+    return score
 
 
 # Short sequences over three words, so every n-gram order both matches and misses.
@@ -130,6 +140,30 @@ class TestCopyRates:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             copy_rates([toks("a")], [], 0.5)
+
+
+# Up to three tokens over three words: empty and one-token sequences are common.
+SHORT = st.lists(st.sampled_from("abc"), max_size=3).map(tuple)
+
+
+def reference_overlap(out, src):
+    """Share of the source's distinct unigrams in ``out``, from n-gram sets; 0 for an empty source."""
+    src_set = ngram_set(src, 1)
+    return len(ngram_set(out, 1) & src_set) / len(src_set) if src_set else 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(SHORT, SHORT), min_size=1, max_size=6), st.sampled_from([0.0, 0.5, 1.0]))
+@example([((), ()), (("a",), ()), ((), ("a",)), (("a",), ("a", "b"))], 0.5)
+def test_diversity_and_copy_rates_match_gram_sets(pairs, threshold):
+    outputs, sources = [out for out, _ in pairs], [src for _, src in pairs]
+    stats = distinct_stats(outputs)
+    assert stats.distinct_unigrams == len(frozenset().union(*(ngram_set(out, 1) for out in outputs)))
+    assert stats.distinct_bigrams == len(frozenset().union(*(ngram_set(out, 2) for out in outputs)))
+    assert [copy_overlap_rate(out, src) for out, src in pairs] == [reference_overlap(out, src) for out, src in pairs]
+    exact = [out == src for out, src in pairs]
+    partial = [same or reference_overlap(out, src) >= threshold for same, (out, src) in zip(exact, pairs)]
+    assert copy_rates(outputs, sources, threshold) == (sum(exact) / len(pairs), sum(partial) / len(pairs))
 
 
 class TestSignTest:

@@ -11,11 +11,10 @@ from votedecode.models import (
     load_model,
     save_model,
     tabular_model,
-    train_ngram_lm,
 )
 from votedecode.sequences import EOS_ID, UNK_ID, Vocabulary, tokenize
 
-from conftest import dense_logprobs, model_from_texts, sequence_logprob
+from conftest import dense_logprobs, model_from_texts, sequence_logprob, train_ngram_lm
 
 
 def logprobs_as_probs(model, prefix):

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import corpus_lines, reference_index
+from conftest import corpus_lines, ngram_bag, ngram_set, reference_index
 from votedecode.harness import file_ids
 from votedecode.sequences import (
     BOS_ID,
@@ -12,12 +12,9 @@ from votedecode.sequences import (
     MARK_IDS,
     UNK_ID,
     Vocabulary,
-    build_vocabulary,
     detokenize,
     gram_codes,
     index_corpus,
-    ngram_bag,
-    ngram_set,
     tokenize,
 )
 
@@ -33,8 +30,8 @@ class TestVocabulary:
 
     def test_bijection(self):
         for token in VOCAB.tokens:
-            assert VOCAB.token_of(VOCAB.id_of(token)) == token
-        assert VOCAB.token_of(UNK_ID) == "<unk>"
+            assert VOCAB.marked_tokens[VOCAB.id_of(token)] == token
+        assert VOCAB.marked_tokens[UNK_ID] == "<unk>"
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -45,10 +42,6 @@ class TestVocabulary:
             Vocabulary(tokens=("a b",))
         with pytest.raises(ValueError):
             Vocabulary(tokens=("<unk>",))
-
-    def test_unknown_id_lookup(self):
-        with pytest.raises(KeyError):
-            VOCAB.token_of(99)
 
     @pytest.mark.parametrize(
         "tokens, message",
@@ -178,15 +171,15 @@ class TestGramCodes:
 
 class TestBuildVocabulary:
     def test_frequency_then_alpha_order(self):
-        vocab = build_vocabulary(["b a", "b c", "c a a"])
+        vocab = index_corpus(["b a", "b c", "c a a"])[0]
         assert vocab.tokens == ("a", "b", "c")  # a:3, b:2, c:2 (alpha tie-break)
 
     def test_max_size(self):
-        vocab = build_vocabulary(["b a", "b c"], max_size=1)
+        vocab = index_corpus(["b a", "b c"], max_size=1)[0]
         assert vocab.tokens == ("b",)
 
     def test_lowercase(self):
-        vocab = build_vocabulary(["A a"], lowercase=True)
+        vocab = index_corpus(["A a"], lowercase=True)[0]
         assert vocab.tokens == ("a",)
 
 
@@ -198,7 +191,6 @@ class TestIndexCorpus:
         assert vocab.tokens == want_vocab.tokens
         assert ids.tolist() == [i for seq in seqs for i in seq + (EOS_ID,)]
         assert lengths.tolist() == [len(seq) for seq in seqs]
-        assert build_vocabulary(lines, lowercase, max_size) == vocab
 
     def test_blank_and_whitespace_only_lines_are_empty(self):
         vocab, ids, lengths = index_corpus(["", " \t", "a", "\u3000\xa0\x1c\u2028"])
@@ -232,8 +224,6 @@ class TestIndexCorpus:
     def test_rejects_negative_max_size(self):
         with pytest.raises(ValueError, match="max_vocab must be >= 0, got -1"):
             index_corpus(["a"], max_size=-1)
-        with pytest.raises(ValueError, match="max_vocab must be >= 0, got -1"):
-            build_vocabulary(["a"], max_size=-1)
 
 
 def generator_file_ids(tokens, vocab):

@@ -7,10 +7,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import corpus_lines, ngram_lm, reference_index
+from conftest import corpus_lines, ngram_lm, reference_index, train_ngram_lm
 from votedecode.cli import main
 from votedecode.harness import train_on_lines
-from votedecode.models import save_model, train_ngram_lm
+from votedecode.models import save_model
 from votedecode.sequences import BOS_ID, EOS_ID
 
 WORDS = ["the", "The", "THE", "cat", "Cat", "dog", "sat", "ran", "on", "mat", "ΟΔΟΣ", "Σ", "İzmir", "<unk>", "<bos>",
