@@ -22,6 +22,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 import click
 
@@ -40,6 +41,7 @@ from .formats import (
     read_tabular_entries,
     read_vector_file,
     report_columns,
+    save_outputs,
     write_candidates,
     write_enumeration,
     write_report_json,
@@ -120,6 +122,16 @@ def _sim_spec(kind: str, n: int | None, max_n: int | None, vectors: str | None, 
     return keyed_similarity(SimilaritySpec(kind=kind, n=n, max_n=max_n, vector_path=vectors), table, vocab)
 
 
+def _emit(out: str | None, writer: Callable, *args) -> None:
+    """``writer(*args, fp)`` into the file ``out`` through :func:`save_outputs`, or to stdout when ``out`` is None."""
+    if out is not None:
+        save_outputs(out, [("", writer, args)])
+        return
+    buf = io.StringIO()
+    writer(*args, buf)
+    click.echo(buf.getvalue(), nl=False)
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="votedecode")
 def cli():
@@ -140,8 +152,7 @@ def train(corpus, out, order, add_k, max_vocab, lowercase):
     """Train an add-k n-gram model and save it."""
     lines = read_corpus_lines(corpus)
     model = train_on_lines(lines, order, add_k, max_vocab, lowercase)
-    with open(out, "w", encoding="utf-8") as fp:
-        save_model(model, fp)
+    _emit(out, save_model, model)
     click.echo(f"trained order-{order} model on {len(lines)} lines ({model.vocab.size} word vocabulary) -> {out}")
 
 
@@ -182,8 +193,7 @@ def decode(model_path, tabular_path, dataset, out, strategy, beam_size, max_len,
         context = source_context(row.source, model.vocab, lowercase)
         cands = require_candidates(spec, row.id, decode_row(model, spec, context, derive_seed(seed, 1, 0, ri)))
         records.append(candidate_record(row.id, row.source, cands, model.vocab))
-    with open(out, "w", encoding="utf-8") as fp:
-        write_candidates(records, fp)
+    _emit(out, write_candidates, records)
     click.echo(f"decoded {len(records)} inputs -> {out}")
 
 
@@ -249,8 +259,7 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
         else:
             voters = cands
         results.append(vote_record(rec, cands, range_vote(cands, voters, sim, with_contributions=contributions)))
-    with open(out, "w", encoding="utf-8") as fp:
-        write_votes(results, fp)
+    _emit(out, write_votes, results)
     click.echo(f"voted on {len(results)} inputs with {sim.name} -> {out}")
 
 
@@ -291,36 +300,15 @@ def eval_cmd(hyps_path, dataset, system, metric, max_n, copy_threshold, lowercas
 
     if compare_path is not None:
         aligned_b = join_by_id(ids, read_hypotheses(compare_path), compare_path)
-        p = paired_bootstrap(
-            hyp_tokens,
-            aligned_b,
-            aligned_refs,
-            max_n=max_n,
-            n_bootstrap=n_bootstrap,
-            seed=seed,
-        )
-        click.echo(repr(p))
+        click.echo(repr(paired_bootstrap(hyp_tokens, aligned_b, aligned_refs, max_n=max_n, n_bootstrap=n_bootstrap,
+                                         seed=seed)))
         return
 
-    row = evaluate_system(
-        system,
-        hyp_tokens,
-        aligned_refs,
-        sources,
-        max_n=max_n,
-        copy_threshold=copy_threshold,
-    )
+    row = evaluate_system(system, hyp_tokens, aligned_refs, sources, max_n=max_n, copy_threshold=copy_threshold)
     columns = [col for col in report_columns(max_n) if col == "system" or METRIC_GROUPS[metric](col)]
-    if out_tsv:
-        with open(out_tsv, "w", encoding="utf-8") as fp:
-            write_report_tsv([row], columns, fp)
-    else:
-        buf = io.StringIO()
-        write_report_tsv([row], columns, buf)
-        click.echo(buf.getvalue(), nl=False)
-    if out_json:
-        with open(out_json, "w", encoding="utf-8") as fp:
-            write_report_json([row], fp)
+    _emit(out_tsv, write_report_tsv, [row], columns)
+    if out_json is not None:
+        _emit(out_json, write_report_json, [row])
 
 
 # --- oracle ---------------------------------------------------------------------
@@ -352,14 +340,9 @@ def enumerate_cmd(model_path, tabular_path, lowercase, max_len, budget, floor, o
     model = _load_cli_model(model_path, tabular_path, lowercase)
     dist = enumerate_distribution(model, max_len, prob_floor=floor, node_budget=budget)
     pairs = [(detokenize(e.tokens, model.vocab), math.exp(e.logprob)) for e in dist.entries]
-    if out:
-        with open(out, "w", encoding="utf-8") as fp:
-            write_enumeration(pairs, fp)
+    _emit(out, write_enumeration, pairs)
+    if out is not None:
         click.echo(f"enumerated {len(pairs)} sequences (mass {dist.total_mass!r}) -> {out}")
-    else:
-        buf = io.StringIO()
-        write_enumeration(pairs, buf)
-        click.echo(buf.getvalue(), nl=False)
 
 
 @oracle.command(name="map")
@@ -382,14 +365,9 @@ def vote_winner(model_path, tabular_path, lowercase, max_len, budget, sim_kind, 
     model = _load_cli_model(model_path, tabular_path, lowercase)
     sim = _sim_spec(sim_kind, n, max_n, vectors, model.vocab)
     result = exact_vote(model, sim, max_len, node_budget=budget)
-    click.echo(json.dumps(
-        {
-            "sequence": detokenize(result.winner.tokens, model.vocab),
-            "logprob": result.winner.logprob,
-            "score": result.winner_score,
-        },
-        sort_keys=True,
-    ))
+    winner = {"sequence": detokenize(result.winner.tokens, model.vocab), "logprob": result.winner.logprob,
+              "score": result.winner_score}
+    click.echo(json.dumps(winner, sort_keys=True))
 
 
 # --- run ---------------------------------------------------------------------

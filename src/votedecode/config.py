@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .decode import DecodeSpec
+from .metrics import check_copy_threshold
 from .models import check_training
 from .voting import SimilaritySpec
 
@@ -318,8 +319,10 @@ def parse_config(data: Mapping, base_dir: Path) -> ExperimentConfig:
         raise ConfigError(f"config: {exc}") from exc
     if cfg.bleu_max_n < 1:
         raise ConfigError(f"metrics.bleu_max_n must be >= 1, got {cfg.bleu_max_n}")
-    if not 0.0 <= cfg.copy_threshold <= 1.0:
-        raise ConfigError(f"metrics.copy_threshold must be in [0,1], got {cfg.copy_threshold}")
+    try:
+        check_copy_threshold(cfg.copy_threshold)
+    except ValueError as exc:
+        raise ConfigError(f"metrics.{exc}") from exc
     if workers is not None and workers < 1:
         raise ConfigError(f"config: workers must be >= 1, got {workers}")
     object.__setattr__(cfg, "base_dir", base_dir)

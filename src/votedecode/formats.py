@@ -11,9 +11,15 @@ file's field; no two records share an id under :func:`record_key`; no id
 is or holds NaN or ±Infinity, which strict JSON cannot write back; a file
 holds at least one record.  A record's candidates or ranked entries form a
 non-empty list; each entry's ``tokens`` is a list of strings and its
-``logprob`` finite, or ``null`` or -Infinity for probability zero (NaN
-and +Infinity are refused).  A fault is a :class:`FileFormatError` naming
-``path:line``.  :func:`join_by_id` aligns one file's records to another's ids.
+``logprob`` finite and <= 0, or ``null`` or -Infinity for probability zero
+(NaN, +Infinity and any positive value are refused: no probability exceeds
+1).  A fault is a :class:`FileFormatError` naming ``path:line``.
+:func:`join_by_id` aligns one file's records to another's ids.
+
+Every output file, a command's single file or ``run``'s whole tree, is
+written by :func:`save_outputs`, under one rule: an existing target is
+replaced only after the whole write succeeded, so a failed command leaves
+the target as it was and no partial file.
 """
 
 from __future__ import annotations
@@ -21,6 +27,9 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, Iterable
@@ -33,6 +42,43 @@ from .metrics import EvalRow
 
 class FileFormatError(ValueError):
     """Raised when an input file's contents do not match the expected format."""
+
+
+# --- writing ----------------------------------------------------------------
+
+def save_outputs(target: str | Path, files: Iterable[tuple[str, Callable, tuple]]) -> None:
+    """Write ``files`` at ``target`` as one output: all of it, or nothing.
+
+    Each file is ``(name, writer, args)``, written by ``writer(*args, fp)``
+    to ``target / name``; the name ``""`` is ``target`` itself, a single
+    file.  Everything is written into a temporary sibling of ``target``,
+    which is renamed into place once every writer has returned.  So:
+
+    - an existing target is replaced only after the whole write succeeded;
+      a failed write leaves it as it was, and no temporary sibling;
+    - a symlinked target stays a link, and what it points to is replaced;
+    - missing parent directories of the target are created;
+    - new files and directories get the usual mode, the umask's.
+
+    A target that exists as neither a regular file nor a directory (a
+    device, a pipe) is refused with an ``OSError``, since a rename would
+    replace it.
+    """
+    target = Path(target).resolve()  # through a symlink, so the rename replaces what it points to
+    if target.exists() and not (target.is_file() or target.is_dir()):
+        raise OSError(f"{target} is not a regular file or a directory")
+    target.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{target.name}-", dir=target.parent))
+    try:
+        tree = staging / target.name  # mkdtemp's own directory is private (mode 0700); this one is not
+        for name, writer, args in files:
+            path = tree / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(path, "w", encoding="utf-8") as fp:
+                writer(*args, fp)
+        os.replace(tree, target)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 # --- corpus --------------------------------------------------------------
@@ -101,8 +147,8 @@ def _entries(obj: dict, field: str, where: str) -> tuple:
         if not _strings(tokens):
             raise FileFormatError(f"{where}: 'tokens' must be a list of strings, got {tokens!r}")
         logprob = -math.inf if logprob is None else logprob
-        if type(logprob) not in _NUMBER or logprob != logprob or logprob == math.inf:
-            raise FileFormatError(f"{where}: log-probability must be finite, null or -Infinity, got {logprob!r}")
+        if type(logprob) not in _NUMBER or not logprob <= 0:  # NaN compares false
+            raise FileFormatError(f"{where}: log-probability must be finite and <= 0, null or -Infinity, got {logprob!r}")
         if type(score) not in _NUMBER:
             raise FileFormatError(f"{where}: 'score' must be a number, got {score!r}")
         out.append((tuple(tokens), float(logprob), float(score)) if scored else (tuple(tokens), float(logprob)))

@@ -19,9 +19,6 @@ hypotheses reuse the strings of the candidates' record (read or made).
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
@@ -38,6 +35,7 @@ from .formats import (
     read_tabular_entries,
     read_vector_file,
     report_columns,
+    save_outputs,
     write_candidates,
     write_report_json,
     write_report_tsv,
@@ -101,11 +99,8 @@ def file_ids(tokens: Iterable[str], vocab: Vocabulary) -> Sequence:
 
 
 def candidate_record(row_id, source: str | None, cands: CandidateSet, vocab: Vocabulary) -> CandidateRecord:
-    return CandidateRecord(
-        id=row_id,
-        source=source,
-        candidates=tuple((surface_tokens(c.tokens, vocab), c.logprob) for c in cands.items),
-    )
+    items = tuple((surface_tokens(c.tokens, vocab), c.logprob) for c in cands.items)
+    return CandidateRecord(id=row_id, source=source, candidates=items)
 
 
 def vote_record(record: CandidateRecord, cands: CandidateSet, result: VoteResult) -> VoteRecord:
@@ -134,12 +129,7 @@ def plain_tokens(rows: list[DatasetRow], lowercase: bool) -> tuple[list, list | 
     return refs, [words(row.source) for row in rows]
 
 
-def decode_row(
-    model: SequenceModel,
-    spec: DecodeSpec,
-    context: Sequence | None,
-    seed: int,
-) -> CandidateSet:
+def decode_row(model: SequenceModel, spec: DecodeSpec, context: Sequence | None, seed: int) -> CandidateSet:
     """Run one decode setting on one input (beam or sampling)."""
     if spec.kind == "beam":
         return beam_search(model, context, spec)
@@ -185,9 +175,9 @@ def run_experiment(
 ) -> tuple[list[EvalRow], Path]:
     """Run the full grid: decode x select per input, then one report row per system.
 
-    Every file is computed first, then written into a temporary sibling
-    directory that is renamed into place, so a run that fails, in computing
-    or part-way through writing, leaves no output tree behind.  An output
+    Every file is computed first, then the whole tree is written by one
+    :func:`formats.save_outputs`, so a run that fails, in computing or
+    part-way through writing, leaves no output tree behind.  An output
     path that is not a directory, or a directory that already holds
     anything, is refused before the model is built, so no file of an
     earlier run sits beside the report; an empty directory is replaced.
@@ -211,14 +201,14 @@ def run_experiment(
     refs, sources = plain_tokens(rows, config.lowercase)
 
     report: list[EvalRow] = []
-    files: list[tuple[str, Callable, list]] = []  # (path under out, writer, records)
+    files: list[tuple[str, Callable, tuple]] = []  # (path under out, writer, writer args)
     for di, dspec in enumerate(config.decode):
         cand_sets = [
             require_candidates(dspec, row.id, decode_row(model, dspec, context, derive_seed(config.seed, 1, di, ri)))
             for ri, (row, context) in enumerate(zip(rows, contexts))
         ]
         records = [candidate_record(row.id, row.source, cands, vocab) for row, cands in zip(rows, cand_sets)]
-        files.append((f"candidates/{dspec.name}.jsonl", write_candidates, records))
+        files.append((f"candidates/{dspec.name}.jsonl", write_candidates, (records,)))
         for si, (sspec, sim) in enumerate(zip(config.select, sims)):
             system = f"{dspec.name}+{sspec.name}"
             if sspec.kind == "map":
@@ -231,47 +221,16 @@ def run_experiment(
                     result = range_vote(cands, voter_sets[-1], sim, with_contributions=sspec.contributions)
                     votes.append(vote_record(rec, cands, result))
                 if sspec.voters is not None:
-                    files.append((
-                        f"voters/{system}.jsonl",
-                        write_candidates,
-                        [candidate_record(row.id, row.source, voters, vocab) for row, voters in zip(rows, voter_sets)],
-                    ))
-                files.append((f"votes/{system}.jsonl", write_votes, votes))
+                    voter_records = [candidate_record(row.id, row.source, v, vocab) for row, v in zip(rows, voter_sets)]
+                    files.append((f"voters/{system}.jsonl", write_candidates, (voter_records,)))
+                files.append((f"votes/{system}.jsonl", write_votes, (votes,)))
                 tops = [vote.ranked[0][:2] for vote in votes]
-            files.append((
-                f"selections/{system}.jsonl",
-                write_candidates,
-                [CandidateRecord(id=row.id, source=row.source, candidates=(top,)) for row, top in zip(rows, tops)],
-            ))
-            hyps = [tokens for tokens, _ in tops]
-            report.append(
-                evaluate_system(
-                    system,
-                    hyps,
-                    refs,
-                    sources,
-                    max_n=config.bleu_max_n,
-                    copy_threshold=config.copy_threshold,
-                )
-            )
+            selections = [CandidateRecord(row.id, row.source, (top,)) for row, top in zip(rows, tops)]
+            files.append((f"selections/{system}.jsonl", write_candidates, (selections,)))
+            report.append(evaluate_system(system, [tokens for tokens, _ in tops], refs, sources,
+                                          max_n=config.bleu_max_n, copy_threshold=config.copy_threshold))
 
-    target = out.resolve()  # through a symlink, so the rename replaces what it points to
-    target.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{target.name}-", dir=target.parent))
-    try:
-        tree = staging / target.name  # mkdtemp's own directory is private (mode 0700); this one is not
-        tree.mkdir()
-        for name, writer, records in files:
-            path = tree / name
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fp:
-                writer(records, fp)
-        with open(tree / "report.tsv", "w", encoding="utf-8") as fp:
-            write_report_tsv(report, report_columns(config.bleu_max_n), fp)
-        with open(tree / "report.json", "w", encoding="utf-8") as fp:
-            write_report_json(report, fp)
-        os.replace(tree, target)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    files.append(("report.tsv", write_report_tsv, (report, report_columns(config.bleu_max_n))))
+    files.append(("report.json", write_report_json, (report,)))
+    save_outputs(out, files)
     return report, out
-

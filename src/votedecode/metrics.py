@@ -243,6 +243,12 @@ class EvalRow:
     partial_copy_rate: float | None
 
 
+def check_copy_threshold(threshold: float) -> None:
+    """Reject a copy threshold outside [0, 1], NaN included: it is compared with overlap rates, which lie in [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"copy_threshold must be in [0,1], got {threshold}")
+
+
 def evaluate_system(
     system: str,
     hyps: TySequence[Sequence],
@@ -257,6 +263,7 @@ def evaluate_system(
     BLEU-n is corpus BLEU: clipped matches pooled over segments, each segment's closest reference length (ties
     to the shorter), and 0 for any zero pooled precision.
     """
+    check_copy_threshold(copy_threshold)
     hyp_len, ref_len, *counts = map(sum, zip(*_segment_stats(hyps, refs, max_n)))
     matched, total = counts[:max_n], counts[max_n:]
     bleu = tuple(bleu_from_stats((hyp_len, ref_len, *matched[:n], *total[:n])) for n in range(1, max_n + 1))

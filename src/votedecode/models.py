@@ -394,9 +394,12 @@ def load_model(fp: IO[str]) -> NGramLM:
         if not isinstance(payload["vocab"], list):  # a string would split into its characters
             raise ValueError(f"vocab must be a list of strings, got {type(payload['vocab']).__name__}")
         vocab = Vocabulary(tokens=tuple(payload["vocab"]))
-        if (order := int(payload["order"])) != payload["order"]:
-            raise ValueError(f"order must be an integer, got {payload['order']!r}")
-        add_k = float(payload["add_k"])
+        order, add_k = payload["order"], payload["add_k"]
+        if type(order) not in (int, float) or order != int(order):  # a JSON bool is neither
+            raise ValueError(f"order must be an integer, got {order!r}")
+        if type(add_k) not in (int, float):
+            raise ValueError(f"add_k must be a number, got {add_k!r}")
+        order, add_k = int(order), float(add_k)
         check_training(order, add_k)
         entries, need = payload["counts"], order - 1
         if (hist := next((hist for hist, _ in entries if len(hist) != need), None)) is not None:

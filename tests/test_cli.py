@@ -1,13 +1,14 @@
 """Commands driven through `cli.main`: flags files, the oracle group, reserved markers in votes, refused inputs,
 `eval --metric` columns and `embed_cosine` vector files."""
 
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from votedecode import harness
+from votedecode import cli, harness
 from votedecode.cli import main
 from votedecode.formats import read_candidates, read_vector_file, read_votes, write_candidates
 from votedecode.oracle import enumerate_distribution, exact_vote
@@ -350,6 +351,79 @@ def test_a_run_into_an_empty_directory_replaces_it_with_the_usual_mode(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "probe", "toy"]
 
 
+# The writer each single-file output goes through, patched by its name in `cli`, and the command writing to `out`.
+WRITE_CASES = {
+    "train": ("save_model", lambda out: ["train", "--corpus", "corpus.txt", "--out", out]),
+    "decode": ("write_candidates", lambda out: ["decode", "--tabular", "toy.json", "--dataset", "data.jsonl",
+                                                "--beam-size", "3", "--max-len", "6", "--out", out]),
+    "vote": ("write_votes", lambda out: ["vote", "--candidates", "cands.jsonl", "--sim", "overl", "--n", "1",
+                                         "--out", out]),
+    "eval-tsv": ("write_report_tsv", lambda out: ["eval", "--hyps", "cands.jsonl", "--dataset", "data.jsonl",
+                                                  "--out-tsv", out]),
+    "eval-json": ("write_report_json", lambda out: ["eval", "--hyps", "cands.jsonl", "--dataset", "data.jsonl",
+                                                    "--out-json", out]),
+    "oracle-enumerate": ("write_enumeration", lambda out: ["oracle", "enumerate", "--tabular", "toy.json",
+                                                           "--max-len", "6", "--out", out]),
+}
+
+
+class TestWriteRule:
+    """Every single-file output is staged and renamed into place, as `run`'s tree is."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "corpus.txt").write_text("the cat sat\nthe dog ran\n", encoding="utf-8")
+        (tmp_path / "toy.json").write_text(json.dumps({"entries": FIXTURE5}), encoding="utf-8")
+        write_dataset(tmp_path / "data.jsonl")
+        assert main(WRITE_CASES["decode"][1]("cands.jsonl")) == 0
+        (tmp_path / "outs").mkdir()
+        return tmp_path / "outs"
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("case", sorted(WRITE_CASES))
+    def test_a_write_that_fails_part_way_leaves_the_target_as_it_was(self, workdir, capsys, monkeypatch, case,
+                                                                      existing):
+        name, argv = WRITE_CASES[case]
+        writer = getattr(cli, name)
+
+        def write_half_then_fail(*args):
+            *head, fp = args
+            buf = io.StringIO()
+            writer(*head, buf)
+            fp.write(buf.getvalue()[: len(buf.getvalue()) // 2])
+            raise OSError("No space left on device")
+
+        out = workdir / "target"
+        if existing:
+            out.write_text("old bytes\n")
+        monkeypatch.setattr(cli, name, write_half_then_fail)
+        assert main(argv(str(out))) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert [p.name for p in workdir.iterdir()] == (["target"] if existing else [])
+        assert not existing or out.read_text() == "old bytes\n"
+
+    def test_a_symlinked_target_stays_a_link_to_the_replaced_file(self, workdir):
+        assert main(WRITE_CASES["vote"][1]("outs/plain.jsonl")) == 0
+        (workdir / "real.jsonl").write_text("old bytes\n")
+        (workdir / "link.jsonl").symlink_to("real.jsonl")
+        assert main(WRITE_CASES["vote"][1]("outs/link.jsonl")) == 0
+        assert (workdir / "link.jsonl").is_symlink()
+        assert (workdir / "real.jsonl").read_bytes() == (workdir / "plain.jsonl").read_bytes()
+        assert sorted(p.name for p in workdir.iterdir()) == ["link.jsonl", "plain.jsonl", "real.jsonl"]
+
+    def test_a_target_in_a_missing_directory_is_written_with_the_usual_mode(self, workdir):
+        assert main(WRITE_CASES["vote"][1]("outs/plain.jsonl")) == 0
+        out = workdir / "a" / "b" / "votes.jsonl"
+        assert main(WRITE_CASES["vote"][1](str(out))) == 0
+        assert out.read_bytes() == (workdir / "plain.jsonl").read_bytes()
+        (workdir / "probe").mkdir()
+        (workdir / "probe" / "file").write_text("")
+        assert out.stat().st_mode == (workdir / "probe" / "file").stat().st_mode
+        assert out.parent.stat().st_mode == (workdir / "probe").stat().st_mode
+        assert [p.name for p in out.parent.iterdir()] == ["votes.jsonl"]
+
+
 def test_an_empty_decode_command_exits_3_without_writing(tmp_path, capsys):
     (tmp_path / "toy.json").write_text(json.dumps({"entries": [["a", 1.0]]}), encoding="utf-8")
     (tmp_path / "d.jsonl").write_text(json.dumps({"id": 1, "source": "a", "references": ["a"]}) + "\n")
@@ -369,6 +443,19 @@ def test_eval_refuses_a_bleu_order_below_one(tmp_path, capsys, max_n):
     assert main(["eval", "--hyps", str(hyps), "--dataset", str(tmp_path / "d.jsonl"), "--max-n", max_n,
                  "--out-tsv", str(out)]) == 3
     assert "max_n must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# They were accepted and rates reported; the run config refuses the same values as metrics.copy_threshold.
+@pytest.mark.parametrize("threshold", ["2", "nan", "-1"])
+def test_eval_refuses_a_copy_threshold_outside_0_1(tmp_path, capsys, threshold):
+    (tmp_path / "d.jsonl").write_text(json.dumps({"id": 1, "source": "a b", "references": ["a b"]}) + "\n")
+    hyps = tmp_path / "h.jsonl"
+    hyps.write_text(json.dumps({"id": 1, "candidates": [{"tokens": ["a", "b"], "logprob": -1.0}]}) + "\n")
+    out = tmp_path / "r.tsv"
+    assert main(["eval", "--hyps", str(hyps), "--dataset", str(tmp_path / "d.jsonl"), "--metric", "copies",
+                 "--copy-threshold", threshold, "--out-tsv", str(out)]) == 3
+    assert "copy_threshold must be in [0,1]" in capsys.readouterr().err
     assert not out.exists()
 
 

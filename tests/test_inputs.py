@@ -412,28 +412,31 @@ class TestTrainingSettings:
     # They were truncated: event 3.7 with count 1.5 loaded as event 3 with count 1, history [3.9] as (3,),
     # order 2.5 as 2.
     @pytest.mark.parametrize(
-        "order, counts, message",
+        "fields, counts, message",
         [
-            (1, [[[], [[3.7, 1.5], [4, 2]]]], "events and counts must be integers, got 3.7"),
-            (1, [[[], [[3, 1.5], [4, 2]]]], "events and counts must be integers, got 1.5"),
-            (2, [[[3.9], [[3, 1]]]], r"history ids must be integers, got 3\.9"),
-            (2.5, [[[3], [[3, 1]]]], r"order must be an integer, got 2\.5"),
+            ({}, [[[], [[3.7, 1.5], [4, 2]]]], "events and counts must be integers, got 3.7"),
+            ({}, [[[], [[3, 1.5], [4, 2]]]], "events and counts must be integers, got 1.5"),
+            ({"order": 2}, [[[3.9], [[3, 1]]]], r"history ids must be integers, got 3\.9"),
+            ({"order": 2.5}, [[[3], [[3, 1]]]], r"order must be an integer, got 2\.5"),
             # Numeric strings were converted: ["3", "1"] loaded as event 3 with count 1, history ["3"] as (3,).
-            (1, [[[], [["3", "1"], [4, 2]]]], "events and counts must be integers, got '3'"),
-            (1, [[[], [[3, "1"], [4, 2]]]], "events and counts must be integers, got '1'"),
-            (2, [[["3"], [[3, 1]]]], "history ids must be integers, got '3'"),
+            ({}, [[[], [["3", "1"], [4, 2]]]], "events and counts must be integers, got '3'"),
+            ({}, [[[], [[3, "1"], [4, 2]]]], "events and counts must be integers, got '1'"),
+            ({"order": 2}, [[["3"], [[3, 1]]]], "history ids must be integers, got '3'"),
             # A bool among integers was read as 0 or 1: [3, true] loaded as event 3 with count 1.
-            (1, [[[], [[True, 1], [4, 2]]]], "events and counts must be integers, got True"),
-            (1, [[[], [[3, True], [4, 2]]]], "events and counts must be integers, got True"),
-            (2, [[[3], [[3, 1]]], [[False], [[4, 1]]]], "history ids must be integers, got False"),
-            (1, [[[], [[3, 2.0], [4, False]]]], "events and counts must be integers, got False"),
+            ({}, [[[], [[True, 1], [4, 2]]]], "events and counts must be integers, got True"),
+            ({}, [[[], [[3, True], [4, 2]]]], "events and counts must be integers, got True"),
+            ({"order": 2}, [[[3], [[3, 1]]], [[False], [[4, 1]]]], "history ids must be integers, got False"),
+            ({}, [[[], [[3, 2.0], [4, False]]]], "events and counts must be integers, got False"),
+            # A bool order or add_k was read as 1: "order": true loaded as order 1, "add_k": true as add_k 1.0.
+            ({"order": True}, [[[], [[3, 1]]]], "order must be an integer, got True"),
+            ({"add_k": True}, [[[], [[3, 1]]]], "add_k must be a number, got True"),
         ],
         ids=["event", "count", "history", "order", "event-string", "count-string", "history-string", "event-bool",
-             "count-bool", "history-bool", "count-bool-among-floats"],
+             "count-bool", "history-bool", "count-bool-among-floats", "order-bool", "add_k-bool"],
     )
-    def test_load_model_refuses_a_fraction(self, tmp_path, capsys, order, counts, message):
-        payload = {"format": "votedecode-ngram-lm", "version": 1, "vocab": ["a", "b"], "order": order, "add_k": 0.0,
-                   "counts": counts}
+    def test_load_model_refuses_a_fraction(self, tmp_path, capsys, fields, counts, message):
+        payload = {"format": "votedecode-ngram-lm", "version": 1, "vocab": ["a", "b"], "order": 1, "add_k": 0.0,
+                   "counts": counts, **fields}
         path = tmp_path / "model.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelFormatError, match=message):
@@ -613,6 +616,16 @@ class TestEntryShapes:
         assert main(["vote", "--candidates", str(cands), "--sim", "overl", "--n", "1", "--out", str(out)]) == 3
         assert f"validation error: {cands}:2: " in capsys.readouterr().err
         assert not out.exists()
+
+    # 5.0 was voted on with a score of exp(5) = 148.41; 1000.0 overflowed math.exp in range_vote (a traceback, exit 1).
+    @pytest.mark.parametrize("logprob", [5.0, 1000.0])
+    def test_a_positive_log_probability_is_refused_before_the_votes_file_is_touched(self, tmp_path, capsys, logprob):
+        cands = write_lines(tmp_path / "c.jsonl", [candidates_line(1, -1.0), candidates_line(2, logprob)])
+        out = tmp_path / "votes.jsonl"
+        out.write_text("old votes\n")
+        assert main(["vote", "--candidates", str(cands), "--sim", "overl", "--n", "1", "--out", str(out)]) == 3
+        assert f"validation error: {cands}:2: log-probability must be finite and <= 0" in capsys.readouterr().err
+        assert out.read_text() == "old votes\n"
 
     @pytest.mark.parametrize(
         "fields",
