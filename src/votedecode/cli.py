@@ -27,7 +27,7 @@ from typing import Callable
 import click
 
 from . import __version__
-from .config import ConfigError, load_config, parse_decode_spec, parse_voter_spec
+from .config import ConfigError, load_config, load_json, parse_decode_spec, parse_voter_spec
 from .decode import CandidateSet, DecodeSpec, ScoredSequence, beam_search, sample_sequences
 from .formats import (
     METRIC_GROUPS,
@@ -50,19 +50,16 @@ from .formats import (
 )
 from .harness import (
     adhoc_vocab,
-    candidate_record,
-    decode_row,
-    derive_seed,
+    decode_rows,
+    elect_rows,
     file_ids,
     keyed_similarity,
     plain_tokens,
-    require_candidates,
-    row_voters,
     run_experiment,
     source_context,
     tabular_model_from_text,
     train_on_lines,
-    vote_record,
+    voter_rows,
 )
 from .metrics import evaluate_system, paired_bootstrap, sign_test
 from .models import ModelFormatError, load_model, save_model
@@ -75,22 +72,13 @@ from .voting import SIMILARITY_KINDS, SimilaritySpec, range_vote
 # their names in this module, so each stays bound here even when unused.
 
 
-def _file_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as fp:
-        try:
-            data = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: flag config must be a JSON object")
-    return data
-
-
 def _read_flag_file(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
     """Eager ``--config`` callback: the file's values become the command's flag defaults."""
     if path is None:
         return
-    cfg = _file_config(path)
+    cfg = load_json(path)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: flag config must be a JSON object")
     names = {opt.lstrip("-").replace("-", "_"): p.name for p in ctx.command.params if p is not param for opt in p.opts}
     ctx.default_map = {names[key]: value for key, value in cfg.items() if key in names and value is not None}
 
@@ -122,14 +110,17 @@ def _sim_spec(kind: str, n: int | None, max_n: int | None, vectors: str | None, 
     return keyed_similarity(SimilaritySpec(kind=kind, n=n, max_n=max_n, vector_path=vectors), table, vocab)
 
 
-def _emit(out: str | None, writer: Callable, *args) -> None:
-    """``writer(*args, fp)`` into the file ``out`` through :func:`save_outputs`, or to stdout when ``out`` is None."""
-    if out is not None:
-        save_outputs(out, [("", writer, args)])
-        return
-    buf = io.StringIO()
-    writer(*args, buf)
-    click.echo(buf.getvalue(), nl=False)
+def _emit(*outputs: tuple[str | None, Callable, tuple]) -> None:
+    """Each ``(out, writer, args)`` as ``writer(*args, fp)``: to stdout when ``out`` is None, else to the file ``out``.
+
+    The files are written by one :func:`save_outputs`, so none is replaced unless every write succeeded.
+    """
+    for out, writer, args in outputs:
+        if out is None:
+            buf = io.StringIO()
+            writer(*args, buf)
+            click.echo(buf.getvalue(), nl=False)
+    save_outputs(*((out, [("", writer, args)]) for out, writer, args in outputs if out is not None))
 
 
 @click.group()
@@ -152,7 +143,7 @@ def train(corpus, out, order, add_k, max_vocab, lowercase):
     """Train an add-k n-gram model and save it."""
     lines = read_corpus_lines(corpus)
     model = train_on_lines(lines, order, add_k, max_vocab, lowercase)
-    _emit(out, save_model, model)
+    _emit((out, save_model, (model,)))
     click.echo(f"trained order-{order} model on {len(lines)} lines ({model.vocab.size} word vocabulary) -> {out}")
 
 
@@ -188,12 +179,10 @@ def decode(model_path, tabular_path, dataset, out, strategy, beam_size, max_len,
     entry.update((key, value) for key, value in flags.items() if value is not None)
     spec = parse_decode_spec(entry, "decode")
     model = _load_cli_model(model_path, tabular_path, lowercase)
-    records = []
-    for ri, row in enumerate(read_dataset(dataset)):
-        context = source_context(row.source, model.vocab, lowercase)
-        cands = require_candidates(spec, row.id, decode_row(model, spec, context, derive_seed(seed, 1, 0, ri)))
-        records.append(candidate_record(row.id, row.source, cands, model.vocab))
-    _emit(out, write_candidates, records)
+    rows = read_dataset(dataset)
+    contexts = [source_context(row.source, model.vocab, lowercase) for row in rows]
+    _, records = decode_rows(model, spec, rows, contexts, seed, 0)
+    _emit((out, write_candidates, (records,)))
     click.echo(f"decoded {len(records)} inputs -> {out}")
 
 
@@ -248,18 +237,14 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
             if unknown:
                 raise FileFormatError(f"{candidates_path}: input {rec.id!r}: unknown token {unknown[0]!r}")
 
-    results = []
-    for ri, rec in enumerate(cand_records):
-        cands = to_set(rec)
-        if voter_records is not None:
-            voters = to_set(voter_records[ri])
-        elif voter_spec is not None:
-            context = source_context(rec.source, vocab, lowercase)
-            voters = row_voters(model, voter_decode, voter_spec, context, cands, derive_seed(seed, 2, 0, ri))
-        else:
-            voters = cands
-        results.append(vote_record(rec, cands, range_vote(cands, voters, sim, with_contributions=contributions)))
-    _emit(out, write_votes, results)
+    cand_sets = voter_sets = [to_set(rec) for rec in cand_records]
+    if voter_records is not None:
+        voter_sets = [to_set(rec) for rec in voter_records]
+    elif voter_spec is not None:
+        contexts = [source_context(rec.source, vocab, lowercase) for rec in cand_records]
+        voter_sets = voter_rows(model, voter_decode, voter_spec, contexts, cand_sets, seed, (0,))
+    results = elect_rows(cand_records, cand_sets, voter_sets, sim, contributions)
+    _emit((out, write_votes, (results,)))
     click.echo(f"voted on {len(results)} inputs with {sim.name} -> {out}")
 
 
@@ -306,9 +291,10 @@ def eval_cmd(hyps_path, dataset, system, metric, max_n, copy_threshold, lowercas
 
     row = evaluate_system(system, hyp_tokens, aligned_refs, sources, max_n=max_n, copy_threshold=copy_threshold)
     columns = [col for col in report_columns(max_n) if col == "system" or METRIC_GROUPS[metric](col)]
-    _emit(out_tsv, write_report_tsv, [row], columns)
+    outputs = [(out_tsv, write_report_tsv, ([row], columns))]
     if out_json is not None:
-        _emit(out_json, write_report_json, [row])
+        outputs.append((out_json, write_report_json, ([row],)))
+    _emit(*outputs)
 
 
 # --- oracle ---------------------------------------------------------------------
@@ -340,7 +326,7 @@ def enumerate_cmd(model_path, tabular_path, lowercase, max_len, budget, floor, o
     model = _load_cli_model(model_path, tabular_path, lowercase)
     dist = enumerate_distribution(model, max_len, prob_floor=floor, node_budget=budget)
     pairs = [(detokenize(e.tokens, model.vocab), math.exp(e.logprob)) for e in dist.entries]
-    _emit(out, write_enumeration, pairs)
+    _emit((out, write_enumeration, (pairs,)))
     if out is not None:
         click.echo(f"enumerated {len(pairs)} sequences (mass {dist.total_mass!r}) -> {out}")
 

@@ -329,11 +329,15 @@ def parse_config(data: Mapping, base_dir: Path) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
+def load_json(path: str | Path):
+    """The JSON value of the file at ``path``: the run config, or a command's flags file."""
     with open(path, encoding="utf-8") as fp:
         try:
-            data = json.load(fp)
+            return json.load(fp)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return parse_config(data, base_dir=path.parent)
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    path = Path(path)
+    return parse_config(load_json(path), base_dir=path.parent)

@@ -16,10 +16,10 @@ non-empty list; each entry's ``tokens`` is a list of strings and its
 1).  A fault is a :class:`FileFormatError` naming ``path:line``.
 :func:`join_by_id` aligns one file's records to another's ids.
 
-Every output file, a command's single file or ``run``'s whole tree, is
-written by :func:`save_outputs`, under one rule: an existing target is
-replaced only after the whole write succeeded, so a failed command leaves
-the target as it was and no partial file.
+Every output of a command, a single file or ``run``'s whole tree, is
+written by one :func:`save_outputs` call, under one rule: no target is
+replaced before every write succeeded, so a failed command leaves its
+targets as they were and no partial file.
 """
 
 from __future__ import annotations
@@ -46,39 +46,42 @@ class FileFormatError(ValueError):
 
 # --- writing ----------------------------------------------------------------
 
-def save_outputs(target: str | Path, files: Iterable[tuple[str, Callable, tuple]]) -> None:
-    """Write ``files`` at ``target`` as one output: all of it, or nothing.
+def save_outputs(*outputs: tuple[str | Path, Iterable[tuple[str, Callable, tuple]]]) -> None:
+    """Write a command's ``(target, files)`` outputs as one: all of them, or nothing.
 
     Each file is ``(name, writer, args)``, written by ``writer(*args, fp)``
     to ``target / name``; the name ``""`` is ``target`` itself, a single
-    file.  Everything is written into a temporary sibling of ``target``,
-    which is renamed into place once every writer has returned.  So:
+    file.  Every target is written into a temporary sibling, and the
+    siblings are renamed into place once every writer has returned.  So:
 
-    - an existing target is replaced only after the whole write succeeded;
-      a failed write leaves it as it was, and no temporary sibling;
+    - no target is replaced before the whole write succeeded; a failed
+      write leaves every target as it was, and no temporary sibling;
     - a symlinked target stays a link, and what it points to is replaced;
-    - missing parent directories of the target are created;
+    - missing parent directories of a target are created;
     - new files and directories get the usual mode, the umask's.
 
     A target that exists as neither a regular file nor a directory (a
     device, a pipe) is refused with an ``OSError``, since a rename would
     replace it.
     """
-    target = Path(target).resolve()  # through a symlink, so the rename replaces what it points to
-    if target.exists() and not (target.is_file() or target.is_dir()):
-        raise OSError(f"{target} is not a regular file or a directory")
-    target.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{target.name}-", dir=target.parent))
-    try:
-        tree = staging / target.name  # mkdtemp's own directory is private (mode 0700); this one is not
-        for name, writer, args in files:
-            path = tree / name
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fp:
-                writer(*args, fp)
-        os.replace(tree, target)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    with contextlib.ExitStack() as cleanup:
+        staged = []
+        for target, files in outputs:
+            target = Path(target).resolve()  # through a symlink, so the rename replaces what it points to
+            if target.exists() and not (target.is_file() or target.is_dir()):
+                raise OSError(f"{target} is not a regular file or a directory")
+            target.parent.mkdir(parents=True, exist_ok=True)
+            staging = Path(tempfile.mkdtemp(prefix=f".{target.name}-", dir=target.parent))
+            cleanup.callback(shutil.rmtree, staging, ignore_errors=True)
+            tree = staging / target.name  # mkdtemp's own directory is private (mode 0700); this one is not
+            for name, writer, args in files:
+                path = tree / name
+                path.parent.mkdir(parents=True, exist_ok=True)
+                with open(path, "w", encoding="utf-8") as fp:
+                    writer(*args, fp)
+            staged.append((tree, target))
+        for tree, target in staged:
+            os.replace(tree, target)
 
 
 # --- corpus --------------------------------------------------------------

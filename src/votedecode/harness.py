@@ -3,8 +3,14 @@
 Every intermediate artifact (candidates, voters, vote results, selections)
 is materialized under the output directory, so fixed candidate files can be
 re-voted against swapped voter files.  Given a seed, all output bytes are
-deterministic.  ``decode_row`` and ``row_voters`` are the per-row stages;
-the ``decode`` and ``vote`` commands call them too.
+deterministic.
+
+The ``decode`` and ``vote`` commands share ``run``'s three stages over a
+list of rows: ``decode_rows`` (candidates), ``voter_rows`` (voter sets) and
+``elect_rows`` (elections).  The seed layout lives in them: stream 1 seeds
+row ``ri``'s candidates with ``(seed, 1, di, ri)``, stream 2 its voters
+with ``(seed, 2, *where, ri)``; ``run`` passes ``di`` and ``(di, si)``, the
+CLI ``0`` and ``(0,)``.
 
 Candidates and voters come from one search: a ``DecodeSpec`` run by
 ``decode_row``.  Voters other than ``same`` set a few of its fields (a
@@ -44,7 +50,7 @@ from .formats import (
 from .metrics import EvalRow, evaluate_system
 from .models import NGramLM, SequenceModel, TabularModel, load_model, tabular_model, train_on_stream
 from .sequences import RESERVED_MARKS, UNK_ID, Sequence, Vocabulary, index_corpus, tokenize
-from .voting import SimilaritySpec, VoteResult, range_vote
+from .voting import SimilaritySpec, range_vote
 
 _MASK = (1 << 64) - 1
 
@@ -103,16 +109,6 @@ def candidate_record(row_id, source: str | None, cands: CandidateSet, vocab: Voc
     return CandidateRecord(id=row_id, source=source, candidates=items)
 
 
-def vote_record(record: CandidateRecord, cands: CandidateSet, result: VoteResult) -> VoteRecord:
-    """``result``, an election over ``cands``, ranked with the strings ``record`` holds for the same ids."""
-    strings = dict(zip((c.tokens for c in cands.items), (tokens for tokens, _ in record.candidates)))
-    return VoteRecord(
-        id=record.id,
-        ranked=tuple((strings[c.tokens], c.logprob, score) for c, score in zip(result.ranking, result.scores)),
-        contributions=result.contributions,
-    )
-
-
 def source_context(source: str | None, vocab: Vocabulary, lowercase: bool) -> Sequence | None:
     return tokenize(source, vocab, lowercase) if source is not None else None
 
@@ -136,29 +132,44 @@ def decode_row(model: SequenceModel, spec: DecodeSpec, context: Sequence | None,
     return sample_sequences(model, context, spec, seed)
 
 
-def require_candidates(spec: DecodeSpec, row_id, candidates: CandidateSet) -> CandidateSet:
-    """``candidates``, refused when empty: no selection can be made from an empty set."""
-    if not candidates.items:
-        raise ValueError(
-            f"decode {spec.name!r} left no candidates for input {row_id!r} "
-            "(support empty or everything copy-filtered)"
-        )
-    return candidates
+def decode_rows(model: SequenceModel, spec: DecodeSpec, rows: list[DatasetRow], contexts: list, seed: int,
+                di: int) -> tuple[list[CandidateSet], list[CandidateRecord]]:
+    """Every row's candidates under ``spec``, row ``ri`` seeded ``(seed, 1, di, ri)``, and their records.
+
+    An empty set is refused: no selection can be made from it.
+    """
+    sets = []
+    for ri, (row, context) in enumerate(zip(rows, contexts)):
+        sets.append(decode_row(model, spec, context, derive_seed(seed, 1, di, ri)))
+        if not sets[-1].items:
+            raise ValueError(f"decode {spec.name!r} left no candidates for input {row.id!r} "
+                             "(support empty or everything copy-filtered)")
+    return sets, [candidate_record(row.id, row.source, cands, model.vocab) for row, cands in zip(rows, sets)]
 
 
-def row_voters(
-    model: SequenceModel,
-    decode: DecodeSpec,
-    voters: dict | None,
-    context: Sequence | None,
-    candidates: CandidateSet,
-    seed: int,
-) -> CandidateSet:
-    """The voter set of one input: the candidates, or ``decode``'s search with the voters' fields set.
+def voter_rows(model: SequenceModel, decode: DecodeSpec, voters: dict | None, contexts: list,
+               candidates: list[CandidateSet], seed: int, where: tuple[int, ...]) -> list[CandidateSet]:
+    """Every row's voter set: its candidates, or ``decode``'s search with the voters' fields set.
 
     ``voters`` is what ``config.parse_voter_spec`` returns: None for ``same``.
+    A search seeds row ``ri`` with ``(seed, 2, *where, ri)``.
     """
-    return candidates if voters is None else decode_row(model, replace(decode, **voters), context, seed)
+    if voters is None:
+        return candidates
+    spec = replace(decode, **voters)
+    return [decode_row(model, spec, context, derive_seed(seed, 2, *where, ri)) for ri, context in enumerate(contexts)]
+
+
+def elect_rows(records: list[CandidateRecord], candidates: list[CandidateSet], voters: list[CandidateSet],
+               sim: SimilaritySpec, contributions: bool) -> list[VoteRecord]:
+    """Every row's range-voting election, ranked with the strings its record holds for the same ids."""
+    votes = []
+    for rec, cands, voter_set in zip(records, candidates, voters):
+        result = range_vote(cands, voter_set, sim, with_contributions=contributions)
+        strings = dict(zip((c.tokens for c in cands.items), (tokens for tokens, _ in rec.candidates)))
+        ranked = tuple((strings[c.tokens], c.logprob, score) for c, score in zip(result.ranking, result.scores))
+        votes.append(VoteRecord(rec.id, ranked, result.contributions))
+    return votes
 
 
 def keyed_similarity(sim: SimilaritySpec, table: dict | None, vocab: Vocabulary) -> SimilaritySpec:
@@ -203,23 +214,15 @@ def run_experiment(
     report: list[EvalRow] = []
     files: list[tuple[str, Callable, tuple]] = []  # (path under out, writer, writer args)
     for di, dspec in enumerate(config.decode):
-        cand_sets = [
-            require_candidates(dspec, row.id, decode_row(model, dspec, context, derive_seed(config.seed, 1, di, ri)))
-            for ri, (row, context) in enumerate(zip(rows, contexts))
-        ]
-        records = [candidate_record(row.id, row.source, cands, vocab) for row, cands in zip(rows, cand_sets)]
+        cand_sets, records = decode_rows(model, dspec, rows, contexts, config.seed, di)
         files.append((f"candidates/{dspec.name}.jsonl", write_candidates, (records,)))
         for si, (sspec, sim) in enumerate(zip(config.select, sims)):
             system = f"{dspec.name}+{sspec.name}"
             if sspec.kind == "map":
                 tops = [rec.candidates[0] for rec in records]
             else:
-                votes, voter_sets = [], []
-                for ri, (rec, cands) in enumerate(zip(records, cand_sets)):
-                    seed = derive_seed(config.seed, 2, di, si, ri)
-                    voter_sets.append(row_voters(model, dspec, sspec.voters, contexts[ri], cands, seed))
-                    result = range_vote(cands, voter_sets[-1], sim, with_contributions=sspec.contributions)
-                    votes.append(vote_record(rec, cands, result))
+                voter_sets = voter_rows(model, dspec, sspec.voters, contexts, cand_sets, config.seed, (di, si))
+                votes = elect_rows(records, cand_sets, voter_sets, sim, sspec.contributions)
                 if sspec.voters is not None:
                     voter_records = [candidate_record(row.id, row.source, v, vocab) for row, v in zip(rows, voter_sets)]
                     files.append((f"voters/{system}.jsonl", write_candidates, (voter_records,)))
@@ -232,5 +235,5 @@ def run_experiment(
 
     files.append(("report.tsv", write_report_tsv, (report, report_columns(config.bleu_max_n))))
     files.append(("report.json", write_report_json, (report,)))
-    save_outputs(out, files)
+    save_outputs((out, files))
     return report, out

@@ -403,6 +403,26 @@ class TestWriteRule:
         assert [p.name for p in workdir.iterdir()] == (["target"] if existing else [])
         assert not existing or out.read_text() == "old bytes\n"
 
+    def test_eval_replaces_neither_report_unless_both_writes_succeed(self, workdir, capsys, monkeypatch):
+        writer = cli.write_report_json
+
+        def write_half_then_fail(rows, fp):
+            buf = io.StringIO()
+            writer(rows, buf)
+            fp.write(buf.getvalue()[: len(buf.getvalue()) // 2])
+            raise OSError("No space left on device")
+
+        tsv, json_out = workdir / "r.tsv", workdir / "r.json"
+        tsv.write_text("old tsv\n")
+        json_out.write_text("old json\n")
+        monkeypatch.setattr(cli, "write_report_json", write_half_then_fail)
+        argv = ["eval", "--hyps", "cands.jsonl", "--dataset", "data.jsonl", "--out-tsv", str(tsv),
+                "--out-json", str(json_out)]
+        assert main(argv) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert (tsv.read_text(), json_out.read_text()) == ("old tsv\n", "old json\n")
+        assert sorted(p.name for p in workdir.iterdir()) == ["r.json", "r.tsv"]
+
     def test_a_symlinked_target_stays_a_link_to_the_replaced_file(self, workdir):
         assert main(WRITE_CASES["vote"][1]("outs/plain.jsonl")) == 0
         (workdir / "real.jsonl").write_text("old bytes\n")

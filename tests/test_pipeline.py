@@ -2,10 +2,11 @@
 
 `run` decodes and votes every row in one process; `train`, `decode` and
 `vote` do it one stage per command through files.  Both routes share the
-per-row stages, so their files must match byte for byte.
+stages in `harness`, so their files must match byte for byte.
 """
 
 import hashlib
+import io
 import json
 import random
 from pathlib import Path
@@ -15,8 +16,11 @@ import pytest
 from votedecode.cli import main
 from votedecode.config import load_config
 from votedecode.decode import DecodeSpec, beam_search, sample_sequences
-from votedecode.formats import read_candidates, read_dataset
-from votedecode.harness import build_model, candidate_record, derive_seed, source_context
+from votedecode.formats import VoteRecord, read_candidates, read_dataset, write_votes
+from votedecode.harness import build_model, candidate_record, derive_seed, source_context, tabular_model_from_text
+from votedecode.voting import SimilaritySpec, range_vote
+
+from conftest import FIXTURE5
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -152,3 +156,38 @@ def test_voters_inherit_every_decode_setting_they_do_not_set(experiment, tmp_pat
     sample_voters = read_candidates(tmp_path / "run" / "voters" / "nucleus+sample7.jsonl")
     assert sample_voters == sampled()
     assert sample_voters != sampled(strategy="nucleus", top_p=0.5)  # a leaked top_p would show
+
+
+@pytest.mark.parametrize("voters, flags", [("beam:3", []), ("sample:4", ["--seed", "5"])])
+def test_vote_regenerates_voters_with_the_cli_seed_layout(experiment, tmp_path, voters, flags):
+    """`vote --voters beam:K|sample:N` searches each row at --max-len; row ri samples with (seed, 2, 0, ri).
+
+    At --max-len 4 the longer sentences of the tabular model cannot finish, so a length the voters
+    did not inherit would change them.
+    """
+    (tmp_path / "toy.json").write_text(json.dumps({"entries": FIXTURE5}), encoding="utf-8")
+    model_flags = ["--tabular", str(tmp_path / "toy.json")]
+    dataset = experiment / "dataset.jsonl"
+    cands_path, out = tmp_path / "cands.jsonl", tmp_path / "votes.jsonl"
+    assert main(["decode", *model_flags, "--dataset", str(dataset), "--beam-size", "5", "--max-len", "8",
+                 "--out", str(cands_path)]) == 0
+    assert main(["vote", "--candidates", str(cands_path), *model_flags, "--voters", voters, "--sim", "overl",
+                 "--n", "1", "--max-len", "4", *flags, "--out", str(out)]) == 0
+
+    model = tabular_model_from_text(FIXTURE5)
+    votes = []
+    for ri, row in enumerate(read_dataset(dataset)):
+        context = source_context(row.source, model.vocab, False)
+        cands = beam_search(model, context, DecodeSpec(beam_size=5, max_len=8))
+        if voters == "beam:3":
+            voter_set = beam_search(model, context, DecodeSpec(beam_size=3, max_len=4))
+        else:
+            voter_set = sample_sequences(model, context, DecodeSpec(kind="sample", count=4, max_len=4),
+                                         derive_seed(5, 2, 0, ri))
+        result = range_vote(cands, voter_set, SimilaritySpec(kind="overl", n=1))
+        ranked = tuple((tuple(model.vocab.marked_tokens[i] for i in c.tokens), c.logprob, score)
+                       for c, score in zip(result.ranking, result.scores))
+        votes.append(VoteRecord(row.id, ranked))
+    buf = io.StringIO()
+    write_votes(votes, buf)
+    assert out.read_text(encoding="utf-8") == buf.getvalue()

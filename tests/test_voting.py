@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from votedecode import voting
 from votedecode.config import ConfigError, parse_voter_spec
 from votedecode.decode import CandidateSet, DecodeSpec, ScoredSequence, beam_search
-from votedecode.harness import decode_row, row_voters
+from votedecode.harness import decode_row, voter_rows
 from votedecode.sequences import detokenize, tokenize
 from votedecode.voting import SimilaritySpec, range_vote
 
@@ -292,7 +292,8 @@ class TestRangeVote:
 def select(model, decode, voters, sim, seed=0):
     """Decode, gather voters and elect, as one row of an experiment run."""
     cands = decode_row(model, decode, None, seed)
-    return range_vote(cands, row_voters(model, decode, voters, None, cands, seed), sim)
+    (voter_set,) = voter_rows(model, decode, voters, [None], [cands], seed, ())
+    return range_vote(cands, voter_set, sim)
 
 
 class TestSelectRepresentative:
