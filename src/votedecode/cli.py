@@ -243,7 +243,7 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
     elif voter_spec is not None:
         contexts = [source_context(rec.source, vocab, lowercase) for rec in cand_records]
         voter_sets = voter_rows(model, voter_decode, voter_spec, contexts, cand_sets, seed, (0,))
-    results = elect_rows(cand_records, cand_sets, voter_sets, sim, contributions)
+    results = elect_rows(range_vote, cand_records, cand_sets, voter_sets, sim, contributions)
     _emit((out, write_votes, (results,)))
     click.echo(f"voted on {len(results)} inputs with {sim.name} -> {out}")
 

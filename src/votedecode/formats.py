@@ -61,8 +61,8 @@ def save_outputs(*outputs: tuple[str | Path, Iterable[tuple[str, Callable, tuple
     - new files and directories get the usual mode, the umask's.
 
     A target that exists as neither a regular file nor a directory (a
-    device, a pipe) is refused with an ``OSError``, since a rename would
-    replace it.
+    device, a pipe), or as a directory for a file or a file for a tree, is
+    refused with an ``OSError`` before any target is replaced.
     """
     with contextlib.ExitStack() as cleanup:
         staged = []
@@ -79,6 +79,8 @@ def save_outputs(*outputs: tuple[str | Path, Iterable[tuple[str, Callable, tuple
                 path.parent.mkdir(parents=True, exist_ok=True)
                 with open(path, "w", encoding="utf-8") as fp:
                     writer(*args, fp)
+            if target.exists() and target.is_dir() != tree.is_dir():  # its rename would fail after others ran
+                raise OSError(f"{target} is {'a' if target.is_dir() else 'not a'} directory")
             staged.append((tree, target))
         for tree, target in staged:
             os.replace(tree, target)

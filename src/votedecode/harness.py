@@ -160,12 +160,12 @@ def voter_rows(model: SequenceModel, decode: DecodeSpec, voters: dict | None, co
     return [decode_row(model, spec, context, derive_seed(seed, 2, *where, ri)) for ri, context in enumerate(contexts)]
 
 
-def elect_rows(records: list[CandidateRecord], candidates: list[CandidateSet], voters: list[CandidateSet],
-               sim: SimilaritySpec, contributions: bool) -> list[VoteRecord]:
-    """Every row's range-voting election, ranked with the strings its record holds for the same ids."""
+def elect_rows(elect: Callable, records: list[CandidateRecord], candidates: list[CandidateSet],
+               voters: list[CandidateSet], sim: SimilaritySpec, contributions: bool) -> list[VoteRecord]:
+    """Every row's election by ``elect``, the caller's own ``range_vote`` name, ranked with its record's strings."""
     votes = []
     for rec, cands, voter_set in zip(records, candidates, voters):
-        result = range_vote(cands, voter_set, sim, with_contributions=contributions)
+        result = elect(cands, voter_set, sim, with_contributions=contributions)
         strings = dict(zip((c.tokens for c in cands.items), (tokens for tokens, _ in rec.candidates)))
         ranked = tuple((strings[c.tokens], c.logprob, score) for c, score in zip(result.ranking, result.scores))
         votes.append(VoteRecord(rec.id, ranked, result.contributions))
@@ -222,7 +222,7 @@ def run_experiment(
                 tops = [rec.candidates[0] for rec in records]
             else:
                 voter_sets = voter_rows(model, dspec, sspec.voters, contexts, cand_sets, config.seed, (di, si))
-                votes = elect_rows(records, cand_sets, voter_sets, sim, sspec.contributions)
+                votes = elect_rows(range_vote, records, cand_sets, voter_sets, sim, sspec.contributions)
                 if sspec.voters is not None:
                     voter_records = [candidate_record(row.id, row.source, v, vocab) for row, v in zip(rows, voter_sets)]
                     files.append((f"voters/{system}.jsonl", write_candidates, (voter_records,)))

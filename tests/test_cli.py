@@ -423,6 +423,17 @@ class TestWriteRule:
         assert (tsv.read_text(), json_out.read_text()) == ("old tsv\n", "old json\n")
         assert sorted(p.name for p in workdir.iterdir()) == ["r.json", "r.tsv"]
 
+    def test_eval_replaces_neither_report_when_one_target_is_a_directory(self, workdir, capsys):
+        tsv, json_out = workdir / "r.tsv", workdir / "r.json"
+        tsv.write_text("old tsv\n")
+        json_out.mkdir()
+        argv = ["eval", "--hyps", "cands.jsonl", "--dataset", "data.jsonl", "--out-tsv", str(tsv),
+                "--out-json", str(json_out)]
+        assert main(argv) == 2
+        assert f"{json_out} is a directory" in capsys.readouterr().err
+        assert tsv.read_text() == "old tsv\n" and list(json_out.iterdir()) == []
+        assert sorted(p.name for p in workdir.iterdir()) == ["r.json", "r.tsv"]
+
     def test_a_symlinked_target_stays_a_link_to_the_replaced_file(self, workdir):
         assert main(WRITE_CASES["vote"][1]("outs/plain.jsonl")) == 0
         (workdir / "real.jsonl").write_text("old bytes\n")
