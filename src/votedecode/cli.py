@@ -27,7 +27,7 @@ from typing import Callable
 import click
 
 from . import __version__
-from .config import ConfigError, load_config, load_json, parse_decode_spec, parse_voter_spec
+from .config import ConfigError, ExperimentConfig, ModelSpec, load_config, load_json, parse_decode_spec, parse_voter_spec
 from .decode import CandidateSet, DecodeSpec, ScoredSequence, beam_search, sample_sequences
 from .formats import (
     METRIC_GROUPS,
@@ -134,8 +134,9 @@ def cli():
 @cli.command()
 @click.option("--corpus", type=click.Path(), required=True, help="Training corpus, one sentence per line.")
 @click.option("--out", type=click.Path(), required=True, help="Where to write the model file.")
-@click.option("--order", type=int, default=2, show_default=True, help="N-gram order.")
-@click.option("--add-k", type=float, default=0.0, show_default=True, help="Add-k smoothing constant (0 = MLE).")
+@click.option("--order", type=int, default=ModelSpec.order, show_default=True, help="N-gram order.")
+@click.option("--add-k", type=float, default=ModelSpec.add_k, show_default=True,
+              help="Add-k smoothing constant (0 = MLE).")
 @click.option("--max-vocab", type=int, default=None, help="Keep only the most common words.")
 @click.option("--lowercase/--no-lowercase", default=False, help="Lowercase before vocabulary lookup.")
 @_flag_file
@@ -171,9 +172,9 @@ def decode(model_path, tabular_path, dataset, out, strategy, beam_size, max_len,
            diverse_gamma, filter_copies, count, top_k, top_p, seed, lowercase):
     """Generate candidates per input by beam search or sampling."""
     # The flags become one decode entry of a run config; that parser fills the unset ones and checks them.
-    entry = {"name": "decode", "kind": "beam"}
+    entry = {"name": DecodeSpec.name}
     if strategy != "beam":
-        entry.update(kind="sample", strategy=strategy, count=1)
+        entry.update(kind="sample", strategy=strategy, count=DecodeSpec.count)
     flags = dict(beam_size=beam_size, max_len=max_len, scoring=scoring, diverse_gamma=diverse_gamma,
                  filter_copies=filter_copies, count=count, top_k=top_k, top_p=top_p)
     entry.update((key, value) for key, value in flags.items() if value is not None)
@@ -202,7 +203,8 @@ def decode(model_path, tabular_path, dataset, out, strategy, beam_size, max_len,
 @click.option("--contributions/--no-contributions", default=False, help="Keep the per-voter contribution matrix.")
 @click.option("--model", "model_path", type=click.Path(), default=None, help="Model for beam:/sample: voters.")
 @click.option("--tabular", "tabular_path", type=click.Path(), default=None)
-@click.option("--max-len", type=int, default=50, show_default=True, help="Decode length for regenerated voters.")
+@click.option("--max-len", type=int, default=DecodeSpec.max_len, show_default=True,
+              help="Decode length for regenerated voters.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--lowercase/--no-lowercase", default=False)
 @_flag_file
@@ -256,8 +258,8 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
 @click.option("--dataset", type=click.Path(), default=None, help="References (and sources) by input id.")
 @click.option("--system", type=str, default=None, help="Label for the report row (default: the --hyps file stem).")
 @click.option("--metric", type=click.Choice(list(METRIC_GROUPS)), default="all", show_default=True)
-@click.option("--max-n", type=int, default=4, show_default=True, help="Highest BLEU order.")
-@click.option("--copy-threshold", type=float, default=0.5, show_default=True)
+@click.option("--max-n", type=int, default=ExperimentConfig.bleu_max_n, show_default=True, help="Highest BLEU order.")
+@click.option("--copy-threshold", type=float, default=ExperimentConfig.copy_threshold, show_default=True)
 @click.option("--lowercase/--no-lowercase", default=False, help="Lowercase references/sources.")
 @click.option("--out-tsv", type=click.Path(), default=None, help="Report TSV (default stdout).")
 @click.option("--out-json", type=click.Path(), default=None, help="Also write the report as JSON.")

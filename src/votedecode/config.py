@@ -2,12 +2,23 @@
 
 A config is one JSON document (schema_version 1).  Relative paths resolve
 against the config file's directory.  CLI flags override config values.
+
+The spec dataclasses are the schema.  Each scalar field's annotation gives
+its JSON kind (an integer, a number, a string, or true/false) and its
+default is what an absent key reads as.  One rule reads every value, and it
+converts nothing: a bool is not a number, a number is not a string, and a
+string is neither a flag nor a number.  An integral number such as 2.0 reads
+as an integer, and an integer as a number.  Null stands only where the
+field's default is None and the field is not required.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -62,42 +73,82 @@ class ExperimentConfig:
         return p if p.is_absolute() else self.base_dir / p
 
 
-def _require(mapping: Mapping, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"{where}: missing required field '{key}'")
-    return mapping[key]
+# Each spec field's JSON key, where it is not the field's name.
+_JSON_KEYS = {"vector_path": "vectors"}
+_NOUNS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 
 
-def _check_keys(mapping: Mapping, allowed: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
+@functools.cache
+def _schema(cls) -> dict[str, tuple[str, type, bool]]:
+    """The scalar fields of spec class ``cls`` by JSON key: each one's name, JSON kind and whether null may stand.
+
+    Read once per class from the annotations (``from __future__`` keeps them strings).
+    """
+    kinds = {kind.__name__: kind for kind in _NOUNS}
+    schema = {}
+    for f in dataclasses.fields(cls):
+        kind = kinds.get(f.type.removesuffix(" | None"))
+        if kind is not None:
+            schema[_JSON_KEYS.get(f.name, f.name)] = f.name, kind, f.default is None
+    return schema
+
+
+def _value(key: str, value, kind: type, nullable: bool):
+    """``value`` read as a field of JSON ``kind`` by the module's value rule; a ValueError naming ``key`` if not."""
+    if type(value) is kind or value is None and nullable:
+        return value
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:  # a larger one has no float
+        return float(value)
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key} must be {_NOUNS[kind]}, got {value!r}")
+
+
+def _fields(cls, data, where: str, allowed: set[str], required: tuple[str, ...] = ()) -> dict:
+    """The scalar fields of spec class ``cls`` that the object ``data`` sets, by name, each read by :func:`_value`.
+
+    ``data`` holds no key outside ``allowed`` and every key of ``required``,
+    none of which may be null.  Keys that name no scalar field are left to
+    the caller; a field ``data`` does not set keeps ``cls``'s default.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: must be an object")
+    unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
-
-
-def _int(data: Mapping, key: str, default: int | None = None) -> int | None:
-    """``data[key]`` as an integer, ``default`` if absent; null only where the default is None, and no fraction."""
-    value = data.get(key, default)
-    if value is None and default is None:
-        return None
-    if not isinstance(value, (int, float, str)) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _float(data: Mapping, key: str, default: float | None = None) -> float | None:
-    """``data[key]`` as a float, ``default`` if absent; null only where the default is None.
-
-    NaN and infinities pass here: each field's own range check refuses them.
-    """
-    value = data.get(key, default)
-    if value is None and default is None:
-        return None
+    for key in required:
+        if key not in data:
+            raise ConfigError(f"{where}: missing required field '{key}'")
+    schema = _schema(cls)
+    fields = {}
     try:
-        if not isinstance(value, (int, float, str)):
-            raise TypeError
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be a number, got {value!r}") from None
+        for key, value in data.items():
+            if key in schema:
+                name, kind, nullable = schema[key]
+                fields[name] = _value(key, value, kind, nullable and key not in required)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return fields
+
+
+def _kind(data, where: str, what: str, kinds: Mapping, default: str | None = None) -> str:
+    """The object ``data``'s ``kind``, a key of ``kinds``; ``default`` where absent, required if that is None."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: must be an object")
+    if "kind" not in data and default is None:
+        raise ConfigError(f"{where}: missing required field 'kind'")
+    kind = data.get("kind", default)
+    if type(kind) is not str or kind not in kinds:
+        raise ConfigError(f"{where}: unknown {what} kind {kind!r} (expected {'|'.join(kinds)})")
+    return kind
+
+
+def _build(cls, where: str, fields: dict):
+    """``cls(**fields)``, a ValueError from its own checks a ConfigError naming ``where``."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_entries(entries, where: str, error: type[ValueError] = ConfigError) -> list[tuple[str, float]]:
@@ -109,7 +160,7 @@ def parse_entries(entries, where: str, error: type[ValueError] = ConfigError) ->
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
             raise error(f"{where}: entries[{i}] must be a [text, probability] pair, got {entry!r}")
         try:
-            prob = _float({"probability": entry[1]}, "probability", 0.0)
+            prob = _value("probability", entry[1], float, False)
         except ValueError as exc:
             raise error(f"{where}: entries[{i}]: {exc}") from exc
         if not 0.0 < prob < math.inf:
@@ -118,73 +169,52 @@ def parse_entries(entries, where: str, error: type[ValueError] = ConfigError) ->
     return parsed
 
 
+# Per kind of each spec: the keys its object may hold, and the ones it must.
+_MODEL_KEYS = {
+    "train": ({"kind", "corpus", "order", "add_k", "max_vocab"}, ("corpus",)),
+    "load": ({"kind", "path"}, ("path",)),
+    "tabular": ({"kind", "entries", "path"}, ()),
+}
+_DECODE_KEYS = {
+    "beam": ({"name", "kind", "beam_size", "max_len", "scoring", "diverse_gamma", "filter_copies"}, ("name",)),
+    "sample": ({"name", "kind", "count", "strategy", "top_k", "top_p", "max_len"}, ("name", "count")),
+}
+_SELECT_KEYS = {
+    "map": ({"name", "kind"}, ("name",)),
+    "vote": ({"name", "kind", "sim", "voters", "contributions"}, ("name", "sim")),
+}
+_SIM_KEYS = {"kind", "n", "max_n", "vectors"}
+_CONFIG_KEYS = {
+    "schema_version", "seed", "lowercase", "model", "dataset", "decode", "select", "metrics", "output_dir", "workers",
+}
+
+
 def _parse_model(data, where: str = "model") -> ModelSpec:
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"{where}: must be an object")
-    kind = _require(data, "kind", where)
+    kind = _kind(data, where, "model", _MODEL_KEYS)
+    fields = _fields(ModelSpec, data, where, *_MODEL_KEYS[kind])
+    if data.get("entries") is not None:
+        fields["entries"] = tuple(parse_entries(data["entries"], where))
+    spec = ModelSpec(**fields)
+    if kind == "tabular" and (spec.entries is None) == (spec.path is None):
+        raise ConfigError(f"{where}: tabular model needs exactly one of 'entries' or 'path'")
     if kind == "train":
-        _check_keys(data, {"kind", "corpus", "order", "add_k", "max_vocab"}, where)
-        corpus = str(_require(data, "corpus", where))
         try:
-            spec = ModelSpec(
-                kind="train",
-                corpus=corpus,
-                order=_int(data, "order", 2),
-                add_k=_float(data, "add_k", 0.0),
-                max_vocab=_int(data, "max_vocab"),
-            )
             check_training(spec.order, spec.add_k)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         if spec.max_vocab is not None and spec.max_vocab < 0:
             raise ConfigError(f"{where}: max_vocab must be >= 0, got {spec.max_vocab}")
-        return spec
-    if kind == "load":
-        _check_keys(data, {"kind", "path"}, where)
-        return ModelSpec(kind="load", path=str(_require(data, "path", where)))
-    if kind == "tabular":
-        _check_keys(data, {"kind", "entries", "path"}, where)
-        entries = data.get("entries")
-        path = data.get("path")
-        if (entries is None) == (path is None):
-            raise ConfigError(f"{where}: tabular model needs exactly one of 'entries' or 'path'")
-        parsed = None if entries is None else tuple(parse_entries(entries, where))
-        return ModelSpec(kind="tabular", entries=parsed, path=None if path is None else str(path))
-    raise ConfigError(f"{where}: unknown model kind {kind!r} (expected train|load|tabular)")
+    return spec
 
 
 def parse_decode_spec(data, where: str) -> DecodeSpec:
     """One decode entry of a run config; the ``decode`` command's flags form one too."""
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"{where}: must be an object")
-    name = str(_require(data, "name", where))
-    kind = data.get("kind", "beam")
-    if kind == "beam":
-        _check_keys(data, {"name", "kind", "beam_size", "max_len", "scoring", "diverse_gamma", "filter_copies"}, where)
-    elif kind == "sample":
-        _check_keys(data, {"name", "kind", "count", "strategy", "top_k", "top_p", "max_len"}, where)
-        _require(data, "count", where)
-    else:
-        raise ConfigError(f"{where}: unknown decode kind {kind!r} (expected beam|sample)")
-    try:
-        return DecodeSpec(
-            name=name,
-            kind=kind,
-            beam_size=_int(data, "beam_size", 1),
-            max_len=_int(data, "max_len", 50),
-            scoring=str(data.get("scoring", "logprob")),
-            diverse_gamma=_float(data, "diverse_gamma", 0.0),
-            filter_copies=_float(data, "filter_copies"),
-            count=_int(data, "count", 1),
-            strategy=str(data.get("strategy", "ancestral")),
-            top_k=_int(data, "top_k"),
-            top_p=_float(data, "top_p"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    kind = _kind(data, where, "decode", _DECODE_KEYS, DecodeSpec.kind)
+    return _build(DecodeSpec, where, _fields(DecodeSpec, data, where, *_DECODE_KEYS[kind]))
 
 
-# The DecodeSpec fields each voter kind may set; voters inherit every other one from their decode.
+# The DecodeSpec fields each voter kind may set, the first of them required; voters inherit every other one
+# from their decode.
 _VOTER_FIELDS = {"same": (), "beam": ("beam_size",), "sample": ("count", "strategy", "top_k", "top_p")}
 
 
@@ -201,79 +231,46 @@ def parse_voter_spec(value, where: str = "voters") -> dict | None:
         count, _, strategy = rest.partition(":")
         if value == "same":
             value = {"kind": "same"}
-        elif head == "beam" and rest:
-            value = {"kind": "beam", "beam_size": rest}
-        elif head == "sample" and rest:
-            value = {"kind": "sample", "count": count, "strategy": strategy or "ancestral"}
+        elif head == "beam" and rest.isdecimal():
+            value = {"kind": "beam", "beam_size": int(rest)}
+        elif head == "sample" and count.isdecimal():
+            value = {"kind": "sample", "count": int(count), **({"strategy": strategy} if strategy else {})}
         else:
             raise ConfigError(f"{where}: cannot parse voter spec {value!r}")
-    if not isinstance(value, Mapping):
+    if not isinstance(value, dict):
         raise ConfigError(f"{where}: voter spec must be a string or object, got {type(value).__name__}")
-    kind = str(_require(value, "kind", where))
-    if kind not in _VOTER_FIELDS:
-        raise ConfigError(f"{where}: unknown voter kind {kind!r} (expected same|beam|sample)")
-    _check_keys(value, {"kind", *_VOTER_FIELDS[kind]}, where)
+    kind = _kind(value, where, "voter", _VOTER_FIELDS)
+    keys = _VOTER_FIELDS[kind]
+    fields = _fields(DecodeSpec, value, where, {"kind", *keys}, keys[:1])
     if kind == "same":
         return None
-    _require(value, "beam_size" if kind == "beam" else "count", where)
-    try:
-        if kind == "beam":
-            voters = {"kind": kind, "beam_size": _int(value, "beam_size", 1)}
-        else:
-            voters = {
-                "kind": kind,
-                "count": _int(value, "count", 1),
-                "strategy": str(value.get("strategy", "ancestral")),
-                "top_k": _int(value, "top_k"),
-                "top_p": _float(value, "top_p"),
-            }
-        DecodeSpec(**voters)  # the fields the voters set are checked now, the inherited ones with the decode entry
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    return voters
+    # The fields the voters set are checked now, the inherited ones with the decode entry.
+    spec = _build(DecodeSpec, where, fields)
+    return {key: getattr(spec, key) for key in ("kind", *keys)}
 
 
 def _parse_select(data, index: int) -> SelectSpec:
     where = f"select[{index}]"
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"{where}: must be an object")
-    name = str(_require(data, "name", where))
-    kind = _require(data, "kind", where)
-    if kind == "map":
-        _check_keys(data, {"name", "kind"}, where)
-        return SelectSpec(name=name, kind="map")
+    kind = _kind(data, where, "selection", _SELECT_KEYS)
+    fields = _fields(SelectSpec, data, where, *_SELECT_KEYS[kind])
     if kind == "vote":
-        _check_keys(data, {"name", "kind", "sim", "voters", "contributions"}, where)
-        sim_data = _require(data, "sim", where)
-        if not isinstance(sim_data, Mapping):
-            raise ConfigError(f"{where}.sim: must be an object")
-        _check_keys(sim_data, {"kind", "n", "max_n", "vectors"}, f"{where}.sim")
-        try:
-            sim = SimilaritySpec.from_dict({**sim_data, "n": _int(sim_data, "n"), "max_n": _int(sim_data, "max_n")})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}.sim: {exc}") from exc
+        sim_where = f"{where}.sim"
+        sim = _build(SimilaritySpec, sim_where, _fields(SimilaritySpec, data["sim"], sim_where, _SIM_KEYS, ("kind",)))
         if sim.kind == "embed_cosine" and sim.vector_path is None:
-            raise ConfigError(f"{where}.sim: embed_cosine needs a 'vectors' file path")
-        voters = parse_voter_spec(data.get("voters", "same"), where=f"{where}.voters")
-        return SelectSpec(name=name, kind="vote", sim=sim, voters=voters,
-                          contributions=bool(data.get("contributions", False)))
-    raise ConfigError(f"{where}: unknown selection kind {kind!r} (expected map|vote)")
+            raise ConfigError(f"{sim_where}: embed_cosine needs a 'vectors' file path")
+        fields["sim"] = sim
+        if "voters" in data:
+            fields["voters"] = parse_voter_spec(data["voters"], where=f"{where}.voters")
+    return SelectSpec(**fields)
 
 
 def parse_config(data: Mapping, base_dir: Path) -> ExperimentConfig:
-    if not isinstance(data, Mapping):
-        raise ConfigError("config root must be an object")
-    allowed = {
-        "schema_version", "seed", "lowercase", "model", "dataset",
-        "decode", "select", "metrics", "output_dir", "workers",
-    }
-    _check_keys(data, allowed, "config")
+    fields = _fields(ExperimentConfig, data, "config", _CONFIG_KEYS, ("model", "dataset", "decode", "select"))
     version = data.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if type(version) is bool or version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r} (this release reads {SCHEMA_VERSION})")
-    model = _parse_model(_require(data, "model", "config"))
-    decode_list = _require(data, "decode", "config")
-    select_list = _require(data, "select", "config")
+    model = _parse_model(data["model"])
+    decode_list, select_list = data["decode"], data["select"]
     if not isinstance(decode_list, list) or not decode_list:
         raise ConfigError("config: 'decode' must be a non-empty list")
     if not isinstance(select_list, list) or not select_list:
@@ -284,16 +281,7 @@ def parse_config(data: Mapping, base_dir: Path) -> ExperimentConfig:
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
             raise ConfigError(f"config: duplicate {label} names: {names}")
-
-    metrics = data.get("metrics", {})
-    if not isinstance(metrics, Mapping):
-        raise ConfigError("config: 'metrics' must be an object")
-    _check_keys(metrics, {"bleu_max_n", "copy_threshold"}, "metrics")
-    try:
-        bleu_max_n = _int(metrics, "bleu_max_n", 4)
-        copy_threshold = _float(metrics, "copy_threshold", 0.5)
-    except ValueError as exc:
-        raise ConfigError(f"metrics: {exc}") from exc
+    fields.update(_fields(ExperimentConfig, data.get("metrics", {}), "metrics", {"bleu_max_n", "copy_threshold"}))
 
     stochastic = any(d.kind == "sample" for d in decode) or any(
         s.voters is not None and s.voters["kind"] == "sample" for s in select
@@ -301,31 +289,19 @@ def parse_config(data: Mapping, base_dir: Path) -> ExperimentConfig:
     if stochastic and "seed" not in data:
         raise ConfigError("config: 'seed' is required when sampling is configured")
 
-    try:
-        cfg = ExperimentConfig(
-            model=model,
-            dataset=str(_require(data, "dataset", "config")),
-            decode=decode,
-            select=select,
-            seed=_int(data, "seed", 0),
-            lowercase=bool(data.get("lowercase", False)),
-            bleu_max_n=bleu_max_n,
-            copy_threshold=copy_threshold,
-            output_dir=str(data.get("output_dir", "out")),
-        )
-        # Rows run in order; 'workers' is still read and checked, then ignored.
-        workers = _int(data, "workers")
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    cfg = ExperimentConfig(model=model, decode=decode, select=select, base_dir=base_dir, **fields)
     if cfg.bleu_max_n < 1:
         raise ConfigError(f"metrics.bleu_max_n must be >= 1, got {cfg.bleu_max_n}")
     try:
         check_copy_threshold(cfg.copy_threshold)
     except ValueError as exc:
         raise ConfigError(f"metrics.{exc}") from exc
+    try:
+        workers = _value("workers", data.get("workers"), int, True)  # rows run in order: read, checked, then ignored
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}") from exc
     if workers is not None and workers < 1:
         raise ConfigError(f"config: workers must be >= 1, got {workers}")
-    object.__setattr__(cfg, "base_dir", base_dir)
     return cfg
 
 

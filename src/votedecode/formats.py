@@ -13,7 +13,9 @@ holds at least one record.  A record's candidates or ranked entries form a
 non-empty list; each entry's ``tokens`` is a list of strings and its
 ``logprob`` finite and <= 0, or ``null`` or -Infinity for probability zero
 (NaN, +Infinity and any positive value are refused: no probability exceeds
-1).  A fault is a :class:`FileFormatError` naming ``path:line``.
+1).  A dataset record's ``references`` is a non-empty list of strings, and
+a votes record's scores and ``contributions`` are finite numbers.  A fault
+is a :class:`FileFormatError` naming ``path:line``.
 :func:`join_by_id` aligns one file's records to another's ids.
 
 Every output of a command, a single file or ``run``'s whole tree, is
@@ -154,8 +156,8 @@ def _entries(obj: dict, field: str, where: str) -> tuple:
         logprob = -math.inf if logprob is None else logprob
         if type(logprob) not in _NUMBER or not logprob <= 0:  # NaN compares false
             raise FileFormatError(f"{where}: log-probability must be finite and <= 0, null or -Infinity, got {logprob!r}")
-        if type(score) not in _NUMBER:
-            raise FileFormatError(f"{where}: 'score' must be a number, got {score!r}")
+        if type(score) not in _NUMBER or not math.isfinite(score):
+            raise FileFormatError(f"{where}: 'score' must be a finite number, got {score!r}")
         out.append((tuple(tokens), float(logprob), float(score)) if scored else (tuple(tokens), float(logprob)))
     return tuple(out)
 
@@ -170,9 +172,14 @@ def join_by_id(ids: list, records: Iterable[tuple[object, object]], path: str | 
 
 
 def record_key(record_id) -> object:
-    """Hashable dict key for a record id, a list or object by its JSON text; ValueError if it holds NaN or ±inf."""
+    """Hashable dict key for a record id, a list or object by its JSON text; ValueError if it holds NaN or ±inf.
+
+    A bool keys apart from the number it equals: the id ``true`` is not the id ``1``.
+    """
     if isinstance(record_id, (list, dict)):
         return ("json", json.dumps(record_id, sort_keys=True, allow_nan=False))
+    if type(record_id) is bool:
+        return ("bool", record_id)
     if type(record_id) is float and not math.isfinite(record_id):
         raise ValueError(f"id {record_id!r} is not finite")
     return record_id
@@ -199,8 +206,8 @@ class DatasetRow:
 
 
 def _dataset_row(obj: dict, where: str) -> DatasetRow:
-    if not _strings(obj["references"]):
-        raise FileFormatError(f"{where}: 'references' must be a list of strings")
+    if not _strings(obj["references"]) or not obj["references"]:
+        raise FileFormatError(f"{where}: 'references' must be a non-empty list of strings")
     return DatasetRow(id=obj["id"], source=_source(obj, where), references=tuple(obj["references"]))
 
 
@@ -268,8 +275,10 @@ def _vote_record(obj: dict, where: str) -> VoteRecord:
     ranked, contributions = _entries(obj, "ranked", where), None
     if "contributions" in obj:
         rows = obj["contributions"]
-        if type(rows) is not list or not all(type(row) is list and all(type(x) in _NUMBER for x in row) for row in rows):
-            raise FileFormatError(f"{where}: 'contributions' must be a list of lists of numbers")
+        if type(rows) is not list or not all(
+            type(row) is list and all(type(x) in _NUMBER and math.isfinite(x) for x in row) for row in rows
+        ):
+            raise FileFormatError(f"{where}: 'contributions' must be a list of lists of finite numbers")
         contributions = tuple(tuple(map(float, row)) for row in rows)
     return VoteRecord(id=obj["id"], ranked=ranked, contributions=contributions)
 

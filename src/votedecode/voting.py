@@ -69,8 +69,6 @@ class SimilaritySpec:
     def __post_init__(self):
         if self.kind not in SIMILARITY_KINDS:
             raise ValueError(f"unknown similarity kind {self.kind!r}; expected one of {SIMILARITY_KINDS}")
-        if self.vector_path is not None and not isinstance(self.vector_path, str):
-            raise ValueError(f"vectors must be a file path, got {self.vector_path!r}")
         if self.kind in ("prec", "overl"):
             if self.n is None or self.n < 1:
                 raise ValueError(f"{self.kind} similarity needs n >= 1, got {self.n}")
@@ -85,15 +83,6 @@ class SimilaritySpec:
         if self.kind in ("prec", "overl"):
             return f"{self.kind}_{self.n}"
         return self.kind
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SimilaritySpec":
-        return cls(
-            kind=data.get("kind", ""),
-            n=data.get("n"),
-            max_n=data.get("max_n"),
-            vector_path=data.get("vectors"),
-        )
 
 
 def _embedding(seq: Sequence, vectors: Mapping[int, np.ndarray]) -> tuple[np.ndarray, float] | None:

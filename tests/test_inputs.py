@@ -190,12 +190,16 @@ class TestSamplingVoterSpecs:
         assert not (tmp_path / "out").exists()
 
 
+ABSENT = object()  # a config key that TestConfigFailsFast._config leaves out
+
+
 class TestConfigFailsFast:
     """A bad decode, sim or voters entry is a ConfigError naming it, raised before the model is built."""
 
     SIM = {"kind": "overl", "n": 1}
 
-    def _config(self, tmp_path, decode=None, sim=None, voters="same", model=None, metrics=None):
+    def _config(self, tmp_path, decode=None, sim=None, voters="same", model=None, metrics=None, vote=None, **root):
+        """A config file; ``vote`` adds fields to its vote entry, and ``root`` replaces top-level keys (ABSENT drops one)."""
         write_lines(tmp_path / "d.jsonl", [json.dumps({"id": 1, "references": ["a b"]})])
         config = {
             "schema_version": 1,
@@ -205,10 +209,13 @@ class TestConfigFailsFast:
             "dataset": "d.jsonl",
             "decode": [{"name": "b", "kind": "beam"}, decode or {"name": "s", "kind": "sample", "count": 2}],
             "select": [{"name": "map", "kind": "map"},
-                       {"name": "v", "kind": "vote", "sim": self.SIM if sim is None else sim, "voters": voters}],
+                       {"name": "v", "kind": "vote", "sim": self.SIM if sim is None else sim, "voters": voters,
+                        **(vote or {})}],
             "output_dir": "out",
             **({} if metrics is None else {"metrics": metrics}),
+            **root,
         }
+        config = {key: value for key, value in config.items() if value is not ABSENT}
         (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
         return tmp_path / "config.json"
 
@@ -226,11 +233,15 @@ class TestConfigFailsFast:
             ({"kind": "overl", "n": 1.5}, r"select\[1\]\.sim: n must be an integer, got 1\.5"),
             ({"kind": "bleu", "max_n": 2.5}, r"select\[1\]\.sim: max_n must be an integer, got 2\.5"),
             ({"kind": "overl", "nn": 2}, r"select\[1\]\.sim: unknown field\(s\) \['nn'\]"),
-            ({"kind": "embed_cosine", "vectors": 5}, r"select\[1\]\.sim: vectors must be a file path, got 5"),
+            ({"kind": "embed_cosine", "vectors": 5}, r"select\[1\]\.sim: vectors must be a string, got 5"),
             # Was refused only after the model was built and the first decode entry had run.
             ({"kind": "embed_cosine"}, r"select\[1\]\.sim: embed_cosine needs a 'vectors' file path"),
+            ({"kind": "overl", "n": True}, r"select\[1\]\.sim: n must be an integer, got True"),  # was read as 1
+            ({"kind": "bleu", "max_n": "2"}, r"select\[1\]\.sim: max_n must be an integer, got '2'"),  # was read as 2
+            ({"kind": ["overl"], "n": 1}, r"select\[1\]\.sim: kind must be a string, got \['overl'\]"),
         ],
-        ids=["string", "fractional-n", "fractional-max_n", "unknown-key", "vectors-not-a-path", "no-vectors"],
+        ids=["string", "fractional-n", "fractional-max_n", "unknown-key", "vectors-not-a-path", "no-vectors", "bool-n",
+             "string-max_n", "list-kind"],
     )
     def test_bad_sim(self, tmp_path, capsys, monkeypatch, sim, message):
         monkeypatch.setattr(harness, "build_model", lambda *args: pytest.fail("the model was built"))
@@ -248,9 +259,22 @@ class TestConfigFailsFast:
              r"decode\[1\]: filter_copies must be a number, got \{'share': 0\.5\}"),
             ({"name": "s", "kind": "sample", "count": 2, "strategy": "nucleus", "top_p": [0.5]},
              r"decode\[1\]: top_p must be a number, got \[0\.5\]"),
+            # Each was converted, to 1, 0.0 and 4.
+            ({"name": "s", "kind": "beam", "beam_size": True}, r"decode\[1\]: beam_size must be an integer, got True"),
+            ({"name": "s", "kind": "beam", "diverse_gamma": False},
+             r"decode\[1\]: diverse_gamma must be a number, got False"),
+            ({"name": "s", "kind": "beam", "max_len": "4"}, r"decode\[1\]: max_len must be an integer, got '4'"),
+            # Converting it raised OverflowError: a traceback, exit 1.
+            ({"name": "s", "kind": "beam", "diverse_gamma": 10**400},
+             r"decode\[1\]: diverse_gamma must be a number, got 10{400}$"),
+            # The names were read as "None" and "5".
+            ({"name": None, "kind": "beam"}, r"decode\[1\]: name must be a string, got None"),
+            ({"name": 5, "kind": "beam"}, r"decode\[1\]: name must be a string, got 5"),
+            ({"name": "s", "kind": {"beam": 1}}, r"decode\[1\]: unknown decode kind \{'beam': 1\}"),
         ],
         ids=["sample-count-0", "sample-max_len-0", "fractional-beam_size", "null-diverse_gamma",
-             "object-filter_copies", "list-top_p"],
+             "object-filter_copies", "list-top_p", "bool-beam_size", "bool-diverse_gamma", "string-max_len",
+             "huge-diverse_gamma", "null-name", "number-name", "object-kind"],
     )
     def test_bad_decode_entry(self, tmp_path, capsys, decode, message):
         self._fails(self._config(tmp_path, decode=decode), message, capsys)
@@ -264,8 +288,15 @@ class TestConfigFailsFast:
             ("sample:0", r"select\[1\]\.voters: count must be >= 1, got 0"),
             ({"kind": "sample", "count": 2, "strategy": "nucleus", "top_p": [0.5]},
              r"select\[1\]\.voters: top_p must be a number, got \[0\.5\]"),
+            ({"kind": "beam", "beam_size": True}, r"select\[1\]\.voters: beam_size must be an integer, got True"),
+            ({"kind": "beam", "beam_size": "3"}, r"select\[1\]\.voters: beam_size must be an integer, got '3'"),
+            ({"kind": "sample", "count": 2, "strategy": "nucleus", "top_p": True},
+             r"select\[1\]\.voters: top_p must be a number, got True"),
+            ({"kind": ["same"]}, r"select\[1\]\.voters: unknown voter kind \['same'\]"),
+            ("beam:3.0", r"select\[1\]\.voters: cannot parse voter spec 'beam:3\.0'"),
         ],
-        ids=["same-with-beam_size", "beam-with-count", "beam-size-0", "sample-count-0", "list-top_p"],
+        ids=["same-with-beam_size", "beam-with-count", "beam-size-0", "sample-count-0", "list-top_p", "bool-beam_size",
+             "string-beam_size", "bool-top_p", "list-kind", "fractional-string-form"],
     )
     def test_bad_voters(self, tmp_path, capsys, voters, message):
         self._fails(self._config(tmp_path, voters=voters), message, capsys)
@@ -286,9 +317,19 @@ class TestConfigFailsFast:
             ({"kind": "tabular", "entries": [["a b", 0.5, 1]]},
              r"model: entries\[0\] must be a \[text, probability\] pair"),
             ({"kind": "tabular", "entries": [[5, 0.5]]}, r"model: entries\[0\] must be a \[text, probability\] pair"),
+            # Each was read as 1: order 1, add_k 1.0 and probability 1.0.
+            ({"kind": "train", "corpus": "absent.txt", "order": True}, r"model: order must be an integer, got True"),
+            ({"kind": "train", "corpus": "absent.txt", "add_k": True}, r"model: add_k must be a number, got True"),
+            ({"kind": "tabular", "entries": [["a b", True]]},
+             r"model: entries\[0\]: probability must be a number, got True"),
+            # The paths were read as "None" and "5".
+            ({"kind": "train", "corpus": None}, r"model: corpus must be a string, got None"),
+            ({"kind": "load", "path": 5}, r"model: path must be a string, got 5"),
+            ({"kind": ["train"], "corpus": "absent.txt"}, r"model: unknown model kind \['train'\]"),
         ],
         ids=["null-add_k", "list-add_k", "null-probability", "list-probability", "nan-probability",
-             "inf-probability", "triple-entry", "numeric-text"],
+             "inf-probability", "triple-entry", "numeric-text", "bool-order", "bool-add_k", "bool-probability",
+             "null-corpus", "number-path", "list-kind"],
     )
     def test_bad_model_number(self, tmp_path, capsys, model, message):
         self._fails(self._config(tmp_path, model=model), message, capsys)
@@ -299,11 +340,47 @@ class TestConfigFailsFast:
             ({"copy_threshold": None}, r"metrics: copy_threshold must be a number, got None"),
             ({"copy_threshold": "half"}, r"metrics: copy_threshold must be a number, got 'half'"),
             ({"copy_threshold": math.nan}, r"metrics\.copy_threshold must be in \[0,1\], got nan"),
+            ({"copy_threshold": True}, r"metrics: copy_threshold must be a number, got True"),  # was read as 1.0
+            ({"bleu_max_n": True}, r"metrics: bleu_max_n must be an integer, got True"),  # was read as 1
+            ({"bleu_max_n": "4"}, r"metrics: bleu_max_n must be an integer, got '4'"),  # was read as 4
         ],
-        ids=["null", "word", "nan"],
+        ids=["null", "word", "nan", "bool-copy_threshold", "bool-bleu_max_n", "string-bleu_max_n"],
     )
     def test_bad_metrics_number(self, tmp_path, capsys, metrics, message):
         self._fails(self._config(tmp_path, metrics=metrics), message, capsys)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"lowercase": "false"}, r"config: lowercase must be true or false, got 'false'"),  # was read as True
+            ({"vote": {"contributions": "no"}}, r"select\[1\]: contributions must be true or false, got 'no'"),
+            ({"vote": {"contributions": "false"}}, r"select\[1\]: contributions must be true or false, got 'false'"),
+            ({"seed": True}, r"config: seed must be an integer, got True"),  # was read as 1
+            ({"schema_version": True}, r"unsupported schema_version True"),  # was read as 1
+            ({"workers": True}, r"config: workers must be an integer, got True"),
+            # Was read as the path "None", and the others as "5", "None" and "7".
+            ({"dataset": None}, r"config: dataset must be a string, got None"),
+            ({"dataset": 5}, r"config: dataset must be a string, got 5"),
+            ({"output_dir": None}, r"config: output_dir must be a string, got None"),
+            ({"vote": {"name": 7}}, r"select\[1\]: name must be a string, got 7"),
+        ],
+        ids=["string-lowercase", "no-contributions", "false-contributions", "bool-seed", "bool-schema_version",
+             "bool-workers", "null-dataset", "number-dataset", "null-output_dir", "number-select-name"],
+    )
+    def test_bad_field_kind(self, tmp_path, capsys, fields, message):
+        self._fails(self._config(tmp_path, **fields), message, capsys)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"decode": {"kind": "beam"}}, r"decode\[1\]: missing required field 'name'"),
+            ({"dataset": ABSENT}, r"config: missing required field 'dataset'"),
+            ({"model": {"kind": "train"}}, r"model: missing required field 'corpus'"),
+        ],
+        ids=["decode-name", "dataset", "train-corpus"],
+    )
+    def test_missing_required_field(self, tmp_path, capsys, fields, message):
+        self._fails(self._config(tmp_path, **fields), message, capsys)
 
     def test_integral_numbers_and_the_default_voters_are_accepted(self, tmp_path):
         sim = {"kind": "overl", "n": 2.0}
@@ -630,8 +707,13 @@ class TestEntryShapes:
     @pytest.mark.parametrize(
         "fields",
         [{"ranked": 7}, {"ranked": [{**GOOD, "score": 0.5}], "contributions": [5]},
-         {"ranked": [{**GOOD, "score": None}]}],
-        ids=["number-ranked", "number-contribution-row", "null-score"],
+         {"ranked": [{**GOOD, "score": None}]},
+         # Each was read although no writer emits NaN or Infinity.
+         {"ranked": [{**GOOD, "score": math.nan}]}, {"ranked": [{**GOOD, "score": -math.inf}]},
+         {"ranked": [{**GOOD, "score": 0.5}], "contributions": [[math.inf]]},
+         {"ranked": [{**GOOD, "score": 0.5}], "contributions": [[0.5, math.nan]]}],
+        ids=["number-ranked", "number-contribution-row", "null-score", "nan-score", "minus-inf-score",
+             "inf-contribution", "nan-contribution"],
     )
     def test_eval_of_a_votes_file(self, tmp_path, capsys, fields):
         dataset = write_lines(tmp_path / "d.jsonl", [dataset_line(1), dataset_line(2)])
@@ -639,6 +721,16 @@ class TestEntryShapes:
         report = tmp_path / "report.tsv"
         assert main(["eval", "--hyps", str(votes), "--dataset", str(dataset), "--out-tsv", str(report)]) == 3
         assert f"validation error: {votes}:2: " in capsys.readouterr().err
+        assert not report.exists()
+
+
+    def test_eval_of_a_dataset_without_references(self, tmp_path, capsys):
+        # Was refused only at scoring, as "every segment needs at least one reference", naming no file.
+        dataset = write_lines(tmp_path / "d.jsonl", [dataset_line(1), json.dumps({"id": 2, "references": []})])
+        hyps = write_lines(tmp_path / "h.jsonl", [candidates_line(1, -1.0), candidates_line(2, -1.0)])
+        report = tmp_path / "report.tsv"
+        assert main(["eval", "--hyps", str(hyps), "--dataset", str(dataset), "--out-tsv", str(report)]) == 3
+        assert f"{dataset}:2: 'references' must be a non-empty list of strings" in capsys.readouterr().err
         assert not report.exists()
 
 
@@ -667,6 +759,13 @@ class TestMissingIds:
         assert main(["eval", "--hyps", str(cands), "--dataset", str(dataset), "--out-tsv", str(report)]) == 3
         assert f"{dataset}: no record for input 'two'" in capsys.readouterr().err
         assert not report.exists()
+
+    def test_eval_keys_a_bool_id_apart_from_the_number(self, tmp_path, capsys):
+        # Hypothesis 1 was scored against the references of the dataset's id true: BLEU-1 1.0, exit 0.
+        dataset = write_lines(tmp_path / "d.jsonl", [dataset_line(True)])
+        hyps = write_lines(tmp_path / "h.jsonl", [candidates_line(1, -1)])
+        assert main(["eval", "--hyps", str(hyps), "--dataset", str(dataset)]) == 3
+        assert f"{dataset}: no record for input 1" in capsys.readouterr().err
 
     def test_eval_compare(self, files, capsys):
         dataset, _, cands, short = files

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from votedecode import voting
-from votedecode.config import ConfigError, parse_voter_spec
+from votedecode.config import ConfigError, load_config, parse_voter_spec
 from votedecode.decode import CandidateSet, DecodeSpec, ScoredSequence, beam_search
 from votedecode.harness import decode_row, voter_rows
 from votedecode.sequences import detokenize, tokenize
@@ -157,10 +158,14 @@ class TestSimilaritySpec:
     def test_bleu_default_max_n(self):
         assert SimilaritySpec(kind="bleu").max_n == 4
 
-    def test_from_dict(self):
-        assert SimilaritySpec.from_dict({"kind": "overl", "n": 2}) == SimilaritySpec(kind="overl", n=2)
-        spec = SimilaritySpec.from_dict({"kind": "embed_cosine", "vectors": "v.tsv"})
-        assert spec == SimilaritySpec(kind="embed_cosine", vector_path="v.tsv")
+    def test_from_config(self, tmp_path):
+        """A run config's sim object reads as the spec, its "vectors" key as ``vector_path``."""
+        sims = [{"kind": "overl", "n": 2}, {"kind": "embed_cosine", "vectors": "v.tsv"}]
+        config = {"model": {"kind": "load", "path": "m.json"}, "dataset": "d.jsonl", "decode": [{"name": "b"}],
+                  "select": [{"name": f"v{i}", "kind": "vote", "sim": sim} for i, sim in enumerate(sims)]}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        specs = [select.sim for select in load_config(tmp_path / "config.json").select]
+        assert specs == [SimilaritySpec(kind="overl", n=2), SimilaritySpec(kind="embed_cosine", vector_path="v.tsv")]
 
     def test_embed_needs_vectors_at_resolution(self):
         with pytest.raises(ValueError):
