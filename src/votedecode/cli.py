@@ -5,9 +5,13 @@ flags file: ``--config FILE`` names a JSON object whose keys are flag names
 with underscores for dashes (``"add_k"``, ``"lowercase"``, ``"sign_test"``).
 The file's values become the flags' defaults, so they are converted and
 checked exactly like the same flags typed on the command line, and an
-explicit flag overrides the file.  A ``null`` value leaves the flag at its
-default.  Keys that name no flag of the command are ignored, so one file can
-serve several commands.  (``run --config`` is the experiment config instead.)
+explicit flag overrides the file.  A value is the text typed for the flag:
+a string as it is, a number or bool (each item of ``sign_test``'s pair too)
+as its JSON text, so ``"order": 2.0`` or ``true`` is refused like ``--order
+2.0``.  On/off flags (``lowercase``) read the value as click reads a bool:
+``"false"`` is off.  A ``null`` value leaves the flag at its default.  Keys
+that name no flag of the command are ignored, so one file can serve several
+commands.  (``run --config`` is the experiment config instead.)
 
 Exit codes: 0 success; 1 usage, including a bad flag value from a flags
 file; 2 I/O, including a missing flags file; 3 validation, including a flags
@@ -50,6 +54,7 @@ from .formats import (
 )
 from .harness import (
     adhoc_vocab,
+    candidate_records,
     decode_rows,
     elect_rows,
     file_ids,
@@ -59,7 +64,6 @@ from .harness import (
     source_context,
     tabular_model_from_text,
     train_on_lines,
-    voter_rows,
 )
 from .metrics import evaluate_system, paired_bootstrap, sign_test
 from .models import ModelFormatError, load_model, save_model
@@ -79,8 +83,15 @@ def _read_flag_file(ctx: click.Context, param: click.Parameter, path: str | None
     cfg = load_json(path)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: flag config must be a JSON object")
-    names = {opt.lstrip("-").replace("-", "_"): p.name for p in ctx.command.params if p is not param for opt in p.opts}
-    ctx.default_map = {names[key]: value for key, value in cfg.items() if key in names and value is not None}
+    params = {opt.lstrip("-").replace("-", "_"): p for p in ctx.command.params if p is not param for opt in p.opts}
+
+    def text(value):  # a value as typed on the command line
+        return value if isinstance(value, str) else json.dumps(value)
+
+    ctx.default_map = {  # an on/off flag takes the value itself
+        p.name: v if p.is_flag else list(map(text, v)) if p.nargs != 1 and isinstance(v, list) else text(v)
+        for k, v in cfg.items() if v is not None and (p := params.get(k)) is not None
+    }
 
 
 _flag_file = click.option(
@@ -182,7 +193,8 @@ def decode(model_path, tabular_path, dataset, out, strategy, beam_size, max_len,
     model = _load_cli_model(model_path, tabular_path, lowercase)
     rows = read_dataset(dataset)
     contexts = [source_context(row.source, model.vocab, lowercase) for row in rows]
-    _, records = decode_rows(model, spec, rows, contexts, seed, 0)
+    sets = decode_rows(model, spec, rows, contexts, seed, (1, 0), f"decode {spec.name!r} left no candidates")
+    records = candidate_records(rows, sets, model.vocab)
     _emit((out, write_candidates, (records,)))
     click.echo(f"decoded {len(records)} inputs -> {out}")
 
@@ -212,15 +224,16 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
          model_path, tabular_path, max_len, seed, lowercase):
     """Run the range-voting election over decoded candidates."""
     cand_records = read_candidates(candidates_path)
-    voter_file, voter_records, voter_spec, model = [], None, None, None
+    voter_file, voter_records, voter_decode, model = [], None, None, None
     if voters_flag.startswith("file:"):
         voter_path = voters_flag[len("file:"):]
         voter_file = read_candidates(voter_path)
         voter_records = join_by_id([rec.id for rec in cand_records], [(rec.id, rec) for rec in voter_file], voter_path)
-    elif voters_flag != "same":
-        voter_spec = parse_voter_spec(voters_flag)
-        voter_decode = DecodeSpec(max_len=max_len)  # the decode regenerated voters inherit from
-        model = _load_cli_model(model_path, tabular_path, lowercase)
+    else:
+        voters = parse_voter_spec(voters_flag)  # None for same
+        if voters is not None:
+            voter_decode = DecodeSpec(max_len=max_len, **voters)  # no copy filter, so no source is read
+            model = _load_cli_model(model_path, tabular_path, lowercase)
 
     if model is not None:
         vocab = model.vocab
@@ -242,9 +255,9 @@ def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contrib
     cand_sets = voter_sets = [to_set(rec) for rec in cand_records]
     if voter_records is not None:
         voter_sets = [to_set(rec) for rec in voter_records]
-    elif voter_spec is not None:
-        contexts = [source_context(rec.source, vocab, lowercase) for rec in cand_records]
-        voter_sets = voter_rows(model, voter_decode, voter_spec, contexts, cand_sets, seed, (0,))
+    elif voter_decode is not None:
+        voter_sets = decode_rows(model, voter_decode, cand_records, [None] * len(cand_records), seed, (2, 0),
+                                 f"--voters {voters_flag} left no voters")
     results = elect_rows(range_vote, cand_records, cand_sets, voter_sets, sim, contributions)
     _emit((out, write_votes, (results,)))
     click.echo(f"voted on {len(results)} inputs with {sim.name} -> {out}")

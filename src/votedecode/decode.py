@@ -374,7 +374,7 @@ class _SampleRow(_Support):
         return self.token(min(self.position(u * self.total), self.cut - 1))
 
 
-def sample_sequences(model: SequenceModel, context: Sequence | None, spec: DecodeSpec, seed: int) -> CandidateSet:
+def sample_sequences(model: SequenceModel, spec: DecodeSpec, seed: int) -> CandidateSet:
     """Draw ``spec.count`` independent sequences with per-step truncation.
 
     ``top_k`` renormalizes over the k highest-probability next tokens,
@@ -392,7 +392,6 @@ def sample_sequences(model: SequenceModel, context: Sequence | None, spec: Decod
     sums, the total and truncated masses are ``math.fsum`` (exactly
     rounded), and each step uses one ``rng.random()``: the draws are those
     of a running-sum walk over the sorted support (see the module docstring).
-    ``context`` goes unread (models are unconditional): it keeps beam search's signature.
     """
     rng = np.random.default_rng(seed)
     num_ids = model.vocab.num_ids

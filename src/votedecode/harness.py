@@ -5,20 +5,20 @@ is materialized under the output directory, so fixed candidate files can be
 re-voted against swapped voter files.  Given a seed, all output bytes are
 deterministic.
 
-The ``decode`` and ``vote`` commands share ``run``'s three stages over a
-list of rows: ``decode_rows`` (candidates), ``voter_rows`` (voter sets) and
-``elect_rows`` (elections).  The seed layout lives in them: stream 1 seeds
-row ``ri``'s candidates with ``(seed, 1, di, ri)``, stream 2 its voters
-with ``(seed, 2, *where, ri)``; ``run`` passes ``di`` and ``(di, si)``, the
-CLI ``0`` and ``(0,)``.
+The ``decode`` and ``vote`` commands share ``run``'s two stages over a
+list of rows: ``decode_rows`` (a search: candidates or voters) and
+``elect_rows`` (elections).  One seed formula covers every search:
+``decode_rows`` seeds row ``ri`` with ``(seed, *stream, ri)``.  A decode's
+candidates use stream ``(1, di)`` and a selection's regenerated voters
+``(2, di, si)``; the CLI uses ``(1, 0)`` and ``(2, 0)``.
 
 Candidates and voters come from one search: a ``DecodeSpec`` run by
-``decode_row``.  Voters other than ``same`` set a few of its fields (a
+``decode_rows``.  Voters other than ``same`` set a few of its fields (a
 beam size, or a sample count, strategy and truncation) and inherit every
 other setting of the decode they vote for: max_len, scoring, diversity
 penalty, copy filter.
 
-Ids become strings in one place: ``candidate_record``, for decoded
+Ids become strings in one place: ``candidate_records``, for decoded
 candidates and regenerated voters.  Vote records, selections and report
 hypotheses reuse the strings of the candidates' record (read or made).
 """
@@ -104,9 +104,10 @@ def file_ids(tokens: Iterable[str], vocab: Vocabulary) -> Sequence:
     return tuple(map(vocab.marked_index.get, tokens, repeat(UNK_ID)))
 
 
-def candidate_record(row_id, source: str | None, cands: CandidateSet, vocab: Vocabulary) -> CandidateRecord:
-    items = tuple((surface_tokens(c.tokens, vocab), c.logprob) for c in cands.items)
-    return CandidateRecord(id=row_id, source=source, candidates=items)
+def candidate_records(rows: list, sets: list[CandidateSet], vocab: Vocabulary) -> list[CandidateRecord]:
+    """Each row's set as a record: its id and source, and each sequence's tokens as strings."""
+    items = (tuple((surface_tokens(c.tokens, vocab), c.logprob) for c in cands.items) for cands in sets)
+    return [CandidateRecord(row.id, row.source, cands) for row, cands in zip(rows, items)]
 
 
 def source_context(source: str | None, vocab: Vocabulary, lowercase: bool) -> Sequence | None:
@@ -125,39 +126,21 @@ def plain_tokens(rows: list[DatasetRow], lowercase: bool) -> tuple[list, list | 
     return refs, [words(row.source) for row in rows]
 
 
-def decode_row(model: SequenceModel, spec: DecodeSpec, context: Sequence | None, seed: int) -> CandidateSet:
-    """Run one decode setting on one input (beam or sampling)."""
-    if spec.kind == "beam":
-        return beam_search(model, context, spec)
-    return sample_sequences(model, context, spec, seed)
+def decode_rows(model: SequenceModel, spec: DecodeSpec, rows: list, contexts: Iterable, seed: int,
+                stream: tuple[int, ...], what: str) -> list[CandidateSet]:
+    """Every row's set under ``spec``: a beam search of its ``context``, or draws seeded ``(seed, *stream, ri)``.
 
-
-def decode_rows(model: SequenceModel, spec: DecodeSpec, rows: list[DatasetRow], contexts: list, seed: int,
-                di: int) -> tuple[list[CandidateSet], list[CandidateRecord]]:
-    """Every row's candidates under ``spec``, row ``ri`` seeded ``(seed, 1, di, ri)``, and their records.
-
-    An empty set is refused: no selection can be made from it.
+    An empty set, over which no election can be held, is refused as ``what`` ("decode 'd' left no candidates").
     """
     sets = []
     for ri, (row, context) in enumerate(zip(rows, contexts)):
-        sets.append(decode_row(model, spec, context, derive_seed(seed, 1, di, ri)))
+        if spec.kind == "beam":
+            sets.append(beam_search(model, context, spec))
+        else:
+            sets.append(sample_sequences(model, spec, derive_seed(seed, *stream, ri)))
         if not sets[-1].items:
-            raise ValueError(f"decode {spec.name!r} left no candidates for input {row.id!r} "
-                             "(support empty or everything copy-filtered)")
-    return sets, [candidate_record(row.id, row.source, cands, model.vocab) for row, cands in zip(rows, sets)]
-
-
-def voter_rows(model: SequenceModel, decode: DecodeSpec, voters: dict | None, contexts: list,
-               candidates: list[CandidateSet], seed: int, where: tuple[int, ...]) -> list[CandidateSet]:
-    """Every row's voter set: its candidates, or ``decode``'s search with the voters' fields set.
-
-    ``voters`` is what ``config.parse_voter_spec`` returns: None for ``same``.
-    A search seeds row ``ri`` with ``(seed, 2, *where, ri)``.
-    """
-    if voters is None:
-        return candidates
-    spec = replace(decode, **voters)
-    return [decode_row(model, spec, context, derive_seed(seed, 2, *where, ri)) for ri, context in enumerate(contexts)]
+            raise ValueError(f"{what} for input {row.id!r} (support empty or everything copy-filtered)")
+    return sets
 
 
 def elect_rows(elect: Callable, records: list[CandidateRecord], candidates: list[CandidateSet],
@@ -214,18 +197,22 @@ def run_experiment(
     report: list[EvalRow] = []
     files: list[tuple[str, Callable, tuple]] = []  # (path under out, writer, writer args)
     for di, dspec in enumerate(config.decode):
-        cand_sets, records = decode_rows(model, dspec, rows, contexts, config.seed, di)
+        cand_sets = decode_rows(model, dspec, rows, contexts, config.seed, (1, di),
+                                f"decode {dspec.name!r} left no candidates")
+        records = candidate_records(rows, cand_sets, vocab)
         files.append((f"candidates/{dspec.name}.jsonl", write_candidates, (records,)))
         for si, (sspec, sim) in enumerate(zip(config.select, sims)):
             system = f"{dspec.name}+{sspec.name}"
             if sspec.kind == "map":
                 tops = [rec.candidates[0] for rec in records]
             else:
-                voter_sets = voter_rows(model, dspec, sspec.voters, contexts, cand_sets, config.seed, (di, si))
-                votes = elect_rows(range_vote, records, cand_sets, voter_sets, sim, sspec.contributions)
+                voter_sets = cand_sets
                 if sspec.voters is not None:
-                    voter_records = [candidate_record(row.id, row.source, v, vocab) for row, v in zip(rows, voter_sets)]
+                    voter_sets = decode_rows(model, replace(dspec, **sspec.voters), rows, contexts, config.seed,
+                                             (2, di, si), f"selection {system!r} left no voters")
+                    voter_records = candidate_records(rows, voter_sets, vocab)
                     files.append((f"voters/{system}.jsonl", write_candidates, (voter_records,)))
+                votes = elect_rows(range_vote, records, cand_sets, voter_sets, sim, sspec.contributions)
                 files.append((f"votes/{system}.jsonl", write_votes, (votes,)))
                 tops = [vote.ranked[0][:2] for vote in votes]
             selections = [CandidateRecord(row.id, row.source, (top,)) for row, top in zip(rows, tops)]

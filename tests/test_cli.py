@@ -117,10 +117,20 @@ class TestFlagFiles:
         assert main(["train", *config]) == 0
         assert "The" in json.loads((workdir / "m.json").read_text(encoding="utf-8"))["vocab"]
 
-    def test_a_bad_value_is_checked_like_the_flag(self, workdir, capsys):
-        config = self.write_flags("f.json", {"corpus": "corpus.txt", "out": "m.json", "order": "abc"})
-        assert main(["train", *config]) == 1
-        assert "'--order'" in capsys.readouterr().err
+    # (command, the file's bad entry as JSON text, the flag the error names)
+    @pytest.mark.parametrize("command, entry, flag", [
+        pytest.param("train", '"order": "abc"', "--order", id="string"),
+        pytest.param("train", '"order": true', "--order", id="bool"),  # not 1
+        pytest.param("train", '"order": 2.5', "--order", id="fraction"),  # not 2
+        pytest.param("train", '"order": 1e400', "--order", id="overflow"),  # not an OverflowError
+        pytest.param("eval", '"sign_test": [3, true]', "--sign-test", id="bool-item"),
+    ])
+    def test_a_bad_value_is_checked_like_the_flag(self, workdir, capsys, command, entry, flag):
+        (workdir / "f.json").write_text(f'{{"corpus": "corpus.txt", "out": "m.json", {entry}}}', encoding="utf-8")
+        assert main([command, "--config", "f.json"]) == 1
+        out, err = capsys.readouterr()
+        assert f"'{flag}'" in err
+        assert out == ""
         assert not (workdir / "m.json").exists()
 
     def test_null_keeps_the_default_and_unknown_keys_are_ignored(self, workdir, capsys):
@@ -269,6 +279,24 @@ def test_empty_decode_exits_3_before_writing_its_candidates(tmp_path, capsys):
     (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
     assert main(["run", "--config", str(tmp_path / "config.json")]) == 3
     assert "decode 'filtered' left no candidates for input 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_voters_exit_3_naming_the_selection_and_the_input(tmp_path, capsys):
+    source = "the tall man runs fast sprints quickly is running"
+    (tmp_path / "d.jsonl").write_text(json.dumps({"id": 4, "source": source, "references": ["ok"]}) + "\n")
+    config = {
+        "schema_version": 1,
+        "model": json.loads((CONFIGS / "toy_vote_split.json").read_text(encoding="utf-8"))["model"],
+        "dataset": "d.jsonl",
+        # "ok" survives the copy filter in the beam of 5, but the beam of 1 keeps only copies of the source.
+        "decode": [{"name": "beam5", "kind": "beam", "beam_size": 5, "max_len": 8, "filter_copies": 0.5}],
+        "select": [{"name": "greedy", "kind": "vote", "sim": {"kind": "overl", "n": 1}, "voters": "beam:1"}],
+        "output_dir": "out",
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(tmp_path / "config.json")]) == 3
+    assert "selection 'beam5+greedy' left no voters for input 4" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -156,7 +156,7 @@ class TestFilterCopies:
 
 
 def sampled(model, seed, **fields):
-    return sample_sequences(model, None, DecodeSpec(kind="sample", max_len=5, **fields), seed)
+    return sample_sequences(model, DecodeSpec(kind="sample", max_len=5, **fields), seed)
 
 
 class TestSampling:

@@ -473,7 +473,7 @@ class TestSamplingEquivalence:
         top_k = top_k if strategy == "top_k" else None
         top_p = top_p if strategy == "nucleus" else None
         spec = DecodeSpec(kind="sample", count=count, strategy=strategy, top_k=top_k, top_p=top_p, max_len=max_len)
-        fast = sample_sequences(model, None, spec, seed)
+        fast = sample_sequences(model, spec, seed)
         ref = reference_sample_items(
             model, count=count, strategy=strategy, top_k=top_k, top_p=top_p, seed=seed, max_len=max_len
         )
@@ -692,7 +692,7 @@ class TestRowContract:
         model = SEARCH_MODELS[name]
         spec = DecodeSpec(kind="sample", count=6, strategy=strategy, top_k=top_k, top_p=top_p, max_len=4)
         for seed in range(12):
-            fast = sample_sequences(model, None, spec, seed)
+            fast = sample_sequences(model, spec, seed)
             ref = reference_sample_items(
                 model, count=6, strategy=strategy, top_k=top_k, top_p=top_p, seed=seed, max_len=4
             )
@@ -715,7 +715,7 @@ class TestRowContract:
 
         warm, cold = trained(), trained()
         beam_search(warm, None, DecodeSpec(beam_size=3, max_len=4))
-        sample_sequences(warm, None, DecodeSpec(kind="sample", count=5, max_len=4), 0)
+        sample_sequences(warm, DecodeSpec(kind="sample", count=5, max_len=4), 0)
         assert warm.next_token_row((4,)) is warm.next_token_row((4,))
         assert warm == cold
         warm_file, cold_file = io.StringIO(), io.StringIO()

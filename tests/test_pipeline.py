@@ -17,7 +17,7 @@ from votedecode.cli import main
 from votedecode.config import load_config
 from votedecode.decode import DecodeSpec, beam_search, sample_sequences
 from votedecode.formats import VoteRecord, read_candidates, read_dataset, write_votes
-from votedecode.harness import build_model, candidate_record, derive_seed, source_context, tabular_model_from_text
+from votedecode.harness import build_model, candidate_records, derive_seed, source_context, tabular_model_from_text
 from votedecode.voting import SimilaritySpec, range_vote
 
 from conftest import FIXTURE5
@@ -137,18 +137,14 @@ def test_voters_inherit_every_decode_setting_they_do_not_set(experiment, tmp_pat
     rows = read_dataset(experiment / "dataset.jsonl")
     contexts = [source_context(row.source, model.vocab, False) for row in rows]
 
-    def records(sets):
-        return [candidate_record(row.id, row.source, cands, model.vocab) for row, cands in zip(rows, sets)]
-
     def searched(**fields):
         spec = DecodeSpec(beam_size=6, max_len=6, scoring="length_normalized", diverse_gamma=0.5, **fields)
-        return records(beam_search(model, context, spec) for context in contexts)
+        return candidate_records(rows, [beam_search(model, context, spec) for context in contexts], model.vocab)
 
     def sampled(**fields):
         spec = DecodeSpec(kind="sample", count=7, max_len=4, **fields)
-        return records(
-            sample_sequences(model, context, spec, derive_seed(SEED, 2, 1, 1, ri)) for ri, context in enumerate(contexts)
-        )
+        sets = [sample_sequences(model, spec, derive_seed(SEED, 2, 1, 1, ri)) for ri in range(len(rows))]
+        return candidate_records(rows, sets, model.vocab)
 
     beam_voters = read_candidates(tmp_path / "run" / "voters" / "beam+beam6.jsonl")
     assert beam_voters == searched(filter_copies=0.2)
@@ -182,7 +178,7 @@ def test_vote_regenerates_voters_with_the_cli_seed_layout(experiment, tmp_path, 
         if voters == "beam:3":
             voter_set = beam_search(model, context, DecodeSpec(beam_size=3, max_len=4))
         else:
-            voter_set = sample_sequences(model, context, DecodeSpec(kind="sample", count=4, max_len=4),
+            voter_set = sample_sequences(model, DecodeSpec(kind="sample", count=4, max_len=4),
                                          derive_seed(5, 2, 0, ri))
         result = range_vote(cands, voter_set, SimilaritySpec(kind="overl", n=1))
         ranked = tuple((tuple(model.vocab.marked_tokens[i] for i in c.tokens), c.logprob, score)

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from votedecode import voting
 from votedecode.config import ConfigError, load_config, parse_voter_spec
 from votedecode.decode import CandidateSet, DecodeSpec, ScoredSequence, beam_search
-from votedecode.harness import decode_row, voter_rows
+from votedecode.formats import DatasetRow
+from votedecode.harness import decode_rows
 from votedecode.sequences import detokenize, tokenize
 from votedecode.voting import SimilaritySpec, range_vote
 
@@ -296,8 +297,11 @@ class TestRangeVote:
 
 def select(model, decode, voters, sim, seed=0):
     """Decode, gather voters and elect, as one row of an experiment run."""
-    cands = decode_row(model, decode, None, seed)
-    (voter_set,) = voter_rows(model, decode, voters, [None], [cands], seed, ())
+    rows = [DatasetRow(0, None, ("",))]
+    (cands,) = decode_rows(model, decode, rows, [None], seed, (1, 0), "decode left no candidates")
+    voter_set = cands
+    if voters is not None:
+        (voter_set,) = decode_rows(model, replace(decode, **voters), rows, [None], seed, (2, 0, 0), "no voters")
     return range_vote(cands, voter_set, sim)
 
 
