@@ -37,7 +37,6 @@ from .oracle import (
     enumerate_distribution,
     exact_map,
     exact_vote,
-    make_vote_split_model,
 )
 from .sequences import (
     Sequence,
@@ -79,7 +78,6 @@ __all__ = [
     "exact_map",
     "exact_vote",
     "load_model",
-    "make_vote_split_model",
     "paired_bootstrap",
     "range_vote",
     "sample_sequences",

@@ -9,9 +9,11 @@ explicit flag overrides the file.  A value is the text typed for the flag:
 a string as it is, a number or bool (each item of ``sign_test``'s pair too)
 as its JSON text, so ``"order": 2.0`` or ``true`` is refused like ``--order
 2.0``.  On/off flags (``lowercase``) read the value as click reads a bool:
-``"false"`` is off.  A ``null`` value leaves the flag at its default.  Keys
-that name no flag of the command are ignored, so one file can serve several
-commands.  (``run --config`` is the experiment config instead.)
+``"false"`` is off.  A ``null`` value leaves the flag at its default.  A key
+that is a flag of another ``votedecode`` command is ignored, so one file can
+serve several commands; a key that is a flag of no command is refused with
+exit 1, naming it, before anything is read or written.  (``run --config`` is
+the experiment config instead.)
 
 Exit codes: 0 success; 1 usage, including a bad flag value from a flags
 file; 2 I/O, including a missing flags file; 3 validation, including a flags
@@ -76,6 +78,14 @@ from .voting import SIMILARITY_KINDS, SimilaritySpec, range_vote
 # their names in this module, so each stays bound here even when unused.
 
 
+def _flag_keys(command: click.Command) -> set[str]:
+    """The flags-file key of every flag of ``command`` and of each command under it."""
+    keys = {opt.lstrip("-").replace("-", "_") for p in command.params for opt in p.opts}
+    for sub in getattr(command, "commands", {}).values():
+        keys |= _flag_keys(sub)
+    return keys
+
+
 def _read_flag_file(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
     """Eager ``--config`` callback: the file's values become the command's flag defaults."""
     if path is None:
@@ -83,6 +93,9 @@ def _read_flag_file(ctx: click.Context, param: click.Parameter, path: str | None
     cfg = load_json(path)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: flag config must be a JSON object")
+    unknown = sorted(cfg.keys() - _flag_keys(cli))
+    if unknown:
+        raise click.UsageError(f"{path}: {unknown[0]!r} is not a flag of any votedecode command")
     params = {opt.lstrip("-").replace("-", "_"): p for p in ctx.command.params if p is not param for opt in p.opts}
 
     def text(value):  # a value as typed on the command line
@@ -205,7 +218,7 @@ def decode(model_path, tabular_path, dataset, out, strategy, beam_size, max_len,
 @click.option("--candidates", "candidates_path", type=click.Path(), required=True,
               help="Candidates file (decode output).")
 @click.option("--voters", "voters_flag", type=str, default="same", show_default=True,
-              help="same | file:PATH | beam:K | sample:N[:strategy]. Voters inherit every search setting "
+              help="same | file:PATH | beam:K | sample:N. Voters inherit every search setting "
                    "they do not set: here --max-len, logprob scoring, no diversity penalty and no copy filter.")
 @click.option("--sim", "sim_kind", type=click.Choice(SIMILARITY_KINDS), required=True)
 @click.option("--n", type=int, default=None, help="N-gram order for prec/overl.")

@@ -219,8 +219,9 @@ _VOTER_FIELDS = {"same": (), "beam": ("beam_size",), "sample": ("count", "strate
 
 
 def parse_voter_spec(value, where: str = "voters") -> dict | None:
-    """Voter source: 'same', 'beam:K', 'sample:N[:strategy]', or an object of the same fields.
+    """Voter source: 'same', 'beam:K', 'sample:N' (ancestral), or an object of the same fields.
 
+    Only an object sets a sampling ``strategy`` and its ``top_k``/``top_p``.
     Returns None for 'same' (the candidates vote), else the DecodeSpec fields
     the voters set.  Voters run their decode's search with those fields
     replaced; sampled voters always set ``top_k``/``top_p`` (None unless
@@ -228,13 +229,10 @@ def parse_voter_spec(value, where: str = "voters") -> dict | None:
     """
     if isinstance(value, str):
         head, _, rest = value.partition(":")
-        count, _, strategy = rest.partition(":")
         if value == "same":
             value = {"kind": "same"}
-        elif head == "beam" and rest.isdecimal():
-            value = {"kind": "beam", "beam_size": int(rest)}
-        elif head == "sample" and count.isdecimal():
-            value = {"kind": "sample", "count": int(count), **({"strategy": strategy} if strategy else {})}
+        elif head in ("beam", "sample") and rest.isdecimal():
+            value = {"kind": head, _VOTER_FIELDS[head][0]: int(rest)}
         else:
             raise ConfigError(f"{where}: cannot parse voter spec {value!r}")
     if not isinstance(value, dict):

@@ -68,29 +68,35 @@ def bleu_from_stats_array(stats: TySequence[np.ndarray], smoothed: bool = False)
     """:func:`bleu_from_stats` of many segments at once, equal bit for bit.
 
     ``stats`` holds the 2 + 2 * max_n statistics in :func:`bleu_stats`
-    order, as integer arrays that broadcast together.  Each libm call of the
-    scalar loop runs once per distinct argument: log(m/t) per distinct
-    (matched, total) of an order, exp per distinct log_sum / max_n, the
-    brevity penalty per distinct (ref_len, hyp_len) where no precision is
-    zero.  Logs add in order n = 1..max_n from 0.0 with the loop's IEEE +, /, *.
+    order, as integer arrays that broadcast together.  The live segments,
+    those with no zero precision at any order, are found from the integer
+    counts first; every libm lookup runs over them alone, and every other
+    segment scores 0.0, as the scalar loop returns.  Each libm call of the
+    loop runs once per distinct argument: log(m/t) per distinct (matched,
+    total) of an order, exp per distinct log_sum / max_n, the brevity
+    penalty per distinct (ref_len, hyp_len).  A live segment was live at
+    every order, so its logs add in order n = 1..max_n from 0.0 with the
+    loop's IEEE +, /, *.
     """
     shape = np.broadcast_shapes(*map(np.shape, stats))
-    hyp_len, ref_len, *counts = (np.broadcast_to(np.asarray(s, dtype=np.int64), shape) for s in stats)
+    # 0-d statistics run as one segment: numpy refuses nonzero() on a 0-d array.
+    hyp_len, ref_len, *counts = (np.broadcast_to(np.asarray(s, dtype=np.int64), shape or (1,)) for s in stats)
     max_n = len(counts) // 2
-    log_sum = np.zeros(shape)
-    live = np.ones(shape, dtype=bool)  # no zero precision yet
-    for n in range(1, max_n + 1):
-        bump = int(smoothed and n > 1)
-        matched, total = counts[n - 1], counts[max_n + n - 1]
+    bumps = [int(smoothed and n > 1) for n in range(1, max_n + 1)]
+    live = np.ones(hyp_len.shape, dtype=bool)  # no zero precision at any order
+    for bump, matched, total in zip(bumps, counts, counts[max_n:]):
         live &= (matched != -bump) & (total != -bump)
-        if not live.any():  # a zero precision everywhere: the scalar loop returns 0.0 for each
-            return np.zeros(shape)
-        log_sum[live] += _per_distinct(lambda m, t: math.log((m + bump) / (t + bump)), matched[live], total[live])
-    score = np.zeros(shape)
-    score[live] = _per_distinct(lambda s: math.exp(s / max_n), log_sum[live])
-    short = live & (hyp_len < ref_len)
-    score[short] *= _per_distinct(lambda r, h: math.exp(1.0 - r / h), ref_len[short], hyp_len[short])
-    return score
+    at = live.nonzero()
+    log_sum = np.zeros(len(at[0]))
+    for bump, matched, total in zip(bumps, counts, counts[max_n:]):
+        log_sum += _per_distinct(lambda m, t: math.log((m + bump) / (t + bump)), matched[at], total[at])
+    live_score = _per_distinct(lambda s: math.exp(s / max_n), log_sum)
+    hyp, ref = hyp_len[at], ref_len[at]
+    short = hyp < ref
+    live_score[short] *= _per_distinct(lambda r, h: math.exp(1.0 - r / h), ref[short], hyp[short])
+    score = np.zeros(hyp_len.shape)
+    score[at] = live_score
+    return score.reshape(shape)
 
 
 def _per_distinct(fn: Callable[..., float], first: np.ndarray, second: np.ndarray | None = None) -> np.ndarray:

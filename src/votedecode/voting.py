@@ -12,8 +12,12 @@ coded together as integer n-grams (``sequences.gram_codes``), their
 clipped matches are integer counts, and every float step after the counts
 is the IEEE +, /, * and libm ``math.log``/``math.exp`` call a pairwise
 computation of :class:`SimilaritySpec`'s definition makes for that pair (the
-BLEU epilogue makes each call once per distinct argument), so every score is
-equal bit for bit to the pairwise reference in ``tests/conftest.py``.
+BLEU epilogue makes each call once per distinct argument, for the pairs with
+no zero precision), so every score is equal bit for bit to the pairwise
+reference in ``tests/conftest.py``.  A candidate's total is the ``math.fsum``
+of its non-zero votes only: weights and similarities are finite and >= 0, so
+every zero vote is +0.0, and an exactly rounded sum is the same with exact
+zeros left out (``fsum([]) == 0.0``).
 """
 
 from __future__ import annotations
@@ -229,7 +233,10 @@ def range_vote(
     pair: the counts are exact integers, an int/int quotient is correctly
     rounded in numpy as in Python, the epilogue calls libm ``math.log`` and
     ``math.exp`` on the very arguments a per-pair loop does, adding its logs
-    in the same order, and the products and fsums are unchanged.
+    in the same order, and the products are unchanged.  Each candidate's
+    fsum takes only its non-zero votes, in voter order: every zero vote is
+    +0.0 (finite weights and similarities, all >= 0), and leaving exact
+    zeros out of an exactly rounded sum does not change it.
     ``embed_cosine`` takes each sequence's mean vector and norm once and
     runs a per-pair dot, division and clamp.
     """
@@ -246,7 +253,11 @@ def range_vote(
         weights = [math.exp(v.logprob - max_lp) for v in voters.items]
         scale = math.exp(max_lp)
     per_voter = np.array(weights)[:, None] * sims
-    shifted = [math.fsum(column) for column in per_voter.T.tolist()]
+    # Each candidate's non-zero votes in voter order, candidate after candidate; the zeros are +0.0.
+    landed = per_voter.T != 0.0
+    votes = per_voter.T[landed].tolist()
+    ends = np.cumsum(np.count_nonzero(landed, axis=1)).tolist()
+    shifted = [math.fsum(votes[start:end]) for start, end in zip([0, *ends], ends)]
 
     # Rank on the shifted sums: they stay meaningful even when the raw
     # voter probabilities (and hence the reported scores) underflow to 0.

@@ -101,6 +101,53 @@ def model_from_texts(entries):
     return tabular_model([(tokenize(t, vocab), p) for t, p in entries], vocab), vocab
 
 
+# Generator tokens: one pool for the short generic sequence, one for the
+# long families, so short/long similarities are exactly zero.
+_SHORT_POOL = tuple(f"s{i}" for i in range(3))
+_LONG_POOL = tuple(f"w{i:02d}" for i in range(20))
+GENERATOR_VOCAB = Vocabulary(tokens=_SHORT_POOL + _LONG_POOL)
+
+
+def make_vote_split_model(seed):
+    """Seeded nested-prefix tabular model exhibiting vote splitting.
+
+    One short generic sequence holds the largest single mass; families of
+    long near-duplicates (a shared stem plus one distinguishing token each)
+    hold more total mass, with the main family heavy enough that n-gram
+    voting reliably prefers a long member while the short sequence stays
+    the exact argmax.  There are 1-3 families of 3-6 members, each with a
+    stem of 5-9 tokens.
+    """
+    rng = np.random.default_rng(seed)
+    vocab = GENERATOR_VOCAB
+    short_ids = [vocab.id_of(t) for t in _SHORT_POOL]
+    long_ids = [vocab.id_of(t) for t in _LONG_POOL]
+
+    short_len = int(rng.integers(1, 3))
+    short = tuple(rng.choice(short_ids, size=short_len, replace=False).tolist())
+    p_short = float(rng.uniform(0.26, 0.34))
+
+    n_fam = int(rng.integers(1, 4))
+    # Main family keeps >= 2/3 of the long mass so its members' mutual
+    # support beats the short sequence's self-vote in every draw.
+    shares = np.concatenate(([1.0], rng.uniform(0.05, 0.25, size=n_fam - 1)))
+    shares = shares / shares.sum() * (1.0 - p_short)
+
+    pairs = [(short, p_short)]
+    for share in shares:
+        length = int(rng.integers(5, 10))
+        stem = tuple(rng.choice(long_ids, size=length, replace=False).tolist())
+        leftover = [t for t in long_ids if t not in stem]
+        m = int(rng.integers(3, 7))
+        variants = rng.choice(leftover, size=m, replace=False).tolist()
+        # Near-uniform member weights: max share stays below the short mass.
+        raw = rng.uniform(1.0, 1.1, size=m)
+        raw = raw / raw.sum() * share
+        for token, weight in zip(variants, raw):
+            pairs.append((stem + (int(token),), float(weight)))
+    return tabular_model(pairs, vocab)
+
+
 def dense_logprobs(model, prefix):
     """The reference dense vector: ``model``'s row for ``prefix`` spread over the full id space.
 

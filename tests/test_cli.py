@@ -138,6 +138,14 @@ class TestFlagFiles:
         config = self.write_flags("f.json", {"corpus": "corpus.txt", "order": None, "sim": "bleu"})
         assert self.run(capsys, "file", ["out"], ["train", *config]) == typed
 
+    def test_a_key_that_is_no_commands_flag_exits_1(self, workdir, capsys):
+        config = self.write_flags("f.json", {"beam_sise": 5})
+        assert main(["decode", *config, "--tabular", "toy.json", "--dataset", "data.jsonl", "--out", "c.jsonl"]) == 1
+        out, err = capsys.readouterr()
+        assert "'beam_sise'" in err
+        assert out == ""
+        assert not (workdir / "c.jsonl").exists()
+
     @pytest.mark.parametrize("text, code", [("{", 3), ("[1, 2]", 3), (None, 2)])
     def test_unreadable_files(self, workdir, text, code):
         if text is not None:

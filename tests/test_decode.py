@@ -10,10 +10,9 @@ from votedecode.decode import (
     copy_overlap_rate,
     sample_sequences,
 )
-from votedecode.oracle import make_vote_split_model
 from votedecode.sequences import tokenize
 
-from conftest import model_from_texts, verify_logprobs
+from conftest import make_vote_split_model, model_from_texts, verify_logprobs
 
 
 def texts(cands, vocab):

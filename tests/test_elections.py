@@ -200,6 +200,35 @@ class TestBulkElection:
         assert (result.ranking, result.scores, result.contributions) == (ranking, scores, contributions)
         assert result.scores == (0.0, 0.0)
 
+    # Elections whose fsums leave out a whole column, a whole row, or every vote as zero.
+    ZERO_VOTES = {
+        "candidate sharing no gram": (
+            [((3, 4, 5, 6), -1.0), ((7, 8), -0.5), ((3, 4, 5, 9), -2.0)],
+            [((3, 4, 5, 6), -1.0), ((3, 4, 5, 6, 9), -2.0), ((4, 5, 6), -0.5)],
+        ),
+        "voter sharing no gram": (
+            [((3, 4, 5, 6), -1.0), ((4, 5, 6, 3), -2.0)],
+            [((3, 4, 5, 6), -1.0), ((9, 10, 11), -0.1), ((5, 6, 3, 4), -3.0)],
+        ),
+        "every voter at -inf": (
+            [((3, 4), -1.0), ((3,), -2.0)],
+            [((3, 4), NEG_INF), ((4,), NEG_INF)],
+        ),
+    }
+
+    @pytest.mark.parametrize("spec", NGRAM_SPECS, ids=lambda spec: f"{spec.name}{spec.max_n or ''}")
+    @pytest.mark.parametrize("case", sorted(ZERO_VOTES))
+    def test_zero_votes_leave_the_election_unchanged(self, case, spec):
+        cands, voters = (CandidateSet(tuple(ScoredSequence(t, lp) for t, lp in items)) for items in self.ZERO_VOTES[case])
+        result = range_vote(cands, voters, spec, with_contributions=True)
+        assert (result.ranking, result.scores, result.contributions) == reference_vote(cands, voters, spec)
+        if case == "candidate sharing no gram":
+            assert dict(zip((c.tokens for c in result.ranking), result.scores))[(7, 8)] == 0.0
+        elif case == "voter sharing no gram":
+            assert result.contributions[1] == (0.0, 0.0)
+        else:
+            assert result.scores == (0.0, 0.0)
+
 
 # --- BLEU statistics ----------------------------------------------------------------
 
@@ -290,6 +319,40 @@ class TestBleuStatistics:
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
         # `--hypothesis-show-statistics` shows the split: table-shaped rows mostly sort once (the float lookup).
         event(f"{route} route, {unique.call_count} np.unique calls")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(["0-d", "1-d", "broadcast"]), st.sampled_from(["none", "few", "all"]),
+           st.integers(min_value=1, max_value=4), st.booleans())
+    def test_live_only_epilogue_bit_for_bit(self, data, layout, live, max_n, smoothed):
+        """0-d, 1-d and an election's (V, 1) x (C,) statistics, with no, a few or only live segments.
+
+        hyp_len and the totals are per candidate, ref_len per voter and the
+        matches per pair; ``few`` zeroes most order-1 matches, ``none`` all.
+        """
+        grid = {"0-d": (), "1-d": (data.draw(st.integers(1, 12)),),
+                "broadcast": (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)))}[layout]
+        per_voter = (grid[0], 1) if layout == "broadcast" else grid
+
+        def array(shape, values):
+            size = math.prod(shape)
+            return np.array(data.draw(st.lists(values, min_size=size, max_size=size)), dtype=np.int64).reshape(shape)
+
+        hyp_len = array(grid[-1:], st.integers(max_n if live == "all" else 0, 12))
+        ref_len = array(per_voter, st.integers(0, 12))
+        totals = [np.maximum(hyp_len - n + 1, 0) for n in range(1, max_n + 1)]
+        lowest = int(live == "all")
+        matched = [lowest + (t - lowest) * array(grid, st.integers(0, 1000)) // 1000 for t in totals]
+        if live != "all":
+            matched[0] = matched[0] * (array(grid, st.integers(0, 3)) == 0 if live == "few" else 0)
+        stats = [hyp_len, ref_len, *matched, *totals]
+        rows = zip(*(np.broadcast_to(s, grid).ravel().tolist() for s in stats))
+        want = np.array([bleu_from_stats(row, smoothed=smoothed) for row in rows]).reshape(grid)
+        got = bleu_from_stats_array(stats, smoothed=smoothed)
+        assert got.shape == grid
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        if live != "few":
+            assert got.all() if live == "all" else not got.any()
+        event(f"{layout}, {live} live")
 
     def test_epilogue_routes_follow_the_key_range(self):
         """Short statistics of many pairs take the presence table, long ones of few pairs the sort."""

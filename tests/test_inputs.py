@@ -164,7 +164,7 @@ class TestSamplingVoterSpecs:
         assert voters == {"kind": "sample", "count": 5, "strategy": "ancestral", "top_k": None, "top_p": None, **fields}
 
     def test_string_spec_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="top_k sampling needs top_k >= 1"):
+        with pytest.raises(ConfigError, match="cannot parse voter spec 'sample:5:top_k'"):
             parse_voter_spec("sample:5:top_k")
 
     @pytest.mark.parametrize(

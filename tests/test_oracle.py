@@ -6,10 +6,10 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votedecode.oracle import enumerate_distribution, exact_map, exact_vote, make_vote_split_model
+from votedecode.oracle import enumerate_distribution, exact_map, exact_vote
 from votedecode.voting import SimilaritySpec
 
-from conftest import pairwise_sim
+from conftest import make_vote_split_model, pairwise_sim
 
 SEEDS = range(6)
 SIMS = [SimilaritySpec(kind="overl", n=1), SimilaritySpec(kind="prec", n=2), SimilaritySpec(kind="bleu")]
