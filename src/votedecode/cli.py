@@ -6,14 +6,15 @@ with underscores for dashes (``"add_k"``, ``"lowercase"``, ``"sign_test"``).
 The file's values become the flags' defaults, so they are converted and
 checked exactly like the same flags typed on the command line, and an
 explicit flag overrides the file.  A value is the text typed for the flag:
-a string as it is, a number or bool (each item of ``sign_test``'s pair too)
+a string as it is, any other value (each item of ``sign_test``'s pair too)
 as its JSON text, so ``"order": 2.0`` or ``true`` is refused like ``--order
-2.0``.  On/off flags (``lowercase``) read the value as click reads a bool:
-``"false"`` is off.  A ``null`` value leaves the flag at its default.  A key
-that is a flag of another ``votedecode`` command is ignored, so one file can
-serve several commands; a key that is a flag of no command is refused with
-exit 1, naming it, before anything is read or written.  (``run --config`` is
-the experiment config instead.)
+2.0``.  On/off flags (``lowercase``) read that text as click reads a bool:
+``false`` and ``"false"`` are off, a list is refused.  A ``null`` value
+leaves the flag at its default.  A key that is a flag of another
+``votedecode`` command is ignored, so one file can serve several commands; a
+key that is a flag of no command is refused with exit 1, naming it, before
+anything is read or written.  (``run --config`` is the experiment config
+instead.)
 
 Exit codes: 0 success; 1 usage, including a bad flag value from a flags
 file; 2 I/O, including a missing flags file; 3 validation, including a flags
@@ -33,13 +34,14 @@ from typing import Callable
 import click
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, ModelSpec, load_config, load_json, parse_decode_spec, parse_voter_spec
+from .config import ConfigError, ExperimentConfig, ModelSpec, load_config, parse_decode_spec, parse_voter_spec
 from .decode import CandidateSet, DecodeSpec, ScoredSequence, beam_search, sample_sequences
 from .formats import (
     METRIC_GROUPS,
     CandidateRecord,
     FileFormatError,
     join_by_id,
+    load_json,
     read_candidates,
     read_corpus_lines,
     read_dataset,
@@ -68,7 +70,7 @@ from .harness import (
     train_on_lines,
 )
 from .metrics import evaluate_system, paired_bootstrap, sign_test
-from .models import ModelFormatError, load_model, save_model
+from .models import load_model, save_model
 from .oracle import BudgetExceededError, enumerate_distribution, exact_map, exact_vote
 from .sequences import UNK_MARK, Vocabulary, detokenize
 from .voting import SIMILARITY_KINDS, SimilaritySpec, range_vote
@@ -90,7 +92,7 @@ def _read_flag_file(ctx: click.Context, param: click.Parameter, path: str | None
     """Eager ``--config`` callback: the file's values become the command's flag defaults."""
     if path is None:
         return
-    cfg = load_json(path)
+    cfg = load_json(path, ConfigError)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: flag config must be a JSON object")
     unknown = sorted(cfg.keys() - _flag_keys(cli))
@@ -101,8 +103,8 @@ def _read_flag_file(ctx: click.Context, param: click.Parameter, path: str | None
     def text(value):  # a value as typed on the command line
         return value if isinstance(value, str) else json.dumps(value)
 
-    ctx.default_map = {  # an on/off flag takes the value itself
-        p.name: v if p.is_flag else list(map(text, v)) if p.nargs != 1 and isinstance(v, list) else text(v)
+    ctx.default_map = {
+        p.name: list(map(text, v)) if p.nargs != 1 and isinstance(v, list) else text(v)
         for k, v in cfg.items() if v is not None and (p := params.get(k)) is not None
     }
 
@@ -416,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         click.echo(f"budget error: {exc}", err=True)
         return 4
-    except (ConfigError, FileFormatError, ModelFormatError, ValueError) as exc:
+    except ValueError as exc:  # every validation error is one: ConfigError, FileFormatError, ModelFormatError
         click.echo(f"validation error: {exc}", err=True)
         return 3
     except OSError as exc:

@@ -5,25 +5,21 @@ against the config file's directory.  CLI flags override config values.
 
 The spec dataclasses are the schema.  Each scalar field's annotation gives
 its JSON kind (an integer, a number, a string, or true/false) and its
-default is what an absent key reads as.  One rule reads every value, and it
-converts nothing: a bool is not a number, a number is not a string, and a
-string is neither a flag nor a number.  An integral number such as 2.0 reads
-as an integer, and an integer as a number.  Null stands only where the
-field's default is None and the field is not required.
+default is what an absent key reads as.  Every value is read by the
+input-value rule of :mod:`formats` (:func:`formats.json_value`); null stands
+only where the field's default is None and the field is not required.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import json
-import math
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 from .decode import DecodeSpec
+from .formats import JSON_KINDS, json_value, load_json, parse_entries
 from .metrics import check_copy_threshold
 from .models import check_training
 from .voting import SimilaritySpec
@@ -75,7 +71,6 @@ class ExperimentConfig:
 
 # Each spec field's JSON key, where it is not the field's name.
 _JSON_KEYS = {"vector_path": "vectors"}
-_NOUNS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 
 
 @functools.cache
@@ -84,7 +79,7 @@ def _schema(cls) -> dict[str, tuple[str, type, bool]]:
 
     Read once per class from the annotations (``from __future__`` keeps them strings).
     """
-    kinds = {kind.__name__: kind for kind in _NOUNS}
+    kinds = {kind.__name__: kind for kind in JSON_KINDS}
     schema = {}
     for f in dataclasses.fields(cls):
         kind = kinds.get(f.type.removesuffix(" | None"))
@@ -93,19 +88,8 @@ def _schema(cls) -> dict[str, tuple[str, type, bool]]:
     return schema
 
 
-def _value(key: str, value, kind: type, nullable: bool):
-    """``value`` read as a field of JSON ``kind`` by the module's value rule; a ValueError naming ``key`` if not."""
-    if type(value) is kind or value is None and nullable:
-        return value
-    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:  # a larger one has no float
-        return float(value)
-    if kind is int and type(value) is float and value.is_integer():
-        return int(value)
-    raise ValueError(f"{key} must be {_NOUNS[kind]}, got {value!r}")
-
-
 def _fields(cls, data, where: str, allowed: set[str], required: tuple[str, ...] = ()) -> dict:
-    """The scalar fields of spec class ``cls`` that the object ``data`` sets, by name, each read by :func:`_value`.
+    """The scalar fields of spec class ``cls`` that the object ``data`` sets, by name, each read by :func:`json_value`.
 
     ``data`` holds no key outside ``allowed`` and every key of ``required``,
     none of which may be null.  Keys that name no scalar field are left to
@@ -125,7 +109,7 @@ def _fields(cls, data, where: str, allowed: set[str], required: tuple[str, ...] 
         for key, value in data.items():
             if key in schema:
                 name, kind, nullable = schema[key]
-                fields[name] = _value(key, value, kind, nullable and key not in required)
+                fields[name] = json_value(key, value, kind, nullable and key not in required)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return fields
@@ -149,24 +133,6 @@ def _build(cls, where: str, fields: dict):
         return cls(**fields)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-
-
-def parse_entries(entries, where: str, error: type[ValueError] = ConfigError) -> list[tuple[str, float]]:
-    """A config's or tabular file's ``[text, probability]`` pairs: string texts, positive finite probabilities."""
-    if not isinstance(entries, list):
-        raise error(f"{where}: entries must be a list of [text, probability] pairs")
-    parsed = []
-    for i, entry in enumerate(entries):
-        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
-            raise error(f"{where}: entries[{i}] must be a [text, probability] pair, got {entry!r}")
-        try:
-            prob = _value("probability", entry[1], float, False)
-        except ValueError as exc:
-            raise error(f"{where}: entries[{i}]: {exc}") from exc
-        if not 0.0 < prob < math.inf:
-            raise error(f"{where}: entries[{i}]: probability must be positive and finite, got {prob}")
-        parsed.append((entry[0], prob))
-    return parsed
 
 
 # Per kind of each spec: the keys its object may hold, and the ones it must.
@@ -193,7 +159,7 @@ def _parse_model(data, where: str = "model") -> ModelSpec:
     kind = _kind(data, where, "model", _MODEL_KEYS)
     fields = _fields(ModelSpec, data, where, *_MODEL_KEYS[kind])
     if data.get("entries") is not None:
-        fields["entries"] = tuple(parse_entries(data["entries"], where))
+        fields["entries"] = tuple(parse_entries(data["entries"], where, ConfigError))
     spec = ModelSpec(**fields)
     if kind == "tabular" and (spec.entries is None) == (spec.path is None):
         raise ConfigError(f"{where}: tabular model needs exactly one of 'entries' or 'path'")
@@ -295,7 +261,7 @@ def parse_config(data: Mapping, base_dir: Path) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"metrics.{exc}") from exc
     try:
-        workers = _value("workers", data.get("workers"), int, True)  # rows run in order: read, checked, then ignored
+        workers = json_value("workers", data.get("workers"), int, True)  # rows run in order: read, checked, ignored
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
     if workers is not None and workers < 1:
@@ -303,15 +269,6 @@ def parse_config(data: Mapping, base_dir: Path) -> ExperimentConfig:
     return cfg
 
 
-def load_json(path: str | Path):
-    """The JSON value of the file at ``path``: the run config, or a command's flags file."""
-    with open(path, encoding="utf-8") as fp:
-        try:
-            return json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-
-
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    return parse_config(load_json(path), base_dir=path.parent)
+    return parse_config(load_json(path, ConfigError), base_dir=path.parent)

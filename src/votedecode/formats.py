@@ -18,6 +18,12 @@ a votes record's scores and ``contributions`` are finite numbers.  A fault
 is a :class:`FileFormatError` naming ``path:line``.
 :func:`join_by_id` aligns one file's records to another's ids.
 
+Every JSON scalar an input reads as a number, string or flag (run configs,
+model and tabular files, records) goes through one input-value rule,
+:func:`json_value`, which converts nothing: a bool is not a number, a number
+is not a string, and a string is neither.  An integral number such as 2.0
+reads as an integer, and an integer as a number if a float holds it.
+
 Every output of a command, a single file or ``run``'s whole tree, is
 written by one :func:`save_outputs` call, under one rule: no target is
 replaced before every write succeeded, so a failed command leaves its
@@ -31,19 +37,63 @@ import json
 import math
 import os
 import shutil
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable
+from typing import IO, TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from .config import parse_entries
-from .metrics import EvalRow
+if TYPE_CHECKING:
+    from .metrics import EvalRow
 
 
 class FileFormatError(ValueError):
     """Raised when an input file's contents do not match the expected format."""
+
+
+# --- JSON values ---------------------------------------------------------------
+
+JSON_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}  # each kind's noun
+
+
+def json_value(key: str, value, kind: type, nullable: bool = False):
+    """``value`` read as JSON ``kind`` by the module's input-value rule; a ValueError naming ``key`` if not."""
+    if type(value) is kind or value is None and nullable:
+        return value
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:  # a larger one has no float
+        return float(value)
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key} must be {JSON_KINDS[kind]}, got {value!r}")
+
+
+def load_json(path: str | Path, error: type[ValueError] = FileFormatError):
+    """The JSON value of the file at ``path``; text that is not JSON is an ``error`` naming the file."""
+    with open(path, encoding="utf-8") as fp:
+        try:
+            return json.load(fp)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: not valid JSON: {exc}") from exc
+
+
+def parse_entries(entries, where: str, error: type[ValueError] = FileFormatError) -> list[tuple[str, float]]:
+    """A run config's or tabular file's ``[text, probability]`` pairs: string texts, positive finite probabilities."""
+    if not isinstance(entries, list):
+        raise error(f"{where}: entries must be a list of [text, probability] pairs")
+    parsed = []
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
+            raise error(f"{where}: entries[{i}] must be a [text, probability] pair, got {entry!r}")
+        try:
+            prob = json_value("probability", entry[1], float)
+        except ValueError as exc:
+            raise error(f"{where}: entries[{i}]: {exc}") from exc
+        if not 0.0 < prob < math.inf:
+            raise error(f"{where}: entries[{i}]: probability must be positive and finite, got {prob}")
+        parsed.append((entry[0], prob))
+    return parsed
 
 
 # --- writing ----------------------------------------------------------------
@@ -98,8 +148,8 @@ def read_corpus_lines(path: str | Path) -> list[str]:
 
 # --- records ----------------------------------------------------------------
 
-def _read_records(path: str | Path, what: str, field: str, parse: Callable[[dict, str], object]) -> list:
-    """Every record of a JSON-lines file under the module's record rules, each built by ``parse(obj, where)``."""
+def _read_records(path: str | Path, what: str, field: str, parse: Callable[[dict], object]) -> list:
+    """Every record of a JSON-lines file under the module's record rules, each built by ``parse(obj)``."""
     records = []
     seen: dict = {}
     for lineno, obj in _read_jsonl(path):
@@ -112,13 +162,13 @@ def _read_records(path: str | Path, what: str, field: str, parse: Callable[[dict
             raise FileFormatError(f"{where}: id {obj['id']!r} is or holds NaN or Infinity") from None
         if first != lineno:
             raise FileFormatError(f"{where}: duplicate id {obj['id']!r} (first on line {first})")
-        records.append(parse(obj, where))
+        try:
+            records.append(parse(obj))
+        except ValueError as exc:
+            raise FileFormatError(f"{where}: {exc}") from exc
     if not records:
         raise FileFormatError(f"{path}: no {what} records")
     return records
-
-
-_NUMBER = (int, float)  # the types json gives numbers; bool is neither
 
 
 def _strings(value) -> bool:
@@ -130,35 +180,28 @@ def _strings(value) -> bool:
     return type(value) is list
 
 
-def _source(obj: dict, where: str) -> str | None:
-    source = obj.get("source")
-    if source is not None and type(source) is not str:
-        raise FileFormatError(f"{where}: 'source' must be a string")
-    return source
-
-
-def _entries(obj: dict, field: str, where: str) -> tuple:
+def _entries(obj: dict, field: str) -> tuple:
     """A record's checked ``(tokens, logprob)`` entries, ``(tokens, logprob, score)`` for ``ranked``."""
     entries = obj[field]
     if type(entries) is not list or not entries:
-        raise FileFormatError(f"{where}: '{field}' must be a non-empty list")
+        raise ValueError(f"'{field}' must be a non-empty list")
     scored = field == "ranked"
     out = []
     for entry in entries:
         try:
             tokens, logprob = entry["tokens"], entry["logprob"]
-            score = entry["score"] if scored else 0.0  # a number, so only a ranked entry's score is checked
+            score = json_value("score", entry["score"], float) if scored else 0.0
         except (KeyError, TypeError) as exc:
             keys = "'tokens', 'logprob' and 'score'" if scored else "'tokens' and 'logprob'"
-            raise FileFormatError(f"{where}: {field} entries need {keys}, got {entry!r}") from exc
+            raise ValueError(f"{field} entries need {keys}, got {entry!r}") from exc
         if not _strings(tokens):
-            raise FileFormatError(f"{where}: 'tokens' must be a list of strings, got {tokens!r}")
-        logprob = -math.inf if logprob is None else logprob
-        if type(logprob) not in _NUMBER or not logprob <= 0:  # NaN compares false
-            raise FileFormatError(f"{where}: log-probability must be finite and <= 0, null or -Infinity, got {logprob!r}")
-        if type(score) not in _NUMBER or not math.isfinite(score):
-            raise FileFormatError(f"{where}: 'score' must be a finite number, got {score!r}")
-        out.append((tuple(tokens), float(logprob), float(score)) if scored else (tuple(tokens), float(logprob)))
+            raise ValueError(f"'tokens' must be a list of strings, got {tokens!r}")
+        logprob = -math.inf if logprob is None else json_value("logprob", logprob, float)
+        if not logprob <= 0:  # NaN compares false
+            raise ValueError(f"log-probability must be finite and <= 0, null or -Infinity, got {logprob!r}")
+        if not math.isfinite(score):
+            raise ValueError(f"'score' must be a finite number, got {score!r}")
+        out.append((tuple(tokens), logprob, score) if scored else (tuple(tokens), logprob))
     return tuple(out)
 
 
@@ -205,10 +248,10 @@ class DatasetRow:
     references: tuple[str, ...]
 
 
-def _dataset_row(obj: dict, where: str) -> DatasetRow:
+def _dataset_row(obj: dict) -> DatasetRow:
     if not _strings(obj["references"]) or not obj["references"]:
-        raise FileFormatError(f"{where}: 'references' must be a non-empty list of strings")
-    return DatasetRow(id=obj["id"], source=_source(obj, where), references=tuple(obj["references"]))
+        raise ValueError("'references' must be a non-empty list of strings")
+    return DatasetRow(obj["id"], json_value("source", obj.get("source"), str, True), tuple(obj["references"]))
 
 
 def read_dataset(path: str | Path) -> list[DatasetRow]:
@@ -239,8 +282,8 @@ def write_candidates(records: Iterable[CandidateRecord], fp: IO[str]) -> None:
         fp.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _candidate_record(obj: dict, where: str) -> CandidateRecord:
-    return CandidateRecord(id=obj["id"], source=_source(obj, where), candidates=_entries(obj, "candidates", where))
+def _candidate_record(obj: dict) -> CandidateRecord:
+    return CandidateRecord(obj["id"], json_value("source", obj.get("source"), str, True), _entries(obj, "candidates"))
 
 
 def read_candidates(path: str | Path) -> list[CandidateRecord]:
@@ -271,15 +314,14 @@ def write_votes(records: Iterable[VoteRecord], fp: IO[str]) -> None:
         fp.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _vote_record(obj: dict, where: str) -> VoteRecord:
-    ranked, contributions = _entries(obj, "ranked", where), None
+def _vote_record(obj: dict) -> VoteRecord:
+    ranked, contributions = _entries(obj, "ranked"), None
     if "contributions" in obj:
         rows = obj["contributions"]
-        if type(rows) is not list or not all(
-            type(row) is list and all(type(x) in _NUMBER and math.isfinite(x) for x in row) for row in rows
-        ):
-            raise FileFormatError(f"{where}: 'contributions' must be a list of lists of finite numbers")
-        contributions = tuple(tuple(map(float, row)) for row in rows)
+        if type(rows) is list and all(type(row) is list for row in rows):
+            contributions = tuple(tuple(json_value("a contribution", x, float) for x in row) for row in rows)
+        if contributions is None or not all(math.isfinite(x) for row in contributions for x in row):
+            raise ValueError("'contributions' must be a list of lists of finite numbers")
     return VoteRecord(id=obj["id"], ranked=ranked, contributions=contributions)
 
 
@@ -335,15 +377,11 @@ def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
 
 def read_tabular_entries(path: str | Path) -> list[tuple[str, float]]:
     """Whole-sequence distribution file: {"entries": [["text", prob], ...]}, each entry as a config's."""
-    with open(path, encoding="utf-8") as fp:
-        try:
-            payload = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
+    payload = load_json(path)
     entries = payload.get("entries") if isinstance(payload, dict) else None
     if not isinstance(entries, list) or not entries:
         raise FileFormatError(f"{path}: expected a non-empty 'entries' list")
-    return parse_entries(entries, str(path), FileFormatError)
+    return parse_entries(entries, str(path))
 
 
 def write_enumeration(pairs: Iterable[tuple[str, float]], fp: IO[str]) -> None:

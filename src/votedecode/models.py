@@ -45,6 +45,7 @@ from typing import IO, Iterable, NamedTuple, Protocol
 
 import numpy as np
 
+from .formats import json_value
 from .sequences import BOS_ID, EOS_ID, NUM_RESERVED, UNK_ID, Sequence, Vocabulary
 
 NEG_INF = float("-inf")
@@ -362,7 +363,7 @@ def save_model(model: NGramLM, fp: IO[str]) -> None:
 
 
 def _integers(rows: list, width: int, what: str) -> np.ndarray:
-    """Rows of ``width`` JSON numbers as one int64 array; a string, null, bool or fraction is refused, not converted.
+    """Rows of ``width`` JSON numbers as one int64 array, by :func:`formats.json_value`'s integer rule in bulk.
 
     Types are checked before ``np.array``, which would read a bool among integers as 0 or 1.
     """
@@ -394,12 +395,7 @@ def load_model(fp: IO[str]) -> NGramLM:
         if not isinstance(payload["vocab"], list):  # a string would split into its characters
             raise ValueError(f"vocab must be a list of strings, got {type(payload['vocab']).__name__}")
         vocab = Vocabulary(tokens=tuple(payload["vocab"]))
-        order, add_k = payload["order"], payload["add_k"]
-        if type(order) not in (int, float) or order != int(order):  # a JSON bool is neither
-            raise ValueError(f"order must be an integer, got {order!r}")
-        if type(add_k) not in (int, float):
-            raise ValueError(f"add_k must be a number, got {add_k!r}")
-        order, add_k = int(order), float(add_k)
+        order, add_k = json_value("order", payload["order"], int), json_value("add_k", payload["add_k"], float)
         check_training(order, add_k)
         entries, need = payload["counts"], order - 1
         if (hist := next((hist for hist, _ in entries if len(hist) != need), None)) is not None:

@@ -124,6 +124,10 @@ class TestFlagFiles:
         pytest.param("train", '"order": 2.5', "--order", id="fraction"),  # not 2
         pytest.param("train", '"order": 1e400', "--order", id="overflow"),  # not an OverflowError
         pytest.param("eval", '"sign_test": [3, true]', "--sign-test", id="bool-item"),
+        # Each reached click's bool conversion as itself: an AttributeError traceback, exit 1.
+        pytest.param("train", '"lowercase": 2', "--lowercase", id="number-on-off-flag"),
+        pytest.param("train", '"lowercase": [true]', "--lowercase", id="list-on-off-flag"),
+        pytest.param("train", '"lowercase": {"on": true}', "--lowercase", id="object-on-off-flag"),
     ])
     def test_a_bad_value_is_checked_like_the_flag(self, workdir, capsys, command, entry, flag):
         (workdir / "f.json").write_text(f'{{"corpus": "corpus.txt", "out": "m.json", {entry}}}', encoding="utf-8")

@@ -734,6 +734,38 @@ class TestEntryShapes:
         assert not report.exists()
 
 
+# A 400-digit JSON integer has no float: converting it raised OverflowError, a traceback and exit 1.
+HUGE = 10**400
+
+
+class TestIntegersNoFloatHolds:
+    """An integer past the float range is refused by the input-value rule, naming ``path:line``, before any output."""
+
+    def test_vote_on_a_candidates_logprob(self, tmp_path, capsys):
+        cands = write_lines(tmp_path / "c.jsonl", [candidates_line(1, -1.0), candidates_line(2, -HUGE)])
+        out = tmp_path / "votes.jsonl"
+        assert main(["vote", "--candidates", str(cands), "--sim", "overl", "--n", "1", "--out", str(out)]) == 3
+        assert f"validation error: {cands}:2: logprob must be a number, got -{HUGE}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"ranked": [{"tokens": ["a"], "logprob": -1.0, "score": -HUGE}]}, f"score must be a number, got -{HUGE}"),
+            ({"ranked": [{"tokens": ["a"], "logprob": -1.0, "score": 0.5}], "contributions": [[0.5, HUGE]]},
+             f"a contribution must be a number, got {HUGE}"),
+        ],
+        ids=["score", "contribution"],
+    )
+    def test_eval_of_a_votes_file(self, tmp_path, capsys, fields, message):
+        dataset = write_lines(tmp_path / "d.jsonl", [dataset_line(1), dataset_line(2)])
+        votes = write_lines(tmp_path / "v.jsonl", [votes_line(1, -1.0), json.dumps({"id": 2, **fields})])
+        report = tmp_path / "report.tsv"
+        assert main(["eval", "--hyps", str(votes), "--dataset", str(dataset), "--out-tsv", str(report)]) == 3
+        assert f"validation error: {votes}:2: {message}" in capsys.readouterr().err
+        assert not report.exists()
+
+
 class TestMissingIds:
     """Each join by id refuses an input id the other file lacks, naming that file and the id."""
 
