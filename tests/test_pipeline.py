@@ -21,6 +21,7 @@ from votedecode.harness import build_model, candidate_records, derive_seed, sour
 from votedecode.voting import SimilaritySpec, range_vote
 
 from conftest import FIXTURE5
+from test_training import golden_lines
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -97,18 +98,96 @@ TOY_DIGESTS = {
 }
 
 
+def tree_digests(out):
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.rglob("*")
+        if path.is_file()
+    }
+
+
 def test_toy_vote_split_golden(tmp_path):
     out = tmp_path / "toy"
     assert main(["run", "--config", str(CONFIGS / "toy_vote_split.json"), "--output-dir", str(out)]) == 0
     report = {row["system"]: row for row in json.loads((out / "report.json").read_text(encoding="utf-8"))}
     assert report["beam5+overl1"]["bleu_4"] == 1.0
     assert report["beam5+map"]["bleu_4"] == 0.0
-    digests = {
-        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in out.rglob("*")
-        if path.is_file()
+    assert tree_digests(out) == TOY_DIGESTS
+
+
+SAMPLED_MODELS = {
+    # A bigram model trained on test_training's golden lines: most of each row's mass is in its rest run.
+    "ngram": {"kind": "train", "corpus": "golden.txt", "order": 2, "add_k": 0.1},
+    "captions": {"kind": "tabular", "path": str(CONFIGS / "captions_demo.json")},
+}
+SAMPLED_DECODES = [
+    {"name": "anc", "kind": "sample", "count": 8, "strategy": "ancestral", "max_len": 16},
+    {"name": "top3", "kind": "sample", "count": 8, "strategy": "top_k", "top_k": 3, "max_len": 16},
+    {"name": "nucleus", "kind": "sample", "count": 8, "strategy": "nucleus", "top_p": 0.9, "max_len": 16},
+]
+# sha256 of every file `run` writes for each model under the three sampled decodes, each voted by
+# regenerated `sample:6` voters.
+SAMPLED_DIGESTS = {
+    "captions": {
+        "candidates/anc.jsonl": "cb36649e77022e7d8d6f71dbd14dc1cb16cc8d292527c41b36b04f9303eeb287",
+        "candidates/nucleus.jsonl": "450906784782c67f8cf22b9a1a7c8ef672365364d4398ce02859a8a372476567",
+        "candidates/top3.jsonl": "b9a48513d2f9c411e31f9bede43e7e566a1550977f43b570f4c0d793dc453cf3",
+        "report.json": "5fa4525452d6264fa6ed3b2fd092a5914e42cd962dbf1831ac876355b6cac0d5",
+        "report.tsv": "3914dd2268cc55ed5627e4d3484d5f93bee2aedb44fee209b76883c32bb7ea66",
+        "selections/anc+map.jsonl": "c8153ec935cb63ad1fe8c462ca9e4cf5a0c9d875e6a1adfb050e338f3cbacea3",
+        "selections/anc+sample6.jsonl": "c8153ec935cb63ad1fe8c462ca9e4cf5a0c9d875e6a1adfb050e338f3cbacea3",
+        "selections/nucleus+map.jsonl": "4826e47648d843d57f3a3a2dcef1ecb1f918d63d30c67437b9aa3c09bb000a67",
+        "selections/nucleus+sample6.jsonl": "c8153ec935cb63ad1fe8c462ca9e4cf5a0c9d875e6a1adfb050e338f3cbacea3",
+        "selections/top3+map.jsonl": "4826e47648d843d57f3a3a2dcef1ecb1f918d63d30c67437b9aa3c09bb000a67",
+        "selections/top3+sample6.jsonl": "4826e47648d843d57f3a3a2dcef1ecb1f918d63d30c67437b9aa3c09bb000a67",
+        "voters/anc+sample6.jsonl": "ada1f13b517d4b97f15030ab1d412708c71a8f1bcabc76ed1950248e3179ab43",
+        "voters/nucleus+sample6.jsonl": "5ef5d3ff03eb1ee658c1dfb1283f72652f7f0c209171449774296b9d5b8acea4",
+        "voters/top3+sample6.jsonl": "ea262352f5b017c5bb53a096bff2151dc2d05cd2dc249271919c9d9df27b2180",
+        "votes/anc+sample6.jsonl": "4b9cad3109d695a000ea43acc4da4dd615128622238ee49a489d9353fb5d4941",
+        "votes/nucleus+sample6.jsonl": "578a8b674b31888031d74b4f915daa3eb5454187dba314d53fdef344c720ff4b",
+        "votes/top3+sample6.jsonl": "03d0d2781849f224cf7c2f45fe1716ea6010bb8da7bfaf716654b46cd11b588d",
+    },
+    "ngram": {
+        "candidates/anc.jsonl": "75aac7e97329ecc8169fe3da2a11f935c49dc1fd47b44a38549edaf03194b899",
+        "candidates/nucleus.jsonl": "229dfc26d4b84dc28150f09da43caafda8c1a329988a504ad841a95b82796f64",
+        "candidates/top3.jsonl": "c04ea712129a712930b1a594d6ed68adb5ca93592915fd3dae8ea47d1cd8dbe9",
+        "report.json": "065b4f3e79aba7ca369f2635e8c33422f5d7304366e03d1bcea0be2934613088",
+        "report.tsv": "6de16522ec73a579380c9a69a45d73316a796e34dba4bc35b66fd1a08d54ea09",
+        "selections/anc+map.jsonl": "9e8452431cd1fd8e84f8263f3a8f5a450e32b9e004359303e77264cd325a5fcd",
+        "selections/anc+sample6.jsonl": "9e8452431cd1fd8e84f8263f3a8f5a450e32b9e004359303e77264cd325a5fcd",
+        "selections/nucleus+map.jsonl": "1d5574b500f2a6dd5645ace39a0ef1334fe0a3b7cc8449b6236a32e31b57dbb1",
+        "selections/nucleus+sample6.jsonl": "1d5574b500f2a6dd5645ace39a0ef1334fe0a3b7cc8449b6236a32e31b57dbb1",
+        "selections/top3+map.jsonl": "3477209eddf41fc08c715ff23673e009a13ab3302632760b0184ae6a1214146e",
+        "selections/top3+sample6.jsonl": "3477209eddf41fc08c715ff23673e009a13ab3302632760b0184ae6a1214146e",
+        "voters/anc+sample6.jsonl": "dd4d176430ed398584c06c254befdca3a32986fb29381620587faba33750640a",
+        "voters/nucleus+sample6.jsonl": "b3fb051e6e079196a311e1f4c92c69257ed807061ead72b5ac28daba0d681e21",
+        "voters/top3+sample6.jsonl": "31acf00c0ad651150b844c7e0db733c0f08d79d27b8f19c20175adb0d3b2ed0c",
+        "votes/anc+sample6.jsonl": "54009b7587af8a54da05ba0321791158f9d2e91695ec7fb9891b6bbf0480591d",
+        "votes/nucleus+sample6.jsonl": "53e7005011dac4ca82a9a1f9ebbdf3213e8d1a5a2889ec37fe4f08b068fbd7a1",
+        "votes/top3+sample6.jsonl": "e4a628c8eefbcf35d6047d370ed6086923cbf0540308d8f8fc88d4cb6496dc19",
+    },
+}
+
+
+@pytest.mark.parametrize("model", sorted(SAMPLED_MODELS))
+def test_sampled_run_golden(tmp_path, model):
+    lines = golden_lines()
+    (tmp_path / "golden.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    rows = [{"id": i, "references": [lines[3 * i + 1], lines[3 * i + 2]]} for i in range(3)]
+    (tmp_path / "dataset.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    config = {
+        "schema_version": 1,
+        "seed": 11,
+        "model": SAMPLED_MODELS[model],
+        "dataset": "dataset.jsonl",
+        "decode": SAMPLED_DECODES,
+        "select": [{"name": "map", "kind": "map"},
+                   {"name": "sample6", "kind": "vote", "sim": {"kind": "bleu"}, "voters": "sample:6"}],
     }
-    assert digests == TOY_DIGESTS
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(tmp_path / "config.json"), "--output-dir", str(out)]) == 0
+    assert tree_digests(out) == SAMPLED_DIGESTS[model]
 
 
 def test_voters_inherit_every_decode_setting_they_do_not_set(experiment, tmp_path):
