@@ -7,12 +7,11 @@ used to rank the search.
 
 Both searches read only the model's sparse rows (``next_token_row``): a
 head of observed ids and one ``rest`` value that every other smoothed id
-shares.  The model hands each row over presorted twice (see ``models``),
-so neither search sorts: beam order is log-probability descending,
-sampling order probability descending (two distinct log-probabilities can
-round to one probability), both with ties by ascending id.  In either
-order a row's support is the sorted head with the rest ids inserted as one
-run of equal values, merged by id with the head values that tie with it.
+shares.  The model hands each row over presorted once (see ``models``),
+log-probability descending with ties by ascending id, so neither search
+sorts.  A row's support is the sorted head with the rest ids inserted as
+one run of log-probability ``rest``, merged by id with the head ids that
+tie with it; sampling reads its positive-probability prefix.
 One positional view, ``_Support``, reads both: position i is the i-th id
 of the support, found inside the run by a search over the ids the run
 skips, so a step costs O(head), not O(vocabulary).  A call keeps one view
@@ -154,31 +153,30 @@ class _Hyp(NamedTuple):
 
 
 class _Support:
-    """One row's support in one order, addressed by position.
+    """One row's support in the row's presorted order, addressed by position.
 
-    ``order`` is (ids, logprobs, values, run value): the head sorted by
-    value descending, ties by ascending id, and the value every rest id
-    takes.  When ``has_rest``, the support is the head with a run of
-    ``run_len`` copies of the run value at positions [lead, lead + run_len),
-    holding, in id order, every rest id and the ``tied`` head ids whose value
-    equals the run value; otherwise it is the head alone.  The head is kept
-    as Python lists, whose ``accumulate`` and ``bisect`` add and search
-    exactly as ``np.cumsum`` and ``np.searchsorted`` do.
+    The head is the row's first ``head`` presorted ids.  When ``has_rest``,
+    the support is the head with a run of ``run_len`` ids of log-probability
+    ``rest`` at positions [lead, lead + run_len), holding, in id order, every
+    rest id and the ``tied`` head ids whose log-probability is ``rest``;
+    otherwise it is the head alone.  The head is kept as Python lists, whose
+    ``accumulate`` and ``bisect`` add and search exactly as ``np.cumsum`` and
+    ``np.searchsorted`` do.
     """
 
-    def __init__(self, row: Row, order: tuple, has_rest: bool, num_ids: int):
-        self.row = row
-        ids, logprobs, values, self.value = order
-        self.ids, self.logprobs, self.values = ids.tolist(), logprobs.tolist(), values.tolist()
+    def __init__(self, row: Row, head: int, has_rest: bool, num_ids: int):
+        self.row, self.rest = row, row.rest
+        ids, logprobs = row.ranked
+        self.ids, self.logprobs = ids[:head].tolist(), logprobs[:head].tolist()
         # Smoothed ids (EOS and the surface ids) the row leaves to ``rest``.
         listed = len(row.ids) - (UNK_ID in row.ids[:2].tolist())
         rest_count = num_ids - NUM_RESERVED + 1 - listed if has_rest else 0
-        self.lead, self.tied = len(self.values), 0
+        self.lead, self.tied = head, 0
         if rest_count:
-            self.lead = bisect.bisect_left(self.values, -self.value, key=operator.neg)
-            self.tied = bisect.bisect_right(self.values, -self.value, key=operator.neg) - self.lead
+            self.lead = bisect.bisect_left(self.logprobs, -self.rest, key=operator.neg)
+            self.tied = bisect.bisect_right(self.logprobs, -self.rest, key=operator.neg) - self.lead
         self.run_len = self.tied + rest_count
-        self.size = len(self.values) + rest_count
+        self.size = head + rest_count
         self._gaps = None
 
     def token(self, pos: int) -> tuple[int, float]:
@@ -193,13 +191,12 @@ class _Support:
             # The run's ids are those of [EOS_ID, num_ids) outside ``excluded``.
             excluded = {UNK_ID, *self.row.ids.tolist()}.difference(self.ids[self.lead : self.lead + self.tied])
             self._gaps = [t - i - EOS_ID for i, t in enumerate(sorted(excluded))]
-        token = EOS_ID + j + bisect.bisect_right(self._gaps, j)
-        return token, self.row.logprob_of(token)
+        return EOS_ID + j + bisect.bisect_right(self._gaps, j), self.rest
 
 
 def beam_view(row: Row, num_ids: int) -> _Support:
-    """A row's support in beam order, BOS left out: the view beam search and the oracle's enumeration walk."""
-    return _Support(row, (*row.beam, row.beam[1], row.rest), row.rest > NEG_INF, num_ids)
+    """A row's whole support, BOS left out: the view beam search and the oracle's enumeration walk."""
+    return _Support(row, len(row.ids), row.rest > NEG_INF, num_ids)
 
 
 def beam_search(model: SequenceModel, context: Sequence | None, spec: DecodeSpec) -> CandidateSet:
@@ -336,10 +333,11 @@ def _crossing(s: float, v: float, n: int, tail: list[float], x: float, right: bo
 
 
 class _SampleRow(_Support):
-    """A row's support in sampling order (values are probabilities), with its truncation cut and truncated mass."""
+    """A row's positive-probability support: head and run probabilities (``values``, ``value``), cut and mass."""
 
     def __init__(self, row: Row, num_ids: int, spec: DecodeSpec):
-        super().__init__(row, row.sample, row.sample[3] > 0.0, num_ids)
+        super().__init__(row, len(row.probs), row.rest_prob > 0.0, num_ids)
+        self.values, self.value = row.probs.tolist(), row.rest_prob
         self.cum = list(itertools.accumulate(self.values[: self.lead]))
         size = self.size
         if spec.strategy == "top_k":
@@ -386,12 +384,12 @@ def sample_sequences(model: SequenceModel, spec: DecodeSpec, seed: int) -> Candi
     untruncated model log-probability (EOS step included; sequences cut at
     ``max_len`` take the EOS log-probability at that point).
 
-    Each step orders the support by probability descending, ties by
-    ascending id, and walks a running sum of it (``np.cumsum``, which adds
-    left to right).  The nucleus cut and the draw are searches on those
-    sums, the total and truncated masses are ``math.fsum`` (exactly
-    rounded), and each step uses one ``rng.random()``: the draws are those
-    of a running-sum walk over the sorted support (see the module docstring).
+    Each step walks the positive-probability prefix of the row's order
+    with a running sum (``np.cumsum``, which adds left to right).  The
+    nucleus cut and the draw are searches on those sums, the total and
+    truncated masses are ``math.fsum`` (exactly rounded), and each step
+    uses one ``rng.random()``: the draws are those of a running-sum walk
+    over the sorted support (see the module docstring).
     """
     rng = np.random.default_rng(seed)
     num_ids = model.vocab.num_ids

@@ -16,13 +16,13 @@ spread, ``NGramLM.next_token_logprobs``, is only the benchmark tracer's hook.
 Both models build every row once, when they are trained, loaded or built,
 into one :class:`RowTable`: the rows laid end to end (CSR: per-row
 offsets, ids, log-probabilities).  The table also holds each row presorted
-twice, each order from one stable sort over the whole table.  The beam
-order is log-probability descending; the sampling order is probability
-(``np.exp`` of the log-probability) descending, over the ids of positive
-probability.  Both break ties by ascending id.  The two differ because
-distinct log-probabilities can round to one probability, and the sampling
-walk must then order those ids by id.  A query only slices the table, and
-keeps the slices, so equal queries return one row object.
+once, by one stable sort over the whole table: log-probability descending,
+ties by ascending id.  Beam search, the oracle's enumeration and sampling
+all walk that one order.  Probabilities (``np.exp``) never rise along it,
+so the ids of positive probability are a prefix of it, and the table keeps
+their probabilities.  Ids whose distinct log-probabilities round to one
+probability stay in log-probability order.  A query only slices the
+table, and keeps the slices, so equal queries return one row object.
 
 ``NGramLM`` keeps its counts in one table: histories in ascending tuple
 order, per-history offsets, ascending events and their counts.  Training
@@ -60,11 +60,11 @@ class Row(NamedTuple):
     ids: np.ndarray
     logprobs: np.ndarray
     rest: float
-    # (ids, logprobs) in beam order: log-probability descending, ties by ascending id.
-    beam: tuple[np.ndarray, np.ndarray]
-    # (ids, logprobs, probabilities) of the ids of positive probability in sampling order, probability
-    # descending, ties by ascending id; then the probability of ``rest``.
-    sample: tuple[np.ndarray, np.ndarray, np.ndarray, float]
+    # (ids, logprobs) presorted: log-probability descending, ties by ascending id.
+    ranked: tuple[np.ndarray, np.ndarray]
+    # The probabilities of ``ranked``'s positive-probability prefix, and the probability of ``rest``.
+    probs: np.ndarray
+    rest_prob: float
 
     def logprob_of(self, token: int) -> float:
         """One id's log-probability: its own value if listed, else ``rest`` for EOS and the surface ids, else -inf."""
@@ -86,7 +86,7 @@ def _descending_within_rows(values: np.ndarray, row_of: np.ndarray) -> np.ndarra
 
 
 class RowTable:
-    """Rows laid end to end, each also presorted in beam and in sampling order.
+    """Rows laid end to end, each also presorted by log-probability descending, ties by ascending id.
 
     Row r is positions [offsets[r], offsets[r + 1]) of ``ids`` (ascending
     within a row) and ``logprobs``, with ``rest[r]``.
@@ -98,12 +98,11 @@ class RowTable:
         # One np.exp over one contiguous array gives every probability, rest's included.
         probs = np.exp(np.concatenate((logprobs, rest)))
         probs, rest_probs = probs[: len(ids)], probs[len(ids) :]
-        # Two orders: distinct log-probabilities can round to one probability.
-        beam, sample = _descending_within_rows(logprobs, row_of), _descending_within_rows(probs, row_of)
+        ranked = _descending_within_rows(logprobs, row_of)
         self._bounds = offsets.tolist()
         # Zero probabilities sort last, so a row's positive ones end here.
         self._positive = (offsets[:-1] + np.bincount(row_of[probs > 0.0], minlength=n)).tolist()
-        self._columns = (ids, logprobs, ids[beam], logprobs[beam], ids[sample], logprobs[sample], probs[sample])
+        self._columns = (ids, logprobs, ids[ranked], logprobs[ranked], probs[ranked])
         for column in self._columns:
             column.flags.writeable = False
         self._rest = rest.tolist()
@@ -114,14 +113,9 @@ class RowTable:
         row = self._slices[r]
         if row is None:
             a, b, p = self._bounds[r], self._bounds[r + 1], self._positive[r]
-            ids, logprobs, beam_ids, beam_logprobs, sample_ids, sample_logprobs, sample_probs = self._columns
-            row = self._slices[r] = Row(
-                ids[a:b],
-                logprobs[a:b],
-                self._rest[r],
-                (beam_ids[a:b], beam_logprobs[a:b]),
-                (sample_ids[a:p], sample_logprobs[a:p], sample_probs[a:p], self._rest_probs[r]),
-            )
+            ids, logprobs, ranked_ids, ranked_logprobs, ranked_probs = self._columns
+            row = self._slices[r] = Row(ids[a:b], logprobs[a:b], self._rest[r], (ranked_ids[a:b], ranked_logprobs[a:b]),
+                                        ranked_probs[a:p], self._rest_probs[r])
         return row
 
 

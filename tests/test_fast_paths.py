@@ -23,9 +23,9 @@ from votedecode.decode import (
     DecodeSpec,
     ScoredSequence,
     _SampleRow,
-    _Support,
     _crossing,
     beam_search,
+    beam_view,
     sample_sequences,
 )
 from votedecode.models import (
@@ -190,7 +190,7 @@ def reference_sample_items(model, *, count, strategy, top_k=None, top_p=None, se
             lps = dense_logprobs(model, tokens)
             probs = np.exp(lps)
             support = [t for t in range(len(probs)) if probs[t] > 0.0 and t != BOS_ID]
-            support.sort(key=lambda t: (-probs[t], t))
+            support.sort(key=lambda t: (-lps[t], t))
             if strategy == "top_k":
                 support = support[:top_k]
             elif strategy == "nucleus":
@@ -543,9 +543,9 @@ EDGE_MODELS = {
     # Events no row lists (BOS; an id past the vocabulary, which only `ngram_lm` admits) still count;
     # EOS's zero count takes add_k.
     "unlisted_events": ngram_lm(vocab_of(3), 1, 0.25, {(): {BOS_ID: 2, EOS_ID: 0, UNK_ID: 1, 4: 3, 9: 5}}),
-    # MLE: a loaded zero count is listed with -inf and leaves the sampling head.
+    # MLE: a loaded zero count is listed with -inf and leaves the positive-probability head.
     "mle_zero_count": ngram_lm(vocab_of(3), 1, 0.0, {(): {3: 2, 4: 0, EOS_ID: 1}}),
-    # Forty equal values: both orders must keep them in id order.
+    # Forty equal values: the order must keep them in id order.
     "many_ties": ngram_lm(vocab_of(45), 1, 0.5, {(): {t: 1 for t in range(4, 44)} | {EOS_ID: 1}}),
 }
 EDGE_TABULAR = tabular_model([((3, 4), 2.0), ((3,), 1.0), ((4, 3, 3), 1.0), ((UNK_ID,), 2.0)], vocab_of(2))
@@ -579,9 +579,13 @@ class RawRows:
 EDGE_RAW = {
     # rest is exactly 0.0 and leaves id 3 certain at the first step: the rest run is in the support.
     "rest_zero": RawRows(1, [([EOS_ID], [NEG_INF], 0.0), ([EOS_ID], [0.0], NEG_INF)]),
-    # Id 3's log-probability is one ulp above rest but its probability equals rest's: it is tied with the
-    # rest run in sampling order only, and must keep its own log-probability there.
+    # Id 3's log-probability is one ulp above rest but its probability equals rest's: it leads the rest
+    # run in sampling too, with its own log-probability.
     "probability_tie_with_rest": RawRows(1, [([3], [-0.6931471805599451], -0.6931471805599452)]),
+    # rest's probability is 0: beam search walks the run (ids 4 and 6), sampling drops it and id 5 after it.
+    "rest_below_exp_range": RawRows(4, [([EOS_ID, 3, 5], [-0.6931471805599453, -0.6931471805599453, -900.0], -800.0)]),
+    # Ids 3 and 4 have one subnormal probability at distinct log-probabilities: id 4, the higher, comes first.
+    "subnormal_probability_tie": RawRows(2, [([EOS_ID, 3, 4], [0.0, -740.001, -740.0], NEG_INF)]),
 }
 SEARCH_MODELS = {**EDGE_MODELS, "tabular": EDGE_TABULAR, **EDGE_RAW}
 SAMPLINGS = [("ancestral", None, None)]
@@ -640,7 +644,7 @@ class TestRowContract:
             dense = reference_dense(model, prefix)
             probs = np.exp(dense)
             support = [t for t in range(len(probs)) if probs[t] > 0.0 and t != BOS_ID]
-            support.sort(key=lambda t: (-probs[t], t))
+            support.sort(key=lambda t: (-dense[t], t))
             cum = np.cumsum(probs[support])
             view = _SampleRow(model.next_token_row(prefix), model.vocab.num_ids, DecodeSpec(kind="sample"))
             assert [view.token(i) for i in range(view.size)] == [(t, float(dense[t])) for t in support]
@@ -659,7 +663,7 @@ class TestRowContract:
             # Every id but BOS, by log-probability descending: the finite ones, then the ids the row lists with -inf.
             support = [t for t in range(len(dense)) if t != BOS_ID and (dense[t] > NEG_INF or t in row.ids)]
             support.sort(key=lambda t: (-dense[t], t))
-            view = _Support(row, (*row.beam, row.beam[1], row.rest), row.rest > NEG_INF, model.vocab.num_ids)
+            view = beam_view(row, model.vocab.num_ids)
             assert [view.token(i) for i in range(view.size)] == [(t, float(dense[t])) for t in support]
 
     def test_rest_mass_is_exact(self):
@@ -739,22 +743,21 @@ class TestBeamSearchOnEdgeRows:
 
 
 def assert_presorted(row, dense, num_ids):
-    """``row``'s values, read-only slices and both orders against explicit sorts over the dense reference."""
+    """``row``'s values, read-only slices and its one order against an explicit sort over the dense reference."""
     probs = np.exp(dense)
     ids = row.ids.tolist()
     assert ids == sorted(set(ids)) and all(EOS_ID <= t < num_ids for t in ids)
     assert row.logprobs.tobytes() == dense[ids].tobytes()
-    beam = sorted(ids, key=lambda t: (-dense[t], t))
-    sample = [t for t in sorted(ids, key=lambda t: (-probs[t], t)) if probs[t] > 0.0]
-    beam_ids, beam_logprobs = row.beam
-    assert beam_ids.tolist() == beam and beam_logprobs.tobytes() == dense[beam].tobytes()
-    sample_ids, sample_logprobs, sample_probs, rest_prob = row.sample
-    assert sample_ids.tolist() == sample
-    assert sample_logprobs.tobytes() == dense[sample].tobytes() and sample_probs.tobytes() == probs[sample].tobytes()
+    ranked = sorted(ids, key=lambda t: (-dense[t], t))
+    ranked_ids, ranked_logprobs = row.ranked
+    assert ranked_ids.tolist() == ranked and ranked_logprobs.tobytes() == dense[ranked].tobytes()
+    positive = [t for t in ranked if probs[t] > 0.0]
+    assert positive == ranked[: len(positive)]
+    assert row.probs.tobytes() == probs[positive].tobytes()
     rest_ids = sorted({EOS_ID, *range(NUM_RESERVED, num_ids)} - set(ids))
     if rest_ids:
-        assert (row.rest, rest_prob) == (dense[rest_ids[0]], probs[rest_ids[0]])
-    assert not any(a.flags.writeable for a in (row.ids, row.logprobs, *row.beam, *row.sample[:3]))
+        assert (row.rest, row.rest_prob) == (dense[rest_ids[0]], probs[rest_ids[0]])
+    assert not any(a.flags.writeable for a in (row.ids, row.logprobs, *row.ranked, row.probs))
 
 
 @st.composite
@@ -792,12 +795,23 @@ class TestRowTable:
             assert_presorted(table.row(r), dense, len(dense))
             assert table.row(r) is table.row(r)
 
-    def test_the_orders_differ_where_probabilities_tie(self):
-        # exp(-1e-17) and exp(0.0) both round to 1.0: by log-probability id 4 leads, by probability id 3.
+    def test_probability_ties_keep_the_log_probability_order(self):
+        # exp(-1e-17) and exp(0.0) both round to 1.0: id 4, of the higher log-probability, leads.
         table = RowTable(np.array([0, 2]), np.array([3, 4]), np.array([-1e-17, 0.0]), np.array([NEG_INF]))
         row = table.row(0)
-        assert row.beam[0].tolist() == [4, 3] and row.sample[0].tolist() == [3, 4]
-        assert row.sample[2].tolist() == [1.0, 1.0]
+        assert row.ranked[0].tolist() == [4, 3] and row.probs.tolist() == [1.0, 1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpora() | raw_corpora(), st.integers(1, 4), st.sampled_from([0.0, 0.01, 0.5]))
+    def test_trained_rows_hold_no_probability_tie_at_distinct_log_probabilities(self, vocab_corpus, order, add_k):
+        # So ordering by probability, as sampling did before it walked the one order, moves no n-gram draw.
+        vocab, corpus = vocab_corpus
+        model = train_ngram_lm(corpus, order=order, add_k=add_k, vocab=vocab)
+        for prefix in [*model.counts, (vocab.num_ids - 1,) * order]:
+            dense = reference_row(model, prefix)
+            probs = np.exp(dense)
+            support = [t for t in range(len(dense)) if probs[t] > 0.0 and t != BOS_ID]
+            assert sorted(support, key=lambda t: (-probs[t], t)) == sorted(support, key=lambda t: (-dense[t], t))
 
     @settings(max_examples=200, deadline=None)
     @given(corpora() | raw_corpora(), st.integers(1, 4), st.sampled_from([0.0, 0.01, 0.5]))
@@ -824,8 +838,8 @@ def assert_same_rows(got, want):
     """Every history's row, and an unseen history's, bit for bit."""
     for prefix in [*want.counts, (want.vocab.num_ids - 1,) * want.order]:
         a, b = got.next_token_row(prefix), want.next_token_row(prefix)
-        assert a.rest == b.rest and a.sample[3] == b.sample[3]
-        for x, y in zip((a.ids, a.logprobs, *a.beam, *a.sample[:3]), (b.ids, b.logprobs, *b.beam, *b.sample[:3])):
+        assert a.rest == b.rest and a.rest_prob == b.rest_prob
+        for x, y in zip((a.ids, a.logprobs, *a.ranked, a.probs), (b.ids, b.logprobs, *b.ranked, b.probs)):
             assert x.tobytes() == y.tobytes()
 
 
