@@ -15,8 +15,9 @@ candidates use stream ``(1, di)`` and a selection's regenerated voters
 Candidates and voters come from one search: a ``DecodeSpec`` run by
 ``decode_rows``.  Voters other than ``same`` set a few of its fields (a
 beam size, or a sample count, strategy and truncation) and inherit every
-other setting of the decode they vote for: max_len, scoring, diversity
-penalty, copy filter.
+other setting of the decode they vote for.  Beam voters use its max_len,
+scoring, diversity penalty and copy filter.  Sampled voters use only its
+max_len: a sample search has no scoring, penalty or copy filter.
 
 Ids become strings in one place: ``candidate_records``, for decoded
 candidates and regenerated voters.  Vote records, selections and report
