@@ -580,7 +580,7 @@ EDGE_RAW = {
     # rest is exactly 0.0 and leaves id 3 certain at the first step: the rest run is in the support.
     "rest_zero": RawRows(1, [([EOS_ID], [NEG_INF], 0.0), ([EOS_ID], [0.0], NEG_INF)]),
     # Id 3's log-probability is one ulp above rest but its probability equals rest's: it leads the rest
-    # run in sampling too, with its own log-probability.
+    # run, with its own log-probability.
     "probability_tie_with_rest": RawRows(1, [([3], [-0.6931471805599451], -0.6931471805599452)]),
     # rest's probability is 0: beam search walks the run (ids 4 and 6), sampling drops it and id 5 after it.
     "rest_below_exp_range": RawRows(4, [([EOS_ID, 3, 5], [-0.6931471805599453, -0.6931471805599453, -900.0], -800.0)]),
@@ -804,7 +804,7 @@ class TestRowTable:
     @settings(max_examples=200, deadline=None)
     @given(corpora() | raw_corpora(), st.integers(1, 4), st.sampled_from([0.0, 0.01, 0.5]))
     def test_trained_rows_hold_no_probability_tie_at_distinct_log_probabilities(self, vocab_corpus, order, add_k):
-        # So ordering by probability, as sampling did before it walked the one order, moves no n-gram draw.
+        # So on n-gram rows, sampling by probability order and by log-probability order draws alike.
         vocab, corpus = vocab_corpus
         model = train_ngram_lm(corpus, order=order, add_k=add_k, vocab=vocab)
         for prefix in [*model.counts, (vocab.num_ids - 1,) * order]:
