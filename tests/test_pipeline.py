@@ -115,6 +115,33 @@ def test_toy_vote_split_golden(tmp_path):
     assert tree_digests(out) == TOY_DIGESTS
 
 
+# sha256 of every file `run` writes for configs/toy_vote_split.json's model and decode under two BLEU votes.
+# At max_n 4 the one-token `ok` scores 0 against everyone while the 4-6 token sequences score each other;
+# at max_n 7 every sequence is shorter than the order, so every score is 0.
+SHORT_BLEU_DIGESTS = {
+    "candidates/beam5.jsonl": "7e00889fbff92c779da2fb59d51d13fc8888ff585857e62dfcc9a82cf085aef5",
+    "report.json": "59cc073697ac31193d3a7f1d5fbaf63fdc0cc9ab65b34065188982ebe67ac5ac",
+    "report.tsv": "729ff6aaadcc433033a54a72ace6762248cf4dff17f5c52d2a472993ffc61de6",
+    "selections/beam5+bleu.jsonl": "2417731d52d334b2622ce753d1aed69dccf6029562e4f7150e087b8f11d8bf46",
+    "selections/beam5+bleu7.jsonl": "a239d251813ef59c9559a279985f80129f8ff051500de962cdb4403d07abccc9",
+    "votes/beam5+bleu.jsonl": "31717952349a09b38976af868b9fbaf906347c1d9844eac2ffd3962330ce4299",
+    "votes/beam5+bleu7.jsonl": "5173116f6e882b9cf687069a2d24a9a8c9a24a5796394dde836d46c7968202fd",
+}
+
+
+def test_bleu_votes_with_sequences_shorter_than_the_order_golden(tmp_path):
+    config = json.loads((CONFIGS / "toy_vote_split.json").read_text(encoding="utf-8"))
+    config["dataset"] = str(CONFIGS / config["dataset"])
+    config["select"] = [{"name": "bleu", "kind": "vote", "sim": {"kind": "bleu"}, "voters": "same"},
+                        {"name": "bleu7", "kind": "vote", "sim": {"kind": "bleu", "max_n": 7}, "voters": "same"}]
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(tmp_path / "config.json"), "--output-dir", str(out)]) == 0
+    rows = (out / "votes" / "beam5+bleu7.jsonl").read_text(encoding="utf-8").splitlines()
+    assert {entry["score"] for line in rows for entry in json.loads(line)["ranked"]} == {0.0}
+    assert tree_digests(out) == SHORT_BLEU_DIGESTS
+
+
 SAMPLED_MODELS = {
     # A bigram model trained on test_training's golden lines: most of each row's mass is in its rest run.
     "ngram": {"kind": "train", "corpus": "golden.txt", "order": 2, "add_k": 0.1},
