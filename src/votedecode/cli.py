@@ -16,6 +16,15 @@ key that is a flag of no command is refused with exit 1, naming it, before
 anything is read or written.  (``run --config`` is the experiment config
 instead.)
 
+A flag typed for a command that would not read it is a usage error, raised
+before anything is read or written: ``vote`` and ``oracle vote-winner``
+refuse ``--n``, ``--max-n`` or ``--vectors`` where the ``--sim`` kind reads
+another (``--n`` for prec/overl, ``--max-n`` for the BLEU kinds,
+``--vectors`` for embed_cosine), and ``vote`` refuses ``--model`` or
+``--tabular`` with ``same`` or ``file:`` voters.  Only typed flags are
+refused; a flags file's value stays a default, so one file still serves
+several commands.
+
 Exit codes: 0 success; 1 usage, including a bad flag value from a flags
 file; 2 I/O, including a missing flags file; 3 validation, including a flags
 file that is not JSON or not a JSON object; 4 oracle budget exceeded.
@@ -32,9 +41,11 @@ from pathlib import Path
 from typing import Callable
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, ModelSpec, load_config, parse_decode_spec, parse_voter_spec
+from .config import (SIM_KEYS, ConfigError, ExperimentConfig, ModelSpec, load_config, parse_decode_spec,
+                     parse_voter_spec)
 from .decode import CandidateSet, DecodeSpec, ScoredSequence, beam_search, sample_sequences
 from .formats import (
     METRIC_GROUPS,
@@ -126,6 +137,17 @@ def _load_cli_model(model_path: str | None, tabular_path: str | None, lowercase:
         with open(model_path, encoding="utf-8") as fp:
             return load_model(fp)
     return tabular_model_from_text(read_tabular_entries(tabular_path), lowercase=lowercase)
+
+
+def _refuse_typed(ctx: click.Context, names, why: str) -> None:
+    """A usage error naming the first of the parameters ``names`` typed on the command line; flags-file values pass."""
+    for p in ctx.command.params:
+        if p.name in names and ctx.get_parameter_source(p.name) is ParameterSource.COMMANDLINE:
+            raise click.UsageError(f"{p.opts[0]} {why}")
+
+
+def _refuse_unread_sim_flags(ctx: click.Context, kind: str) -> None:
+    _refuse_typed(ctx, {"n", "max_n", "vectors"} - SIM_KEYS[kind], f"is not read by --sim {kind}")
 
 
 def _sim_spec(kind: str, n: int | None, max_n: int | None, vectors: str | None, vocab: Vocabulary) -> SimilaritySpec:
@@ -235,9 +257,13 @@ def decode(model_path, tabular_path, dataset, out, strategy, beam_size, max_len,
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--lowercase/--no-lowercase", default=False)
 @_flag_file
-def vote(candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contributions,
+@click.pass_context
+def vote(ctx, candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, contributions,
          model_path, tabular_path, max_len, seed, lowercase):
     """Run the range-voting election over decoded candidates."""
+    _refuse_unread_sim_flags(ctx, sim_kind)
+    if voters_flag == "same" or voters_flag.startswith("file:"):
+        _refuse_typed(ctx, {"model_path", "tabular_path"}, f"is not read with --voters {voters_flag}")
     cand_records = read_candidates(candidates_path)
     voter_file, voter_records, voter_decode, model = [], None, None, None
     if voters_flag.startswith("file:"):
@@ -376,8 +402,10 @@ def map_cmd(model_path, tabular_path, lowercase, max_len, budget):
 @click.option("--n", type=int, default=None)
 @click.option("--max-n", type=int, default=None)
 @click.option("--vectors", type=click.Path(), default=None)
-def vote_winner(model_path, tabular_path, lowercase, max_len, budget, sim_kind, n, max_n, vectors):
+@click.pass_context
+def vote_winner(ctx, model_path, tabular_path, lowercase, max_len, budget, sim_kind, n, max_n, vectors):
     """Print the range-voting winner over the full enumerated support."""
+    _refuse_unread_sim_flags(ctx, sim_kind)
     model = _load_cli_model(model_path, tabular_path, lowercase)
     sim = _sim_spec(sim_kind, n, max_n, vectors, model.vocab)
     result = exact_vote(model, sim, max_len, node_budget=budget)

@@ -149,7 +149,14 @@ _SELECT_KEYS = {
     "map": ({"name", "kind"}, ("name",)),
     "vote": ({"name", "kind", "sim", "voters", "contributions"}, ("name", "sim")),
 }
-_SIM_KEYS = {"kind", "n", "max_n", "vectors"}
+# The keys each similarity kind reads; the cli refuses the similarity flags of the other kinds by it too.
+SIM_KEYS = {
+    "prec": {"kind", "n"},
+    "overl": {"kind", "n"},
+    "bleu": {"kind", "max_n"},
+    "smoothed_bleu": {"kind", "max_n"},
+    "embed_cosine": {"kind", "vectors"},
+}
 _CONFIG_KEYS = {
     "schema_version", "seed", "lowercase", "model", "dataset", "decode", "select", "metrics", "output_dir", "workers",
 }
@@ -213,16 +220,24 @@ def parse_voter_spec(value, where: str = "voters") -> dict | None:
     return {key: getattr(spec, key) for key in ("kind", *keys)}
 
 
+def _parse_sim(data, where: str) -> SimilaritySpec:
+    """A vote's similarity: every key read and the kind checked, then any key that kind does not read refused."""
+    fields = _fields(SimilaritySpec, data, where, set().union(*SIM_KEYS.values()), ("kind",))
+    sim = _build(SimilaritySpec, where, fields)
+    unread = sorted(data.keys() - SIM_KEYS[sim.kind])
+    if unread:
+        raise ConfigError(f"{where}: {sim.kind} similarity does not read {unread[0]!r}")
+    if sim.kind == "embed_cosine" and sim.vector_path is None:
+        raise ConfigError(f"{where}: embed_cosine needs a 'vectors' file path")
+    return sim
+
+
 def _parse_select(data, index: int) -> SelectSpec:
     where = f"select[{index}]"
     kind = _kind(data, where, "selection", _SELECT_KEYS)
     fields = _fields(SelectSpec, data, where, *_SELECT_KEYS[kind])
     if kind == "vote":
-        sim_where = f"{where}.sim"
-        sim = _build(SimilaritySpec, sim_where, _fields(SimilaritySpec, data["sim"], sim_where, _SIM_KEYS, ("kind",)))
-        if sim.kind == "embed_cosine" and sim.vector_path is None:
-            raise ConfigError(f"{sim_where}: embed_cosine needs a 'vectors' file path")
-        fields["sim"] = sim
+        fields["sim"] = _parse_sim(data["sim"], f"{where}.sim")
         if "voters" in data:
             fields["voters"] = parse_voter_spec(data["voters"], where=f"{where}.voters")
     return SelectSpec(**fields)

@@ -18,6 +18,14 @@ reference in ``tests/conftest.py``.  A candidate's total is the ``math.fsum``
 of its non-zero votes only: weights and similarities are finite and >= 0, so
 every zero vote is +0.0, and an exactly rounded sum is the same with exact
 zeros left out (``fsum([]) == 0.0``).
+
+Only the live sequences are coded: a voter or candidate shorter than the
+order its kind needs (``n`` for ``prec``/``overl``, ``max_n`` for ``bleu``, 1
+for ``smoothed_bleu``) scores +0.0 against everyone by
+:class:`SimilaritySpec`'s definitions.  Such a voter has no n-grams, and such
+a candidate matches none, so ``prec``/``overl`` read 0 / size, and BLEU has a
+zero precision at that order.  Every other pair's integer counts are its own,
+whatever else is coded with it, so dropping the dead sequences changes no bit.
 """
 
 from __future__ import annotations
@@ -175,19 +183,29 @@ def _bleu_matrix(voters: list[Sequence], cands: list[Sequence], max_n: int, smoo
 
 def _similarity_matrix(voters: list[Sequence], cands: list[Sequence], spec: SimilaritySpec) -> np.ndarray:
     """sim[v, c] for every voter and candidate, equal bit for bit to the pairwise reference in ``tests/conftest.py``."""
+    if spec.kind == "embed_cosine":
+        if spec.vectors is None:
+            raise ValueError("embed_cosine similarity needs a token vector table")
+        # Each sequence's mean vector and norm once, then per pair one dot, division and clamp.
+        voter_embeddings = [_embedding(v, spec.vectors) for v in voters]
+        cand_embeddings = [_embedding(c, spec.vectors) for c in cands]
+        return np.array([[_rescaled_cosine(a, b) for b in cand_embeddings] for a in voter_embeddings], dtype=np.float64)
+    # A sequence shorter than the order its kind needs scores +0.0 with everyone: only the live sub-election is coded.
+    need = {"prec": spec.n, "overl": spec.n, "bleu": spec.max_n}.get(spec.kind, 1)
+    live_voters = [i for i, v in enumerate(voters) if len(v) >= need]
+    live_cands = [j for j, c in enumerate(cands) if len(c) >= need]
+    if len(live_voters) < len(voters) or len(live_cands) < len(cands):
+        sims = np.zeros((len(voters), len(cands)))
+        if live_voters and live_cands:
+            live = _similarity_matrix([voters[i] for i in live_voters], [cands[j] for j in live_cands], spec)
+            sims[np.ix_(live_voters, live_cands)] = live
+        return sims
     if spec.kind in ("prec", "overl"):
         rows, codes = gram_codes([*voters, *cands], spec.n)[-1]
         matched, sizes = _clipped_counts(rows, codes, len(voters), len(cands), binary=spec.kind == "overl")
         # A voter without n-grams matches nothing: its row is 0 / 1 = 0.
         return matched / np.maximum(sizes, 1)[:, None]
-    if spec.kind in ("bleu", "smoothed_bleu"):
-        return _bleu_matrix(voters, cands, spec.max_n, smoothed=spec.kind == "smoothed_bleu")
-    if spec.vectors is None:
-        raise ValueError("embed_cosine similarity needs a token vector table")
-    # Each sequence's mean vector and norm once, then per pair one dot, division and clamp.
-    voter_embeddings = [_embedding(v, spec.vectors) for v in voters]
-    cand_embeddings = [_embedding(c, spec.vectors) for c in cands]
-    return np.array([[_rescaled_cosine(a, b) for b in cand_embeddings] for a in voter_embeddings], dtype=np.float64)
+    return _bleu_matrix(voters, cands, spec.max_n, smoothed=spec.kind == "smoothed_bleu")
 
 
 @dataclass(frozen=True)
@@ -236,7 +254,12 @@ def range_vote(
     in the same order, and the products are unchanged.  Each candidate's
     fsum takes only its non-zero votes, in voter order: every zero vote is
     +0.0 (finite weights and similarities, all >= 0), and leaving exact
-    zeros out of an exactly rounded sum does not change it.
+    zeros out of an exactly rounded sum does not change it.  Voters and
+    candidates shorter than the order their n-gram kind needs (``n``,
+    ``max_n`` for ``bleu``, 1 for ``smoothed_bleu``) score exactly +0.0
+    against everyone, so they are left out of the kernel and their
+    row or column stays +0.0; an election of such sequences alone runs no
+    kernel at all.
     ``embed_cosine`` takes each sequence's mean vector and norm once and
     runs a per-pair dot, division and clamp.
     """

@@ -158,6 +158,47 @@ class TestFlagFiles:
         assert not (workdir / "m.json").exists()
 
 
+class TestUnreadFlags:
+    """A flag typed for a command that does not read it is a usage error; a flags file's value stays a default."""
+
+    # Each exited 0 with the flag ignored.  No file these flags name exists, so exit 1 (not 2) shows that the
+    # refusal comes before anything is read.
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["--sim", "bleu", "--n", "3"], "--n", id="bleu-n"),
+        pytest.param(["--sim", "prec", "--n", "2", "--max-n", "3"], "--max-n", id="prec-max-n"),
+        pytest.param(["--sim", "smoothed_bleu", "--vectors", "v.txt"], "--vectors", id="smoothed-bleu-vectors"),
+        pytest.param(["--sim", "embed_cosine", "--vectors", "v.txt", "--n", "1"], "--n", id="embed-cosine-n"),
+        pytest.param(["--sim", "bleu", "--voters", "file:c.jsonl", "--model", "nope.json"], "--model",
+                     id="file-voters-model"),
+        pytest.param(["--sim", "bleu", "--voters", "same", "--tabular", "t.json"], "--tabular", id="same-tabular"),
+    ])
+    def test_vote_refuses_a_typed_flag_it_does_not_read(self, tmp_path, monkeypatch, capsys, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        assert main(["vote", "--candidates", "c.jsonl", *argv, "--out", "votes.jsonl"]) == 1
+        assert f"{flag} is not read" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["--sim", "overl", "--n", "1", "--max-n", "2"], "--max-n", id="overl-max-n"),
+        pytest.param(["--sim", "bleu", "--vectors", "v.txt"], "--vectors", id="bleu-vectors"),
+    ])
+    def test_vote_winner_refuses_a_typed_flag_it_does_not_read(self, tmp_path, capsys, argv, flag):
+        argv = ["oracle", "vote-winner", "--tabular", str(tmp_path / "missing.json"), "--max-len", "3", *argv]
+        assert main(argv) == 1
+        assert f"{flag} is not read by --sim" in capsys.readouterr().err
+
+    def test_a_flags_file_serves_commands_that_read_other_flags(self, tmp_path, tabular):
+        cands = tmp_path / "c.jsonl"
+        entries = [{"tokens": ["the", "tall", "man", "runs"], "logprob": -1.0}, {"tokens": ["ok"], "logprob": -0.5}]
+        cands.write_text(json.dumps({"id": 1, "candidates": entries}) + "\n")
+        flags = tmp_path / "f.json"
+        flags.write_text(json.dumps({"n": 2, "max_n": 3, "vectors": "v.txt", "tabular": str(tabular)}))
+        common = ["vote", "--candidates", str(cands), "--sim", "bleu"]
+        assert main([*common, "--config", str(flags), "--out", str(tmp_path / "file.jsonl")]) == 0
+        assert main([*common, "--max-n", "3", "--out", str(tmp_path / "typed.jsonl")]) == 0
+        assert (tmp_path / "file.jsonl").read_bytes() == (tmp_path / "typed.jsonl").read_bytes()
+
+
 class TestOracle:
     def test_enumerate_lists_the_support_by_probability(self, tabular, tmp_path, capsys):
         out = tmp_path / "enum.jsonl"

@@ -230,6 +230,79 @@ class TestBulkElection:
             assert result.scores == (0.0, 0.0)
 
 
+def order_needed(spec):
+    """The fewest tokens a sequence needs to score above 0 under ``spec``: n, max_n for bleu, 1 for smoothed_bleu."""
+    return {"prec": spec.n, "overl": spec.n, "bleu": spec.max_n}.get(spec.kind, 1)
+
+
+def positive_zero(x):
+    return x == 0.0 and math.copysign(1.0, x) == 1.0
+
+
+@st.composite
+def short_and_long_elections(draw, spec):
+    """Voters and candidates mixing sequences of 0..need-1 tokens (dead) with longer ones (live).
+
+    Each side is all dead, all live or mixed, so the drawn elections cover
+    no live voter, no live candidate, a fully live election and the sub-elections between.
+    """
+    need = order_needed(spec)
+    dead = st.lists(st.integers(min_value=3, max_value=5), max_size=need - 1).map(tuple)
+    live = st.lists(st.integers(min_value=3, max_value=5), min_size=need, max_size=need + 6).map(tuple)
+    sides = []
+    for side, max_size in (("candidates", 6), ("voters", 8)):
+        mix = draw(st.sampled_from(["dead", "live", "mixed"]))
+        seqs = {"dead": dead, "live": live, "mixed": st.one_of(dead, live)}[mix]
+        items = draw(st.lists(st.builds(ScoredSequence, tokens=seqs, logprob=logprobs), min_size=1, max_size=max_size))
+        sides.append(CandidateSet(items=tuple(items)))
+        event(f"{side} {mix}")
+    return tuple(sides)
+
+
+class TestSequencesTooShortToScore:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(NGRAM_SPECS).flatmap(lambda spec: st.tuples(st.just(spec), short_and_long_elections(spec))))
+    def test_matches_pairwise_reference_and_dead_scores_are_plus_zero(self, case):
+        spec, (cands, voters) = case
+        need = order_needed(spec)
+        result = range_vote(cands, voters, spec, with_contributions=True)
+        assert (result.ranking, result.scores, result.contributions) == reference_vote(cands, voters, spec)
+        sims = voting._similarity_matrix([v.tokens for v in voters.items], [c.tokens for c in cands.items], spec)
+        for v, voter in enumerate(voters.items):
+            for c, cand in enumerate(cands.items):
+                if len(voter.tokens) < need or len(cand.tokens) < need:
+                    assert positive_zero(sims[v, c])
+        for cand, score in zip(result.ranking, result.scores):
+            if len(cand.tokens) < need:
+                assert positive_zero(score)
+        for voter, row in zip(voters.items, result.contributions):
+            if len(voter.tokens) < need:
+                assert all(map(positive_zero, row))
+
+    DEAD = [ScoredSequence((3,), -1.0), ScoredSequence((), -2.0), ScoredSequence((3, 4, 5), -0.5)]
+    LIVE = [ScoredSequence((3, 4, 5, 6), -1.5), ScoredSequence((4, 5, 6, 3, 4), -0.7)]
+
+    @pytest.mark.parametrize("cands, voters", [(DEAD, DEAD + LIVE), (DEAD + LIVE, DEAD), (DEAD, DEAD)],
+                             ids=["no-live-candidate", "no-live-voter", "nothing-live"])
+    def test_an_election_with_nothing_live_codes_nothing(self, cands, voters):
+        spec = SimilaritySpec(kind="bleu", max_n=4)
+        with patch.object(voting, "gram_codes", side_effect=AssertionError("gram_codes was called")):
+            result = range_vote(CandidateSet(tuple(cands)), CandidateSet(tuple(voters)), spec, with_contributions=True)
+        assert all(map(positive_zero, result.scores))
+        assert all(positive_zero(x) for row in result.contributions for x in row)
+
+    @pytest.mark.parametrize("spec", [SimilaritySpec(kind="bleu", max_n=4), SimilaritySpec(kind="prec", n=4)],
+                             ids=lambda spec: spec.name)
+    def test_a_mixed_election_codes_only_its_live_sequences(self, spec):
+        cands = CandidateSet((self.DEAD[0], self.LIVE[0], self.DEAD[2]))
+        voters = CandidateSet((self.LIVE[1], self.DEAD[1], self.LIVE[0]))
+        with patch.object(voting, "gram_codes", wraps=voting.gram_codes) as codes:
+            result = range_vote(cands, voters, spec, with_contributions=True)
+        coded = [s.tokens for s in (self.LIVE[1], self.LIVE[0], self.LIVE[0])]  # live voters, then live candidates
+        assert [call.args for call in codes.call_args_list] == [(coded, 4)]
+        assert (result.ranking, result.scores, result.contributions) == reference_vote(cands, voters, spec)
+
+
 # --- BLEU statistics ----------------------------------------------------------------
 
 refs_lists = st.lists(tokens, min_size=1, max_size=3).map(tuple)

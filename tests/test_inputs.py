@@ -239,9 +239,16 @@ class TestConfigFailsFast:
             ({"kind": "overl", "n": True}, r"select\[1\]\.sim: n must be an integer, got True"),  # was read as 1
             ({"kind": "bleu", "max_n": "2"}, r"select\[1\]\.sim: max_n must be an integer, got '2'"),  # was read as 2
             ({"kind": ["overl"], "n": 1}, r"select\[1\]\.sim: kind must be a string, got \['overl'\]"),
+            # Each ran with the key ignored; the vectors file does not even exist.
+            ({"kind": "bleu", "n": 2}, r"select\[1\]\.sim: bleu similarity does not read 'n'"),
+            ({"kind": "overl", "n": 1, "max_n": 3}, r"select\[1\]\.sim: overl similarity does not read 'max_n'"),
+            ({"kind": "prec", "n": 1, "vectors": "v.tsv"},
+             r"select\[1\]\.sim: prec similarity does not read 'vectors'"),
+            ({"kind": "embed_cosine", "vectors": "v.tsv", "max_n": 2},
+             r"select\[1\]\.sim: embed_cosine similarity does not read 'max_n'"),
         ],
         ids=["string", "fractional-n", "fractional-max_n", "unknown-key", "vectors-not-a-path", "no-vectors", "bool-n",
-             "string-max_n", "list-kind"],
+             "string-max_n", "list-kind", "bleu-n", "overl-max_n", "prec-vectors", "embed_cosine-max_n"],
     )
     def test_bad_sim(self, tmp_path, capsys, monkeypatch, sim, message):
         monkeypatch.setattr(harness, "build_model", lambda *args: pytest.fail("the model was built"))
