@@ -20,10 +20,11 @@ A flag typed for a command that would not read it is a usage error, raised
 before anything is read or written: ``vote`` and ``oracle vote-winner``
 refuse ``--n``, ``--max-n`` or ``--vectors`` where the ``--sim`` kind reads
 another (``--n`` for prec/overl, ``--max-n`` for the BLEU kinds,
-``--vectors`` for embed_cosine), and ``vote`` refuses ``--model`` or
-``--tabular`` with ``same`` or ``file:`` voters.  Only typed flags are
-refused; a flags file's value stays a default, so one file still serves
-several commands.
+``--vectors`` for embed_cosine), and ``vote`` refuses ``--model``,
+``--tabular``, ``--max-len``, ``--seed`` or ``--lowercase`` with ``same`` or
+``file:`` voters, since only voters a model regenerates read them.  Only
+typed flags are refused; a flags file's value stays a default, so one file
+still serves several commands.
 
 Exit codes: 0 success; 1 usage, including a bad flag value from a flags
 file; 2 I/O, including a missing flags file; 3 validation, including a flags
@@ -143,7 +144,7 @@ def _refuse_typed(ctx: click.Context, names, why: str) -> None:
     """A usage error naming the first of the parameters ``names`` typed on the command line; flags-file values pass."""
     for p in ctx.command.params:
         if p.name in names and ctx.get_parameter_source(p.name) is ParameterSource.COMMANDLINE:
-            raise click.UsageError(f"{p.opts[0]} {why}")
+            raise click.UsageError(f"{'/'.join(p.opts + p.secondary_opts)} {why}")
 
 
 def _refuse_unread_sim_flags(ctx: click.Context, kind: str) -> None:
@@ -263,7 +264,8 @@ def vote(ctx, candidates_path, voters_flag, sim_kind, n, max_n, vectors, out, co
     """Run the range-voting election over decoded candidates."""
     _refuse_unread_sim_flags(ctx, sim_kind)
     if voters_flag == "same" or voters_flag.startswith("file:"):
-        _refuse_typed(ctx, {"model_path", "tabular_path"}, f"is not read with --voters {voters_flag}")
+        _refuse_typed(ctx, {"model_path", "tabular_path", "max_len", "seed", "lowercase"},
+                      f"is not read with --voters {voters_flag}")
     cand_records = read_candidates(candidates_path)
     voter_file, voter_records, voter_decode, model = [], None, None, None
     if voters_flag.startswith("file:"):

@@ -55,9 +55,11 @@ SCORING_MODES = ("logprob", "length_normalized")
 SAMPLING_STRATEGIES = ("ancestral", "top_k", "nucleus")
 
 
-@dataclass(frozen=True)
-class ScoredSequence:
-    """A sequence together with its model log-probability."""
+class ScoredSequence(NamedTuple):
+    """A sequence together with its model log-probability.
+
+    A NamedTuple: it equals the plain tuple of its fields, it unpacks, and ``_replace`` derives a copy.
+    """
 
     tokens: Sequence
     logprob: float

@@ -39,9 +39,8 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterable
+from typing import IO, TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -241,8 +240,12 @@ def _read_jsonl(path: str | Path):
 
 # --- dataset --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DatasetRow:
+class DatasetRow(NamedTuple):
+    """One input: its id, optional source text and reference texts.
+
+    A NamedTuple: it equals the plain tuple of its fields, it unpacks, and ``_replace`` derives a copy.
+    """
+
     id: object
     source: str | None
     references: tuple[str, ...]
@@ -261,9 +264,11 @@ def read_dataset(path: str | Path) -> list[DatasetRow]:
 
 # --- candidates / votes ---------------------------------------------------
 
-@dataclass(frozen=True)
-class CandidateRecord:
-    """One input's decoded candidates, token strings plus model log-probability."""
+class CandidateRecord(NamedTuple):
+    """One input's decoded candidates, token strings plus model log-probability.
+
+    A NamedTuple: it equals the plain tuple of its fields, it unpacks, and ``_replace`` derives a copy.
+    """
 
     id: object
     source: str | None
@@ -291,9 +296,11 @@ def read_candidates(path: str | Path) -> list[CandidateRecord]:
     return _read_records(path, "candidate", "candidates", _candidate_record)
 
 
-@dataclass(frozen=True)
-class VoteRecord:
-    """One input's ranked election result."""
+class VoteRecord(NamedTuple):
+    """One input's ranked election result.
+
+    A NamedTuple: it equals the plain tuple of its fields, it unpacks, and ``_replace`` derives a copy.
+    """
 
     id: object
     ranked: tuple[tuple[tuple[str, ...], float, float], ...]  # (tokens, logprob, score)

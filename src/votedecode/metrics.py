@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Sequence as TySequence
+from typing import Callable, NamedTuple, Sequence as TySequence
 
 import numpy as np
 
@@ -141,8 +140,12 @@ def _segment_stats(hyps: TySequence[Sequence], refs: TySequence[TySequence[Seque
     return [bleu_stats(hyp, ref_list, max_n) for hyp, ref_list in zip(hyps, refs)]
 
 
-@dataclass(frozen=True)
-class DistinctStats:
+class DistinctStats(NamedTuple):
+    """Diversity counts of a system's outputs and their mean token length.
+
+    A NamedTuple: it equals the plain tuple of its fields, it unpacks, and ``_replace`` derives a copy.
+    """
+
     distinct_sequences: int
     distinct_unigrams: int
     distinct_bigrams: int
@@ -235,9 +238,11 @@ def paired_bootstrap(
     return losses / n_bootstrap
 
 
-@dataclass(frozen=True)
-class EvalRow:
-    """One system's row of the evaluation report."""
+class EvalRow(NamedTuple):
+    """One system's row of the evaluation report.
+
+    A NamedTuple: it equals the plain tuple of its fields, it unpacks, and ``_replace`` derives a copy.
+    """
 
     system: str
     bleu: tuple[float, ...]  # BLEU-1 .. BLEU-max_n

@@ -9,7 +9,7 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decode import CandidateSet, ScoredSequence, beam_view
 from .models import NEG_INF, SequenceModel
@@ -23,9 +23,11 @@ class BudgetExceededError(RuntimeError):
     """Raised when enumeration would expand more nodes than the budget allows."""
 
 
-@dataclass(frozen=True)
-class EnumeratedDistribution:
-    """All sequences up to max_len with probability at or above the floor."""
+class EnumeratedDistribution(NamedTuple):
+    """All sequences up to max_len with probability at or above the floor.
+
+    A NamedTuple: it equals the plain tuple of its fields, it unpacks, and ``_replace`` derives a copy.
+    """
 
     entries: tuple[ScoredSequence, ...]  # sorted by descending probability
     total_mass: float

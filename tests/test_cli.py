@@ -1,14 +1,17 @@
 """Commands driven through `cli.main`: flags files, the oracle group, reserved markers in votes, refused inputs,
-`eval --metric` columns and `embed_cosine` vector files."""
+`eval --metric` columns and `embed_cosine` vector files; and `python -m votedecode --version`."""
 
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from votedecode import cli, harness
+from votedecode import __version__, cli, harness
 from votedecode.cli import main
 from votedecode.formats import read_candidates, read_vector_file, read_votes, write_candidates
 from votedecode.oracle import enumerate_distribution, exact_vote
@@ -19,6 +22,7 @@ from conftest import FIXTURE5, model_from_texts, pairwise_sim
 
 MAX_LEN = 6
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -171,6 +175,9 @@ class TestUnreadFlags:
         pytest.param(["--sim", "bleu", "--voters", "file:c.jsonl", "--model", "nope.json"], "--model",
                      id="file-voters-model"),
         pytest.param(["--sim", "bleu", "--voters", "same", "--tabular", "t.json"], "--tabular", id="same-tabular"),
+        pytest.param(["--sim", "bleu", "--voters", "same", "--max-len", "3"], "--max-len", id="same-max-len"),
+        pytest.param(["--sim", "bleu", "--voters", "file:c.jsonl", "--seed", "9"], "--seed", id="file-voters-seed"),
+        pytest.param(["--sim", "bleu", "--no-lowercase"], "--lowercase/--no-lowercase", id="same-no-lowercase"),
     ])
     def test_vote_refuses_a_typed_flag_it_does_not_read(self, tmp_path, monkeypatch, capsys, argv, flag):
         monkeypatch.chdir(tmp_path)
@@ -192,7 +199,8 @@ class TestUnreadFlags:
         entries = [{"tokens": ["the", "tall", "man", "runs"], "logprob": -1.0}, {"tokens": ["ok"], "logprob": -0.5}]
         cands.write_text(json.dumps({"id": 1, "candidates": entries}) + "\n")
         flags = tmp_path / "f.json"
-        flags.write_text(json.dumps({"n": 2, "max_n": 3, "vectors": "v.txt", "tabular": str(tabular)}))
+        flags.write_text(json.dumps({"n": 2, "max_n": 3, "vectors": "v.txt", "tabular": str(tabular), "max_len": 3,
+                                     "seed": 9, "lowercase": True}))
         common = ["vote", "--candidates", str(cands), "--sim", "bleu"]
         assert main([*common, "--config", str(flags), "--out", str(tmp_path / "file.jsonl")]) == 0
         assert main([*common, "--max-n", "3", "--out", str(tmp_path / "typed.jsonl")]) == 0
@@ -544,6 +552,29 @@ def test_an_empty_decode_command_exits_3_without_writing(tmp_path, capsys):
                  "--beam-size", "2", "--max-len", "3", "--filter-copies", "0.0", "--out", str(out)]) == 3
     assert "decode 'decode' left no candidates for input 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+# No file these flags name exists, so exit 1 (not 2) shows that each refusal comes before anything is read.
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["eval", "--dataset", "d.jsonl"], "--hyps and --dataset are required", id="eval-without-hyps"),
+    pytest.param(["eval", "--hyps", "h.jsonl"], "--hyps and --dataset are required", id="eval-without-dataset"),
+    pytest.param(["decode", "--dataset", "d.jsonl", "--out", "c.jsonl"], "exactly one of --model / --tabular",
+                 id="decode-without-a-model"),
+    pytest.param(["decode", "--model", "m.json", "--tabular", "t.json", "--dataset", "d.jsonl", "--out", "c.jsonl"],
+                 "exactly one of --model / --tabular", id="decode-with-two-models"),
+])
+def test_a_missing_or_doubled_input_flag_exits_1(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_python_m_votedecode_prints_the_version():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "votedecode", "--version"], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, f"votedecode, version {__version__}\n")
 
 
 @pytest.mark.parametrize("max_n", ["0", "-2"])

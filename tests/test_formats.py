@@ -1,4 +1,4 @@
-"""Candidates and votes files: what a writer writes, its reader reads back."""
+"""Candidates and votes files: what a writer writes, its reader reads back; and the value records, NamedTuples."""
 
 import json
 import math
@@ -6,8 +6,10 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from votedecode import DistinctStats, EnumeratedDistribution, EvalRow, ScoredSequence
 from votedecode.formats import (
     CandidateRecord,
+    DatasetRow,
     VoteRecord,
     read_candidates,
     read_hypotheses,
@@ -81,3 +83,32 @@ def test_votes_round_trip(tmp_path, records):
     path = write(tmp_path / "v.jsonl", write_votes, records)
     assert read_votes(path) == records
     assert read_hypotheses(path) == [(rec.id, rec.ranked[0][0]) for rec in records]
+
+
+# Each value record: field values, and its fields with their defaults, in the order they were declared.
+RECORDS = [
+    (ScoredSequence, ((3, 4), -1.5), ("tokens", "logprob"), {}),
+    (DatasetRow, (0, "a b", ("a",)), ("id", "source", "references"), {}),
+    (CandidateRecord, (1, None, ((("a",), -0.5),)), ("id", "source", "candidates"), {}),
+    (VoteRecord, ("x", ((("a",), -0.5, 0.25),), ((0.25,),)), ("id", "ranked", "contributions"),
+     {"contributions": None}),
+    (DistinctStats, (2, 3, 1, 1.5), ("distinct_sequences", "distinct_unigrams", "distinct_bigrams", "avg_length"), {}),
+    (EvalRow, ("sys", (0.5, 0.25), 2.0, 2, 3, 1, None, 0.0),
+     ("system", "bleu", "avg_length", "distinct_sequences", "distinct_unigrams", "distinct_bigrams", "exact_copy_rate",
+      "partial_copy_rate"), {}),
+    (EnumeratedDistribution, ((ScoredSequence((3,), 0.0),), 1.0), ("entries", "total_mass"), {}),
+]
+
+
+@pytest.mark.parametrize("cls, values, fields, defaults", RECORDS, ids=[cls.__name__ for cls, *_ in RECORDS])
+def test_a_value_record_is_the_tuple_of_its_fields(cls, values, fields, defaults):
+    assert (cls._fields, cls._field_defaults) == (fields, defaults)
+    record = cls(*values)
+    assert record == values and tuple(record) == values
+    required = values[: len(fields) - len(defaults)]
+    assert cls(*required) == required + tuple(defaults.values())
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], "other")
+    copy = record._replace(**{fields[0]: "other"})
+    assert type(copy) is cls and copy == ("other", *values[1:])
+    assert record == values

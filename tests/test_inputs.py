@@ -813,3 +813,45 @@ class TestMissingIds:
         captured = capsys.readouterr()
         assert f"{short}: no record for input 'two'" in captured.err
         assert captured.out == ""
+
+
+class TestBlankAndUnparsableLines:
+    """Records and vector files through `vote`: a blank line is skipped; a file with nothing else, a line that is
+    not JSON and a token without components each exit 3, naming the file, before the votes file is written."""
+
+    RECORDS = [candidates_line(1, -0.5), candidates_line(2, -1)]
+    VECTORS = "a 1 0\nb 0 1\n"
+
+    @staticmethod
+    def vote(workdir, lines, vectors=None):
+        """`vote` on the candidates ``lines``, by `embed_cosine` over the vector file text ``vectors`` if given."""
+        workdir.mkdir()
+        argv = ["vote", "--candidates", str(write_lines(workdir / "c.jsonl", lines)), "--out",
+                str(workdir / "votes.jsonl")]
+        if vectors is None:
+            argv += ["--sim", "overl", "--n", "1"]
+        else:
+            (workdir / "vec.txt").write_text(vectors, encoding="utf-8")
+            argv += ["--sim", "embed_cosine", "--vectors", str(workdir / "vec.txt")]
+        return main(argv)
+
+    @pytest.mark.parametrize("lines, vectors", [
+        pytest.param([RECORDS[0], "", "  ", RECORDS[1]], None, id="records"),
+        pytest.param(RECORDS, "a 1 0\n\n \nb 0 1\n", id="vectors"),
+    ])
+    def test_a_blank_line_is_skipped(self, tmp_path, lines, vectors):
+        assert self.vote(tmp_path / "blank", lines, vectors) == 0
+        assert self.vote(tmp_path / "plain", self.RECORDS, None if vectors is None else self.VECTORS) == 0
+        assert (tmp_path / "blank" / "votes.jsonl").read_bytes() == (tmp_path / "plain" / "votes.jsonl").read_bytes()
+
+    # (candidates lines, vector file text, the file at fault, the error after its name)
+    @pytest.mark.parametrize("lines, vectors, name, message", [
+        pytest.param(["", "  ", "\t"], None, "c.jsonl", ": no candidate records", id="blank-records"),
+        pytest.param([RECORDS[0], '{"id": 2,'], None, "c.jsonl", ":2: not valid JSON", id="not-json"),
+        pytest.param(RECORDS, "a 1 0\nb\n", "vec.txt", ":2: token 'b' has no vector components", id="no-components"),
+        pytest.param(RECORDS, "", "vec.txt", ": empty vector file", id="empty-vectors"),
+    ])
+    def test_a_file_that_cannot_be_read_exits_3(self, tmp_path, capsys, lines, vectors, name, message):
+        assert self.vote(tmp_path / "w", lines, vectors) == 3
+        assert f"{tmp_path / 'w' / name}{message}" in capsys.readouterr().err
+        assert not (tmp_path / "w" / "votes.jsonl").exists()

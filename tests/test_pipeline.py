@@ -87,6 +87,32 @@ def test_vote_with_same_voters_matches_run(experiment, tmp_path, name):
     assert out.read_bytes() == (run / "votes" / f"{name}+bleu.jsonl").read_bytes()
 
 
+def rerun(experiment, workdir, *flags, **fields):
+    """`run` in ``workdir`` on the experiment's config, ``fields`` replaced and paths absolute; the output tree."""
+    config = json.loads((experiment / "config.json").read_text(encoding="utf-8"))
+    config.update(model={**config["model"], "corpus": str(experiment / "corpus.txt")},
+                  dataset=str(experiment / "dataset.jsonl"))
+    config.update(fields)
+    workdir.mkdir(exist_ok=True)
+    (workdir / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(workdir / "config.json"), "--output-dir", str(workdir / "run"), *flags]) == 0
+    return workdir / "run"
+
+
+def test_run_seed_replaces_the_configs_seed(experiment, tmp_path):
+    flag = tree_digests(rerun(experiment, tmp_path / "flag", "--seed", str(SEED + 4)))
+    assert flag == tree_digests(rerun(experiment, tmp_path / "key", seed=SEED + 4))
+    # The nucleus decode samples, so the config's own seed writes other candidates.
+    own = tree_digests(experiment / "run")
+    assert flag["candidates/nucleus.jsonl"] != own["candidates/nucleus.jsonl"]
+
+
+def test_a_run_on_the_saved_model_writes_the_trained_runs_tree(experiment, tmp_path):
+    """The fixture's `train` command saves the config's train model; loading it must change no byte."""
+    loaded = rerun(experiment, tmp_path, model={"kind": "load", "path": str(experiment / "model.json")})
+    assert tree_digests(loaded) == tree_digests(experiment / "run")
+
+
 # sha256 of every file `run` writes for configs/toy_vote_split.json.
 TOY_DIGESTS = {
     "candidates/beam5.jsonl": "7e00889fbff92c779da2fb59d51d13fc8888ff585857e62dfcc9a82cf085aef5",

@@ -240,7 +240,7 @@ class TestRangeVote:
         spec = SimilaritySpec(kind="prec", n=1)
         base = range_vote(cands, cands, spec)
         for lam in (1e-3, 0.5, 7.0, 1e4):
-            scaled_voters = CandidateSet(items=tuple(replace(v, logprob=v.logprob + math.log(lam)) for v in cands.items))
+            scaled_voters = CandidateSet(items=tuple(v._replace(logprob=v.logprob + math.log(lam)) for v in cands.items))
             scaled = range_vote(cands, scaled_voters, spec)
             assert scaled.ranking == base.ranking
             for a, b in zip(scaled.scores, base.scores):
@@ -256,8 +256,8 @@ class TestRangeVote:
                 voters = []
                 for i, v in enumerate(cands.items):
                     if i == split_idx:
-                        voters.append(replace(v, logprob=v.logprob + math.log(alpha)))
-                        voters.append(replace(v, logprob=v.logprob + math.log(1 - alpha)))
+                        voters.append(v._replace(logprob=v.logprob + math.log(alpha)))
+                        voters.append(v._replace(logprob=v.logprob + math.log(1 - alpha)))
                     else:
                         voters.append(v)
                 split = range_vote(cands, CandidateSet(items=tuple(voters)), spec)
@@ -279,7 +279,7 @@ class TestRangeVote:
     def test_underflowing_voter_weights_still_rank(self, fixture5):
         model, _ = fixture5
         cands = beam_search(model, None, DecodeSpec(beam_size=5, max_len=8))
-        tiny = CandidateSet(items=tuple(replace(v, logprob=v.logprob - 5000.0) for v in cands.items))
+        tiny = CandidateSet(items=tuple(v._replace(logprob=v.logprob - 5000.0) for v in cands.items))
         base = range_vote(cands, cands, SimilaritySpec(kind="overl", n=1))
         shifted = range_vote(cands, tiny, SimilaritySpec(kind="overl", n=1))
         assert shifted.ranking == base.ranking  # scores saturate to 0 but order survives
